@@ -60,12 +60,12 @@ from .ranges import (
     range_limit_df,
     run_statistic_sim,
 )
-from .specfun import Accuracy, log_gamma, reg_inc_beta, reg_inc_gamma
+from .specfun import log_gamma, reg_inc_beta, reg_inc_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Accuracy", "DistributionModel", "ExtremeSide", "GosParams", "IndexLaw",
+    "DistributionModel", "ExtremeSide", "GosParams", "IndexLaw",
     "IndexMode", "NoAttractionError", "NormingConstants", "RangeQuery",
     "RankPair", "Regime", "SimConfig", "SimulationReport", "TailTransform",
     "UnsupportedCaseError", "cdf", "eta_limit", "h_cdf", "joint_df_direct",

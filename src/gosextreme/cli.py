@@ -36,7 +36,6 @@ from .montecarlo import IndexMode, SimConfig, run_bivariate_sim
 from .params import ExtremeSide, GosParams, RankPair, Regime
 from .randomindex import IndexLaw, load_tabulated_csv, mixture_ll, mixture_lu, mixture_uu
 from .ranges import RangeQuery, midrange_limit_df, range_limit_df, run_statistic_sim
-from .specfun import KernelError
 
 OUTPUT_DIR_ENV = "GOSEXTREME_OUTDIR"
 
@@ -64,11 +63,14 @@ def parse_number(text: str) -> float:
     if word in _CONSTANTS:
         return sign * _CONSTANTS[word]
     try:
-        return sign * float(word)
+        value = float(word)
     except ValueError as exc:
         raise UsageError(
             f"cannot parse number {text!r}; symbolic constants: {sorted(_CONSTANTS)}"
         ) from exc
+    if math.isnan(value):
+        raise ValueError(f"{text!r} is not a number; NaN is not a valid argument")
+    return sign * value
 
 
 def parse_grid(text: str, default_count: int = 41) -> list[float]:
@@ -497,7 +499,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureError, KernelError, ArithmeticError) as exc:
+    except (QuadratureError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

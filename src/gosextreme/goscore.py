@@ -30,7 +30,7 @@ import math
 from ._integrate import integrate
 from .distributions import DistributionModel, cdf, survival
 from .params import GosParams, RankPair, Regime
-from .specfun import log_gamma, reg_inc_beta, reg_inc_gamma_upper
+from .specfun import log_gamma, reg_inc_beta
 
 JOINT_UPPER_ABS_TOL = 1e-9
 JOINT_DIRECT_ABS_TOL = 1e-8
@@ -52,16 +52,18 @@ def lbar(params: GosParams, model: DistributionModel, x: float) -> float:
     return math.exp((params.m + 1.0) * math.log(s))
 
 
-def _check_rank(params: GosParams, r: int) -> None:
+def _check_marginal_args(params: GosParams, r: int, x: float) -> None:
     if not 1 <= r <= params.n:
         raise ValueError(f"rank {r} out of range 1..{params.n}")
+    if math.isnan(x):
+        raise ValueError("marginal df is undefined at x = NaN")
 
 
 def marginal_lower_df(
     params: GosParams, model: DistributionModel, r: int, x: float
 ) -> float:
     """df of the r-th m-GOS from the bottom: I_{L_m(x)}(r, N - r + 1)."""
-    _check_rank(params, r)
+    _check_marginal_args(params, r, x)
     lmx = lm(params, model, x)
     if lmx <= 0.0:
         return 0.0
@@ -78,7 +80,7 @@ def marginal_upper_df(
     params: GosParams, model: DistributionModel, r: int, x: float
 ) -> float:
     """df of the r-th m-GOS from the top: I_{L_m(x)}(N - R_r + 1, R_r)."""
-    _check_rank(params, r)
+    _check_marginal_args(params, r, x)
     lmx = lm(params, model, x)
     if lmx <= 0.0:
         return 0.0
@@ -89,15 +91,6 @@ def marginal_upper_df(
     if lbx < 0.5:
         return 1.0 - reg_inc_beta(lbx, rr, params.big_n - rr + 1.0)
     return reg_inc_beta(lmx, params.big_n - rr + 1.0, rr)
-
-
-def upper_gamma_approximation(
-    params: GosParams, model: DistributionModel, r: int, x: float
-) -> float:
-    """Large-sample surrogate 1 - Gamma_{R_r}(N * Lbar_m(x)) of the upper
-    marginal; the exact df is sandwiched around it with vanishing gap."""
-    _check_rank(params, r)
-    return reg_inc_gamma_upper(params.rank_weight(r), params.big_n * lbar(params, model, x))
 
 
 def joint_upper_df(

@@ -72,6 +72,8 @@ def kappa(transform: TailTransform, x: float) -> float:
     """Upper-side transform; nonincreasing in x, values in [0, +inf]."""
     if transform.side != ExtremeSide.UPPER:
         raise ValueError("kappa expects an upper-side transform")
+    if math.isnan(x):
+        raise ValueError("kappa is undefined at NaN")
     if transform.kind == "frechet":
         return x ** -transform.alpha if x > 0.0 else math.inf
     if transform.kind == "weibull":
@@ -83,18 +85,13 @@ def rho(transform: TailTransform, x: float) -> float:
     """Lower-side transform; nondecreasing in x, values in [0, +inf]."""
     if transform.side != ExtremeSide.LOWER:
         raise ValueError("rho expects a lower-side transform")
+    if math.isnan(x):
+        raise ValueError("rho is undefined at NaN")
     if transform.kind == "frechet":
         return (-x) ** -transform.alpha if x < 0.0 else math.inf
     if transform.kind == "weibull":
         return x ** transform.alpha if x >= 0.0 else 0.0
     return math.exp(x)
-
-
-def _upper_tail_weight(shape: float, arg: float) -> float:
-    """1 - Gamma_shape(arg) with the +inf convention."""
-    if math.isinf(arg):
-        return 0.0
-    return reg_inc_gamma_upper(shape, arg)
 
 
 def omega_uu_powered(
@@ -114,10 +111,10 @@ def omega_uu_powered(
     rs = params.rank_weight(s)
     if k1 <= k2:
         # x >= y: the joint collapses onto the shallower marginal.
-        return _upper_tail_weight(rs, k2)
+        return reg_inc_gamma_upper(rs, k2)
     if math.isinf(k1):
         return 0.0
-    head = _upper_tail_weight(rr, k1)
+    head = reg_inc_gamma_upper(rr, k1)
     if k2 == 0.0:
         return head
     log_norm = log_gamma(rr)
@@ -159,15 +156,14 @@ def omega_ll(
         raise ValueError("transform values must be in [0, +inf]")
     if rho1 >= rho2:
         # x >= y branch: the deeper coordinate is inactive.
-        return reg_inc_gamma(s, rho2) if not math.isinf(rho2) else 1.0
+        return reg_inc_gamma(s, rho2)
     if rho1 == 0.0:
         return 0.0
     log_norm = log_gamma(float(r))
     diff = s - r
 
     def integrand(u: float) -> float:
-        inner = rho2 - u
-        gam = 1.0 if math.isinf(inner) else reg_inc_gamma(diff, max(inner, 0.0))
+        gam = reg_inc_gamma(diff, max(rho2 - u, 0.0))
         if gam == 0.0:
             return 0.0
         if u <= 0.0:
@@ -184,18 +180,16 @@ def omega_lu_product(
     """Lower-upper limit: product of the two univariate limit marginals."""
     if r < 1 or s < 1:
         raise ValueError("ranks must be >= 1")
-    lower = 1.0 if math.isinf(rho1) else reg_inc_gamma(float(r), rho1)
-    upper = _upper_tail_weight(params.rank_weight(s), kappa2 ** (params.m + 1.0))
+    lower = reg_inc_gamma(float(r), rho1)
+    upper = reg_inc_gamma_upper(params.rank_weight(s), kappa2 ** (params.m + 1.0))
     return lower * upper
 
 
 def upper_marginal_limit(params: GosParams, r: int, kappa_value: float) -> float:
     """Fixed-size limit df of the r-th extreme from the top."""
-    return _upper_tail_weight(params.rank_weight(r), kappa_value ** (params.m + 1.0))
+    return reg_inc_gamma_upper(params.rank_weight(r), kappa_value ** (params.m + 1.0))
 
 
 def lower_marginal_limit(r: int, rho_value: float) -> float:
     """Fixed-size limit df of the r-th extreme from the bottom."""
-    if math.isinf(rho_value):
-        return 1.0
     return reg_inc_gamma(float(r), rho_value)

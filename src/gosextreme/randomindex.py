@@ -141,12 +141,6 @@ def _mix(f, law: IndexLaw, abs_tol: float) -> float:
     return integrate_segments(f, segments, abs_tol)
 
 
-def _powered(value: float, mp1: float) -> float:
-    if math.isinf(value):
-        return math.inf
-    return value**mp1
-
-
 def _zscale(z: float, value: float) -> float:
     # inf stays inf for any z > 0 (avoids 0*inf at a z = 0 endpoint).
     return math.inf if math.isinf(value) else z * value
@@ -163,7 +157,7 @@ def mixture_uu(
 ) -> float:
     """Random-index upper-upper limit at transform values (kappa1, kappa2)."""
     mp1 = params.m + 1.0
-    k1, k2 = _powered(kappa1, mp1), _powered(kappa2, mp1)
+    k1, k2 = kappa1**mp1, kappa2**mp1
 
     def slice_df(z: float) -> float:
         return omega_uu_powered(params, r, s, _zscale(z, k1), _zscale(z, k2), OMEGA_INNER_TOL)
@@ -201,18 +195,16 @@ def mixture_marginal(
 
     side = ExtremeSide(side)
     if side == ExtremeSide.UPPER:
-        arg = _powered(value, params.m + 1.0)
+        arg = value ** (params.m + 1.0)
         shape = params.rank_weight(r)
 
         def slice_df(z: float) -> float:
-            za = _zscale(z, arg)
-            return 0.0 if math.isinf(za) else reg_inc_gamma_upper(shape, za)
+            return reg_inc_gamma_upper(shape, _zscale(z, arg))
 
     else:
 
         def slice_df(z: float) -> float:
-            za = _zscale(z, value)
-            return 1.0 if math.isinf(za) else reg_inc_gamma(float(r), za)
+            return reg_inc_gamma(float(r), _zscale(z, value))
 
     return _clamp(_mix(slice_df, law, abs_tol))
 
@@ -226,13 +218,22 @@ def mixture_lu(
     law: IndexLaw,
     abs_tol: float = MIXTURE_ABS_TOL,
 ) -> float:
-    """Random-index lower-upper limit: the product of the two separately
-    mixed marginal factors (each factor integrated against H on its own)."""
-    from .params import ExtremeSide
+    """Random-index lower-upper limit
+    int Gamma_r(z rho1) [1 - Gamma_{R_s}(z kappa2^(m+1))] dH(z).
 
-    lower = mixture_marginal(ExtremeSide.LOWER, params, r, rho1, law, abs_tol)
-    upper = mixture_marginal(ExtremeSide.UPPER, params, s, kappa2, law, abs_tol)
-    return lower * upper
+    Both factors share one index scale z: the sample size couples the
+    minimum and the maximum, so under a non-degenerate law this is not
+    the product of the two mixed marginals.  A degenerate law reduces it
+    to `omega_lu_product`."""
+    k2 = kappa2 ** (params.m + 1.0)
+    shape = params.rank_weight(s)
+
+    def slice_df(z: float) -> float:
+        return reg_inc_gamma(float(r), _zscale(z, rho1)) * reg_inc_gamma_upper(
+            shape, _zscale(z, k2)
+        )
+
+    return _clamp(_mix(slice_df, law, abs_tol))
 
 
 def _clamp(p: float) -> float:

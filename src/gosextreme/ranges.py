@@ -35,7 +35,7 @@ from .distributions import DistributionModel, NormingConstants, norming_constant
 from .montecarlo import IndexMode, SimulationReport, ks_distance, simulate_value_pairs
 from .params import ExtremeSide, GosParams
 from .randomindex import IndexLaw, _mix
-from .specfun import log_gamma, reg_inc_gamma, reg_inc_gamma_upper
+from .specfun import log_gamma, reg_inc_gamma_upper
 
 RANGE_ABS_TOL = 1e-7
 _INNER_TOL = 1e-9
@@ -112,10 +112,6 @@ def _upper_factor(ell: float, z: float, cval: float) -> float:
     if math.isinf(cval):
         return 0.0
     return reg_inc_gamma_upper(ell, z * cval)
-
-
-def _single_side_df(ell: float, z: float, cval: float) -> float:
-    return _upper_factor(ell, z, cval)
 
 
 def _frechet_pair_df(ell: float, z: float, t: float, abs_tol: float) -> float:
@@ -221,7 +217,7 @@ def _conditional_df(query: RangeQuery, t: float, abs_tol: float):
             cval = t ** (-sigma * mp1) if t > 0.0 else math.inf
         else:
             raise UnsupportedCaseError(f"{fam} with eta = inf is not a listed case")
-        return lambda z: _single_side_df(ell, z, cval)
+        return lambda z: _upper_factor(ell, z, cval)
 
     if fam == "cauchy":  # m == 0, eta == 1
         if midrange:

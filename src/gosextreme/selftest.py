@@ -199,7 +199,7 @@ def _mix_closed():
     for x in (-1.0, 0.0, 2.0):
         got = mixture_marginal(ExtremeSide.UPPER, params, 1, math.exp(-x), law)
         worst = max(worst, abs(got - 1.0 / (1.0 + math.exp(-x))))
-    worst = max(worst, abs(mixture_lu(params, 1, 1, 1.0, 1.0, law) - 0.25))
+    worst = max(worst, abs(mixture_lu(params, 1, 1, 1.0, 1.0, law) - 1.0 / 6.0))
     return worst <= 1e-8, f"max closed-form defect {worst:.2e}"
 
 

@@ -13,7 +13,10 @@ from gosextreme.cli import (
     parse_number,
     parse_transform,
 )
-from gosextreme.params import ExtremeSide
+from gosextreme.distributions import parse_model
+from gosextreme.goscore import marginal_lower_df, marginal_upper_df
+from gosextreme.limitlaws import TailTransform, kappa, rho
+from gosextreme.params import ExtremeSide, GosParams
 
 
 def run_cli(capsys, *argv):
@@ -288,7 +291,7 @@ class TestLimitMixRegimes:
         code, out, _ = run_cli(capsys, "mix", *common, "--H", "exponential")
         assert code == 0
         value = float(out.strip().splitlines()[-1].split(",")[2])
-        assert value == pytest.approx(0.25, abs=1e-7)
+        assert value == pytest.approx(1.0 / 6.0, abs=1e-7)
 
     def test_missing_tail_transform_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -297,3 +300,43 @@ class TestLimitMixRegimes:
         )
         assert code == 1
         assert "upper-tail" in err
+
+
+_NORMAL = parse_model("normal")
+_GOS5 = GosParams(m=0.0, k=1.0, n=5)
+
+
+def _cli_nan_grid(capsys):
+    code, out, err = run_cli(
+        capsys, "exact", "--dist", "normal", "--n", "5", "--marginal", "upper", "--grid", "nan"
+    )
+    assert (code, out) == (2, "")
+    raise ValueError(err)
+
+
+class TestNanRejected:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            _cli_nan_grid,
+            lambda _: parse_number("nan"),
+            lambda _: parse_number("-NaN"),
+            lambda _: kappa(TailTransform(ExtremeSide.UPPER, "frechet", 1.0), math.nan),
+            lambda _: kappa(TailTransform(ExtremeSide.UPPER, "weibull", 1.0), math.nan),
+            lambda _: kappa(TailTransform(ExtremeSide.UPPER, "gumbel"), math.nan),
+            lambda _: rho(TailTransform(ExtremeSide.LOWER, "frechet", 1.0), math.nan),
+            lambda _: rho(TailTransform(ExtremeSide.LOWER, "weibull", 1.0), math.nan),
+            lambda _: rho(TailTransform(ExtremeSide.LOWER, "gumbel"), math.nan),
+            lambda _: marginal_upper_df(_GOS5, _NORMAL, 1, math.nan),
+            lambda _: marginal_lower_df(_GOS5, _NORMAL, 1, math.nan),
+        ],
+        ids=[
+            "cli-exact-grid", "parse_number", "parse_number-negated",
+            "kappa-frechet", "kappa-weibull", "kappa-gumbel",
+            "rho-frechet", "rho-weibull", "rho-gumbel",
+            "marginal_upper_df", "marginal_lower_df",
+        ],
+    )
+    def test_nan_raises(self, capsys, call):
+        with pytest.raises(ValueError, match="(?i)nan"):
+            call(capsys)

@@ -140,9 +140,10 @@ class TestClosedForms:
             assert mixture_ll(1, 2, 0.0, 1.0, law) == pytest.approx(0.0, abs=1e-12)
 
     def test_lu_quarter(self):
+        # one shared z: int (1 - e^-z) e^-z e^-z dz = 1/2 - 1/3 = 1/6
         params = GosParams(m=0.0, k=1.0, n=100)
         got = mixture_lu(params, 1, 1, 1.0, 1.0, EXP_LAW)
-        assert got == pytest.approx(0.25, abs=1e-8)
+        assert got == pytest.approx(1.0 / 6.0, abs=1e-8)
 
     def test_lu_first_factor_saturates(self):
         params = GosParams(m=0.0, k=1.0, n=100)

@@ -3,8 +3,9 @@
 Adaptive panels are delegated to QUADPACK (scipy.integrate.quad); every
 call checks the returned error estimate against the caller's absolute
 tolerance and raises QuadratureError with the achieved error when the
-target is missed.  Exponential-weight integrals over (0, inf) get a
-Gauss-Laguerre fast path with an adaptive fallback.
+target is missed.  Integrals over an index law never come here: they
+are closed forms in `randomindex`, so a random-index mixture takes at
+most one quadrature, never one nested inside an integral over z.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 import warnings
 from typing import Callable, Sequence
 
-import numpy as np
 from scipy import integrate as _sci
 
 
@@ -54,50 +54,3 @@ def integrate(
                 f"integral over ({lo}, {hi}) did not converge to {abs_tol:.1e}", err
             )
     return value
-
-
-_LAGUERRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _laguerre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = _LAGUERRE_CACHE.get(order)
-    if rule is None:
-        rule = np.polynomial.laguerre.laggauss(order)
-        _LAGUERRE_CACHE[order] = rule
-    return rule
-
-
-def integrate_exp_weight(f: Callable[[float], float], abs_tol: float) -> float:
-    """integral_0^inf f(z) e^(-z) dz for bounded smooth f.
-
-    Two Gauss-Laguerre orders are compared; if they disagree beyond the
-    tolerance the adaptive path takes over.
-    """
-    est = []
-    for order in (40, 80):
-        nodes, weights = _laguerre_rule(order)
-        est.append(float(sum(w * f(z) for z, w in zip(nodes, weights))))
-    if abs(est[0] - est[1]) <= 0.5 * abs_tol:
-        return est[1]
-    return integrate(lambda z: f(z) * math.exp(-z), 0.0, math.inf, abs_tol)
-
-
-def integrate_segments(
-    f: Callable[[float], float],
-    segments: Sequence[tuple[float, float, float]],
-    abs_tol: float,
-) -> float:
-    """Sum of slope * integral_{z0}^{z1} f for piecewise-linear measures.
-
-    `segments` holds (z0, z1, slope) triples; zero-slope segments are
-    skipped.  Used for Stieltjes integration against tabulated index
-    laws.
-    """
-    live = [(z0, z1, sl) for z0, z1, sl in segments if sl != 0.0 and z1 > z0]
-    if not live:
-        return 0.0
-    per_seg = abs_tol / len(live)
-    total = 0.0
-    for z0, z1, slope in live:
-        total += slope * integrate(f, z0, z1, per_seg)
-    return total

@@ -48,8 +48,9 @@ _CONSTANTS = {
 }
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Malformed command line; exit 1.  A ValueError, so that argparse
+    turns one raised by a `type=` converter into its own usage error."""
 
 
 def parse_number(text: str) -> float:

@@ -18,9 +18,13 @@ Random-size modes:
 * ``dependent``        nu = max(floor, ceil(n*t)) with t drawn from the
                        built-in T-spec (constant, or uniform on [a, b]);
                        for the uniform T the same uniform variate is
-                       reused as the first GOS factor W_1, so the index
-                       and the sample are genuinely interrelated while
-                       nu/n -> T still holds.
+                       reused as the middle GOS factor W_ceil(nu/2), so
+                       the index and the sample are genuinely
+                       interrelated while nu/n -> T still holds.  A
+                       middle factor weighs O(1/nu) in every extreme,
+                       so both tails keep their mixture limit; reused
+                       as W_1 it would fix the minimum as a function
+                       of T.
 
 Extremes are always normalized by the constants evaluated at the
 configured n, never at the realized nu.
@@ -196,14 +200,15 @@ def sample_uniform_gos(
     params: GosParams,
     size: int,
     rng: np.random.Generator,
-    first_uniform: float | None = None,
+    carried_uniform: float | None = None,
 ) -> np.ndarray:
-    """Ascending uniform m-GOS vector of the given sample size."""
+    """Ascending uniform m-GOS vector of the given sample size; a carried
+    uniform replaces the middle factor W_ceil(size/2)."""
     if size < 1:
         raise ValueError("size must be >= 1")
     w = rng.random(size)
-    if first_uniform is not None:
-        w[0] = first_uniform
+    if carried_uniform is not None:
+        w[(size - 1) // 2] = carried_uniform
     gammas = params.k + (size - np.arange(1, size + 1)) * (params.m + 1.0)
     csum = np.cumsum(np.log(w) / gammas)
     return -np.expm1(csum)
@@ -219,7 +224,7 @@ def _draw_index(
     mode: IndexMode, n: int, rng: np.random.Generator, floor: int
 ) -> tuple[int, float | None]:
     """Returns (nu, carried_uniform); the carried uniform, when present,
-    must be reused as the first GOS factor of the same replication."""
+    must be reused as a GOS factor of the same replication."""
     if mode.kind == "fixed":
         return n, None
     if mode.kind == "geometric":
@@ -255,7 +260,7 @@ def simulate_value_pairs(
     for i in range(replications):
         rng = _stream(seed, i)
         nu, carry = _draw_index(mode, params.n, rng, floor)
-        u = sample_uniform_gos(params, nu, rng, first_uniform=carry)
+        u = sample_uniform_gos(params, nu, rng, carried_uniform=carry)
         u_first[i] = _pick(u, first, nu)
         u_second[i] = _pick(u, second, nu)
     clip = np.clip

@@ -12,6 +12,29 @@ Supported laws: degenerate(c), unit_exponential (the geometric-size
 limit H(z) = 1 - e^-z), and tabulated piecewise-linear dfs loaded from
 two-column CSV files (header row, strictly increasing z >= 0, H
 nondecreasing in [0, 1] with a zero first value).
+
+Evaluation.  The integral over z is never taken numerically.  Each law
+supplies one kernel in closed form (`index_kernel`),
+
+    N_H(j, w, R, c) = int (zw)^j e^(-zw) / Gamma(j+1) * Q(R, zc) dH(z),
+
+with Q(R, x) = 1 - Gamma_R(x); c = 0 drops the Q factor.  It is the
+Poisson-weighted form of L_H(j, w, R, c) = int z^j e^(-zw) Q(R, zc) dH(z)
+= Gamma(j+1) w^(-j) N_H, and lies in [0, 1] at every argument, so no
+power of w can overflow.  Expanding each limit family and exchanging the
+order of integration (Fubini) gives
+
+* marginals: upper N_H(0, 0, R_r, k), lower 1 - N_H(0, 0, r, rho);
+* lower-upper (integer r):
+  N_H(0, 0, R_s, k2) - sum_{j<r} N_H(j, rho1, R_s, k2);
+* lower-lower: the mixed lower marginal at rho1 minus
+  sum_{j<s-r} N_H(r+j, rho2, ., 0) I_{rho1/rho2}(r, j+1);
+* upper-upper: the mixed marginal at k1 minus the one remaining
+  integral, over w = u/z,
+  int_{k1}^inf I_{k2/w}(R_s, R_r - R_s) (R_r/w) N_H(R_r, w, ., 0) dw.
+
+The range and midrange limits (`ranges`) use the same kernel.  A
+degenerate law evaluates the fixed-size limit at its point mass.
 """
 
 from __future__ import annotations
@@ -21,13 +44,15 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._integrate import integrate_exp_weight, integrate_segments
+from ._integrate import integrate
 from .limitlaws import omega_ll, omega_uu_powered
-from .params import GosParams
-from .specfun import reg_inc_gamma, reg_inc_gamma_upper
+from .params import ExtremeSide, GosParams
+from .specfun import reg_inc_beta, reg_inc_gamma, reg_inc_gamma_upper
 
-MIXTURE_ABS_TOL = 1e-8
-OMEGA_INNER_TOL = 1e-10
+MIXTURE_ABS_TOL = 1e-9
+# Slack within which a mixture value outside [0, 1] is taken as roundoff.
+ROUNDOFF = 1e-9
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -129,21 +154,125 @@ def h_cdf(law: IndexLaw, z: float) -> float:
     raise AssertionError("unreachable")
 
 
-def _mix(f, law: IndexLaw, abs_tol: float) -> float:
-    """int_0^inf f(z) dH(z) for the supported law kinds."""
+def index_kernel(
+    law: IndexLaw, j: float, w: float, shape: float = 1.0, c: float = 0.0
+) -> float:
+    """N_H(j, w, R, c) = int (zw)^j e^(-zw) / Gamma(j+1) * Q(R, zc) dH(z).
+
+    Q(R, x) = 1 - Gamma_R(x) with R = `shape`; c = 0 drops the factor.
+    j >= 0 may be real; under a tabulated law with c > 0 it must be an
+    integer.  w, c in [0, +inf]; an infinite w or c gives 0.
+    """
+    if not (0.0 <= w < _INF and 0.0 <= c < _INF and j >= 0.0):
+        if w == _INF or c == _INF:
+            return 0.0
+        raise ValueError(f"index_kernel needs j, w, c >= 0, got j={j}, w={w}, c={c}")
     if law.kind == "degenerate":
-        return f(law.c)
+        # The fixed-size range integrands run through here once per
+        # quadrature node: skip the weight where Q vanishes, and the
+        # general weight for the common j = 0, 1.
+        point = law.c
+        q = reg_inc_gamma_upper(shape, point * c) if c > 0.0 else 1.0
+        if q == 0.0:
+            return 0.0
+        x = point * w
+        if j == 1.0:
+            return q * x * math.exp(-x)
+        return q * (math.exp(-x) if j == 0.0 else _poisson_weight(j, x))
     if law.kind == "unit_exponential":
-        return integrate_exp_weight(f, abs_tol)
-    segments = []
+        # z ~ Gamma(j+1) and the Gamma(R) variate behind Q meet in a beta
+        # ratio I_x(j+1, R), x = (1+w)/(1+w+c); near x = 1 it is taken
+        # through its complement, since 1 - x is exact only as c/(1+w+c).
+        front = (w / (1.0 + w)) ** j / (1.0 + w)
+        if c == 0.0:
+            return front
+        if c < 1.0 + w:
+            return front * (1.0 - reg_inc_beta(c / (1.0 + w + c), shape, j + 1.0))
+        return front * reg_inc_beta((1.0 + w) / (1.0 + w + c), j + 1.0, shape)
+    if c > 0.0 and j != int(j):
+        raise ValueError(f"tabulated index_kernel needs an integer j when c > 0, got {j}")
+    total = 0.0
     for (z0, h0), (z1, h1) in zip(law.grid, law.grid[1:]):
-        segments.append((z0, z1, (h1 - h0) / (z1 - z0)))
-    return integrate_segments(f, segments, abs_tol)
+        if h1 > h0:
+            total += (h1 - h0) / (z1 - z0) * _segment(j, w, shape, c, z0, z1)
+    return total
 
 
-def _zscale(z: float, value: float) -> float:
-    # inf stays inf for any z > 0 (avoids 0*inf at a z = 0 endpoint).
-    return math.inf if math.isinf(value) else z * value
+def _poisson_weight(j: float, x: float) -> float:
+    """x^j e^-x / Gamma(j+1), with 0^0 = 1."""
+    if x == 0.0:
+        return 1.0 if j == 0.0 else 0.0
+    return math.exp(j * math.log(x) - x - math.lgamma(j + 1.0))
+
+
+def _segment(j: float, w: float, shape: float, c: float, z0: float, z1: float) -> float:
+    """int_{z0}^{z1} (zw)^j e^(-zw) / Gamma(j+1) * Q(shape, zc) dz, w and c finite."""
+    if c == 0.0:
+        if w == 0.0:
+            return z1 - z0 if j == 0.0 else 0.0
+        a = j + 1.0
+        if z0 * w > a:  # past the mode: difference the upper ratios, which stay accurate
+            return (reg_inc_gamma_upper(a, z0 * w) - reg_inc_gamma_upper(a, z1 * w)) / w
+        return (reg_inc_gamma(a, z1 * w) - reg_inc_gamma(a, z0 * w)) / w
+    j = int(j)
+    if w * z1 > 1.0:
+        return (_segment_antiderivative(j, w, shape, c, z1)
+                - _segment_antiderivative(j, w, shape, c, z0)) / w
+    # Small w: the closed form would cancel to O((w z1)^(j+1)), so expand
+    # e^(-zw) instead; with w z1 <= 1 each term is below 1/k of the one before.
+    q0, q1 = reg_inc_gamma_upper(shape, z0 * c), reg_inc_gamma_upper(shape, z1 * c)
+    coef = w**j / math.factorial(j)
+    total = 0.0
+    for k in range(60):
+        p = j + k + 1
+        moment = (z1**p * (q1 + _gamma_moment_ratio(shape, p, z1 * c))
+                  - z0**p * (q0 + _gamma_moment_ratio(shape, p, z0 * c))) / p
+        term = coef * moment
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+        coef *= -w / (k + 1)
+    return total
+
+
+def _segment_antiderivative(j: int, w: float, shape: float, c: float, z: float) -> float:
+    """w * int_0^z (tw)^j e^(-tw) / j! * Q(shape, tc) dt, by parts against the
+    Poisson sum of Gamma_{j+1}: the weights C_i are negative-binomial."""
+    x = z * c
+    total = reg_inc_gamma(j + 1.0, z * w) * reg_inc_gamma_upper(shape, x) + reg_inc_gamma(shape, x)
+    log_sum = math.log(c + w)
+    log_front = shape * (math.log(c) - log_sum) - math.lgamma(shape)
+    log_ratio = math.log(w) - log_sum
+    y = z * (c + w)
+    for i in range(j + 1):
+        weight = math.exp(log_front + i * log_ratio + math.lgamma(shape + i) - math.lgamma(i + 1.0))
+        total -= weight * reg_inc_gamma(shape + i, y)
+    return total
+
+
+def _gamma_moment_ratio(shape: float, p: int, x: float) -> float:
+    """E[T^p; T <= x] / x^p for T ~ Gamma(shape), so that
+    int_0^z t^(p-1) Q(shape, tc) dt = z^p [Q(shape, zc) + this at x = zc] / p."""
+    if x == 0.0:
+        return 0.0
+    a = shape + p
+    if a * math.log(x) > -600.0:  # Gamma_a(x) is a normal float
+        return math.exp(math.lgamma(a) - math.lgamma(shape) - p * math.log(x)) * reg_inc_gamma(a, x)
+    # Tiny x: the series of Gamma_a(x) with x^p divided out.
+    term = math.exp(shape * math.log(x) - x - math.lgamma(shape)) / a
+    total, i = term, 0
+    while term > 1e-17 * total:
+        i += 1
+        term *= x / (a + i)
+        total += term
+    return total
+
+
+def clip_probability(p: float, slack: float = ROUNDOFF) -> float:
+    """p clipped to [0, 1]; ArithmeticError when it lies farther out than `slack`."""
+    if not -slack <= p <= 1.0 + slack:
+        raise ArithmeticError(f"computed probability {p!r} lies outside [0, 1]")
+    return min(max(p, 0.0), 1.0)
 
 
 def mixture_uu(
@@ -158,27 +287,41 @@ def mixture_uu(
     """Random-index upper-upper limit at transform values (kappa1, kappa2)."""
     mp1 = params.m + 1.0
     k1, k2 = kappa1**mp1, kappa2**mp1
+    if law.kind == "degenerate":
+        return omega_uu_powered(params, r, s, law.c * k1, law.c * k2)
+    if not s < r:
+        raise ValueError(f"upper-upper requires s < r, got r={r}, s={s}")
+    rr, rs = params.rank_weight(r), params.rank_weight(s)
+    if k1 <= k2:
+        # x >= y: the joint collapses onto the shallower marginal.
+        return clip_probability(index_kernel(law, 0.0, 0.0, rs, k2))
+    head = index_kernel(law, 0.0, 0.0, rr, k1)
+    if k2 == 0.0 or math.isinf(k1):
+        return clip_probability(head)
 
-    def slice_df(z: float) -> float:
-        return omega_uu_powered(params, r, s, _zscale(z, k1), _zscale(z, k2), OMEGA_INNER_TOL)
+    def integrand(w: float) -> float:
+        ratio = min(k2 / w, 1.0)
+        return reg_inc_beta(ratio, rs, rr - rs) * rr / w * index_kernel(law, rr, w)
 
-    return _clamp(_mix(slice_df, law, abs_tol))
+    return clip_probability(head - integrate(integrand, k1, math.inf, abs_tol))
 
 
-def mixture_ll(
-    r: int,
-    s: int,
-    rho1: float,
-    rho2: float,
-    law: IndexLaw,
-    abs_tol: float = MIXTURE_ABS_TOL,
-) -> float:
+def mixture_ll(r: int, s: int, rho1: float, rho2: float, law: IndexLaw) -> float:
     """Random-index lower-lower limit at transform values (rho1, rho2)."""
-
-    def slice_df(z: float) -> float:
-        return omega_ll(r, s, _zscale(z, rho1), _zscale(z, rho2), OMEGA_INNER_TOL)
-
-    return _clamp(_mix(slice_df, law, abs_tol))
+    if law.kind == "degenerate":
+        return omega_ll(r, s, law.c * rho1, law.c * rho2)
+    if not r < s:
+        raise ValueError(f"lower-lower requires r < s, got r={r}, s={s}")
+    if rho1 >= rho2:
+        # x >= y branch: the deeper coordinate is inactive.
+        return _mixed_lower(s, rho2, law)
+    value = _mixed_lower(r, rho1, law)
+    if value == 0.0 or math.isinf(rho2):
+        return value
+    x = rho1 / rho2
+    for j in range(s - r):
+        value -= index_kernel(law, r + j, rho2) * reg_inc_beta(x, r, j + 1)
+    return clip_probability(value)
 
 
 def mixture_marginal(
@@ -187,26 +330,18 @@ def mixture_marginal(
     r: int,
     value: float,
     law: IndexLaw,
-    abs_tol: float = MIXTURE_ABS_TOL,
 ) -> float:
     """Mixed marginal: upper int [1 - Gamma_{R_r}(z kappa^(m+1))] dH(z),
     lower int Gamma_r(z rho) dH(z)."""
-    from .params import ExtremeSide
+    if ExtremeSide(side) == ExtremeSide.UPPER:
+        return clip_probability(
+            index_kernel(law, 0.0, 0.0, params.rank_weight(r), value ** (params.m + 1.0))
+        )
+    return _mixed_lower(r, value, law)
 
-    side = ExtremeSide(side)
-    if side == ExtremeSide.UPPER:
-        arg = value ** (params.m + 1.0)
-        shape = params.rank_weight(r)
 
-        def slice_df(z: float) -> float:
-            return reg_inc_gamma_upper(shape, _zscale(z, arg))
-
-    else:
-
-        def slice_df(z: float) -> float:
-            return reg_inc_gamma(float(r), _zscale(z, value))
-
-    return _clamp(_mix(slice_df, law, abs_tol))
+def _mixed_lower(r: int, rho: float, law: IndexLaw) -> float:
+    return clip_probability(1.0 - index_kernel(law, 0.0, 0.0, float(r), rho))
 
 
 def mixture_lu(
@@ -216,7 +351,6 @@ def mixture_lu(
     rho1: float,
     kappa2: float,
     law: IndexLaw,
-    abs_tol: float = MIXTURE_ABS_TOL,
 ) -> float:
     """Random-index lower-upper limit
     int Gamma_r(z rho1) [1 - Gamma_{R_s}(z kappa2^(m+1))] dH(z).
@@ -224,17 +358,15 @@ def mixture_lu(
     Both factors share one index scale z: the sample size couples the
     minimum and the maximum, so under a non-degenerate law this is not
     the product of the two mixed marginals.  A degenerate law reduces it
-    to `omega_lu_product`."""
+    to `omega_lu_product`.  With the Poisson sum
+    Gamma_r(x) = 1 - sum_{j<r} x^j e^-x / j! it is a finite sum of kernels."""
+    if r < 1 or s < 1:
+        raise ValueError("ranks must be >= 1")
     k2 = kappa2 ** (params.m + 1.0)
     shape = params.rank_weight(s)
-
-    def slice_df(z: float) -> float:
-        return reg_inc_gamma(float(r), _zscale(z, rho1)) * reg_inc_gamma_upper(
-            shape, _zscale(z, k2)
-        )
-
-    return _clamp(_mix(slice_df, law, abs_tol))
-
-
-def _clamp(p: float) -> float:
-    return min(max(p, 0.0), 1.0)
+    if law.kind == "degenerate":
+        return reg_inc_gamma(float(r), law.c * rho1) * reg_inc_gamma_upper(shape, law.c * k2)
+    value = index_kernel(law, 0.0, 0.0, shape, k2)
+    if not math.isinf(rho1):
+        value -= sum(index_kernel(law, float(j), rho1, shape, k2) for j in range(r))
+    return clip_probability(value)

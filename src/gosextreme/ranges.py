@@ -7,7 +7,10 @@ Each supported (family, m) case carries:
   from the two one-sided conditional limits; the reported value is its
   mixture against the index law, so a degenerate law reproduces the
   fixed-size limit and the unit-exponential law the geometric-size
-  forms;
+  forms.  The mixture is taken by Fubini: z is integrated out first
+  through the closed-form kernel `randomindex.index_kernel`, which
+  leaves one quadrature over the min-side variable for the two-sided
+  families and none for the single-sided ones;
 * the normalization convention (A_r, B_r, A_v, B_v) the simulator must
   apply, expressed through the per-sample-size constants (a, b, c, d).
 
@@ -34,11 +37,11 @@ from ._integrate import integrate
 from .distributions import DistributionModel, NormingConstants, norming_constants
 from .montecarlo import IndexMode, SimulationReport, ks_distance, simulate_value_pairs
 from .params import ExtremeSide, GosParams
-from .randomindex import IndexLaw, _mix
-from .specfun import log_gamma, reg_inc_gamma_upper
+from .randomindex import IndexLaw, clip_probability, index_kernel
+from .specfun import log_gamma
 
-RANGE_ABS_TOL = 1e-7
-_INNER_TOL = 1e-9
+# Absolute tolerance of the one quadrature behind each value.
+RANGE_ABS_TOL = 1e-9
 
 
 class UnsupportedCaseError(ValueError):
@@ -101,81 +104,59 @@ def eta_limit(model: DistributionModel, params: GosParams) -> float:
     raise UnsupportedCaseError(f"no range limit implemented for family {fam!r}")
 
 
-# --- conditional one-sided pieces -----------------------------------------
-# Upper factor at index scale z: P_z(max-coordinate <= x) = 1 - Gamma_ell(z * cval)
-# where cval is kappa(x)^(m+1) for the family's upper tail.
+# --- mixed conditional dfs ------------------------------------------------
+# Given the index scale z the statistic's df is an integral, over the
+# min-side variable, of the max factor Q(ell, z * cval) (cval is
+# kappa(x)^(m+1) for the family's upper tail) against the min-side
+# conditional density.  Integrating z out first turns each slice into
+# L_H(1, w, ell, c) = int z e^(-zw) Q(ell, zc) dH(z) = N_H(1, w, ell, c) / w,
+# so the min-side variable carries the only integral left.
 
 
-def _upper_factor(ell: float, z: float, cval: float) -> float:
-    if cval == 0.0:
-        return 1.0
-    if math.isinf(cval):
-        return 0.0
-    return reg_inc_gamma_upper(ell, z * cval)
+def _frechet_pair_df(law: IndexLaw, ell: float, t: float, midrange: bool) -> float:
+    # Both tails power-type with unit exponent (cauchy, m = 0, eta = 1).
+    # Min-side density z y^-2 e^(-z/y) on y > 0; the max factor is taken at
+    # t - y (range, vanishing for y >= t) or v + y (midrange, v = t).
+    # With w = 1/y the integrand L_H(1, w) y^-2 is N_H(1, w) / y.
+    if midrange:
+        def integrand(y: float) -> float:
+            return index_kernel(law, 1.0, 1.0 / y, ell, 1.0 / (t + y)) / y
 
-
-def _frechet_pair_df(ell: float, z: float, t: float, abs_tol: float) -> float:
-    # Both tails power-type with unit exponent (cauchy, m = 0, eta = 1):
-    # integrate the max factor against the min-side conditional density
-    # z y^-2 exp(-z/y) on y > 0, with the max factor vanishing at y >= t.
+        return integrate(integrand, max(0.0, -t), math.inf, RANGE_ABS_TOL)
     if t <= 0.0:
         return 0.0
 
     def integrand(y: float) -> float:
-        up = _upper_factor(ell, z, 1.0 / (t - y))
-        if up == 0.0:
-            return 0.0
-        return up * z * y**-2 * math.exp(-z / y)
+        return index_kernel(law, 1.0, 1.0 / y, ell, 1.0 / (t - y)) / y
 
-    return integrate(integrand, 0.0, t, abs_tol)
-
-
-def _frechet_pair_mid_df(ell: float, z: float, v: float, abs_tol: float) -> float:
-    # Midrange analogue: the max factor is evaluated at v + y.
-    lo = max(0.0, -v)
-
-    def integrand(y: float) -> float:
-        up = _upper_factor(ell, z, 1.0 / (v + y))
-        if up == 0.0:
-            return 0.0
-        return up * z * y**-2 * math.exp(-z / y)
-
-    return integrate(integrand, lo, math.inf, abs_tol)
+    return integrate(integrand, 0.0, t, RANGE_ABS_TOL)
 
 
 def _weibull_pair_df(
-    ell: float, z: float, t: float, alpha: float, eta: float, midrange: bool, abs_tol: float
+    law: IndexLaw, ell: float, t: float, alpha: float, eta: float, midrange: bool
 ) -> float:
     # Both tails bounded-endpoint type with exponents (alpha, alpha) after
     # the m+1 power (beta with alpha = (m+1)beta, power, and uniform at
     # alpha = 1).  The min-side conditional density is z e^{-z tau} after
     # tau = w^alpha, and the max factor argument is
     # (-(t + w/eta))_+^alpha (range) or (w/eta - t)_+^alpha (midrange).
-    def max_arg(tau: float) -> float:
+    def integrand(tau: float) -> float:
         w = tau ** (1.0 / alpha)
         x = (w / eta - t) if midrange else -(t + w / eta)
-        return x**alpha if x > 0.0 else 0.0
+        return index_kernel(law, 1.0, tau, ell, x**alpha if x > 0.0 else 0.0) / tau
 
     if midrange:
         split = (t * eta) ** alpha if t > 0.0 else 0.0
-    else:
-        if t >= 0.0:
-            return 1.0
-        split = (-t * eta) ** alpha
-
-    def integrand(tau: float) -> float:
-        up = _upper_factor(ell, z, max_arg(tau))
-        return up * z * math.exp(-z * tau) if up != 0.0 else 0.0
-
-    if midrange:
-        head = -math.expm1(-z * split) if split > 0.0 else 0.0
-        return head + integrate(integrand, split, math.inf, abs_tol)
-    head = math.exp(-z * split)
-    return head + integrate(integrand, 0.0, split, abs_tol)
+        head = 1.0 - index_kernel(law, 0.0, split) if split > 0.0 else 0.0
+        return head + integrate(integrand, split, math.inf, RANGE_ABS_TOL)
+    if t >= 0.0:
+        return 1.0
+    split = (-t * eta) ** alpha
+    return index_kernel(law, 0.0, split) + integrate(integrand, 0.0, split, RANGE_ABS_TOL)
 
 
 def _gumbel_pair_df(
-    ell: float, z: float, t: float, mp1: float, eta: float, midrange: bool, abs_tol: float
+    law: IndexLaw, ell: float, t: float, mp1: float, eta: float, midrange: bool
 ) -> float:
     # Both tails exponential-type.  After tau = e^w the min-side density
     # is z e^{-z tau} and the max factor argument is
@@ -185,26 +166,21 @@ def _gumbel_pair_df(
     expo = mp1 / eta if midrange else -mp1 / eta
 
     def integrand(tau: float) -> float:
-        up = _upper_factor(ell, z, base * tau**expo)
-        return up * z * math.exp(-z * tau) if up != 0.0 else 0.0
+        return index_kernel(law, 1.0, tau, ell, base * tau**expo) / tau
 
-    return integrate(integrand, 0.0, math.inf, abs_tol)
+    return integrate(integrand, 0.0, math.inf, RANGE_ABS_TOL)
 
 
 # --- case dispatch ---------------------------------------------------------
 
 
-def _conditional_df(query: RangeQuery, t: float, abs_tol: float):
-    """Returns g with g(z) = P_z(statistic <= t), or a literal callable
-    marked exact for the published cauchy m > 0 forms."""
-    params, model = query.params, query.model
+def _mixed_df(query: RangeQuery, t: float) -> float:
+    """int P_z(statistic <= t) dH(z) for every case but cauchy with m > 0."""
+    params, model, law = query.params, query.model, query.law
     fam, m, ell = model.family, params.m, params.ell
     mp1 = m + 1.0
     midrange = query.statistic == "midrange"
     eta = query.resolved_eta()
-
-    if fam == "cauchy" and m > 0.0:
-        raise AssertionError("handled before dispatch")
 
     if math.isinf(eta):
         # max side dominates; both statistics share the mixed max marginal
@@ -217,19 +193,16 @@ def _conditional_df(query: RangeQuery, t: float, abs_tol: float):
             cval = t ** (-sigma * mp1) if t > 0.0 else math.inf
         else:
             raise UnsupportedCaseError(f"{fam} with eta = inf is not a listed case")
-        return lambda z: _upper_factor(ell, z, cval)
+        return index_kernel(law, 0.0, 0.0, ell, cval)
 
     if fam == "cauchy":  # m == 0, eta == 1
-        if midrange:
-            return lambda z: _frechet_pair_mid_df(ell, z, t, abs_tol)
-        return lambda z: _frechet_pair_df(ell, z, t, abs_tol)
+        return _frechet_pair_df(law, ell, t, midrange)
     if fam == "uniform":
         if m != 0.0:
             raise UnsupportedCaseError("uniform range limits are m = 0 only")
-        return lambda z: _weibull_pair_df(ell, z, t, 1.0, 1.0, midrange, abs_tol)
+        return _weibull_pair_df(law, ell, t, 1.0, 1.0, midrange)
     if fam in ("beta", "power"):
-        alpha = model.params["alpha"]
-        return lambda z: _weibull_pair_df(ell, z, t, alpha, eta, midrange, abs_tol)
+        return _weibull_pair_df(law, ell, t, model.params["alpha"], eta, midrange)
     if fam in ("normal", "logistic", "laplace"):
         arg = t
         if fam == "normal" and midrange and m == 0.0 and params.k == 1.0:
@@ -237,7 +210,7 @@ def _conditional_df(query: RangeQuery, t: float, abs_tol: float):
             # midrange by a_n rather than a_n/2, which doubles the
             # argument of the general integral.
             arg = 2.0 * t
-        return lambda z: _gumbel_pair_df(ell, z, arg, mp1, eta, midrange, abs_tol)
+        return _gumbel_pair_df(law, ell, arg, mp1, eta, midrange)
     raise UnsupportedCaseError(f"no {query.statistic} limit for family {fam!r}")
 
 
@@ -269,10 +242,7 @@ def _limit_df(query: RangeQuery, t: float) -> float:
                 "(unit-exponential) index law only"
             )
         return _cauchy_mpos_value(query.statistic, t)
-    inner_tol = min(_INNER_TOL, RANGE_ABS_TOL / 10.0)
-    g = _conditional_df(query, t, inner_tol)
-    value = _mix(g, query.law, RANGE_ABS_TOL)
-    return min(max(value, 0.0), 1.0)
+    return clip_probability(_mixed_df(query, t), RANGE_ABS_TOL)
 
 
 def normal_range_closed_form(r: float) -> float:

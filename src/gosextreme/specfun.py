@@ -1,7 +1,7 @@
 """Regularized incomplete gamma and beta ratio kernels.
 
 Everything downstream (exact GOS distribution functions, the limit
-families and the mixture quadratures) evaluates through these two
+families and the index-law kernels of the mixtures) evaluates through these two
 ratios.  They are thin wrappers over scipy's Cephes kernels
 `gammainc`, `gammaincc` and `betainc`, called through
 `scipy.special.cython_special` rather than the `scipy.special` ufuncs:

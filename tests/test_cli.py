@@ -340,3 +340,32 @@ class TestNanRejected:
     def test_nan_raises(self, capsys, call):
         with pytest.raises(ValueError, match="(?i)nan"):
             call(capsys)
+
+
+class TestBadNumericFlag:
+    """parse_number is the argparse type of these flags: a malformed value is
+    a usage error (exit 1, no traceback), not an uncaught exception."""
+
+    LIMIT = ["limit", "--regime", "lu", "--r", "1", "--s", "1", "--lower-tail", "gumbel",
+             "--upper-tail", "gumbel", "--x-grid", "0", "--y-grid", "0"]
+    EXAMPLE = ["example", "beta-range", "--at", "0"]
+
+    @pytest.mark.parametrize("argv", [
+        LIMIT + ["--m", "foo"],
+        LIMIT + ["--k", "foo"],
+        EXAMPLE + ["--sigma", "foo"],
+        EXAMPLE + ["--theta", "foo"],
+        EXAMPLE + ["--alpha", "foo"],
+        EXAMPLE + ["--beta", "foo"],
+    ], ids=["m", "k", "sigma", "theta", "alpha", "beta"])
+    def test_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "invalid parse_number value: 'foo'" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_grid_and_at_keep_their_codes(self, capsys):
+        assert run_cli(capsys, *self.LIMIT[:-2], "--y-grid", "foo")[0] == 1
+        assert run_cli(capsys, *self.LIMIT[:-2], "--y-grid", "nan")[0] == 2
+        assert run_cli(capsys, "example", "beta-range", "--at", "foo")[0] == 1
+        assert run_cli(capsys, "example", "beta-range", "--at", "nan")[0] == 2

@@ -301,6 +301,22 @@ class TestLowerUpperJoint:
 
 
 class TestRandomIndexJointRegimes:
+    def test_lower_lower_dependent_uniform_matches_mixture(self):
+        """The carried uniform of the dependent mode sits in the middle of the
+        GOS product, so the minima keep their mixture limit (as W_1 it would
+        fix the minimum through T and miss it by many SE)."""
+        params = GosParams(m=0.5, k=1.3, n=500)
+        grid = tuple((x, y) for x in (-1.5, 0.0, 1.5) for y in (-1.0, 0.5, 2.0))
+        cfg = SimConfig(
+            params=params, model=parse_model("logistic"),
+            ranks=RankPair(r=1, s=2, regime=Regime.LOWER_LOWER),
+            index_mode=IndexMode.parse("dependent:uniform:0.5:1.5"),
+            replications=8000, seed=1, eval_grid=grid,
+        )
+        rep = run_bivariate_sim(cfg)
+        for e, a, se in zip(rep.empirical, rep.analytic, rep.standard_errors):
+            assert abs(e - a) <= max(3.0 * se, 1e-3)
+
     def test_lower_lower_geometric_matches_mixture(self):
         params = GosParams(m=0.0, k=1.0, n=500)
         model = parse_model("exponential(sigma=1)")
@@ -324,8 +340,7 @@ class TestRandomIndexJointRegimes:
         coincide only for a degenerate law)."""
         import math as _m
 
-        from gosextreme.randomindex import IndexLaw, _mix
-        from gosextreme.specfun import reg_inc_gamma, reg_inc_gamma_upper
+        from scipy.integrate import quad
 
         params = GosParams(m=0.0, k=1.0, n=500)
         model = parse_model("exponential(sigma=1)")
@@ -337,15 +352,14 @@ class TestRandomIndexJointRegimes:
             replications=20000, seed=2718, eval_grid=grid,
         )
         rep = run_bivariate_sim(cfg)
-        law = IndexLaw.unit_exponential()
         for (x, y), e, analytic, se in zip(
             rep.grid, rep.empirical, rep.analytic, rep.standard_errors
         ):
             rho1, kap = x, _m.exp(-y)
-            coupled = _mix(
-                lambda z: reg_inc_gamma(1.0, z * rho1)
-                * reg_inc_gamma_upper(1.0, z * kap),
-                law, 1e-8,
+            # r = s = 1, m = 0, k = 1: Gamma_1(u) = 1 - e^-u, and dH(z) = e^-z dz
+            coupled, _ = quad(
+                lambda z: -_m.expm1(-z * rho1) * _m.exp(-z * kap) * _m.exp(-z),
+                0.0, _m.inf, epsabs=1e-12,
             )
             assert abs(e - coupled) <= max(3.0 * se, 1e-3)
             assert abs(analytic - coupled) <= 1e-7

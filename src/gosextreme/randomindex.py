@@ -31,7 +31,8 @@ order of integration (Fubini) gives
   sum_{j<s-r} N_H(r+j, rho2, ., 0) I_{rho1/rho2}(r, j+1);
 * upper-upper: the mixed marginal at k1 minus the one remaining
   integral, over w = u/z,
-  int_{k1}^inf I_{k2/w}(R_s, R_r - R_s) (R_r/w) N_H(R_r, w, ., 0) dw.
+  int_{k1}^inf I_{k2/w}(R_s, R_r - R_s) (R_r/w) N_H(R_r, w, ., 0) dw,
+  taken over ln w.
 
 The range and midrange limits (`ranges`) use the same kernel.  A
 degenerate law evaluates the fixed-size limit at its point mass.
@@ -208,9 +209,10 @@ def _poisson_weight(j: float, x: float) -> float:
 def _segment(j: float, w: float, shape: float, c: float, z0: float, z1: float) -> float:
     """int_{z0}^{z1} (zw)^j e^(-zw) / Gamma(j+1) * Q(shape, zc) dz, w and c finite."""
     if c == 0.0:
-        if w == 0.0:
-            return z1 - z0 if j == 0.0 else 0.0
         a = j + 1.0
+        if z1 * w == 0.0 or a * math.log(z1 * w) < -650.0:
+            # Gamma_a(zw) would be subnormal, and e^(-zw) is 1 to double precision.
+            return w**j * (z1**a - z0**a) / math.gamma(a + 1.0)
         if z0 * w > a:  # past the mode: difference the upper ratios, which stay accurate
             return (reg_inc_gamma_upper(a, z0 * w) - reg_inc_gamma_upper(a, z1 * w)) / w
         return (reg_inc_gamma(a, z1 * w) - reg_inc_gamma(a, z0 * w)) / w
@@ -299,11 +301,21 @@ def mixture_uu(
     if k2 == 0.0 or math.isinf(k1):
         return clip_probability(head)
 
-    def integrand(w: float) -> float:
-        ratio = min(k2 / w, 1.0)
-        return reg_inc_beta(ratio, rs, rr - rs) * rr / w * index_kernel(law, rr, w)
+    # Over s = ln w the integrand is bounded, and its mass lies at s = ln k1
+    # or near the peaks ln(R_r / z) of the Poisson weight, one per scale z
+    # of the law; these are the breakpoints.  Beyond the last one it decays
+    # at least like e^-s (the weight falls as 1/w times the density of H
+    # near 0), so 40 units past it the rest is about e^-40 = 4e-18 times
+    # that density.
+    def integrand(s: float) -> float:
+        w = math.exp(s) if s < 700.0 else math.inf
+        return reg_inc_beta(min(k2 / w, 1.0), rs, rr - rs) * rr * index_kernel(law, rr, w)
 
-    return clip_probability(head - integrate(integrand, k1, math.inf, abs_tol))
+    scales = (1.0,) if law.kind == "unit_exponential" else [z for z, _ in law.grid if z > 0.0]
+    peaks = [math.log(rr / z) for z in scales]
+    lo = math.log(k1)
+    tail = integrate(integrand, lo, max(lo, *peaks) + 40.0, abs_tol, points=peaks)
+    return clip_probability(head - tail)
 
 
 def mixture_ll(r: int, s: int, rho1: float, rho2: float, law: IndexLaw) -> float:

@@ -141,6 +141,18 @@ class TestKernel:
         with pytest.raises(ValueError, match="integer"):
             index_kernel(TABLE, 1.5, 0.5, 1.0, 0.2)
 
+    def test_subnormal_w(self):
+        # z w underflows below the normal floats: the ratio differences
+        # would lose every digit there
+        for law in (EXP, TABLE, TABLE_AT_ZERO):
+            mean = mix_over_z(lambda z: z, law, eps=1e-15)
+            for w in (5e-324, 1e-310, 1e-300, 1e-200):
+                assert index_kernel(law, 0, w) == pytest.approx(1.0, abs=1e-13)
+            for w in (1e-300, 1e-200):  # N(1, w) ~ w E[z] must itself be a normal float
+                assert index_kernel(law, 1, w) / w == pytest.approx(mean, rel=1e-12)
+            params = GosParams(m=0.0, k=1.0, n=50)
+            assert mixture_lu(params, 2, 1, 5e-324, 0.0, law) == pytest.approx(0.0, abs=1e-13)
+
 
 class TestCollapsedMixtures:
     """Every mixture against the nested integral int Omega(z .) dH(z)."""

@@ -53,6 +53,9 @@ from .specfun import reg_inc_beta, reg_inc_gamma, reg_inc_gamma_upper
 MIXTURE_ABS_TOL = 1e-9
 # Slack within which a mixture value outside [0, 1] is taken as roundoff.
 ROUNDOFF = 1e-9
+# Most breakpoints handed to the upper-upper quadrature (QUADPACK needs
+# fewer than its subinterval limit).
+_MAX_BREAKPOINTS = 64
 _INF = math.inf
 
 
@@ -210,9 +213,13 @@ def _segment(j: float, w: float, shape: float, c: float, z0: float, z1: float) -
     """int_{z0}^{z1} (zw)^j e^(-zw) / Gamma(j+1) * Q(shape, zc) dz, w and c finite."""
     if c == 0.0:
         a = j + 1.0
+        if w == 0.0:
+            return z1 - z0 if j == 0.0 else 0.0
         if z1 * w == 0.0 or a * math.log(z1 * w) < -650.0:
-            # Gamma_a(zw) would be subnormal, and e^(-zw) is 1 to double precision.
-            return w**j * (z1**a - z0**a) / math.gamma(a + 1.0)
+            # Gamma_a(zw) would be subnormal: take e^(-zw) as 1, which moves
+            # the value by less than e^-650 z1, and the power in log space.
+            shrink = -math.expm1(a * (math.log(z0) - math.log(z1))) if z0 > 0.0 else 1.0
+            return math.exp(j * math.log(w) + a * math.log(z1) - math.lgamma(a + 1.0)) * shrink
         if z0 * w > a:  # past the mode: difference the upper ratios, which stay accurate
             return (reg_inc_gamma_upper(a, z0 * w) - reg_inc_gamma_upper(a, z1 * w)) / w
         return (reg_inc_gamma(a, z1 * w) - reg_inc_gamma(a, z0 * w)) / w
@@ -221,19 +228,25 @@ def _segment(j: float, w: float, shape: float, c: float, z0: float, z1: float) -
         return (_segment_antiderivative(j, w, shape, c, z1)
                 - _segment_antiderivative(j, w, shape, c, z0)) / w
     # Small w: the closed form would cancel to O((w z1)^(j+1)), so expand
-    # e^(-zw) instead; with w z1 <= 1 each term is below 1/k of the one before.
+    # e^(-zw) instead; with u = w z1 <= 1 each term is below 1/k of the one
+    # before.  The powers of z are taken relative to z1, so none overflows.
+    u = w * z1
     q0, q1 = reg_inc_gamma_upper(shape, z0 * c), reg_inc_gamma_upper(shape, z1 * c)
-    coef = w**j / math.factorial(j)
+    if u == 0.0:
+        coef = 1.0 if j == 0 else 0.0
+    else:
+        coef = math.exp(j * math.log(u) - math.lgamma(j + 1.0))
+    ratio = z0 / z1
     total = 0.0
     for k in range(60):
         p = j + k + 1
-        moment = (z1**p * (q1 + _gamma_moment_ratio(shape, p, z1 * c))
-                  - z0**p * (q0 + _gamma_moment_ratio(shape, p, z0 * c))) / p
+        moment = z1 * (q1 + _gamma_moment_ratio(shape, p, z1 * c)
+                       - ratio**p * (q0 + _gamma_moment_ratio(shape, p, z0 * c))) / p
         term = coef * moment
         total += term
         if abs(term) <= 1e-17 * abs(total):
             break
-        coef *= -w / (k + 1)
+        coef *= -u / (k + 1)
     return total
 
 
@@ -258,9 +271,10 @@ def _gamma_moment_ratio(shape: float, p: int, x: float) -> float:
     if x == 0.0:
         return 0.0
     a = shape + p
-    if a * math.log(x) > -600.0:  # Gamma_a(x) is a normal float
-        return math.exp(math.lgamma(a) - math.lgamma(shape) - p * math.log(x)) * reg_inc_gamma(a, x)
-    # Tiny x: the series of Gamma_a(x) with x^p divided out.
+    tail = reg_inc_gamma(a, x)
+    if tail > 1e-260:  # a normal float with digits to spare
+        return math.exp(math.lgamma(a) - math.lgamma(shape) - p * math.log(x) + math.log(tail))
+    # Small x: the series of Gamma_a(x) with x^p divided out.
     term = math.exp(shape * math.log(x) - x - math.lgamma(shape)) / a
     total, i = term, 0
     while term > 1e-17 * total:
@@ -270,9 +284,9 @@ def _gamma_moment_ratio(shape: float, p: int, x: float) -> float:
     return total
 
 
-def clip_probability(p: float, slack: float = ROUNDOFF) -> float:
-    """p clipped to [0, 1]; ArithmeticError when it lies farther out than `slack`."""
-    if not -slack <= p <= 1.0 + slack:
+def clip_probability(p: float) -> float:
+    """p clipped to [0, 1]; ArithmeticError when it lies farther out than ROUNDOFF."""
+    if not -ROUNDOFF <= p <= 1.0 + ROUNDOFF:
         raise ArithmeticError(f"computed probability {p!r} lies outside [0, 1]")
     return min(max(p, 0.0), 1.0)
 
@@ -284,7 +298,6 @@ def mixture_uu(
     kappa1: float,
     kappa2: float,
     law: IndexLaw,
-    abs_tol: float = MIXTURE_ABS_TOL,
 ) -> float:
     """Random-index upper-upper limit at transform values (kappa1, kappa2)."""
     mp1 = params.m + 1.0
@@ -301,21 +314,34 @@ def mixture_uu(
     if k2 == 0.0 or math.isinf(k1):
         return clip_probability(head)
 
-    # Over s = ln w the integrand is bounded, and its mass lies at s = ln k1
-    # or near the peaks ln(R_r / z) of the Poisson weight, one per scale z
-    # of the law; these are the breakpoints.  Beyond the last one it decays
-    # at least like e^-s (the weight falls as 1/w times the density of H
-    # near 0), so 40 units past it the rest is about e^-40 = 4e-18 times
-    # that density.
-    def integrand(s: float) -> float:
-        w = math.exp(s) if s < 700.0 else math.inf
+    # Over ln w the integrand is bounded, and its mass lies at ln k1 or near
+    # the peaks ln(R_r / z) of the Poisson weight, one per scale z of the
+    # law; these are the breakpoints, thinned so that a table of any length
+    # gives QUADPACK a bounded number.  Beyond the last peak the integrand
+    # decays at least like 1/w (the weight falls as 1/w times the density
+    # of H near 0), so 40 units past it the rest is about e^-40 = 4e-18
+    # times that density.
+    def integrand(lw: float) -> float:
+        w = math.exp(lw) if lw < 700.0 else math.inf
         return reg_inc_beta(min(k2 / w, 1.0), rs, rr - rs) * rr * index_kernel(law, rr, w)
 
     scales = (1.0,) if law.kind == "unit_exponential" else [z for z, _ in law.grid if z > 0.0]
-    peaks = [math.log(rr / z) for z in scales]
+    peaks = sorted(math.log(rr / z) for z in scales)
     lo = math.log(k1)
-    tail = integrate(integrand, lo, max(lo, *peaks) + 40.0, abs_tol, points=peaks)
+    hi = max(lo, peaks[-1]) + 40.0
+    tail = integrate(integrand, lo, hi, MIXTURE_ABS_TOL, points=_thin(peaks))
     return clip_probability(head - tail)
+
+
+def _thin(points: list[float]) -> list[float]:
+    """Sorted `points` thinned to at most _MAX_BREAKPOINTS + 1, each at least
+    one unit (and 1/_MAX_BREAKPOINTS of the span) from the one kept before it."""
+    gap = max(1.0, (points[-1] - points[0]) / _MAX_BREAKPOINTS)
+    kept = [points[0]]
+    for p in points[1:]:
+        if p - kept[-1] >= gap:
+            kept.append(p)
+    return kept
 
 
 def mixture_ll(r: int, s: int, rho1: float, rho2: float, law: IndexLaw) -> float:

@@ -242,7 +242,7 @@ def _limit_df(query: RangeQuery, t: float) -> float:
                 "(unit-exponential) index law only"
             )
         return _cauchy_mpos_value(query.statistic, t)
-    return clip_probability(_mixed_df(query, t), RANGE_ABS_TOL)
+    return clip_probability(_mixed_df(query, t))
 
 
 def normal_range_closed_form(r: float) -> float:

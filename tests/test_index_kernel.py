@@ -80,7 +80,9 @@ def uu_slice(rr, rs, k1, k2):
         return special.betainc(rs, rr - rs, min(k2 / u, 1.0)) * math.exp(
             (rr - 1.0) * math.log(u) - u - math.lgamma(rr))
 
-    return head - _quad(integrand, k1, math.inf, 1e-13)
+    # split at the mode R_r of the gamma density, which a high rank puts far out
+    mode = max(k1, rr)
+    return head - _quad(integrand, k1, mode, 1e-13) - _quad(integrand, mode, math.inf, 1e-13)
 
 
 def ll_slice(r, s, rho1, rho2):
@@ -198,6 +200,32 @@ class TestCollapsedMixtures:
             want = mix_over_z(lambda z: special.gammainc(r, z * rho), law)
             got = mixture_marginal(ExtremeSide.LOWER, params, r, rho, law)
             assert got == pytest.approx(want, abs=TOL)
+
+    def test_uu_on_a_long_table(self):
+        # one breakpoint per row would exceed QUADPACK's subinterval limit
+        zs = np.geomspace(1e-3, 1e3, 300)
+        hs = special.ndtr(np.log(zs) / 2.0)
+        law = IndexLaw.tabulated(list(zip(zs, (hs - hs[0]) / (hs[-1] - hs[0]))))
+        params = GosParams(m=0.3, k=1.2, n=50)
+        rr, rs, mp1 = params.rank_weight(3), params.rank_weight(1), 1.3
+        for kap1, kap2 in ((1.1, 0.6), (0.05, 0.01)):
+            want = mix_over_z(lambda z: uu_slice(rr, rs, z * kap1**mp1, z * kap2**mp1), law)
+            assert mixture_uu(params, 3, 1, kap1, kap2, law) == pytest.approx(want, abs=TOL)
+
+    @pytest.mark.parametrize("name", ["exponential", "table", "table-at-zero"])
+    def test_high_ranks(self, name):
+        # R_r past 171, where Gamma(R_r + 1) and r! overflow a float
+        law, params = LAWS[name], GosParams(m=0.3, k=1.2, n=500)
+        rr, mp1 = params.rank_weight(200), 1.3
+        for s, kap1, kap2 in ((1, 0.05, 0.01), (1, 60.0, 20.0), (150, 70.0, 60.0)):
+            rs = params.rank_weight(s)
+            want = mix_over_z(lambda z: uu_slice(rr, rs, z * kap1**mp1, z * kap2**mp1), law)
+            assert mixture_uu(params, 200, s, kap1, kap2, law) == pytest.approx(want, abs=TOL)
+        for s, rho, kap in ((3, 100.0, 0.5), (3, 150.0, 0.05), (120, 120.0, 0.9)):
+            rs = params.rank_weight(s)
+            want = mix_over_z(
+                lambda z: special.gammainc(200, z * rho) * upper_q(rs, z * kap**mp1), law)
+            assert mixture_lu(params, 200, s, rho, kap, law) == pytest.approx(want, abs=TOL)
 
 
 # --- range and midrange: the conditional df at scale z, then the z-mixture --

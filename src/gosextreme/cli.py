@@ -32,9 +32,9 @@ from ._integrate import QuadratureError
 from .distributions import DistributionModel, parse_model
 from .goscore import joint_df_direct, joint_upper_df, marginal_lower_df, marginal_upper_df
 from .limitlaws import TailTransform, kappa, omega_ll, omega_lu_product, omega_uu, rho
-from .montecarlo import IndexMode, SimConfig, run_bivariate_sim
+from .montecarlo import IndexMode, SimConfig, analytic_limit_df, run_bivariate_sim
 from .params import ExtremeSide, GosParams, RankPair, Regime
-from .randomindex import IndexLaw, load_tabulated_csv, mixture_ll, mixture_lu, mixture_uu
+from .randomindex import IndexLaw, load_tabulated_csv
 from .ranges import RangeQuery, midrange_limit_df, range_limit_df, run_statistic_sim
 
 OUTPUT_DIR_ENV = "GOSEXTREME_OUTDIR"
@@ -74,7 +74,7 @@ def parse_number(text: str) -> float:
     return sign * value
 
 
-def parse_grid(text: str, default_count: int = 41) -> list[float]:
+def parse_grid(text: str) -> list[float]:
     """`min:max:count` (count optional), or a single value."""
     parts = text.split(":")
     if len(parts) == 1:
@@ -82,7 +82,7 @@ def parse_grid(text: str, default_count: int = 41) -> list[float]:
     if len(parts) not in (2, 3):
         raise UsageError(f"grid spec {text!r} is not min:max[:count]")
     lo, hi = parse_number(parts[0]), parse_number(parts[1])
-    count = int(parts[2]) if len(parts) == 3 else default_count
+    count = int(parts[2]) if len(parts) == 3 else 41
     if count < 1:
         raise UsageError("grid count must be >= 1")
     if count == 1:
@@ -165,6 +165,9 @@ def _write(text: str, out: str | None) -> None:
         handle.write(text)
 
 
+_REGIMES = {"uu": Regime.UPPER_UPPER, "ll": Regime.LOWER_LOWER, "lu": Regime.LOWER_UPPER}
+
+
 def _gos_params(args) -> GosParams:
     n = getattr(args, "n", None)
     if n is None:
@@ -221,14 +224,6 @@ def _limit_value(args, params, up, low, x: float, y: float) -> float:
     return omega_lu_product(params, args.r, args.s, rho(low, x), kappa(up, y))
 
 
-def _mix_value(args, params, up, low, law, x: float, y: float) -> float:
-    if args.regime == "uu":
-        return mixture_uu(params, args.r, args.s, kappa(up, x), kappa(up, y), law)
-    if args.regime == "ll":
-        return mixture_ll(args.r, args.s, rho(low, x), rho(low, y), law)
-    return mixture_lu(params, args.r, args.s, rho(low, x), kappa(up, y), law)
-
-
 def _run_limit_like(args, law: IndexLaw | None) -> int:
     params = _gos_params(args)
     up = parse_transform(args.upper_tail, ExtremeSide.UPPER) if args.upper_tail else None
@@ -239,10 +234,7 @@ def _run_limit_like(args, law: IndexLaw | None) -> int:
         raise UsageError(f"regime {args.regime} needs --upper-tail")
     if need_low and low is None:
         raise UsageError(f"regime {args.regime} needs --lower-tail")
-    if args.regime == "uu":
-        RankPair(r=args.r, s=args.s, regime=Regime.UPPER_UPPER)
-    elif args.regime == "ll":
-        RankPair(r=args.r, s=args.s, regime=Regime.LOWER_LOWER)
+    pair = RankPair(r=args.r, s=args.s, regime=_REGIMES[args.regime])
     xs, ys = parse_grid(args.x_grid), parse_grid(args.y_grid)
     config = {
         "verb": "mix" if law is not None else "limit",
@@ -258,7 +250,7 @@ def _run_limit_like(args, law: IndexLaw | None) -> int:
             if law is None:
                 value = _limit_value(args, params, up, low, x, y)
             else:
-                value = _mix_value(args, params, up, low, law, x, y)
+                value = analytic_limit_df(params, pair, up, low, law, x, y)
             rows.append([x, y, value])
     _write(emit(Table(["x", "y", "value"], rows, config), args.format), args.out)
     return 0
@@ -267,10 +259,7 @@ def _run_limit_like(args, law: IndexLaw | None) -> int:
 def _run_simulate(args) -> int:
     model = parse_model(args.dist)
     params = GosParams(m=args.m, k=args.k, n=args.n)
-    regime = {"uu": Regime.UPPER_UPPER, "ll": Regime.LOWER_LOWER, "lu": Regime.LOWER_UPPER}[
-        args.regime
-    ]
-    pair = RankPair(r=args.r, s=args.s, regime=regime)
+    pair = RankPair(r=args.r, s=args.s, regime=_REGIMES[args.regime])
     xs = parse_grid(args.x_grid)
     ys = parse_grid(args.y_grid) if args.y_grid else [math.inf]
     grid = tuple((x, y) for x in xs for y in ys)
@@ -288,12 +277,10 @@ def _run_simulate(args) -> int:
 
 
 _EXAMPLE_STATS = ("range", "midrange")
-_EXAMPLE_FAMILIES = {
-    "normal": "normal", "cauchy": "cauchy", "pareto": "pareto",
-    "uniform": "uniform", "beta": "beta", "power": "power",
-    "lognormal": "lognormal", "exponential": "exponential",
-    "rayleigh": "rayleigh", "logistic": "logistic", "laplace": "laplace",
-}
+_EXAMPLE_FAMILIES = (
+    "normal", "cauchy", "pareto", "uniform", "beta", "power",
+    "lognormal", "exponential", "rayleigh", "logistic", "laplace",
+)
 _DEFAULT_GRIDS = {
     "range": "-2:6:41",
     "midrange": "-4:4:41",
@@ -321,14 +308,11 @@ def _example_model(family: str, args) -> DistributionModel:
 
 def _run_example(args) -> int:
     name = args.name.lower()
-    try:
-        family_key, stat = name.rsplit("-", 1)
-        family = _EXAMPLE_FAMILIES[family_key]
-        assert stat in _EXAMPLE_STATS
-    except (ValueError, KeyError, AssertionError):
+    family, _, stat = name.rpartition("-")
+    if family not in _EXAMPLE_FAMILIES or stat not in _EXAMPLE_STATS:
         raise UsageError(
             f"unknown example {args.name!r}; available: {', '.join(example_names())}"
-        ) from None
+        )
     model = _example_model(family, args)
     law = parse_law(args.law)
     n = args.sim_n if args.sim_n is not None else 500

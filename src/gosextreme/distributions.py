@@ -56,8 +56,10 @@ class _Family:
     upper_tail: Callable
     lower_tail: Callable
     # Tail-accurate inverses used when building normalizing constants:
-    # isf(u) = F^-1(1-u); upper_gap(u) = right_end - F^-1(1-u);
-    # lower_gap(p) = F^-1(p) - left_end.  None falls back to `quantile`.
+    # isf(u) = F^-1(1-u) for the frechet and gumbel upper tails (the normal
+    # family has closed-form constants); upper_gap(u) = right_end - F^-1(1-u)
+    # for the weibull upper tails; lower_gap(p) = F^-1(p) - left_end for the
+    # weibull lower tails.
     isf: Callable | None = None
     upper_gap: Callable | None = None
     lower_gap: Callable | None = None
@@ -318,10 +320,6 @@ def _pareto_isf(prm, u):
     return np.power(np.asarray(u, dtype=float), -1.0 / prm["sigma"])
 
 
-def _normal_isf(_, u):
-    return -sc.ndtri(np.asarray(u, dtype=float))
-
-
 def _lognormal_isf(_, u):
     return np.exp(-sc.ndtri(np.asarray(u, dtype=float)))
 
@@ -342,18 +340,6 @@ def _exponential_isf(prm, u):
 
 def _rayleigh_isf(prm, u):
     return prm["sigma"] * np.sqrt(-2.0 * np.log(np.asarray(u, dtype=float)))
-
-
-def _uniform_isf(prm, u):
-    return prm["theta"] * (1.0 - 2.0 * np.asarray(u, dtype=float))
-
-
-def _beta_isf(prm, u):
-    return 1.0 - sc.betaincinv(prm["beta"], prm["alpha"], np.asarray(u, dtype=float))
-
-
-def _power_isf(prm, u):
-    return np.exp(np.log1p(-np.asarray(u, dtype=float)) / prm["alpha"])
 
 
 def _uniform_upper_gap(prm, u):
@@ -409,22 +395,21 @@ _FAMILIES: dict[str, _Family] = {
         "uniform", ("theta",), _uniform_cdf, _uniform_sf, _uniform_q,
         lambda prm: (-prm["theta"], prm["theta"]),
         lambda _: ("weibull", 1.0), lambda _: ("weibull", 1.0),
-        isf=_uniform_isf, upper_gap=_uniform_upper_gap, lower_gap=_uniform_lower_gap,
+        upper_gap=_uniform_upper_gap, lower_gap=_uniform_lower_gap,
     ),
     "beta": _Family(
         "beta", ("alpha", "beta"), _beta_cdf, _beta_sf, _beta_q, lambda _: (0.0, 1.0),
         lambda prm: ("weibull", prm["beta"]), lambda prm: ("weibull", prm["alpha"]),
-        isf=_beta_isf, upper_gap=_beta_upper_gap, lower_gap=_beta_lower_gap,
+        upper_gap=_beta_upper_gap, lower_gap=_beta_lower_gap,
     ),
     "power": _Family(
         "power", ("alpha",), _power_cdf, _power_sf, _power_q, lambda _: (0.0, 1.0),
         lambda _: ("weibull", 1.0), lambda prm: ("weibull", prm["alpha"]),
-        isf=_power_isf, upper_gap=_power_upper_gap, lower_gap=_power_lower_gap,
+        upper_gap=_power_upper_gap, lower_gap=_power_lower_gap,
     ),
     "normal": _Family(
         "normal", (), _normal_cdf, _normal_sf, _normal_q, lambda _: (-_INF, _INF),
         lambda _: ("gumbel", None), lambda _: ("gumbel", None),
-        isf=_normal_isf,
     ),
     "logistic": _Family(
         "logistic", (), _logistic_cdf, _logistic_sf, _logistic_q, lambda _: (-_INF, _INF),
@@ -502,10 +487,7 @@ def parse_model(text: str) -> DistributionModel:
 
 def _isf(model: DistributionModel, u: float) -> float:
     """F^{-1}(1 - u) from the tail probability u itself."""
-    spec = model._spec()
-    if spec.isf is not None:
-        return float(spec.isf(model.params, u))
-    return float(quantile(model, 1.0 - u))
+    return float(model._spec().isf(model.params, u))
 
 
 def _lm_prob(mp1: float, p: float) -> float:

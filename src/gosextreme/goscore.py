@@ -99,7 +99,6 @@ def joint_upper_df(
     pair: RankPair,
     x: float,
     y: float,
-    abs_tol: float = JOINT_UPPER_ABS_TOL,
 ) -> float:
     """P(r-th from top < x, s-th from top < y), s < r, any real x, y.
 
@@ -146,7 +145,7 @@ def joint_upper_df(
     # The kernel carries its mass on a gamma-like scale around R_r; the
     # discarded tail beyond the cap is below e^-60 of the total.
     hi = min(big_n, max(lo, rr) + 80.0 + 15.0 * math.sqrt(rr + 1.0))
-    tail = integrate(integrand, lo, hi, abs_tol, points=[rr])
+    tail = integrate(integrand, lo, hi, JOINT_UPPER_ABS_TOL, points=[rr])
     return min(max(head - tail, 0.0), 1.0)
 
 
@@ -157,7 +156,6 @@ def joint_df_direct(
     s: int,
     x: float,
     y: float,
-    abs_tol: float = JOINT_DIRECT_ABS_TOL,
 ) -> float:
     """P(r-th from bottom < x, s-th from bottom < y) by the defining
     double integral over (F(x'), F(y')) space; 1 <= r < s <= n.
@@ -189,8 +187,8 @@ def joint_df_direct(
     # Error budget: the result is const * (outer integral), and the inner
     # quadrature noise enters the outer integrand directly, so both
     # tolerances are deflated by const (with a floor near machine noise).
-    inner_tol = max(abs_tol / (20.0 * max(const, 1.0)), 1e-13)
-    outer_tol = max(abs_tol / (2.0 * max(const, 1.0)), 1e-13)
+    inner_tol = max(JOINT_DIRECT_ABS_TOL / (20.0 * max(const, 1.0)), 1e-13)
+    outer_tol = max(JOINT_DIRECT_ABS_TOL / (2.0 * max(const, 1.0)), 1e-13)
 
     def inner(xi: float) -> float:
         xibar = 1.0 - xi

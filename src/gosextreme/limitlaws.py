@@ -31,6 +31,13 @@ Limit families, with R_r = ell + r - 1:
       (1/(r-1)!) int_0^{rho1} Gamma_{s-r}(rho2 - u) u^{r-1} e^{-u} du.
 
   lower-upper: the product Gamma_r(rho1) * [1 - Gamma_{R_s}(kappa2^(m+1))].
+
+A transform value or power kappa^(m+1) beyond the largest float is
+taken as +inf (`GosParams.kappa_power`), where every df above is 0.
+
+These are the `limit` verb's path.  The random-index mixtures of
+`randomindex` reduce to them under a degenerate index law through their
+own kernel, so the two modules check each other at a point mass.
 """
 
 from __future__ import annotations
@@ -74,11 +81,14 @@ def kappa(transform: TailTransform, x: float) -> float:
         raise ValueError("kappa expects an upper-side transform")
     if math.isnan(x):
         raise ValueError("kappa is undefined at NaN")
-    if transform.kind == "frechet":
-        return x ** -transform.alpha if x > 0.0 else math.inf
-    if transform.kind == "weibull":
-        return (-x) ** transform.alpha if x <= 0.0 else 0.0
-    return math.exp(-x)
+    try:
+        if transform.kind == "frechet":
+            return x ** -transform.alpha if x > 0.0 else math.inf
+        if transform.kind == "weibull":
+            return (-x) ** transform.alpha if x <= 0.0 else 0.0
+        return math.exp(-x)
+    except OverflowError:  # beyond the largest float
+        return math.inf
 
 
 def rho(transform: TailTransform, x: float) -> float:
@@ -87,26 +97,26 @@ def rho(transform: TailTransform, x: float) -> float:
         raise ValueError("rho expects a lower-side transform")
     if math.isnan(x):
         raise ValueError("rho is undefined at NaN")
-    if transform.kind == "frechet":
-        return (-x) ** -transform.alpha if x < 0.0 else math.inf
-    if transform.kind == "weibull":
-        return x ** transform.alpha if x >= 0.0 else 0.0
-    return math.exp(x)
+    try:
+        if transform.kind == "frechet":
+            return (-x) ** -transform.alpha if x < 0.0 else math.inf
+        if transform.kind == "weibull":
+            return x ** transform.alpha if x >= 0.0 else 0.0
+        return math.exp(x)
+    except OverflowError:  # beyond the largest float
+        return math.inf
 
 
-def omega_uu_powered(
-    params: GosParams, r: int, s: int, k1: float, k2: float, abs_tol: float = OMEGA_ABS_TOL
-) -> float:
-    """Upper-upper family with the gamma/beta arguments passed directly.
+def omega_uu(params: GosParams, r: int, s: int, kappa1: float, kappa2: float) -> float:
+    """Upper-upper limit df evaluated at transform values (kappa1, kappa2).
 
-    k1, k2 are the already-powered (and possibly index-scaled) values
-    kappa_i^(m+1); the mixture layer multiplies them by z before calling.
-    The x <= y branch corresponds to k1 >= k2.
+    The x <= y branch corresponds to kappa1 >= kappa2.
     """
     if not s < r:
         raise ValueError(f"upper-upper requires s < r, got r={r}, s={s}")
-    if k1 < 0.0 or k2 < 0.0 or math.isnan(k1) or math.isnan(k2):
-        raise ValueError("powered transform values must be in [0, +inf]")
+    if kappa1 < 0.0 or kappa2 < 0.0 or math.isnan(kappa1) or math.isnan(kappa2):
+        raise ValueError("transform values must be in [0, +inf]")
+    k1, k2 = params.kappa_power(kappa1), params.kappa_power(kappa2)
     rr = params.rank_weight(r)
     rs = params.rank_weight(s)
     if k1 <= k2:
@@ -129,26 +139,11 @@ def omega_uu_powered(
             return 0.0
         return beta_factor * math.exp((rr - 1.0) * math.log(u) - u - log_norm)
 
-    tail = integrate(integrand, k1, math.inf, abs_tol)
+    tail = integrate(integrand, k1, math.inf, OMEGA_ABS_TOL)
     return min(max(head - tail, 0.0), 1.0)
 
 
-def omega_uu(
-    params: GosParams,
-    r: int,
-    s: int,
-    kappa1: float,
-    kappa2: float,
-    abs_tol: float = OMEGA_ABS_TOL,
-) -> float:
-    """Upper-upper limit df evaluated at transform values (kappa1, kappa2)."""
-    mp1 = params.m + 1.0
-    return omega_uu_powered(params, r, s, kappa1**mp1, kappa2**mp1, abs_tol)
-
-
-def omega_ll(
-    r: int, s: int, rho1: float, rho2: float, abs_tol: float = OMEGA_ABS_TOL
-) -> float:
+def omega_ll(r: int, s: int, rho1: float, rho2: float) -> float:
     """Lower-lower limit df at transform values (rho1, rho2); r < s."""
     if not r < s:
         raise ValueError(f"lower-lower requires r < s, got r={r}, s={s}")
@@ -170,7 +165,7 @@ def omega_ll(
             return gam if r == 1 else 0.0
         return gam * math.exp((r - 1.0) * math.log(u) - u - log_norm)
 
-    value = integrate(integrand, 0.0, rho1, abs_tol)
+    value = integrate(integrand, 0.0, rho1, OMEGA_ABS_TOL)
     return min(max(value, 0.0), 1.0)
 
 
@@ -181,13 +176,13 @@ def omega_lu_product(
     if r < 1 or s < 1:
         raise ValueError("ranks must be >= 1")
     lower = reg_inc_gamma(float(r), rho1)
-    upper = reg_inc_gamma_upper(params.rank_weight(s), kappa2 ** (params.m + 1.0))
+    upper = reg_inc_gamma_upper(params.rank_weight(s), params.kappa_power(kappa2))
     return lower * upper
 
 
 def upper_marginal_limit(params: GosParams, r: int, kappa_value: float) -> float:
     """Fixed-size limit df of the r-th extreme from the top."""
-    return reg_inc_gamma_upper(params.rank_weight(r), kappa_value ** (params.m + 1.0))
+    return reg_inc_gamma_upper(params.rank_weight(r), params.kappa_power(kappa_value))
 
 
 def lower_marginal_limit(r: int, rho_value: float) -> float:

@@ -40,8 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import DistributionModel, norming_constants, quantile, tail_transform
-from .limitlaws import kappa as kappa_fn
-from .limitlaws import rho as rho_fn
+from .limitlaws import TailTransform, kappa, rho
 from .params import ExtremeSide, GosParams, RankPair, Regime
 from .randomindex import IndexLaw, mixture_ll, mixture_lu, mixture_uu
 
@@ -285,23 +284,21 @@ def _regime_sides(pair: RankPair) -> tuple[_SideRank, _SideRank]:
 
 def analytic_limit_df(
     params: GosParams,
-    model: DistributionModel,
     pair: RankPair,
+    up: TailTransform | None,
+    low: TailTransform | None,
     law: IndexLaw,
     x: float,
     y: float,
 ) -> float:
-    """Random-index limit df at a grid point (degenerate H gives the
-    fixed-size limit, per the degeneracy equivalence)."""
+    """Random-index limit df of the rank pair at (x, y), under the upper
+    and lower tail transforms its regime uses (the other may be None).
+    A degenerate law gives the fixed-size limit."""
     if pair.regime == Regime.UPPER_UPPER:
-        up = tail_transform(model, ExtremeSide.UPPER)
-        return mixture_uu(params, pair.r, pair.s, kappa_fn(up, x), kappa_fn(up, y), law)
+        return mixture_uu(params, pair.r, pair.s, kappa(up, x), kappa(up, y), law)
     if pair.regime == Regime.LOWER_LOWER:
-        low = tail_transform(model, ExtremeSide.LOWER)
-        return mixture_ll(pair.r, pair.s, rho_fn(low, x), rho_fn(low, y), law)
-    low = tail_transform(model, ExtremeSide.LOWER)
-    up = tail_transform(model, ExtremeSide.UPPER)
-    return mixture_lu(params, pair.r, pair.s, rho_fn(low, x), kappa_fn(up, y), law)
+        return mixture_ll(pair.r, pair.s, rho(low, x), rho(low, y), law)
+    return mixture_lu(params, pair.r, pair.s, rho(low, x), kappa(up, y), law)
 
 
 def run_bivariate_sim(config: SimConfig) -> SimulationReport:
@@ -322,6 +319,8 @@ def run_bivariate_sim(config: SimConfig) -> SimulationReport:
     z2 = _normalize(raw2, second[0], consts)
 
     law = config.index_mode.implied_law()
+    up = tail_transform(model, ExtremeSide.UPPER)
+    low = tail_transform(model, ExtremeSide.LOWER)
     m = float(config.replications)
     empirical, analytic, ses = [], [], []
     for x, y in config.eval_grid:
@@ -329,7 +328,7 @@ def run_bivariate_sim(config: SimConfig) -> SimulationReport:
         p_hat = hits / m
         empirical.append(p_hat)
         ses.append(math.sqrt(p_hat * (1.0 - p_hat) / m))
-        analytic.append(analytic_limit_df(params, model, pair, law, x, y))
+        analytic.append(analytic_limit_df(params, pair, up, low, law, x, y))
     return SimulationReport(
         config=config.to_dict(),
         grid=tuple(config.eval_grid),

@@ -58,10 +58,17 @@ class GosParams:
         """R_r = ell + r - 1 for a rank counted from the relevant end."""
         return self.ell + r - 1.0
 
-    def gamma_j(self, j: int, size: int | None = None) -> float:
-        """gamma_j = k + (n - j)*(m + 1); `size` overrides n."""
-        n = self.n if size is None else size
-        return self.k + (n - j) * (self.m + 1.0)
+    def gamma_j(self, j: int) -> float:
+        """gamma_j = k + (n - j)*(m + 1)."""
+        return self.k + (self.n - j) * (self.m + 1.0)
+
+    def kappa_power(self, kappa_value: float) -> float:
+        """kappa^(m+1) for an upper transform value in [0, +inf], taken as
+        +inf where the power overflows a float (every limit df is 0 there)."""
+        try:
+            return kappa_value ** (self.m + 1.0)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -102,9 +109,3 @@ class RankPair:
     def validate_against(self, n: int) -> None:
         if self.max_rank > n:
             raise ValueError(f"ranks {self.r},{self.s} exceed sample size {n}")
-
-
-def check_probability(p: float, what: str = "probability") -> float:
-    if math.isnan(p) or p < 0.0 or p > 1.0:
-        raise ValueError(f"{what} must lie in [0, 1], got {p}")
-    return p

@@ -34,8 +34,10 @@ order of integration (Fubini) gives
   int_{k1}^inf I_{k2/w}(R_s, R_r - R_s) (R_r/w) N_H(R_r, w, ., 0) dw,
   taken over ln w.
 
-The range and midrange limits (`ranges`) use the same kernel.  A
-degenerate law evaluates the fixed-size limit at its point mass.
+Every law, the degenerate one included, takes this one path per
+regime; under a point mass c each form reduces to the fixed-size limit
+of `limitlaws` at c-scaled arguments, which the tests check.  The range
+and midrange limits (`ranges`) use the same kernel.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._integrate import integrate
-from .limitlaws import omega_ll, omega_uu_powered
 from .params import ExtremeSide, GosParams
 from .specfun import reg_inc_beta, reg_inc_gamma, reg_inc_gamma_upper
 
@@ -97,6 +98,16 @@ class IndexLaw:
         if self.kind == "unit_exponential":
             return "unit_exponential"
         return f"tabulated[{len(self.grid)}]"
+
+    @property
+    def scales(self) -> tuple[float, ...]:
+        """Positive index scales z at which the law puts its mass: the
+        point mass, 1 for the unit exponential, a table's positive nodes."""
+        if self.kind == "degenerate":
+            return (self.c,)
+        if self.kind == "unit_exponential":
+            return (1.0,)
+        return tuple(z for z, _ in self.grid if z > 0.0)
 
 
 def _validate_table(grid) -> None:
@@ -300,10 +311,7 @@ def mixture_uu(
     law: IndexLaw,
 ) -> float:
     """Random-index upper-upper limit at transform values (kappa1, kappa2)."""
-    mp1 = params.m + 1.0
-    k1, k2 = kappa1**mp1, kappa2**mp1
-    if law.kind == "degenerate":
-        return omega_uu_powered(params, r, s, law.c * k1, law.c * k2)
+    k1, k2 = params.kappa_power(kappa1), params.kappa_power(kappa2)
     if not s < r:
         raise ValueError(f"upper-upper requires s < r, got r={r}, s={s}")
     rr, rs = params.rank_weight(r), params.rank_weight(s)
@@ -325,8 +333,7 @@ def mixture_uu(
         w = math.exp(lw) if lw < 700.0 else math.inf
         return reg_inc_beta(min(k2 / w, 1.0), rs, rr - rs) * rr * index_kernel(law, rr, w)
 
-    scales = (1.0,) if law.kind == "unit_exponential" else [z for z, _ in law.grid if z > 0.0]
-    peaks = sorted(math.log(rr / z) for z in scales)
+    peaks = sorted(math.log(rr / z) for z in law.scales)
     lo = math.log(k1)
     hi = max(lo, peaks[-1]) + 40.0
     tail = integrate(integrand, lo, hi, MIXTURE_ABS_TOL, points=_thin(peaks))
@@ -346,8 +353,6 @@ def _thin(points: list[float]) -> list[float]:
 
 def mixture_ll(r: int, s: int, rho1: float, rho2: float, law: IndexLaw) -> float:
     """Random-index lower-lower limit at transform values (rho1, rho2)."""
-    if law.kind == "degenerate":
-        return omega_ll(r, s, law.c * rho1, law.c * rho2)
     if not r < s:
         raise ValueError(f"lower-lower requires r < s, got r={r}, s={s}")
     if rho1 >= rho2:
@@ -373,7 +378,7 @@ def mixture_marginal(
     lower int Gamma_r(z rho) dH(z)."""
     if ExtremeSide(side) == ExtremeSide.UPPER:
         return clip_probability(
-            index_kernel(law, 0.0, 0.0, params.rank_weight(r), value ** (params.m + 1.0))
+            index_kernel(law, 0.0, 0.0, params.rank_weight(r), params.kappa_power(value))
         )
     return _mixed_lower(r, value, law)
 
@@ -400,10 +405,8 @@ def mixture_lu(
     Gamma_r(x) = 1 - sum_{j<r} x^j e^-x / j! it is a finite sum of kernels."""
     if r < 1 or s < 1:
         raise ValueError("ranks must be >= 1")
-    k2 = kappa2 ** (params.m + 1.0)
+    k2 = params.kappa_power(kappa2)
     shape = params.rank_weight(s)
-    if law.kind == "degenerate":
-        return reg_inc_gamma(float(r), law.c * rho1) * reg_inc_gamma_upper(shape, law.c * k2)
     value = index_kernel(law, 0.0, 0.0, shape, k2)
     if not math.isinf(rho1):
         value -= sum(index_kernel(law, float(j), rho1, shape, k2) for j in range(r))

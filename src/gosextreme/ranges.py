@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import integrate
-from .distributions import DistributionModel, NormingConstants, norming_constants
+from .distributions import DistributionModel, NormingConstants, norming_constants, tail_transform
+from .limitlaws import kappa
 from .montecarlo import IndexMode, SimulationReport, ks_distance, simulate_value_pairs
 from .params import ExtremeSide, GosParams
 from .randomindex import IndexLaw, clip_probability, index_kernel
@@ -159,14 +160,23 @@ def _gumbel_pair_df(
     law: IndexLaw, ell: float, t: float, mp1: float, eta: float, midrange: bool
 ) -> float:
     # Both tails exponential-type.  After tau = e^w the min-side density
-    # is z e^{-z tau} and the max factor argument is
-    # e^{-t(m+1)} tau^{-(m+1)/eta} (range) or e^{-t(m+1)} tau^{+(m+1)/eta}
-    # (midrange).
-    base = math.exp(-t * mp1)
+    # is z e^{-z tau} and the max factor argument is e^{-t(m+1)} tau^expo,
+    # expo = -(m+1)/eta (range) or +(m+1)/eta (midrange).  It is taken as
+    # (tau * scale)^expo with scale = e^{-t(m+1)/expo}, so that no infinite
+    # factor meets a zero one; past the float range the argument is 0 or
+    # +inf, as its exact value would round.
     expo = mp1 / eta if midrange else -mp1 / eta
+    try:
+        scale = math.exp(-t * mp1 / expo)
+    except OverflowError:
+        scale = math.inf
 
     def integrand(tau: float) -> float:
-        return index_kernel(law, 1.0, tau, ell, base * tau**expo) / tau
+        try:
+            c = (tau * scale) ** expo
+        except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: 0 ** -a
+            c = math.inf
+        return index_kernel(law, 1.0, tau, ell, c) / tau
 
     return integrate(integrand, 0.0, math.inf, RANGE_ABS_TOL)
 
@@ -184,16 +194,8 @@ def _mixed_df(query: RangeQuery, t: float) -> float:
 
     if math.isinf(eta):
         # max side dominates; both statistics share the mixed max marginal
-        if fam in ("lognormal", "exponential", "rayleigh"):
-            cval = math.exp(-t * mp1)
-        elif fam == "cauchy":
-            cval = t ** -mp1 if t > 0.0 else math.inf
-        elif fam == "pareto":
-            sigma = model.params["sigma"]
-            cval = t ** (-sigma * mp1) if t > 0.0 else math.inf
-        else:
-            raise UnsupportedCaseError(f"{fam} with eta = inf is not a listed case")
-        return index_kernel(law, 0.0, 0.0, ell, cval)
+        up = tail_transform(model, ExtremeSide.UPPER)
+        return index_kernel(law, 0.0, 0.0, ell, params.kappa_power(kappa(up, t)))
 
     if fam == "cauchy":  # m == 0, eta == 1
         return _frechet_pair_df(law, ell, t, midrange)
@@ -262,7 +264,7 @@ def normal_range_closed_form(r: float) -> float:
     return (1.0 - (e / 2.0) / root * math.log((1.0 + root) / (1.0 - root))) / (1.0 - e)
 
 
-def normal_range_integral(r: float, abs_tol: float = 1e-9) -> float:
+def normal_range_integral(r: float) -> float:
     """Quadrature form int_0^inf y^2 / (y^2 + y + e^-r)^2 dy of the same
     limit, kept as an independent numeric route."""
     c = math.exp(-r)
@@ -271,10 +273,10 @@ def normal_range_integral(r: float, abs_tol: float = 1e-9) -> float:
         den = y * y + y + c
         return y * y / (den * den)
 
-    return integrate(integrand, 0.0, math.inf, abs_tol)
+    return integrate(integrand, 0.0, math.inf, RANGE_ABS_TOL)
 
 
-def normal_midrange_integral(v: float, abs_tol: float = 1e-9) -> float:
+def normal_midrange_integral(v: float) -> float:
     """Quadrature form 1 - int_0^inf dy / (y (e^{2v}+1) + 1)^2."""
     slope = math.exp(2.0 * v) + 1.0
 
@@ -282,7 +284,7 @@ def normal_midrange_integral(v: float, abs_tol: float = 1e-9) -> float:
         den = y * slope + 1.0
         return 1.0 / (den * den)
 
-    return 1.0 - integrate(integrand, 0.0, math.inf, abs_tol)
+    return 1.0 - integrate(integrand, 0.0, math.inf, RANGE_ABS_TOL)
 
 
 # --- simulation conventions and overlay ------------------------------------

@@ -302,6 +302,27 @@ class TestLimitMixRegimes:
         assert "upper-tail" in err
 
 
+class TestExtremeArguments:
+    """Where a transform or its power overflows a float the df is 0, not a
+    numerical failure."""
+
+    @pytest.mark.parametrize("verb", ["limit", "mix"])
+    def test_overflowing_kappa_power(self, capsys, verb):
+        extra = ["--H", "exponential"] if verb == "mix" else []
+        code, out, _ = run_cli(
+            capsys, verb, "--regime", "uu", "--r", "2", "--s", "1", "--m", "1.5",
+            "--upper-tail", "frechet:1", "--x-grid", "1e-130", "--y-grid", "1", *extra,
+        )
+        assert code == 0
+        assert float(out.strip().splitlines()[-1].split(",")[2]) == 0.0
+
+    @pytest.mark.parametrize("name", ["normal-range", "normal-midrange", "lognormal-range"])
+    def test_range_far_left(self, capsys, name):
+        code, out, _ = run_cli(capsys, "example", name, "--at=-1000")
+        assert code == 0
+        assert float(out.strip().splitlines()[-1].split(",")[1]) == 0.0
+
+
 _NORMAL = parse_model("normal")
 _GOS5 = GosParams(m=0.0, k=1.0, n=5)
 

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gosextreme import goscore
 from gosextreme.distributions import norming_constants, parse_model
@@ -290,3 +292,24 @@ class TestLargeSampleSandwich:
                 gaps.append(gap)
             assert gaps[0] >= gaps[1] >= gaps[2]
             assert gaps[2] <= 1e-3
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.floats(-0.6, 1.5), k=st.floats(0.5, 3.0), x=st.floats(-3.0, 4.0),
+       y=st.floats(-3.0, 4.0), dx=st.floats(0.0, 3.0), dy=st.floats(0.0, 3.0))
+def test_joint_upper_df_is_bivariate_df(m, k, x, y, dx, dy):
+    # values in [0, 1], nondecreasing in each coordinate, and nonnegative
+    # rectangle mass, to the tolerance of the one quadrature per value
+    params = GosParams(m=m, k=k, n=20)
+    model = parse_model("logistic")
+    pair = RankPair(r=3, s=1, regime=Regime.UPPER_UPPER)
+
+    def F(a, b):
+        return goscore.joint_upper_df(params, model, pair, a, b)
+
+    lo, hi_x, hi_y, hi = F(x, y), F(x + dx, y), F(x, y + dy), F(x + dx, y + dy)
+    tol = 4.0 * goscore.JOINT_UPPER_ABS_TOL
+    for v in (lo, hi_x, hi_y, hi):
+        assert 0.0 <= v <= 1.0
+    assert hi_x >= lo - tol and hi_y >= lo - tol
+    assert hi - hi_x - hi_y + lo >= -tol

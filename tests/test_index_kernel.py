@@ -17,6 +17,13 @@ from scipy import integrate as sci_integrate
 from scipy import special
 
 from gosextreme.distributions import parse_model
+from gosextreme.limitlaws import (
+    lower_marginal_limit,
+    omega_ll,
+    omega_lu_product,
+    omega_uu,
+    upper_marginal_limit,
+)
 from gosextreme.params import ExtremeSide, GosParams
 from gosextreme.randomindex import (
     IndexLaw,
@@ -38,6 +45,8 @@ LAWS = {
     "table": TABLE,
     "table-at-zero": TABLE_AT_ZERO,
 }
+# Point masses far from 1 put the kernel at extreme w and c.
+DEGENERATE = [IndexLaw.degenerate(c) for c in (1e-3, 1.0, 1e3)]
 TOL = 1e-9
 
 
@@ -227,6 +236,34 @@ class TestCollapsedMixtures:
                 lambda z: special.gammainc(200, z * rho) * upper_q(rs, z * kap**mp1), law)
             assert mixture_lu(params, 200, s, rho, kap, law) == pytest.approx(want, abs=TOL)
 
+    @pytest.mark.parametrize("law", DEGENERATE, ids=lambda law: law.label())
+    def test_degenerate_law_is_the_fixed_size_limit(self, law):
+        # Under a point mass c every mixture is the fixed-size limit at
+        # c-scaled arguments: c kappa^(m+1) = (scale kappa)^(m+1).  The
+        # transform values are drawn so that the scaled ones are O(1).
+        c, rng = law.c, np.random.default_rng(24)
+        for _ in range(6):
+            params = random_params(rng)
+            scale = c ** (1.0 / (params.m + 1.0))
+            s = int(rng.integers(1, 3))
+            r = s + int(rng.integers(1, 3))
+            v1 = float(rng.uniform(0.2, 3.0))
+            v2 = float(rng.uniform(0.0, 1.2 * v1))
+            got = mixture_uu(params, r, s, v1 / scale, v2 / scale, law)
+            assert got == pytest.approx(omega_uu(params, r, s, v1, v2), abs=1e-10)
+            lr = int(rng.integers(1, 4))
+            ls = lr + int(rng.integers(1, 4))
+            rho1 = float(rng.uniform(0.05, 3.0))
+            rho2 = rho1 * float(rng.uniform(0.8, 4.0))
+            got = mixture_ll(lr, ls, rho1 / c, rho2 / c, law)
+            assert got == pytest.approx(omega_ll(lr, ls, rho1, rho2), abs=1e-10)
+            got = mixture_lu(params, lr, s, rho1 / c, v1 / scale, law)
+            assert got == pytest.approx(omega_lu_product(params, lr, s, rho1, v1), abs=1e-10)
+            got = mixture_marginal(ExtremeSide.UPPER, params, s, v1 / scale, law)
+            assert got == pytest.approx(upper_marginal_limit(params, s, v1), abs=1e-10)
+            got = mixture_marginal(ExtremeSide.LOWER, params, lr, rho1 / c, law)
+            assert got == pytest.approx(lower_marginal_limit(lr, rho1), abs=1e-10)
+
 
 # --- range and midrange: the conditional df at scale z, then the z-mixture --
 
@@ -321,7 +358,7 @@ class TestRangesCollapsed:
 
 # --- properties: every mixture is a bivariate df ------------------------------
 
-law_strategy = st.sampled_from([EXP, TABLE, TABLE_AT_ZERO])
+law_strategy = st.sampled_from([EXP, TABLE, TABLE_AT_ZERO, *DEGENERATE])
 transform = st.floats(min_value=0.0, max_value=6.0)
 
 

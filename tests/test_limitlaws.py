@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gosextreme import goscore
 from gosextreme.distributions import norming_constants, parse_model
@@ -64,6 +66,20 @@ class TestTransforms:
             kappa(LOW_GUMBEL, 0.0)
         with pytest.raises(ValueError):
             rho(UP_GUMBEL, 0.0)
+
+    def test_overflow_saturates(self):
+        # values beyond the largest float are +inf, where every df is 0 or 1
+        assert kappa(UP_GUMBEL, -1000.0) == math.inf
+        assert kappa(UP_FRECHET1, 1e-320) == math.inf
+        assert kappa(UP_WEIBULL2, -1e200) == math.inf
+        assert rho(LOW_GUMBEL, 1000.0) == math.inf
+        assert rho(LOW_FRECHET2, -1e-200) == math.inf
+        params = GosParams(m=1.5, k=1.0, n=10)
+        assert params.kappa_power(1e130) == math.inf
+        assert params.kappa_power(1e120) == 1e120**2.5
+        assert omega_uu(params, 2, 1, 1e130, 1.0) == 0.0
+        assert omega_lu_product(params, 1, 1, 1.0, 1e130) == 0.0
+        assert upper_marginal_limit(params, 1, 1e130) == 0.0
 
     def test_transform_validation(self):
         with pytest.raises(ValueError):
@@ -214,3 +230,57 @@ class TestLimitOfExactDfs:
                 lim = omega_uu(params, 2, 1, kappa(UP_GUMBEL, x), kappa(UP_GUMBEL, y))
                 sup = max(sup, abs(exact - lim))
         assert sup <= 5e-3
+
+
+# --- properties: every limit family is a bivariate df -------------------------
+
+TOL = 1e-9
+transform = st.floats(min_value=0.0, max_value=6.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.floats(-0.6, 1.5), k=st.floats(0.5, 3.0),
+       a=transform, b=transform, da=transform, db=transform)
+def test_omega_uu_is_bivariate_df(m, k, a, b, da, db):
+    # kappa is nonincreasing in x: (a + da, b + db) is the lower-left corner
+    params = GosParams(m=m, k=k, n=50)
+
+    def F(k1, k2):
+        return omega_uu(params, 3, 1, k1, k2)
+
+    hi, lo_x, lo_y, lo = F(a, b), F(a + da, b), F(a, b + db), F(a + da, b + db)
+    for v in (hi, lo_x, lo_y, lo):
+        assert 0.0 <= v <= 1.0
+    assert hi >= lo_x - TOL and hi >= lo_y - TOL
+    assert hi - lo_x - lo_y + lo >= -TOL
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=transform, b=transform, da=transform, db=transform)
+def test_omega_ll_is_bivariate_df(a, b, da, db):
+    def F(r1, r2):
+        return omega_ll(1, 3, r1, r2)
+
+    lo, hi_x, hi_y, hi = F(a, b), F(a + da, b), F(a, b + db), F(a + da, b + db)
+    for v in (lo, hi_x, hi_y, hi):
+        assert 0.0 <= v <= 1.0
+    assert hi_x >= lo - TOL and hi_y >= lo - TOL
+    assert hi - hi_x - hi_y + lo >= -TOL
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.floats(-0.6, 1.5), k=st.floats(0.5, 3.0),
+       rho1=transform, kap=transform, drho=transform, dkap=transform)
+def test_omega_lu_is_bivariate_df(m, k, rho1, kap, drho, dkap):
+    # rho grows with x, kappa falls with y: (rho1 + drho, kap) is the upper corner
+    params = GosParams(m=m, k=k, n=50)
+
+    def F(r1, k2):
+        return omega_lu_product(params, 2, 1, r1, k2)
+
+    lo, hi_x, hi_y, hi = F(rho1, kap + dkap), F(rho1 + drho, kap + dkap), F(rho1, kap), \
+        F(rho1 + drho, kap)
+    for v in (lo, hi_x, hi_y, hi):
+        assert 0.0 <= v <= 1.0
+    assert hi_x >= lo - TOL and hi_y >= lo - TOL
+    assert hi - hi_x - hi_y + lo >= -TOL

@@ -16,6 +16,7 @@ from .distributions import (
 )
 from .goscore import (
     joint_df_direct,
+    joint_lower_df,
     joint_upper_df,
     lbar,
     lm,
@@ -69,7 +70,7 @@ __all__ = [
     "IndexMode", "NoAttractionError", "NormingConstants", "RangeQuery",
     "RankPair", "Regime", "SimConfig", "SimulationReport", "TailTransform",
     "UnsupportedCaseError", "cdf", "eta_limit", "h_cdf", "joint_df_direct",
-    "joint_upper_df", "kappa", "ks_distance", "lbar", "lm",
+    "joint_lower_df", "joint_upper_df", "kappa", "ks_distance", "lbar", "lm",
     "load_tabulated_csv", "log_gamma", "marginal_lower_df",
     "marginal_upper_df", "midrange_limit_df", "mixture_ll", "mixture_lu",
     "mixture_marginal", "mixture_uu", "norming_constants",

@@ -3,16 +3,16 @@
 Adaptive panels are delegated to QUADPACK (scipy.integrate.quad); every
 call checks the returned error estimate against the caller's absolute
 tolerance and raises QuadratureError with the achieved error when the
-target is missed.  Integrals over an index law never come here: they
-are closed forms in `randomindex`, so a random-index mixture takes at
-most one quadrature, never one nested inside an integral over z.
+target is missed.  Every mixture, limit and exact joint df is a finite
+sum; the only serving callers are the two-sided range and midrange limits,
+and the rest are reference routes (`omega_uu`, `omega_ll`, `joint_df_direct`).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, Sequence
+from typing import Callable
 
 from scipy import integrate as _sci
 
@@ -25,21 +25,11 @@ class QuadratureError(ArithmeticError):
         self.achieved = achieved
 
 
-def integrate(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    abs_tol: float,
-    points: Sequence[float] | None = None,
-) -> float:
+def integrate(f: Callable[[float], float], lo: float, hi: float, abs_tol: float) -> float:
     """Integral of f over (lo, hi); hi may be +inf."""
     if lo == hi:
         return 0.0
     kwargs = {"epsabs": abs_tol / 10.0, "epsrel": 0.0, "limit": 200}
-    if points is not None and math.isfinite(hi):
-        pts = sorted(p for p in points if lo < p < hi)
-        if pts:
-            kwargs["points"] = pts
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _sci.IntegrationWarning)
         value, err = _sci.quad(f, lo, hi, **kwargs)

@@ -30,8 +30,8 @@ import numpy as np
 from . import selftest as selftest_mod
 from ._integrate import QuadratureError
 from .distributions import DistributionModel, parse_model
-from .goscore import joint_df_direct, joint_upper_df, marginal_lower_df, marginal_upper_df
-from .limitlaws import TailTransform, kappa, omega_ll, omega_lu_product, omega_uu, rho
+from .goscore import joint_lower_df, joint_upper_df, marginal_lower_df, marginal_upper_df
+from .limitlaws import TailTransform
 from .montecarlo import IndexMode, SimConfig, analytic_limit_df, run_bivariate_sim
 from .params import ExtremeSide, GosParams, RankPair, Regime
 from .randomindex import IndexLaw, load_tabulated_csv
@@ -209,19 +209,11 @@ def _run_exact(args) -> int:
     elif args.regime == "ll":
         for x in xs:
             for y in ys:
-                rows.append([x, y, joint_df_direct(params, model, args.r, args.s, x, y)])
+                rows.append([x, y, joint_lower_df(params, model, args.r, args.s, x, y)])
     else:
         raise UsageError("exact joint tables support regimes uu and ll")
     _write(emit(Table(["x", "y", "value"], rows, config), args.format), args.out)
     return 0
-
-
-def _limit_value(args, params, up, low, x: float, y: float) -> float:
-    if args.regime == "uu":
-        return omega_uu(params, args.r, args.s, kappa(up, x), kappa(up, y))
-    if args.regime == "ll":
-        return omega_ll(args.r, args.s, rho(low, x), rho(low, y))
-    return omega_lu_product(params, args.r, args.s, rho(low, x), kappa(up, y))
 
 
 def _run_limit_like(args, law: IndexLaw | None) -> int:
@@ -244,14 +236,10 @@ def _run_limit_like(args, law: IndexLaw | None) -> int:
     }
     if law is not None:
         config["H"] = law.label()
-    rows = []
-    for x in xs:
-        for y in ys:
-            if law is None:
-                value = _limit_value(args, params, up, low, x, y)
-            else:
-                value = analytic_limit_df(params, pair, up, low, law, x, y)
-            rows.append([x, y, value])
+    else:
+        law = IndexLaw.degenerate(1.0)  # the fixed-size limit
+    rows = [[x, y, analytic_limit_df(params, pair, up, low, law, x, y)]
+            for x in xs for y in ys]
     _write(emit(Table(["x", "y", "value"], rows, config), args.format), args.out)
     return 0
 

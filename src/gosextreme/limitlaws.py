@@ -35,9 +35,9 @@ Limit families, with R_r = ell + r - 1:
 A transform value or power kappa^(m+1) beyond the largest float is
 taken as +inf (`GosParams.kappa_power`), where every df above is 0.
 
-These are the `limit` verb's path.  The random-index mixtures of
-`randomindex` reduce to them under a degenerate index law through their
-own kernel, so the two modules check each other at a point mass.
+These are the independent reference routes, taken as written: the `limit`
+verb serves the finite sums of `randomindex` under the point mass 1,
+which reduce to these at any point mass, so the two modules check each other.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from ._integrate import integrate
 from .params import ExtremeSide, GosParams
-from .specfun import log_gamma, reg_inc_beta, reg_inc_gamma, reg_inc_gamma_upper
+from .specfun import clip_probability, log_gamma, reg_inc_beta, reg_inc_gamma, reg_inc_gamma_upper
 
 OMEGA_ABS_TOL = 1e-10
 
@@ -140,7 +140,7 @@ def omega_uu(params: GosParams, r: int, s: int, kappa1: float, kappa2: float) ->
         return beta_factor * math.exp((rr - 1.0) * math.log(u) - u - log_norm)
 
     tail = integrate(integrand, k1, math.inf, OMEGA_ABS_TOL)
-    return min(max(head - tail, 0.0), 1.0)
+    return clip_probability(head - tail)
 
 
 def omega_ll(r: int, s: int, rho1: float, rho2: float) -> float:
@@ -165,8 +165,7 @@ def omega_ll(r: int, s: int, rho1: float, rho2: float) -> float:
             return gam if r == 1 else 0.0
         return gam * math.exp((r - 1.0) * math.log(u) - u - log_norm)
 
-    value = integrate(integrand, 0.0, rho1, OMEGA_ABS_TOL)
-    return min(max(value, 0.0), 1.0)
+    return clip_probability(integrate(integrand, 0.0, rho1, OMEGA_ABS_TOL))
 
 
 def omega_lu_product(

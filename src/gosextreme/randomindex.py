@@ -29,15 +29,17 @@ order of integration (Fubini) gives
   N_H(0, 0, R_s, k2) - sum_{j<r} N_H(j, rho1, R_s, k2);
 * lower-lower: the mixed lower marginal at rho1 minus
   sum_{j<s-r} N_H(r+j, rho2, ., 0) I_{rho1/rho2}(r, j+1);
-* upper-upper: the mixed marginal at k1 minus the one remaining
-  integral, over w = u/z,
-  int_{k1}^inf I_{k2/w}(R_s, R_r - R_s) (R_r/w) N_H(R_r, w, ., 0) dw,
-  taken over ln w.
+* upper-upper (k1 > k2): R_r - R_s = r - s is an integer, so the deeper
+  gamma variate is the shallower one plus an independent Gamma(r - s),
+  and the limit is Q(R_s, k1) + sum_{i<r-s} P(R_s+i, k1) I_{1-k2/k1}(i+1, R_s)
+  with P(a, x) = x^a e^-x / Gamma(a+1); z-scaling leaves k2/k1 fixed, so
+  N_H(0, 0, R_s, k1) and N_H(R_s+i, k1) take the places of Q and P.
 
-Every law, the degenerate one included, takes this one path per
-regime; under a point mass c each form reduces to the fixed-size limit
-of `limitlaws` at c-scaled arguments, which the tests check.  The range
-and midrange limits (`ranges`) use the same kernel.
+No mixture takes a quadrature, and every law, the degenerate one
+included, takes this one path per regime; under a point mass c each
+form reduces to the quadrature reference of `limitlaws` at c-scaled
+arguments, which the tests check.  The `limit` verb is the point mass 1.
+The range and midrange limits (`ranges`) use the same kernel.
 """
 
 from __future__ import annotations
@@ -47,16 +49,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._integrate import integrate
 from .params import ExtremeSide, GosParams
-from .specfun import reg_inc_beta, reg_inc_gamma, reg_inc_gamma_upper
+from .specfun import clip_probability, reg_inc_beta, reg_inc_gamma, reg_inc_gamma_upper
 
-MIXTURE_ABS_TOL = 1e-9
-# Slack within which a mixture value outside [0, 1] is taken as roundoff.
-ROUNDOFF = 1e-9
-# Most breakpoints handed to the upper-upper quadrature (QUADPACK needs
-# fewer than its subinterval limit).
-_MAX_BREAKPOINTS = 64
 _INF = math.inf
 
 
@@ -98,16 +93,6 @@ class IndexLaw:
         if self.kind == "unit_exponential":
             return "unit_exponential"
         return f"tabulated[{len(self.grid)}]"
-
-    @property
-    def scales(self) -> tuple[float, ...]:
-        """Positive index scales z at which the law puts its mass: the
-        point mass, 1 for the unit exponential, a table's positive nodes."""
-        if self.kind == "degenerate":
-            return (self.c,)
-        if self.kind == "unit_exponential":
-            return (1.0,)
-        return tuple(z for z, _ in self.grid if z > 0.0)
 
 
 def _validate_table(grid) -> None:
@@ -295,13 +280,6 @@ def _gamma_moment_ratio(shape: float, p: int, x: float) -> float:
     return total
 
 
-def clip_probability(p: float) -> float:
-    """p clipped to [0, 1]; ArithmeticError when it lies farther out than ROUNDOFF."""
-    if not -ROUNDOFF <= p <= 1.0 + ROUNDOFF:
-        raise ArithmeticError(f"computed probability {p!r} lies outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
-
-
 def mixture_uu(
     params: GosParams,
     r: int,
@@ -314,41 +292,18 @@ def mixture_uu(
     k1, k2 = params.kappa_power(kappa1), params.kappa_power(kappa2)
     if not s < r:
         raise ValueError(f"upper-upper requires s < r, got r={r}, s={s}")
-    rr, rs = params.rank_weight(r), params.rank_weight(s)
+    rs = params.rank_weight(s)
     if k1 <= k2:
         # x >= y: the joint collapses onto the shallower marginal.
         return clip_probability(index_kernel(law, 0.0, 0.0, rs, k2))
-    head = index_kernel(law, 0.0, 0.0, rr, k1)
-    if k2 == 0.0 or math.isinf(k1):
-        return clip_probability(head)
-
-    # Over ln w the integrand is bounded, and its mass lies at ln k1 or near
-    # the peaks ln(R_r / z) of the Poisson weight, one per scale z of the
-    # law; these are the breakpoints, thinned so that a table of any length
-    # gives QUADPACK a bounded number.  Beyond the last peak the integrand
-    # decays at least like 1/w (the weight falls as 1/w times the density
-    # of H near 0), so 40 units past it the rest is about e^-40 = 4e-18
-    # times that density.
-    def integrand(lw: float) -> float:
-        w = math.exp(lw) if lw < 700.0 else math.inf
-        return reg_inc_beta(min(k2 / w, 1.0), rs, rr - rs) * rr * index_kernel(law, rr, w)
-
-    peaks = sorted(math.log(rr / z) for z in law.scales)
-    lo = math.log(k1)
-    hi = max(lo, peaks[-1]) + 40.0
-    tail = integrate(integrand, lo, hi, MIXTURE_ABS_TOL, points=_thin(peaks))
-    return clip_probability(head - tail)
-
-
-def _thin(points: list[float]) -> list[float]:
-    """Sorted `points` thinned to at most _MAX_BREAKPOINTS + 1, each at least
-    one unit (and 1/_MAX_BREAKPOINTS of the span) from the one kept before it."""
-    gap = max(1.0, (points[-1] - points[0]) / _MAX_BREAKPOINTS)
-    kept = [points[0]]
-    for p in points[1:]:
-        if p - kept[-1] >= gap:
-            kept.append(p)
-    return kept
+    # G_r = G_s + D with D ~ Gamma(r - s): either G_s > k1 already, or
+    # G_s lies in (k2, k1] and D covers the rest, which at G_s = k1 t
+    # splits by the Poisson sum of D's tail into beta ratios in t.
+    value = index_kernel(law, 0.0, 0.0, rs, k1)
+    x = 1.0 - k2 / k1
+    for i in range(r - s):
+        value += index_kernel(law, rs + i, k1) * reg_inc_beta(x, i + 1, rs)
+    return clip_probability(value)
 
 
 def mixture_ll(r: int, s: int, rho1: float, rho2: float, law: IndexLaw) -> float:

@@ -30,16 +30,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._integrate import integrate
 from .distributions import DistributionModel, NormingConstants, norming_constants, tail_transform
-from .limitlaws import kappa
+from .limitlaws import TailTransform, kappa
 from .montecarlo import IndexMode, SimulationReport, ks_distance, simulate_value_pairs
 from .params import ExtremeSide, GosParams
-from .randomindex import IndexLaw, clip_probability, index_kernel
-from .specfun import log_gamma
+from .randomindex import IndexLaw, index_kernel
+from .specfun import clip_probability, log_gamma
 
 # Absolute tolerance of the one quadrature behind each value.
 RANGE_ABS_TOL = 1e-9
@@ -64,9 +65,16 @@ class RangeQuery:
             raise ValueError("eta must lie in [0, +inf]")
 
     def resolved_eta(self) -> float:
-        if self.eta is not None:
-            return self.eta
-        return eta_limit(self.model, self.params)
+        return self._eta
+
+    # Resolved once per query, on first use (an unsupported case raises there).
+    @cached_property
+    def _eta(self) -> float:
+        return self.eta if self.eta is not None else eta_limit(self.model, self.params)
+
+    @cached_property
+    def _upper(self) -> TailTransform:
+        return tail_transform(self.model, ExtremeSide.UPPER)
 
 
 def _beta_normalizer(alpha: float, beta_p: float) -> float:
@@ -121,7 +129,11 @@ def _frechet_pair_df(law: IndexLaw, ell: float, t: float, midrange: bool) -> flo
     # With w = 1/y the integrand L_H(1, w) y^-2 is N_H(1, w) / y.
     if midrange:
         def integrand(y: float) -> float:
-            return index_kernel(law, 1.0, 1.0 / y, ell, 1.0 / (t + y)) / y
+            try:
+                c = 1.0 / (t + y)
+            except ZeroDivisionError:  # t + y rounds to 0 where |t| is huge
+                c = math.inf
+            return index_kernel(law, 1.0, 1.0 / y, ell, c) / y
 
         return integrate(integrand, max(0.0, -t), math.inf, RANGE_ABS_TOL)
     if t <= 0.0:
@@ -141,19 +153,33 @@ def _weibull_pair_df(
     # alpha = 1).  The min-side conditional density is z e^{-z tau} after
     # tau = w^alpha, and the max factor argument is
     # (-(t + w/eta))_+^alpha (range) or (w/eta - t)_+^alpha (midrange).
+    # Powers past the largest float are taken as +inf, where the max
+    # factor and the min-side weight vanish.
     def integrand(tau: float) -> float:
         w = tau ** (1.0 / alpha)
         x = (w / eta - t) if midrange else -(t + w / eta)
-        return index_kernel(law, 1.0, tau, ell, x**alpha if x > 0.0 else 0.0) / tau
+        try:
+            c = x**alpha if x > 0.0 else 0.0
+        except OverflowError:
+            c = math.inf
+        return index_kernel(law, 1.0, tau, ell, c) / tau
 
     if midrange:
-        split = (t * eta) ** alpha if t > 0.0 else 0.0
+        split = _power_or_inf(t * eta, alpha) if t > 0.0 else 0.0
         head = 1.0 - index_kernel(law, 0.0, split) if split > 0.0 else 0.0
         return head + integrate(integrand, split, math.inf, RANGE_ABS_TOL)
     if t >= 0.0:
         return 1.0
-    split = (-t * eta) ** alpha
+    split = _power_or_inf(-t * eta, alpha)
     return index_kernel(law, 0.0, split) + integrate(integrand, 0.0, split, RANGE_ABS_TOL)
+
+
+def _power_or_inf(base: float, expo: float) -> float:
+    """base^expo for base > 0, or +inf where it overflows a float."""
+    try:
+        return base**expo
+    except OverflowError:
+        return math.inf
 
 
 def _gumbel_pair_df(
@@ -194,8 +220,7 @@ def _mixed_df(query: RangeQuery, t: float) -> float:
 
     if math.isinf(eta):
         # max side dominates; both statistics share the mixed max marginal
-        up = tail_transform(model, ExtremeSide.UPPER)
-        return index_kernel(law, 0.0, 0.0, ell, params.kappa_power(kappa(up, t)))
+        return index_kernel(law, 0.0, 0.0, ell, params.kappa_power(kappa(query._upper, t)))
 
     if fam == "cauchy":  # m == 0, eta == 1
         return _frechet_pair_df(law, ell, t, midrange)

@@ -16,7 +16,8 @@ Conventions owned here, so callers need no guards of their own:
 * NaN arguments and arguments outside the domain raise ValueError
   (r <= 0 or x < 0 for the gamma ratios, a, b <= 0 or x outside [0, 1]
   for the beta ratio);
-* x = +inf is first-class: Gamma_r(+inf) = 1 and 1 - Gamma_r(+inf) = 0.
+* x = +inf is first-class: Gamma_r(+inf) = 1 and 1 - Gamma_r(+inf) = 0;
+* every evaluator returns through `clip_probability`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from __future__ import annotations
 import math
 
 from scipy.special import cython_special as _cs
+
+# Slack within which a probability outside [0, 1] is taken as roundoff.
+ROUNDOFF = 1e-9
 
 
 def log_gamma(a: float) -> float:
@@ -64,3 +68,10 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"reg_inc_beta requires x in [0, 1], got x={x}")
     return _cs.betainc(float(a), float(b), float(x))
+
+
+def clip_probability(p: float) -> float:
+    """p clipped to [0, 1]; ArithmeticError when it lies farther out than ROUNDOFF."""
+    if not -ROUNDOFF <= p <= 1.0 + ROUNDOFF:
+        raise ArithmeticError(f"computed probability {p!r} lies outside [0, 1]")
+    return min(max(p, 0.0), 1.0)

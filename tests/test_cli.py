@@ -322,6 +322,18 @@ class TestExtremeArguments:
         assert code == 0
         assert float(out.strip().splitlines()[-1].split(",")[1]) == 0.0
 
+    @pytest.mark.parametrize("argv,want", [
+        (["power-range", "--m", "39", "--at=-1e10"], 0.0),
+        (["power-midrange", "--m", "39", "--at=1e10"], 1.0),
+        (["cauchy-midrange", "--at=-1e300"], 0.0),
+    ], ids=["power-range", "power-midrange", "cauchy-midrange"])
+    def test_range_power_overflow(self, capsys, argv, want):
+        # a bounded-tail power (t eta)^alpha or a Frechet 1/(t + y) past the
+        # float range is taken at its limit, where the df saturates
+        code, out, _ = run_cli(capsys, "example", *argv)
+        assert code == 0
+        assert float(out.strip().splitlines()[-1].split(",")[1]) == want
+
 
 _NORMAL = parse_model("normal")
 _GOS5 = GosParams(m=0.0, k=1.0, n=5)

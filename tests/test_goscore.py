@@ -3,7 +3,8 @@
 The independent oracles: binomial sums for single marginals and the
 multinomial double sum for ordinary order statistics (m = 0, k = 1);
 `joint_df_direct` (the defining double integral) cross-checks the
-single-integral representation for non-integer (m, k).
+Dirichlet sums of `joint_upper_df` and `joint_lower_df` for non-integer
+(m, k).
 """
 
 import itertools
@@ -237,15 +238,17 @@ class TestRepresentationAgreement:
     @pytest.mark.parametrize("m,k", [(0.0, 1.0), (1.0, 1.0), (-0.5, 1.0),
                                      (0.0, 2.0), (1.0, 2.0), (-0.5, 2.0)])
     def test_single_vs_double_integral(self, m, k):
-        """Both joint routes agree after the top/bottom index translation."""
+        """Both Dirichlet sums agree with the double integral, the upper
+        one after the top/bottom index translation."""
         worst = 0.0
         for n in (4, 5, 6):
             params = GosParams(m=m, k=k, n=n)
             for x, y in itertools.product((0.2, 0.45, 0.7, 0.9), (0.3, 0.55, 0.8, 0.95)):
                 upper = goscore.joint_upper_df(params, UNIFORM01, PAIR21, x, y)
+                lower = goscore.joint_lower_df(params, UNIFORM01, n - 1, n, x, y)
                 direct = goscore.joint_df_direct(params, UNIFORM01, n - 1, n, x, y)
-                worst = max(worst, abs(upper - direct))
-        assert worst <= 1e-7
+                worst = max(worst, abs(upper - direct), abs(lower - direct))
+        assert worst <= 1e-10
 
     def test_deeper_ranks(self):
         pair = RankPair(r=3, s=2, regime=Regime.UPPER_UPPER)
@@ -268,6 +271,87 @@ class TestRepresentationAgreement:
             assert goscore.joint_df_direct(params, UNIFORM01, 4, 5, x, y) == pytest.approx(
                 want, abs=1e-9
             )
+            assert goscore.joint_lower_df(params, UNIFORM01, 4, 5, x, y) == pytest.approx(
+                want, abs=1e-12
+            )
+
+
+# m = 0.41..., k = 2.66..., n = 500, bottom ranks (2, 5): both lower
+# marginals are 1.0 in double precision, so the Frechet lower bound makes
+# the joint 1; the double integral misses its tolerance there.
+SATURATED_POINT = (0.41345085073880516, 2.6595056568013526, 500, 2, 5,
+                   -1.8716662801394444, 1.0377663163569757)
+
+
+class TestDirichletSums:
+    """The finite sums behind `joint_upper_df` and `joint_lower_df`."""
+
+    @pytest.mark.parametrize("n", [5, 12, 50])
+    def test_against_double_integral(self, n):
+        model = parse_model("logistic")
+        rng = np.random.default_rng(40 + n)
+        for _ in range(8):
+            params = GosParams(m=float(rng.uniform(-0.6, 1.5)), k=float(rng.uniform(0.5, 3.0)),
+                               n=n)
+            r = int(rng.integers(1, min(n, 5)))
+            s = r + int(rng.integers(1, min(n - r, 4) + 1))
+            x, y = (float(v) for v in rng.uniform(-3.0, 4.0, 2))
+            direct = goscore.joint_df_direct(params, model, r, s, x, y)
+            assert goscore.joint_lower_df(params, model, r, s, x, y) == pytest.approx(
+                direct, abs=1e-10)
+            # the same event in top ranks: bottom r is top n - r + 1, the deeper one
+            pair = RankPair(r=n - r + 1, s=n - s + 1, regime=Regime.UPPER_UPPER)
+            assert goscore.joint_upper_df(params, model, pair, x, y) == pytest.approx(
+                direct, abs=1e-10)
+
+    def test_multinomial_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n = int(rng.integers(3, 10))
+            r = int(rng.integers(1, n))
+            s = int(rng.integers(r + 1, n + 1))
+            fx, fy = sorted(float(v) for v in rng.uniform(0.02, 0.98, 2))
+            want = multinomial_joint(n, r, s, fx, fy)
+            params = GosParams(m=0.0, k=1.0, n=n)
+            got = goscore.joint_lower_df(params, UNIFORM01, r, s, fx, fy)
+            assert got == pytest.approx(want, abs=1e-12)
+            pair = RankPair(r=n - r + 1, s=n - s + 1, regime=Regime.UPPER_UPPER)
+            got = goscore.joint_upper_df(params, UNIFORM01, pair, fx, fy)
+            assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [50, 500, 2000])
+    def test_frechet_hoeffding_bounds(self, n):
+        # max(0, F_r + F_s - 1) <= F <= min(F_r, F_s), up to roundoff
+        model = parse_model("logistic")
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            params = GosParams(m=float(rng.uniform(-0.6, 1.5)), k=float(rng.uniform(0.5, 3.0)),
+                               n=n)
+            r = int(rng.integers(1, 6))
+            s = r + int(rng.integers(1, 6))
+            dx, dy = (float(v) for v in rng.uniform(-4.0, 4.0, 2))
+            # the lower and upper tail scales, where N L_m and N Lbar_m are 1
+            low = -math.log((params.m + 1.0) * params.big_n)
+            x, y = low + dx, low + dy
+            fr = goscore.marginal_lower_df(params, model, r, x)
+            fs = goscore.marginal_lower_df(params, model, s, y)
+            got = goscore.joint_lower_df(params, model, r, s, x, y)
+            assert max(0.0, fr + fs - 1.0) - 1e-13 <= got <= min(fr, fs) + 1e-13
+            up = math.log(params.big_n) / (params.m + 1.0)
+            x, y = up - dx, up - dy
+            pair = RankPair(r=s, s=r, regime=Regime.UPPER_UPPER)
+            fr = goscore.marginal_upper_df(params, model, s, x)
+            fs = goscore.marginal_upper_df(params, model, r, y)
+            got = goscore.joint_upper_df(params, model, pair, x, y)
+            assert max(0.0, fr + fs - 1.0) - 1e-13 <= got <= min(fr, fs) + 1e-13
+
+    def test_saturated_marginals_give_one(self):
+        m, k, n, r, s, x, y = SATURATED_POINT
+        params = GosParams(m=m, k=k, n=n)
+        model = parse_model("logistic")
+        assert goscore.marginal_lower_df(params, model, r, x) == 1.0
+        assert goscore.marginal_lower_df(params, model, s, y) == 1.0
+        assert goscore.joint_lower_df(params, model, r, s, x, y) == pytest.approx(1.0, abs=1e-13)
 
 
 class TestLargeSampleSandwich:
@@ -299,7 +383,7 @@ class TestLargeSampleSandwich:
        y=st.floats(-3.0, 4.0), dx=st.floats(0.0, 3.0), dy=st.floats(0.0, 3.0))
 def test_joint_upper_df_is_bivariate_df(m, k, x, y, dx, dy):
     # values in [0, 1], nondecreasing in each coordinate, and nonnegative
-    # rectangle mass, to the tolerance of the one quadrature per value
+    # rectangle mass, to roundoff of the finite sum behind each value
     params = GosParams(m=m, k=k, n=20)
     model = parse_model("logistic")
     pair = RankPair(r=3, s=1, regime=Regime.UPPER_UPPER)
@@ -308,7 +392,25 @@ def test_joint_upper_df_is_bivariate_df(m, k, x, y, dx, dy):
         return goscore.joint_upper_df(params, model, pair, a, b)
 
     lo, hi_x, hi_y, hi = F(x, y), F(x + dx, y), F(x, y + dy), F(x + dx, y + dy)
-    tol = 4.0 * goscore.JOINT_UPPER_ABS_TOL
+    tol = 1e-12
+    for v in (lo, hi_x, hi_y, hi):
+        assert 0.0 <= v <= 1.0
+    assert hi_x >= lo - tol and hi_y >= lo - tol
+    assert hi - hi_x - hi_y + lo >= -tol
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.floats(-0.6, 1.5), k=st.floats(0.5, 3.0), x=st.floats(-4.0, 3.0),
+       y=st.floats(-4.0, 3.0), dx=st.floats(0.0, 3.0), dy=st.floats(0.0, 3.0))
+def test_joint_lower_df_is_bivariate_df(m, k, x, y, dx, dy):
+    params = GosParams(m=m, k=k, n=20)
+    model = parse_model("logistic")
+
+    def F(a, b):
+        return goscore.joint_lower_df(params, model, 1, 3, a, b)
+
+    lo, hi_x, hi_y, hi = F(x, y), F(x + dx, y), F(x, y + dy), F(x + dx, y + dy)
+    tol = 1e-12
     for v in (lo, hi_x, hi_y, hi):
         assert 0.0 <= v <= 1.0
     assert hi_x >= lo - tol and hi_y >= lo - tol

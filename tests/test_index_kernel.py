@@ -48,6 +48,8 @@ LAWS = {
 # Point masses far from 1 put the kernel at extreme w and c.
 DEGENERATE = [IndexLaw.degenerate(c) for c in (1e-3, 1.0, 1e3)]
 TOL = 1e-9
+# The upper-upper mixture is a finite sum of kernels, held to its oracle more tightly.
+SUM_TOL = 1e-10
 
 
 def _quad(f, lo, hi, eps):
@@ -179,7 +181,7 @@ class TestCollapsedMixtures:
             kap1 = float(rng.uniform(0.2, 3.0))
             kap2 = float(rng.uniform(0.0, 1.2 * kap1))
             want = mix_over_z(lambda z: uu_slice(rr, rs, z * kap1**mp1, z * kap2**mp1), law)
-            assert mixture_uu(params, r, s, kap1, kap2, law) == pytest.approx(want, abs=TOL)
+            assert mixture_uu(params, r, s, kap1, kap2, law) == pytest.approx(want, abs=SUM_TOL)
 
     @pytest.mark.parametrize("name", sorted(LAWS))
     def test_ll(self, name):
@@ -211,7 +213,6 @@ class TestCollapsedMixtures:
             assert got == pytest.approx(want, abs=TOL)
 
     def test_uu_on_a_long_table(self):
-        # one breakpoint per row would exceed QUADPACK's subinterval limit
         zs = np.geomspace(1e-3, 1e3, 300)
         hs = special.ndtr(np.log(zs) / 2.0)
         law = IndexLaw.tabulated(list(zip(zs, (hs - hs[0]) / (hs[-1] - hs[0]))))
@@ -219,9 +220,9 @@ class TestCollapsedMixtures:
         rr, rs, mp1 = params.rank_weight(3), params.rank_weight(1), 1.3
         for kap1, kap2 in ((1.1, 0.6), (0.05, 0.01)):
             want = mix_over_z(lambda z: uu_slice(rr, rs, z * kap1**mp1, z * kap2**mp1), law)
-            assert mixture_uu(params, 3, 1, kap1, kap2, law) == pytest.approx(want, abs=TOL)
+            assert mixture_uu(params, 3, 1, kap1, kap2, law) == pytest.approx(want, abs=SUM_TOL)
 
-    @pytest.mark.parametrize("name", ["exponential", "table", "table-at-zero"])
+    @pytest.mark.parametrize("name", ["degenerate", "exponential", "table", "table-at-zero"])
     def test_high_ranks(self, name):
         # R_r past 171, where Gamma(R_r + 1) and r! overflow a float
         law, params = LAWS[name], GosParams(m=0.3, k=1.2, n=500)
@@ -229,12 +230,25 @@ class TestCollapsedMixtures:
         for s, kap1, kap2 in ((1, 0.05, 0.01), (1, 60.0, 20.0), (150, 70.0, 60.0)):
             rs = params.rank_weight(s)
             want = mix_over_z(lambda z: uu_slice(rr, rs, z * kap1**mp1, z * kap2**mp1), law)
-            assert mixture_uu(params, 200, s, kap1, kap2, law) == pytest.approx(want, abs=TOL)
+            assert mixture_uu(params, 200, s, kap1, kap2, law) == pytest.approx(
+                want, abs=SUM_TOL)
         for s, rho, kap in ((3, 100.0, 0.5), (3, 150.0, 0.05), (120, 120.0, 0.9)):
             rs = params.rank_weight(s)
             want = mix_over_z(
                 lambda z: special.gammainc(200, z * rho) * upper_q(rs, z * kap**mp1), law)
             assert mixture_lu(params, 200, s, rho, kap, law) == pytest.approx(want, abs=TOL)
+
+    def test_uu_limit_sum_matches_the_reference_quadrature(self):
+        # the `limit` verb's upper-upper values against omega_uu, over deeper pairs
+        law, rng = IndexLaw.degenerate(1.0), np.random.default_rng(25)
+        for _ in range(100):
+            params = random_params(rng)
+            s = int(rng.integers(1, 4))
+            r = s + int(rng.integers(1, 7))
+            v1 = float(rng.uniform(0.05, 4.0))
+            v2 = float(rng.uniform(0.0, 1.2 * v1))
+            got = mixture_uu(params, r, s, v1, v2, law)
+            assert got == pytest.approx(omega_uu(params, r, s, v1, v2), abs=SUM_TOL)
 
     @pytest.mark.parametrize("law", DEGENERATE, ids=lambda law: law.label())
     def test_degenerate_law_is_the_fixed_size_limit(self, law):

@@ -8,7 +8,18 @@ with W_j independent standard uniforms, pushed through the parent
 quantile.  Replications draw from independent Philox streams (stream i
 is `Philox(key=seed).jumped(i)`), so the tally is reproducible bit for
 bit regardless of how replications would be partitioned across workers;
-the reduction is integer counting and therefore associative.
+the reduction is integer counting and therefore associative.  Philox is
+counter-based and a jump adds 1 to word 2 of its counter, so each call
+builds one bit generator and re-keys it before replication i to counter
+[0, 0, i, 0] with an empty buffer, which is exactly stream i.
+
+A replication draws the uniforms only up to the highest position its
+pair reads, and sums ln(W_j)/gamma_j in fixed-size blocks with the
+arithmetic and order of one whole `cumsum`, so every value is the one
+`sample_uniform_gos` gives from the same stream.  A lower-lower pair
+(r, s) draws max(r, s) uniforms whatever nu is; a pair that reaches the
+top of the sample draws about nu, in time linear in nu and in memory
+bounded by one block.
 
 Random-size modes:
 
@@ -191,10 +202,6 @@ def ks_distance(empirical: Sequence[float], analytic: Sequence[float]) -> float:
     return float(np.max(np.abs(emp - ana)))
 
 
-def _stream(seed: int, replication: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(replication))
-
-
 def sample_uniform_gos(
     params: GosParams,
     size: int,
@@ -238,6 +245,51 @@ def _draw_index(
 
 _SideRank = tuple[ExtremeSide, int]
 
+# Uniforms per block of the running sum: the sampler's memory for a pair
+# that reaches the top of the sample.
+_BLOCK = 4096
+# The per-call gamma table covers nu - j below this bound, so its memory,
+# like the block's, stays flat in nu; blocks above it compute their own.
+_GAMMA_TABLE_MAX = 1 << 16
+
+
+class _Streams:
+    """Stream i of the module docstring, taken by re-keying one Philox bit
+    generator in place: counter [0, 0, i, 0], key = seed, buffer empty."""
+
+    def __init__(self, seed: int):
+        self._bitgen = np.random.Philox(key=seed)
+        self._rng = np.random.Generator(self._bitgen)
+        self._state = self._bitgen.state
+        self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+        self._counter = self._state["state"]["counter"]
+        self._counter[:] = 0
+
+    def start(self, replication: int) -> np.random.Generator:
+        self._counter[2] = replication
+        self._bitgen.state = self._state
+        return self._rng
+
+
+class _Gammas:
+    """gamma_j = k + (nu - j)(m + 1), computed as `sample_uniform_gos` does
+    and served as contiguous runs of a per-call table indexed by nu - j."""
+
+    def __init__(self, params: GosParams):
+        self._k, self._step = params.k, params.m + 1.0
+        self._table = np.empty(0)
+
+    def run(self, top: int, count: int) -> np.ndarray:
+        """gamma_j for nu - j = top, top - 1, ..., top - count + 1."""
+        if top >= _GAMMA_TABLE_MAX:
+            return self._k + np.arange(top, top - count, -1) * self._step
+        size = len(self._table)
+        if top >= size:
+            size = top + 1
+            self._table = self._k + np.arange(size - 1, -1, -1) * self._step
+        start = size - 1 - top
+        return self._table[start:start + count]
+
 
 def simulate_value_pairs(
     params: GosParams,
@@ -254,24 +306,43 @@ def simulate_value_pairs(
     from the top for UPPER.
     """
     floor = max(first[1], second[1]) + 1
-    u_first = np.empty(replications)
-    u_second = np.empty(replications)
+    streams = _Streams(seed)
+    gammas = _Gammas(params)
+    block = np.empty(_BLOCK)
+    sum_first = np.empty(replications)
+    sum_second = np.empty(replications)
     for i in range(replications):
-        rng = _stream(seed, i)
+        rng = streams.start(i)
         nu, carry = _draw_index(mode, params.n, rng, floor)
-        u = sample_uniform_gos(params, nu, rng, carried_uniform=carry)
-        u_first[i] = _pick(u, first, nu)
-        u_second[i] = _pick(u, second, nu)
+        at_first, at_second = _position(first, nu), _position(second, nu)
+        stop = max(at_first, at_second) + 1
+        slot = (nu - 1) // 2
+        total = 0.0
+        for lo in range(0, stop, _BLOCK):
+            hi = min(lo + _BLOCK, stop)
+            w = block[:hi - lo]
+            rng.random(out=w)
+            if carry is not None and lo <= slot < hi:
+                w[slot - lo] = carry
+            np.log(w, out=w)
+            np.divide(w, gammas.run(nu - 1 - lo, hi - lo), out=w)
+            w[0] += total
+            np.cumsum(w, out=w)
+            total = w[-1]
+            if lo <= at_first < hi:
+                sum_first[i] = w[at_first - lo]
+            if lo <= at_second < hi:
+                sum_second[i] = w[at_second - lo]
     clip = np.clip
+    u_first, u_second = -np.expm1(sum_first), -np.expm1(sum_second)
     x_first = np.asarray(quantile(model, clip(u_first, _TINY, _ONE_BELOW)), dtype=float)
     x_second = np.asarray(quantile(model, clip(u_second, _TINY, _ONE_BELOW)), dtype=float)
     return x_first, x_second
 
 
-def _pick(u: np.ndarray, side_rank: _SideRank, nu: int) -> float:
+def _position(side_rank: _SideRank, nu: int) -> int:
     side, rank = side_rank
-    idx = rank - 1 if side == ExtremeSide.LOWER else nu - rank
-    return u[idx]
+    return rank - 1 if side == ExtremeSide.LOWER else nu - rank
 
 
 def _regime_sides(pair: RankPair) -> tuple[_SideRank, _SideRank]:

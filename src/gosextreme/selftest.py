@@ -24,7 +24,7 @@ from .distributions import (
     tail_transform,
 )
 from .limitlaws import kappa, omega_ll, omega_uu, rho
-from .montecarlo import IndexMode, SimConfig, run_bivariate_sim
+from .montecarlo import IndexMode, SimConfig, _Streams, run_bivariate_sim
 from .params import ExtremeSide, GosParams, RankPair, Regime
 from .randomindex import IndexLaw, mixture_ll, mixture_lu, mixture_marginal, mixture_uu
 from .specfun import reg_inc_beta, reg_inc_gamma
@@ -268,6 +268,33 @@ def _mc_determinism():
     a, b = run_bivariate_sim(cfg), run_bivariate_sim(cfg)
     same = a.to_json() == b.to_json()
     return same, "re-run is byte-identical" if same else "re-run differs"
+
+
+@_check("montecarlo-stream-identity")
+def _mc_stream_identity():
+    # The sampler re-keys one Philox per call by its counter, which relies
+    # on the installed numpy's Philox state layout: stream i must be
+    # Philox(key=seed).jumped(i) even after the generator was left dirty.
+    bad = []
+    for seed, replication in [(0, 0), (1, 1), (31, 49), (2**40 + 3, 999), (7, 123456)]:
+        streams = _Streams(seed)
+        dirty = streams.start(replication + 1)
+        dirty.random(3)
+        dirty.integers(0, 10, dtype=np.uint32)
+        got = streams.start(replication)
+        want = np.random.Generator(np.random.Philox(key=seed).jumped(replication))
+        same = (
+            got.geometric(1e-3) == want.geometric(1e-3)
+            and np.array_equal(got.random(37), want.random(37))
+            and np.array_equal(got.integers(0, 10, 3, dtype=np.uint32),
+                               want.integers(0, 10, 3, dtype=np.uint32))
+        )
+        if not same:
+            bad.append((seed, replication))
+    return not bad, (
+        f"counter reset differs from jumped(i) at (seed, i) = {bad}" if bad
+        else "counter reset gives stream i"
+    )
 
 
 @_check("montecarlo-marginal-sanity", slow=True)

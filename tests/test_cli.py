@@ -161,6 +161,24 @@ class TestVerbs:
         assert payload["config"]["seed"] == 42
         assert len(payload["empirical"]) == 5
 
+    def test_simulate_interleaved_seeds_byte_identical(self, tmp_path):
+        """Seed A, seed B, then seed A again in one process: no random state
+        may outlive a call, so the two A artifacts are the same bytes."""
+        def simulate(seed, name):
+            out = tmp_path / name
+            code = main([
+                "simulate", "--dist", "logistic", "--m", "0", "--k", "1", "--n", "300",
+                "--regime", "uu", "--r", "2", "--s", "1", "--index", "dependent:uniform:0.5:1.5",
+                "--reps", "300", "--seed", str(seed), "--x-grid=-1:3:4", "--y-grid=-1:3:4",
+                "--out", str(out),
+            ])
+            assert code == 0
+            return out.read_bytes()
+
+        first, other, again = simulate(11, "a.json"), simulate(12, "b.json"), simulate(11, "c.json")
+        assert first == again
+        assert first != other
+
     def test_invalid_distribution_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "exact", "--dist", "gamma(a=1)", "--n", "5",

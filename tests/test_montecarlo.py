@@ -1,19 +1,24 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gosextreme import goscore
-from gosextreme.distributions import norming_constants, parse_model
+from gosextreme import goscore, montecarlo
+from gosextreme.distributions import norming_constants, parse_model, quantile
 from gosextreme.montecarlo import (
     IndexMode,
     SimConfig,
+    _draw_index,
+    _Streams,
     ks_distance,
     run_bivariate_sim,
     sample_random_index,
     sample_uniform_gos,
+    simulate_value_pairs,
 )
-from gosextreme.params import GosParams, RankPair, Regime
+from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime
 from gosextreme.randomindex import IndexLaw
 
 
@@ -363,3 +368,125 @@ class TestRandomIndexJointRegimes:
             )
             assert abs(e - coupled) <= max(3.0 * se, 1e-3)
             assert abs(analytic - coupled) <= 1e-7
+
+
+def _loop_reference(params, model, mode, first, second, replications, seed):
+    """The per-replication loop that `simulate_value_pairs` replaces: a fresh
+    jumped stream per replication and a whole uniform m-GOS vector."""
+    floor = max(first[1], second[1]) + 1
+    u_first = np.empty(replications)
+    u_second = np.empty(replications)
+
+    def pick(u, side_rank, nu):
+        side, rank = side_rank
+        return u[rank - 1 if side == ExtremeSide.LOWER else nu - rank]
+
+    for i in range(replications):
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+        nu, carry = _draw_index(mode, params.n, rng, floor)
+        u = sample_uniform_gos(params, nu, rng, carried_uniform=carry)
+        u_first[i] = pick(u, first, nu)
+        u_second[i] = pick(u, second, nu)
+    clip = np.clip
+    tiny, one_below = 5e-324, float(np.nextafter(1.0, 0.0))
+    return (
+        np.asarray(quantile(model, clip(u_first, tiny, one_below)), dtype=float),
+        np.asarray(quantile(model, clip(u_second, tiny, one_below)), dtype=float),
+    )
+
+
+_L, _U = ExtremeSide.LOWER, ExtremeSide.UPPER
+_ORACLE_PAIRS = [
+    ((_U, 2), (_U, 1)), ((_U, 3), (_U, 2)),
+    ((_L, 1), (_L, 2)), ((_L, 3), (_L, 1)),
+    ((_L, 1), (_U, 1)), ((_L, 3), (_U, 2)), ((_L, 2), (_U, 3)),
+]
+_ORACLE_MODES = [
+    "fixed", "geometric", "dependent:const:0.7", "dependent:uniform:0.5:1.5",
+    # nu at its floor of 3-4: the carried slot falls inside a lower prefix
+    "dependent:uniform:0.01:0.02",
+]
+
+
+class TestSamplerMatchesTheLoop:
+    """`simulate_value_pairs` draws only what each pair reads, in blocks,
+    from one re-keyed bit generator; every value must equal the loop's."""
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("mode", _ORACLE_MODES)
+    def test_bit_for_bit(self, mode, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        model = parse_model("logistic")
+        index = IndexMode.parse(mode)
+        for m in (-0.5, 0.0, 1.2):
+            for n in (3, 7, 500):
+                params = GosParams(m=m, k=1.3, n=n)
+                for first, second in _ORACLE_PAIRS:
+                    if max(first[1], second[1]) > n:
+                        continue
+                    args = (params, model, index, first, second, 12, 2024 + n)
+                    got = simulate_value_pairs(*args)
+                    want = _loop_reference(*args)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w), (mode, m, n, first, second)
+
+    def test_gamma_table_edge(self, monkeypatch):
+        """Blocks on either side of the table's reach, and one straddling it."""
+        monkeypatch.setattr(montecarlo, "_BLOCK", 64)
+        monkeypatch.setattr(montecarlo, "_GAMMA_TABLE_MAX", 100)
+        params = GosParams(m=0.4, k=2.0, n=300)
+        args = (params, parse_model("normal"), IndexMode.parse("geometric"),
+                (_L, 1), (_U, 2), 40, 11)
+        for g, w in zip(simulate_value_pairs(*args), _loop_reference(*args)):
+            assert np.array_equal(g, w)
+
+    def test_streams_are_jumped_streams(self):
+        """Re-keying by counter is `Philox(key=seed).jumped(i)`, also after
+        the generator was left with a buffered word and a half-used one."""
+        for seed in (0, 5, 2**63 + 11):
+            streams = _Streams(seed)
+            for i in [*range(50), 999, 5999, 123456]:
+                dirty = streams.start(i + 7)
+                dirty.random(3)
+                dirty.integers(0, 10, dtype=np.uint32)
+                got = streams.start(i)
+                want = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+                assert got.geometric(1e-3) == want.geometric(1e-3)
+                assert np.array_equal(got.random(1000), want.random(1000))
+                assert np.array_equal(got.integers(0, 10, 5, dtype=np.uint32),
+                                      want.integers(0, 10, 5, dtype=np.uint32))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSamplerMemory:
+    def test_lower_pair_ignores_nu(self):
+        """A lower-lower pair draws max(r, s) uniforms, so nu ~ 1e9 costs
+        neither time nor memory."""
+        params = GosParams(m=0.0, k=1.0, n=10**9)
+        args = (params, parse_model("logistic"), IndexMode.parse("geometric"),
+                (_L, 1), (_L, 2), 20, 3)
+        t0 = time.perf_counter()
+        peak = _traced_peak(lambda: simulate_value_pairs(*args))
+        assert time.perf_counter() - t0 < 0.5
+        assert peak < 1 << 20
+
+    def test_top_pair_memory_is_one_block(self):
+        """A pair that reaches the top draws all nu uniforms, one block at a
+        time: ten times the sample size costs at most one block more."""
+
+        def peak(n):
+            params = GosParams(m=0.0, k=1.0, n=n)
+            return _traced_peak(lambda: simulate_value_pairs(
+                params, parse_model("logistic"), IndexMode.parse("fixed"),
+                (_U, 2), (_U, 1), 1, 5))
+
+        assert peak(2 * 10**6) <= peak(2 * 10**5) + 8 * montecarlo._BLOCK

@@ -1,16 +1,15 @@
 """Thin quadrature layer used by the distribution-function evaluators.
 
-Adaptive panels are delegated to QUADPACK (scipy.integrate.quad); every
-call checks the returned error estimate against the caller's absolute
-tolerance and raises QuadratureError with the achieved error when the
-target is missed.  Every mixture, limit and exact joint df is a finite
+Adaptive panels are delegated to one QUADPACK call (scipy.integrate.quad,
+at most 800 subintervals), whose returned error estimate is checked against
+the caller's absolute tolerance; a miss raises QuadratureError with the
+achieved error.  Every mixture, limit and exact joint df is a finite
 sum; the only serving callers are the two-sided range and midrange limits,
 and the rest are reference routes (`omega_uu`, `omega_ll`, `joint_df_direct`).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import Callable
 
@@ -29,18 +28,11 @@ def integrate(f: Callable[[float], float], lo: float, hi: float, abs_tol: float)
     """Integral of f over (lo, hi); hi may be +inf."""
     if lo == hi:
         return 0.0
-    kwargs = {"epsabs": abs_tol / 10.0, "epsrel": 0.0, "limit": 200}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _sci.IntegrationWarning)
-        value, err = _sci.quad(f, lo, hi, **kwargs)
-    if err > abs_tol and not math.isnan(err):
-        # One retry with a finer subdivision budget before giving up.
-        kwargs["limit"] = 800
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", _sci.IntegrationWarning)
-            value, err = _sci.quad(f, lo, hi, **kwargs)
-        if err > abs_tol:
-            raise QuadratureError(
-                f"integral over ({lo}, {hi}) did not converge to {abs_tol:.1e}", err
-            )
+        value, err = _sci.quad(f, lo, hi, epsabs=abs_tol / 10.0, epsrel=0.0, limit=800)
+    if err > abs_tol:
+        raise QuadratureError(
+            f"integral over ({lo}, {hi}) did not converge to {abs_tol:.1e}", err
+        )
     return value

@@ -341,15 +341,15 @@ def _run_example(args) -> int:
 def _mode_for_law(law: IndexLaw) -> IndexMode:
     """Index mode whose nu_n/n limit is the given law (for sim overlays)."""
     if law.kind == "unit_exponential":
-        return IndexMode.parse("geometric")
+        return IndexMode("geometric")
     if law.kind == "degenerate":
         if law.c == 1.0:
-            return IndexMode.parse("fixed")
-        return IndexMode.parse(f"dependent:const:{law.c:g}")
+            return IndexMode("fixed")
+        return IndexMode("dependent", "const", (law.c,))
     if law.kind == "tabulated" and len(law.grid) == 2:
         (a, h0), (b, h1) = law.grid
         if h0 == 0.0 and h1 == 1.0:
-            return IndexMode.parse(f"dependent:uniform:{a:g}:{b:g}")
+            return IndexMode("dependent", "uniform", (a, b))
     raise UsageError("no built-in sampler realizes this index law")
 
 

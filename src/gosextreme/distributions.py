@@ -59,7 +59,7 @@ class _Family:
     # isf(u) = F^-1(1-u) for the frechet and gumbel upper tails (the normal
     # family has closed-form constants); upper_gap(u) = right_end - F^-1(1-u)
     # for the weibull upper tails; lower_gap(p) = F^-1(p) - left_end for the
-    # weibull lower tails.
+    # weibull lower tails (the quantile itself where left_end is 0).
     isf: Callable | None = None
     upper_gap: Callable | None = None
     lower_gap: Callable | None = None
@@ -89,12 +89,6 @@ class DistributionModel:
 
     def _spec(self) -> _Family:
         return _FAMILIES[self.family]
-
-    def cdf(self, x):
-        return cdf(self, x)
-
-    def quantile(self, p):
-        return quantile(self, p)
 
     def support(self) -> tuple[float, float]:
         return self._spec().support(self.params)
@@ -136,8 +130,10 @@ def tail_transform(model: DistributionModel, side: ExtremeSide) -> TailTransform
 # Family table
 
 
-def _cauchy_cdf(_, x):
-    return 0.5 + np.arctan(x) / math.pi
+def _cauchy_cdf(prm, x):
+    # F(x) = Fbar(-x): the survival form keeps relative accuracy far left,
+    # where 0.5 + atan(x)/pi cancels.
+    return _cauchy_sf(prm, -np.asarray(x, dtype=float))
 
 
 def _cauchy_sf(_, x):
@@ -272,19 +268,14 @@ def _power_sf(prm, x):
     return np.where(x <= 0.0, 1.0, np.where(x >= 1.0, 0.0, out))
 
 
-def _normal_sf(_, x):
-    return sc.ndtr(-np.asarray(x, dtype=float))
+def _mirror_sf(cdf: Callable) -> Callable:
+    """Survival function of a family symmetric about 0: Fbar(x) = F(-x)."""
+    return lambda prm, x: cdf(prm, -np.asarray(x, dtype=float))
 
 
-def _logistic_sf(_, x):
-    return sc.expit(-np.asarray(x, dtype=float))
-
-
-def _laplace_sf(_, x):
-    x = np.asarray(x, dtype=float)
-    return np.where(
-        x >= 0.0, 0.5 * np.exp(-np.maximum(x, 0.0)), 1.0 - 0.5 * np.exp(np.minimum(x, 0.0))
-    )
+def _mirror_isf(q: Callable) -> Callable:
+    """F^-1(1 - u) = -F^-1(u) for a family symmetric about 0."""
+    return lambda prm, u: -q(prm, u)
 
 
 def _lognormal_sf(_, x):
@@ -324,16 +315,6 @@ def _lognormal_isf(_, u):
     return np.exp(-sc.ndtri(np.asarray(u, dtype=float)))
 
 
-def _logistic_isf(_, u):
-    u = np.asarray(u, dtype=float)
-    return np.log1p(-u) - np.log(u)
-
-
-def _laplace_isf(_, u):
-    u = np.asarray(u, dtype=float)
-    return np.where(u < 0.5, -np.log(2.0 * np.minimum(u, 0.5)), np.log(2.0 * (1.0 - u)))
-
-
 def _exponential_isf(prm, u):
     return -prm["sigma"] * np.log(np.asarray(u, dtype=float))
 
@@ -342,7 +323,8 @@ def _rayleigh_isf(prm, u):
     return prm["sigma"] * np.sqrt(-2.0 * np.log(np.asarray(u, dtype=float)))
 
 
-def _uniform_upper_gap(prm, u):
+def _uniform_gap(prm, u):
+    """Distance from either end of (-theta, theta) to the level-u quantile."""
     return 2.0 * prm["theta"] * np.asarray(u, dtype=float)
 
 
@@ -354,28 +336,8 @@ def _power_upper_gap(prm, u):
     return -np.expm1(np.log1p(-np.asarray(u, dtype=float)) / prm["alpha"])
 
 
-def _uniform_lower_gap(prm, p):
-    return 2.0 * prm["theta"] * np.asarray(p, dtype=float)
-
-
-def _beta_lower_gap(prm, p):
-    return sc.betaincinv(prm["alpha"], prm["beta"], np.asarray(p, dtype=float))
-
-
-def _power_lower_gap(prm, p):
-    return np.power(np.asarray(p, dtype=float), 1.0 / prm["alpha"])
-
-
 def _pareto_lower_gap(prm, p):
     return np.expm1(-np.log1p(-np.asarray(p, dtype=float)) / prm["sigma"])
-
-
-def _exponential_lower_gap(prm, p):
-    return -prm["sigma"] * np.log1p(-np.asarray(p, dtype=float))
-
-
-def _rayleigh_lower_gap(prm, p):
-    return prm["sigma"] * np.sqrt(-2.0 * np.log1p(-np.asarray(p, dtype=float)))
 
 
 _INF = math.inf
@@ -395,31 +357,34 @@ _FAMILIES: dict[str, _Family] = {
         "uniform", ("theta",), _uniform_cdf, _uniform_sf, _uniform_q,
         lambda prm: (-prm["theta"], prm["theta"]),
         lambda _: ("weibull", 1.0), lambda _: ("weibull", 1.0),
-        upper_gap=_uniform_upper_gap, lower_gap=_uniform_lower_gap,
+        upper_gap=_uniform_gap, lower_gap=_uniform_gap,
     ),
     "beta": _Family(
         "beta", ("alpha", "beta"), _beta_cdf, _beta_sf, _beta_q, lambda _: (0.0, 1.0),
         lambda prm: ("weibull", prm["beta"]), lambda prm: ("weibull", prm["alpha"]),
-        upper_gap=_beta_upper_gap, lower_gap=_beta_lower_gap,
+        upper_gap=_beta_upper_gap, lower_gap=_beta_q,
     ),
     "power": _Family(
         "power", ("alpha",), _power_cdf, _power_sf, _power_q, lambda _: (0.0, 1.0),
         lambda _: ("weibull", 1.0), lambda prm: ("weibull", prm["alpha"]),
-        upper_gap=_power_upper_gap, lower_gap=_power_lower_gap,
+        upper_gap=_power_upper_gap, lower_gap=_power_q,
     ),
     "normal": _Family(
-        "normal", (), _normal_cdf, _normal_sf, _normal_q, lambda _: (-_INF, _INF),
+        "normal", (), _normal_cdf, _mirror_sf(_normal_cdf), _normal_q,
+        lambda _: (-_INF, _INF),
         lambda _: ("gumbel", None), lambda _: ("gumbel", None),
     ),
     "logistic": _Family(
-        "logistic", (), _logistic_cdf, _logistic_sf, _logistic_q, lambda _: (-_INF, _INF),
+        "logistic", (), _logistic_cdf, _mirror_sf(_logistic_cdf), _logistic_q,
+        lambda _: (-_INF, _INF),
         lambda _: ("gumbel", None), lambda _: ("gumbel", None),
-        isf=_logistic_isf,
+        isf=_mirror_isf(_logistic_q),
     ),
     "laplace": _Family(
-        "laplace", (), _laplace_cdf, _laplace_sf, _laplace_q, lambda _: (-_INF, _INF),
+        "laplace", (), _laplace_cdf, _mirror_sf(_laplace_cdf), _laplace_q,
+        lambda _: (-_INF, _INF),
         lambda _: ("gumbel", None), lambda _: ("gumbel", None),
-        isf=_laplace_isf,
+        isf=_mirror_isf(_laplace_q),
     ),
     "lognormal": _Family(
         "lognormal", (), _lognormal_cdf, _lognormal_sf, _lognormal_q, lambda _: (0.0, _INF),
@@ -430,12 +395,12 @@ _FAMILIES: dict[str, _Family] = {
         "exponential", ("sigma",), _exponential_cdf, _exponential_sf, _exponential_q,
         lambda _: (0.0, _INF),
         lambda _: ("gumbel", None), lambda _: ("weibull", 1.0),
-        isf=_exponential_isf, lower_gap=_exponential_lower_gap,
+        isf=_exponential_isf, lower_gap=_exponential_q,
     ),
     "rayleigh": _Family(
         "rayleigh", ("sigma",), _rayleigh_cdf, _rayleigh_sf, _rayleigh_q, lambda _: (0.0, _INF),
         lambda _: ("gumbel", None), lambda _: ("weibull", 2.0),
-        isf=_rayleigh_isf, lower_gap=_rayleigh_lower_gap,
+        isf=_rayleigh_isf, lower_gap=_rayleigh_q,
     ),
 }
 

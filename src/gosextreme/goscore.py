@@ -58,16 +58,7 @@ def marginal_lower_df(
 ) -> float:
     """df of the r-th m-GOS from the bottom: I_{L_m(x)}(r, N - r + 1)."""
     _check_marginal_args(params, r, x)
-    lmx = lm(params, model, x)
-    if lmx <= 0.0:
-        return 0.0
-    lbx = lbar(params, model, x)
-    if lbx <= 0.0:
-        return 1.0
-    # Route through whichever transform carries the accurate tail.
-    if lbx < 0.5:
-        return 1.0 - reg_inc_beta(lbx, params.big_n - r + 1.0, float(r))
-    return reg_inc_beta(lmx, float(r), params.big_n - r + 1.0)
+    return _beta_ratio_df(params, model, x, float(r), params.big_n - r + 1.0)
 
 
 def marginal_upper_df(
@@ -75,16 +66,24 @@ def marginal_upper_df(
 ) -> float:
     """df of the r-th m-GOS from the top: I_{L_m(x)}(N - R_r + 1, R_r)."""
     _check_marginal_args(params, r, x)
+    rr = params.rank_weight(r)
+    return _beta_ratio_df(params, model, x, params.big_n - rr + 1.0, rr)
+
+
+def _beta_ratio_df(
+    params: GosParams, model: DistributionModel, x: float, a: float, b: float
+) -> float:
+    """I_{L_m(x)}(a, b), routed through whichever of L_m(x) and its
+    complement carries the accurate tail."""
     lmx = lm(params, model, x)
     if lmx <= 0.0:
         return 0.0
     lbx = lbar(params, model, x)
     if lbx <= 0.0:
         return 1.0
-    rr = params.rank_weight(r)
     if lbx < 0.5:
-        return 1.0 - reg_inc_beta(lbx, rr, params.big_n - rr + 1.0)
-    return reg_inc_beta(lmx, params.big_n - rr + 1.0, rr)
+        return 1.0 - reg_inc_beta(lbx, b, a)
+    return reg_inc_beta(lmx, a, b)
 
 
 def _dirichlet_upper(

@@ -69,11 +69,6 @@ class TailTransform:
         elif self.alpha is None or not self.alpha > 0.0:
             raise ValueError(f"{self.kind} transform requires alpha > 0")
 
-    def value(self, x: float) -> float:
-        if self.side == ExtremeSide.UPPER:
-            return kappa(self, x)
-        return rho(self, x)
-
 
 def kappa(transform: TailTransform, x: float) -> float:
     """Upper-side transform; nonincreasing in x, values in [0, +inf]."""

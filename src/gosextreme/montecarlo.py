@@ -46,14 +46,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .distributions import DistributionModel, norming_constants, quantile, tail_transform
 from .limitlaws import TailTransform, kappa, rho
 from .params import ExtremeSide, GosParams, RankPair, Regime
-from .randomindex import IndexLaw, mixture_ll, mixture_lu, mixture_uu
+from .randomindex import IndexLaw, mixture_ll, mixture_lu, mixture_uu, number_label
 
 _ONE_BELOW = float(np.nextafter(1.0, 0.0))
 _TINY = 5e-324
@@ -103,7 +103,7 @@ class IndexMode:
 
     def label(self) -> str:
         if self.kind == "dependent":
-            return ":".join(["dependent", self.t_kind, *(f"{v:g}" for v in self.t_args)])
+            return ":".join(["dependent", self.t_kind, *map(number_label, self.t_args)])
         return self.kind
 
     def implied_law(self) -> IndexLaw:
@@ -392,22 +392,43 @@ def run_bivariate_sim(config: SimConfig) -> SimulationReport:
     law = config.index_mode.implied_law()
     up = tail_transform(model, ExtremeSide.UPPER)
     low = tail_transform(model, ExtremeSide.LOWER)
-    m = float(config.replications)
+    return tally_report(
+        config.to_dict(), tuple(config.eval_grid),
+        lambda g: (z1 < g[0]) & (z2 < g[1]),
+        lambda g: analytic_limit_df(params, pair, up, low, law, *g),
+        config.replications, config.seed,
+    )
+
+
+def tally_report(
+    config: dict,
+    grid: tuple,
+    below: Callable[[object], np.ndarray],
+    limit_df: Callable[[object], float],
+    replications: int,
+    seed: int,
+) -> SimulationReport:
+    """Compare the simulated df with the analytic limit on the grid.
+
+    At each grid point g, `below(g)` marks the replications under g; their
+    share is the empirical df, with its binomial standard error, and
+    `limit_df(g)` is the analytic value.
+    """
+    m = float(replications)
     empirical, analytic, ses = [], [], []
-    for x, y in config.eval_grid:
-        hits = int(np.count_nonzero((z1 < x) & (z2 < y)))
-        p_hat = hits / m
+    for g in grid:
+        p_hat = int(np.count_nonzero(below(g))) / m
         empirical.append(p_hat)
         ses.append(math.sqrt(p_hat * (1.0 - p_hat) / m))
-        analytic.append(analytic_limit_df(params, pair, up, low, law, x, y))
+        analytic.append(limit_df(g))
     return SimulationReport(
-        config=config.to_dict(),
-        grid=tuple(config.eval_grid),
+        config=config,
+        grid=grid,
         empirical=tuple(empirical),
         analytic=tuple(analytic),
         standard_errors=tuple(ses),
         sup_distance=ks_distance(empirical, analytic),
-        seed=config.seed,
+        seed=seed,
     )
 
 

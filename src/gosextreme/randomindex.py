@@ -89,10 +89,17 @@ class IndexLaw:
 
     def label(self) -> str:
         if self.kind == "degenerate":
-            return f"degenerate:{self.c:g}"
+            return f"degenerate:{number_label(self.c)}"
         if self.kind == "unit_exponential":
             return "unit_exponential"
         return f"tabulated[{len(self.grid)}]"
+
+
+def number_label(value: float) -> str:
+    """`value` in `:g` form where that reads back as the same float, else
+    its repr, so that a label parses back to the value it names."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
 
 
 def _validate_table(grid) -> None:

@@ -32,12 +32,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from ._integrate import integrate
 from .distributions import DistributionModel, NormingConstants, norming_constants, tail_transform
 from .limitlaws import TailTransform, kappa
-from .montecarlo import IndexMode, SimulationReport, ks_distance, simulate_value_pairs
+from .montecarlo import IndexMode, SimulationReport, simulate_value_pairs, tally_report
 from .params import ExtremeSide, GosParams
 from .randomindex import IndexLaw, index_kernel
 from .specfun import clip_probability, log_gamma
@@ -56,25 +54,36 @@ class RangeQuery:
     params: GosParams
     law: IndexLaw
     statistic: str  # "range" | "midrange"
-    eta: float | None = None
 
     def __post_init__(self):
         if self.statistic not in ("range", "midrange"):
             raise ValueError(f"statistic must be range or midrange, got {self.statistic}")
-        if self.eta is not None and (self.eta < 0.0 or math.isnan(self.eta)):
-            raise ValueError("eta must lie in [0, +inf]")
-
-    def resolved_eta(self) -> float:
-        return self._eta
 
     # Resolved once per query, on first use (an unsupported case raises there).
     @cached_property
     def _eta(self) -> float:
-        return self.eta if self.eta is not None else eta_limit(self.model, self.params)
+        return eta_limit(self.model, self.params)
 
     @cached_property
     def _upper(self) -> TailTransform:
         return tail_transform(self.model, ExtremeSide.UPPER)
+
+    @cached_property
+    def _lower(self) -> TailTransform:
+        return tail_transform(self.model, ExtremeSide.LOWER)
+
+    @cached_property
+    def _stretch(self) -> float:
+        """How much wider this query's statistic scale is than the default.
+
+        The published normal m = 0, k = 1 midrange is normalized by a_n
+        rather than a_n/2, so its limit df at t is the general one at 2t.
+        """
+        published = (
+            self.model.family == "normal" and self.statistic == "midrange"
+            and self.params.m == 0.0 and self.params.k == 1.0
+        )
+        return 2.0 if published else 1.0
 
 
 def _beta_normalizer(alpha: float, beta_p: float) -> float:
@@ -211,34 +220,24 @@ def _gumbel_pair_df(
 
 
 def _mixed_df(query: RangeQuery, t: float) -> float:
-    """int P_z(statistic <= t) dH(z) for every case but cauchy with m > 0."""
-    params, model, law = query.params, query.model, query.law
-    fam, m, ell = model.family, params.m, params.ell
-    mp1 = m + 1.0
+    """int P_z(statistic <= t) dH(z) for every case `_limit_df` does not
+    serve in closed form.  The parent's lower tail type picks the pair
+    integrand; `eta_limit` alone decides which cases have one."""
+    params, law, ell = query.params, query.law, query.params.ell
     midrange = query.statistic == "midrange"
-    eta = query.resolved_eta()
+    eta = query._eta
+    t = t * query._stretch
 
     if math.isinf(eta):
         # max side dominates; both statistics share the mixed max marginal
         return index_kernel(law, 0.0, 0.0, ell, params.kappa_power(kappa(query._upper, t)))
 
-    if fam == "cauchy":  # m == 0, eta == 1
+    lower = query._lower
+    if lower.kind == "frechet":
         return _frechet_pair_df(law, ell, t, midrange)
-    if fam == "uniform":
-        if m != 0.0:
-            raise UnsupportedCaseError("uniform range limits are m = 0 only")
-        return _weibull_pair_df(law, ell, t, 1.0, 1.0, midrange)
-    if fam in ("beta", "power"):
-        return _weibull_pair_df(law, ell, t, model.params["alpha"], eta, midrange)
-    if fam in ("normal", "logistic", "laplace"):
-        arg = t
-        if fam == "normal" and midrange and m == 0.0 and params.k == 1.0:
-            # The published closed form for this case normalizes the
-            # midrange by a_n rather than a_n/2, which doubles the
-            # argument of the general integral.
-            arg = 2.0 * t
-        return _gumbel_pair_df(law, ell, arg, mp1, eta, midrange)
-    raise UnsupportedCaseError(f"no {query.statistic} limit for family {fam!r}")
+    if lower.kind == "weibull":
+        return _weibull_pair_df(law, ell, t, lower.alpha, eta, midrange)
+    return _gumbel_pair_df(law, ell, t, params.m + 1.0, eta, midrange)
 
 
 def _cauchy_mpos_value(statistic: str, t: float) -> float:
@@ -324,7 +323,7 @@ def statistic_normalization(
     A_v = a/2, B_v = (b+d)/2 for the midrange.  Per-case overrides follow
     the published examples: pure power-tail cases center at 0, the
     cauchy m > 0 case rescales by the dominant lower-side constant, and
-    the normal m=0, k=1 midrange uses A_v = a.
+    the normal m=0, k=1 midrange uses A_v = a (`RangeQuery._stretch`).
     """
     fam, m = query.model.family, query.params.m
     a, b, c, d = consts.a, consts.b, consts.c, consts.d
@@ -335,10 +334,8 @@ def statistic_normalization(
         return (a / 2.0, 0.0) if midrange else (a, 0.0)
     if fam == "pareto":
         return (a / 2.0, 0.0) if midrange else (a, 0.0)
-    if fam == "normal" and midrange and m == 0.0 and query.params.k == 1.0:
-        return a, (b + d) / 2.0
     if midrange:
-        return a / 2.0, (b + d) / 2.0
+        return a / 2.0 * query._stretch, (b + d) / 2.0
     return a, b - d
 
 
@@ -365,22 +362,13 @@ def run_statistic_sim(
         values = ((maxs + mins) / 2.0 - center) / scale
 
     grid = tuple(float(g) for g in grid)
-    m_f = float(replications)
-    empirical, analytic, ses = [], [], []
-    for t in grid:
-        p_hat = float(np.count_nonzero(values < t)) / m_f
-        empirical.append(p_hat)
-        ses.append(math.sqrt(p_hat * (1.0 - p_hat) / m_f))
-        analytic.append(_limit_df(query, t))
     config = {
         "m": params.m, "k": params.k, "n": params.n,
         "model": model.label(), "statistic": query.statistic,
         "index_mode": mode.label(), "law": query.law.label(),
         "replications": replications, "seed": seed, "grid_size": len(grid),
     }
-    return SimulationReport(
-        config=config, grid=grid,
-        empirical=tuple(empirical), analytic=tuple(analytic),
-        standard_errors=tuple(ses),
-        sup_distance=ks_distance(empirical, analytic), seed=seed,
+    return tally_report(
+        config, grid, lambda t: values < t,
+        lambda t: _limit_df(query, t), replications, seed,
     )

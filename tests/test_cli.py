@@ -5,6 +5,7 @@ import pytest
 
 from gosextreme.cli import (
     Table,
+    _mode_for_law,
     emit,
     example_names,
     main,
@@ -17,6 +18,7 @@ from gosextreme.distributions import parse_model
 from gosextreme.goscore import marginal_lower_df, marginal_upper_df
 from gosextreme.limitlaws import TailTransform, kappa, rho
 from gosextreme.params import ExtremeSide, GosParams
+from gosextreme.randomindex import IndexLaw
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +65,21 @@ class TestParsers:
         assert parse_law("degenerate:2").c == 2.0
         with pytest.raises(Exception):
             parse_law("degenerate")
+
+    @pytest.mark.parametrize("c", [1.0000001, 0.1234567])
+    def test_law_label_parses_back_to_the_law(self, c):
+        law = IndexLaw.degenerate(c)
+        assert parse_law(law.label()) == law
+
+    @pytest.mark.parametrize("law", [
+        IndexLaw.degenerate(1.0),
+        IndexLaw.degenerate(1.0000001),
+        IndexLaw.degenerate(0.1234567),
+        IndexLaw.unit_exponential(),
+        IndexLaw.tabulated([(0.1234567, 0.0), (1.0000001, 1.0)]),
+    ], ids=lambda law: law.label())
+    def test_simulated_mode_realizes_the_law(self, law):
+        assert _mode_for_law(law).implied_law() == law
 
 
 class TestEmit:
@@ -194,6 +211,25 @@ class TestVerbs:
     def test_usage_error_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "exact", "--dist", "cauchy", "--n", "5")
         assert code == 1  # neither --marginal nor --regime
+
+    def test_example_overlay_keeps_every_digit_of_the_law(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "example", "pareto-range", "--at", "1", "--law", "degenerate:1.0000001",
+            "--sim-n", "50", "--sim-reps", "10",
+        )
+        assert code == 0
+        assert "# law=degenerate:1.0000001\n" in out
+        assert "# sim_index_mode=dependent:const:1.0000001\n" in out
+
+    def test_example_overlay_without_a_sampler_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("z,H\n0.5,0\n1,0.5\n1.5,1\n")
+        code, _, err = run_cli(
+            capsys, "example", "pareto-range", "--at", "1", "--law", f"table:{path}",
+            "--sim-reps", "10",
+        )
+        assert code == 1
+        assert "no built-in sampler" in err
 
     def test_tabulated_law_file(self, capsys, tmp_path):
         path = tmp_path / "h.csv"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -133,6 +134,14 @@ class TestCdfQuantile:
         assert float(survival(model, 50.0)) == pytest.approx(math.exp(-50.0), rel=1e-13)
         cau = parse_model("cauchy")
         assert float(survival(cau, 1e8)) == pytest.approx(1.0 / (math.pi * 1e8), rel=1e-6)
+
+    @pytest.mark.parametrize("x", [-1e3, -1e10, -1e15])
+    def test_cauchy_far_left_relative_accuracy(self, x):
+        # 0.5 + atan(x)/pi cancels here (13% off at -1e15); F(x) = Fbar(-x)
+        # keeps full relative accuracy.
+        with mpmath.workdps(60):
+            want = float(mpmath.mpf(0.5) + mpmath.atan(x) / mpmath.pi)
+        assert float(cdf(parse_model("cauchy"), x)) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.4])
     def test_quantile_domain(self, p):

@@ -38,6 +38,13 @@ class TestIndexMode:
         for text in ("fixed", "geometric", "dependent:const:1", "dependent:uniform:0.5:1.5"):
             assert IndexMode.parse(text).label() == text
 
+    @pytest.mark.parametrize("c", [1.0000001, 0.1234567])
+    def test_label_parses_back_to_the_mode(self, c):
+        # `:g` would print these as 1 and 0.123457.
+        for mode in (IndexMode("dependent", "const", (c,)),
+                     IndexMode("dependent", "uniform", (c / 2.0, c))):
+            assert IndexMode.parse(mode.label()) == mode
+
     @pytest.mark.parametrize("bad", [
         "poisson", "dependent", "dependent:uniform:1.5:0.5", "dependent:const:0",
         "fixed:3",

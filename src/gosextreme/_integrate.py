@@ -4,8 +4,11 @@ Adaptive panels are delegated to one QUADPACK call (scipy.integrate.quad,
 at most 800 subintervals), whose returned error estimate is checked against
 the caller's absolute tolerance; a miss raises QuadratureError with the
 achieved error.  Every mixture, limit and exact joint df is a finite
-sum; the only serving callers are the two-sided range and midrange limits,
-and the rest are reference routes (`omega_uu`, `omega_ll`, `joint_df_direct`).
+sum, and the two-sided range and midrange limits take a fixed
+Gauss-Legendre rule over the whole grid (`ranges`); the only serving
+caller is that rule's fallback for a point whose two-order estimate
+misses its target.  The rest are reference routes (`omega_uu`,
+`omega_ll`, `joint_df_direct`, `ranges.adaptive_pair_df`).
 """
 
 from __future__ import annotations

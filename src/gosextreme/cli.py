@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage error, 2 validation or numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -238,8 +239,9 @@ def _run_limit_like(args, law: IndexLaw | None) -> int:
         config["H"] = law.label()
     else:
         law = IndexLaw.degenerate(1.0)  # the fixed-size limit
-    rows = [[x, y, analytic_limit_df(params, pair, up, low, law, x, y)]
-            for x in xs for y in ys]
+    x_at, y_at = np.repeat(xs, len(ys)), np.tile(ys, len(xs))
+    values = analytic_limit_df(params, pair, up, low, law, x_at, y_at)
+    rows = [[x, y, v] for x, y, v in zip(x_at.tolist(), y_at.tolist(), values.tolist())]
     _write(emit(Table(["x", "y", "value"], rows, config), args.format), args.out)
     return 0
 
@@ -321,7 +323,7 @@ def _run_example(args) -> int:
         "format": args.format,
     }
     columns = ["t", "analytic"]
-    rows = [[t, evaluate(query, t)] for t in grid]
+    rows = [[t, v] for t, v in zip(grid, evaluate(query, np.array(grid)).tolist())]
 
     if args.sim_reps:
         mode = _mode_for_law(law)
@@ -384,7 +386,9 @@ def _add_gos(p, with_n: bool):
         p.add_argument("--n", type=int, required=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and then kept for the process."""
     parser = _Parser(prog="gosextreme", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", required=True)

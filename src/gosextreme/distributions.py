@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special as sc
 
 from .limitlaws import TailTransform
-from .params import ExtremeSide, GosParams
+from .params import ExtremeSide, GosParams, number_label
 
 
 class NoAttractionError(ValueError):
@@ -96,7 +96,7 @@ class DistributionModel:
     def label(self) -> str:
         if not self.params:
             return self.family
-        inner = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
+        inner = ",".join(f"{k}={number_label(v)}" for k, v in sorted(self.params.items()))
         return f"{self.family}({inner})"
 
 

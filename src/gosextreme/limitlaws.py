@@ -45,6 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._integrate import integrate
 from .params import ExtremeSide, GosParams
 from .specfun import clip_probability, log_gamma, reg_inc_beta, reg_inc_gamma, reg_inc_gamma_upper
@@ -70,36 +72,36 @@ class TailTransform:
             raise ValueError(f"{self.kind} transform requires alpha > 0")
 
 
-def kappa(transform: TailTransform, x: float) -> float:
-    """Upper-side transform; nonincreasing in x, values in [0, +inf]."""
+def kappa(transform: TailTransform, x):
+    """Upper-side transform of a float or an array; nonincreasing in x,
+    values in [0, +inf]."""
     if transform.side != ExtremeSide.UPPER:
         raise ValueError("kappa expects an upper-side transform")
-    if math.isnan(x):
-        raise ValueError("kappa is undefined at NaN")
-    try:
-        if transform.kind == "frechet":
-            return x ** -transform.alpha if x > 0.0 else math.inf
-        if transform.kind == "weibull":
-            return (-x) ** transform.alpha if x <= 0.0 else 0.0
-        return math.exp(-x)
-    except OverflowError:  # beyond the largest float
-        return math.inf
+    return _transform(transform, x, 1.0)
 
 
-def rho(transform: TailTransform, x: float) -> float:
-    """Lower-side transform; nondecreasing in x, values in [0, +inf]."""
+def rho(transform: TailTransform, x):
+    """Lower-side transform of a float or an array; nondecreasing in x,
+    values in [0, +inf]."""
     if transform.side != ExtremeSide.LOWER:
         raise ValueError("rho expects a lower-side transform")
-    if math.isnan(x):
-        raise ValueError("rho is undefined at NaN")
-    try:
+    return _transform(transform, x, -1.0)
+
+
+def _transform(transform: TailTransform, x, sign: float):
+    """The upper-side form at u = sign * x; the lower side is its mirror
+    image.  Values beyond the largest float are +inf."""
+    u = sign * np.asarray(x, dtype=float)
+    if np.isnan(u).any():
+        raise ValueError(f"tail transforms are undefined at NaN, got {x}")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if transform.kind == "frechet":
-            return (-x) ** -transform.alpha if x < 0.0 else math.inf
-        if transform.kind == "weibull":
-            return x ** transform.alpha if x >= 0.0 else 0.0
-        return math.exp(x)
-    except OverflowError:  # beyond the largest float
-        return math.inf
+            value = np.where(u > 0.0, u ** -transform.alpha, np.inf)
+        elif transform.kind == "weibull":
+            value = np.where(u <= 0.0, (-u) ** transform.alpha, 0.0)
+        else:
+            value = np.exp(-u)
+    return value if value.ndim else float(value)
 
 
 def omega_uu(params: GosParams, r: int, s: int, kappa1: float, kappa2: float) -> float:

@@ -52,8 +52,8 @@ import numpy as np
 
 from .distributions import DistributionModel, norming_constants, quantile, tail_transform
 from .limitlaws import TailTransform, kappa, rho
-from .params import ExtremeSide, GosParams, RankPair, Regime
-from .randomindex import IndexLaw, mixture_ll, mixture_lu, mixture_uu, number_label
+from .params import ExtremeSide, GosParams, RankPair, Regime, number_label
+from .randomindex import IndexLaw, mixture_ll, mixture_lu, mixture_uu
 
 _ONE_BELOW = float(np.nextafter(1.0, 0.0))
 _TINY = 5e-324
@@ -359,12 +359,13 @@ def analytic_limit_df(
     up: TailTransform | None,
     low: TailTransform | None,
     law: IndexLaw,
-    x: float,
-    y: float,
-) -> float:
+    x,
+    y,
+):
     """Random-index limit df of the rank pair at (x, y), under the upper
     and lower tail transforms its regime uses (the other may be None).
-    A degenerate law gives the fixed-size limit."""
+    x and y are floats or arrays that broadcast, so a whole grid takes
+    one call.  A degenerate law gives the fixed-size limit."""
     if pair.regime == Regime.UPPER_UPPER:
         return mixture_uu(params, pair.r, pair.s, kappa(up, x), kappa(up, y), law)
     if pair.regime == Regime.LOWER_LOWER:
@@ -392,10 +393,11 @@ def run_bivariate_sim(config: SimConfig) -> SimulationReport:
     law = config.index_mode.implied_law()
     up = tail_transform(model, ExtremeSide.UPPER)
     low = tail_transform(model, ExtremeSide.LOWER)
+    xs, ys = np.array(config.eval_grid, dtype=float).T
     return tally_report(
         config.to_dict(), tuple(config.eval_grid),
         lambda g: (z1 < g[0]) & (z2 < g[1]),
-        lambda g: analytic_limit_df(params, pair, up, low, law, *g),
+        analytic_limit_df(params, pair, up, low, law, xs, ys),
         config.replications, config.seed,
     )
 
@@ -404,28 +406,29 @@ def tally_report(
     config: dict,
     grid: tuple,
     below: Callable[[object], np.ndarray],
-    limit_df: Callable[[object], float],
+    analytic: Sequence[float],
     replications: int,
     seed: int,
 ) -> SimulationReport:
     """Compare the simulated df with the analytic limit on the grid.
 
     At each grid point g, `below(g)` marks the replications under g; their
-    share is the empirical df, with its binomial standard error, and
-    `limit_df(g)` is the analytic value.
+    share is the empirical df, with its binomial standard error.
+    `analytic` holds the analytic value at each grid point, evaluated over
+    the whole grid at once.
     """
     m = float(replications)
-    empirical, analytic, ses = [], [], []
+    empirical, ses = [], []
     for g in grid:
         p_hat = int(np.count_nonzero(below(g))) / m
         empirical.append(p_hat)
         ses.append(math.sqrt(p_hat * (1.0 - p_hat) / m))
-        analytic.append(limit_df(g))
+    analytic = tuple(float(v) for v in analytic)
     return SimulationReport(
         config=config,
         grid=grid,
         empirical=tuple(empirical),
-        analytic=tuple(analytic),
+        analytic=analytic,
         standard_errors=tuple(ses),
         sup_distance=ks_distance(empirical, analytic),
         seed=seed,

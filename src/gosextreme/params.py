@@ -7,9 +7,10 @@ statistics are the special case m = 0, k = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class Regime(str, Enum):
@@ -62,13 +63,12 @@ class GosParams:
         """gamma_j = k + (n - j)*(m + 1)."""
         return self.k + (self.n - j) * (self.m + 1.0)
 
-    def kappa_power(self, kappa_value: float) -> float:
-        """kappa^(m+1) for an upper transform value in [0, +inf], taken as
-        +inf where the power overflows a float (every limit df is 0 there)."""
-        try:
-            return kappa_value ** (self.m + 1.0)
-        except OverflowError:
-            return math.inf
+    def kappa_power(self, kappa_value):
+        """kappa^(m+1) for upper transform values in [0, +inf] (a float or an
+        array), taken as +inf where the power overflows a float (every limit
+        df is 0 there)."""
+        with np.errstate(over="ignore"):
+            return np.power(kappa_value, self.m + 1.0)
 
 
 @dataclass(frozen=True)
@@ -109,3 +109,10 @@ class RankPair:
     def validate_against(self, n: int) -> None:
         if self.max_rank > n:
             raise ValueError(f"ranks {self.r},{self.s} exceed sample size {n}")
+
+
+def number_label(value: float) -> str:
+    """`value` in `:g` form where that reads back as the same float, else
+    its repr, so that a label parses back to the value it names."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))

@@ -40,6 +40,13 @@ included, takes this one path per regime; under a point mass c each
 form reduces to the quadrature reference of `limitlaws` at c-scaled
 arguments, which the tests check.  The `limit` verb is the point mass 1.
 The range and midrange limits (`ranges`) use the same kernel.
+
+The kernel and the mixtures take floats or numpy arrays of transform
+values (w and c broadcast), so a whole grid is one call: the degenerate
+and unit-exponential kernels are a few `gammaincc`/`betainc`/`exp` ufunc
+calls over the array, and a tabulated law's kernel runs its per-segment
+closed forms (`_segment`) element by element.  A float in gives a float
+out.
 """
 
 from __future__ import annotations
@@ -47,13 +54,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .params import ExtremeSide, GosParams
+import numpy as np
+
+from .params import ExtremeSide, GosParams, number_label
 from .specfun import clip_probability, reg_inc_beta, reg_inc_gamma, reg_inc_gamma_upper
-
-_INF = math.inf
-
 
 @dataclass(frozen=True)
 class IndexLaw:
@@ -87,19 +94,18 @@ class IndexLaw:
     def tabulated(points: Sequence[tuple[float, float]]) -> "IndexLaw":
         return IndexLaw(kind="tabulated", grid=tuple((float(z), float(h)) for z, h in points))
 
+    @cached_property
+    def pieces(self) -> tuple[tuple[float, float, float], ...]:
+        """(density, z0, z1) of each segment of a tabulated law on which H rises."""
+        return tuple(((h1 - h0) / (z1 - z0), z0, z1)
+                     for (z0, h0), (z1, h1) in zip(self.grid, self.grid[1:]) if h1 > h0)
+
     def label(self) -> str:
         if self.kind == "degenerate":
             return f"degenerate:{number_label(self.c)}"
         if self.kind == "unit_exponential":
             return "unit_exponential"
         return f"tabulated[{len(self.grid)}]"
-
-
-def number_label(value: float) -> str:
-    """`value` in `:g` form where that reads back as the same float, else
-    its repr, so that a label parses back to the value it names."""
-    short = f"{value:g}"
-    return short if float(short) == value else repr(float(value))
 
 
 def _validate_table(grid) -> None:
@@ -161,55 +167,75 @@ def h_cdf(law: IndexLaw, z: float) -> float:
     raise AssertionError("unreachable")
 
 
-def index_kernel(
-    law: IndexLaw, j: float, w: float, shape: float = 1.0, c: float = 0.0
-) -> float:
+def index_kernel(law: IndexLaw, j: float, w, shape: float = 1.0, c=0.0):
     """N_H(j, w, R, c) = int (zw)^j e^(-zw) / Gamma(j+1) * Q(R, zc) dH(z).
 
     Q(R, x) = 1 - Gamma_R(x) with R = `shape`; c = 0 drops the factor.
     j >= 0 may be real; under a tabulated law with c > 0 it must be an
-    integer.  w, c in [0, +inf]; an infinite w or c gives 0.
+    integer.  w and c are floats or arrays in [0, +inf], which broadcast;
+    an infinite w or c gives 0, and a float pair gives a float.
     """
-    if not (0.0 <= w < _INF and 0.0 <= c < _INF and j >= 0.0):
-        if w == _INF or c == _INF:
-            return 0.0
+    w, c = np.asarray(w, dtype=float), np.asarray(c, dtype=float)
+    if not (j >= 0.0 and np.all(w >= 0.0) and np.all(c >= 0.0)):
         raise ValueError(f"index_kernel needs j, w, c >= 0, got j={j}, w={w}, c={c}")
-    if law.kind == "degenerate":
-        # The fixed-size range integrands run through here once per
-        # quadrature node: skip the weight where Q vanishes, and the
-        # general weight for the common j = 0, 1.
-        point = law.c
-        q = reg_inc_gamma_upper(shape, point * c) if c > 0.0 else 1.0
-        if q == 0.0:
-            return 0.0
-        x = point * w
-        if j == 1.0:
-            return q * x * math.exp(-x)
-        return q * (math.exp(-x) if j == 0.0 else _poisson_weight(j, x))
-    if law.kind == "unit_exponential":
-        # z ~ Gamma(j+1) and the Gamma(R) variate behind Q meet in a beta
-        # ratio I_x(j+1, R), x = (1+w)/(1+w+c); near x = 1 it is taken
-        # through its complement, since 1 - x is exact only as c/(1+w+c).
-        front = (w / (1.0 + w)) ** j / (1.0 + w)
-        if c == 0.0:
-            return front
-        if c < 1.0 + w:
-            return front * (1.0 - reg_inc_beta(c / (1.0 + w + c), shape, j + 1.0))
-        return front * reg_inc_beta((1.0 + w) / (1.0 + w + c), j + 1.0, shape)
-    if c > 0.0 and j != int(j):
+    if law.kind == "tabulated" and j != int(j) and np.any(c > 0.0):
         raise ValueError(f"tabulated index_kernel needs an integer j when c > 0, got {j}")
-    total = 0.0
-    for (z0, h0), (z1, h1) in zip(law.grid, law.grid[1:]):
-        if h1 > h0:
-            total += (h1 - h0) / (z1 - z0) * _segment(j, w, shape, c, z0, z1)
-    return total
+    dead = np.isinf(w) | np.isinf(c)
+    if dead.any():
+        w, c = np.where(dead, 0.0, w), np.where(dead, 0.0, c)
+    value = _KERNELS[law.kind](law, j, w, float(shape), c)
+    if dead.any():
+        value = np.where(dead, 0.0, value)
+    return value if np.ndim(value) else float(value)
 
 
-def _poisson_weight(j: float, x: float) -> float:
-    """x^j e^-x / Gamma(j+1), with 0^0 = 1."""
-    if x == 0.0:
-        return 1.0 if j == 0.0 else 0.0
-    return math.exp(j * math.log(x) - x - math.lgamma(j + 1.0))
+def _degenerate_kernel(law: IndexLaw, j: float, w, shape: float, c):
+    point = law.c
+    x = point * w
+    if j == 0.0:
+        weight = np.exp(-x)
+    elif j == 1.0:
+        weight = x * np.exp(-x)
+    else:  # x^j e^-x / Gamma(j+1), 0 at x = 0
+        with np.errstate(divide="ignore"):
+            weight = np.exp(j * np.log(x) - x - math.lgamma(j + 1.0))
+    if not c.any():
+        return weight
+    # Q(1, x) = e^-x: the range integrands at ell = 1 take this at each
+    # node, and the exponential costs a fraction of the incomplete ratio.
+    return weight * (np.exp(-point * c) if shape == 1.0 else reg_inc_gamma_upper(shape, point * c))
+
+
+def _unit_exponential_kernel(law: IndexLaw, j: float, w, shape: float, c):
+    # z ~ Gamma(j+1) and the Gamma(R) variate behind Q meet in a beta
+    # ratio I_x(j+1, R), x = (1+w)/(1+w+c); near x = 1 it is taken
+    # through its complement, since 1 - x is exact only as c/(1+w+c).
+    front = (w / (1.0 + w)) ** j / (1.0 + w)
+    if not c.any():
+        return front
+    near = c < 1.0 + w
+    ratio = reg_inc_beta(
+        np.where(near, c, 1.0 + w) / (1.0 + w + c),
+        np.where(near, shape, j + 1.0),
+        np.where(near, j + 1.0, shape),
+    )
+    return front * np.where(near, 1.0 - ratio, ratio)
+
+
+def _tabulated_kernel(law: IndexLaw, j: float, w, shape: float, c):
+    # One element at a time: each segment of the table is a closed form
+    # with branches of its own (`_segment`).
+    w, c = np.broadcast_arrays(w, c)
+    values = [sum(slope * _segment(j, wi, shape, ci, z0, z1) for slope, z0, z1 in law.pieces)
+              for wi, ci in zip(w.ravel().tolist(), c.ravel().tolist())]
+    return np.array(values, dtype=float).reshape(w.shape)
+
+
+_KERNELS = {
+    "degenerate": _degenerate_kernel,
+    "unit_exponential": _unit_exponential_kernel,
+    "tabulated": _tabulated_kernel,
+}
 
 
 def _segment(j: float, w: float, shape: float, c: float, z0: float, z1: float) -> float:
@@ -291,53 +317,64 @@ def mixture_uu(
     params: GosParams,
     r: int,
     s: int,
-    kappa1: float,
-    kappa2: float,
+    kappa1,
+    kappa2,
     law: IndexLaw,
-) -> float:
-    """Random-index upper-upper limit at transform values (kappa1, kappa2)."""
+):
+    """Random-index upper-upper limit at transform values (kappa1, kappa2),
+    floats or arrays that broadcast."""
     k1, k2 = params.kappa_power(kappa1), params.kappa_power(kappa2)
     if not s < r:
         raise ValueError(f"upper-upper requires s < r, got r={r}, s={s}")
     rs = params.rank_weight(s)
-    if k1 <= k2:
-        # x >= y: the joint collapses onto the shallower marginal.
-        return clip_probability(index_kernel(law, 0.0, 0.0, rs, k2))
-    # G_r = G_s + D with D ~ Gamma(r - s): either G_s > k1 already, or
-    # G_s lies in (k2, k1] and D covers the rest, which at G_s = k1 t
-    # splits by the Poisson sum of D's tail into beta ratios in t.
-    value = index_kernel(law, 0.0, 0.0, rs, k1)
-    x = 1.0 - k2 / k1
+    # Where k1 <= k2 (x >= y) the joint collapses onto the shallower
+    # marginal at k2.  Elsewhere G_r = G_s + D with D ~ Gamma(r - s):
+    # either G_s > k1 already, or G_s lies in (k2, k1] and D covers the
+    # rest, which at G_s = k1 t splits by the Poisson sum of D's tail into
+    # beta ratios in t.  Collapsed points take k1 = 0 in those terms, where
+    # each kernel costs nothing, and x = 0, where every ratio vanishes.
+    joint = k1 > k2
+    value = index_kernel(law, 0.0, 0.0, rs, np.maximum(k1, k2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(joint, 1.0 - k2 / k1, 0.0)
     for i in range(r - s):
-        value += index_kernel(law, rs + i, k1) * reg_inc_beta(x, i + 1, rs)
+        value = value + index_kernel(law, rs + i, np.where(joint, k1, 0.0)) * reg_inc_beta(
+            x, i + 1, rs)
     return clip_probability(value)
 
 
-def mixture_ll(r: int, s: int, rho1: float, rho2: float, law: IndexLaw) -> float:
-    """Random-index lower-lower limit at transform values (rho1, rho2)."""
+def mixture_ll(r: int, s: int, rho1, rho2, law: IndexLaw):
+    """Random-index lower-lower limit at transform values (rho1, rho2),
+    floats or arrays that broadcast."""
     if not r < s:
         raise ValueError(f"lower-lower requires r < s, got r={r}, s={s}")
-    if rho1 >= rho2:
-        # x >= y branch: the deeper coordinate is inactive.
-        return _mixed_lower(s, rho2, law)
-    value = _mixed_lower(r, rho1, law)
-    if value == 0.0 or math.isinf(rho2):
-        return value
-    x = rho1 / rho2
+    # Where rho1 >= rho2 (x >= y) the deeper coordinate is inactive.  Each
+    # kernel below is taken at 0 on the points of the other branch, where
+    # it costs nothing, and collapsed points take x = 0, where every ratio
+    # vanishes.
+    collapsed = rho1 >= rho2
+    value = np.where(
+        collapsed,
+        _mixed_lower(s, np.where(collapsed, rho2, 0.0), law),
+        _mixed_lower(r, np.where(collapsed, 0.0, rho1), law),
+    )
+    live_rho2 = np.where(collapsed, 0.0, rho2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(collapsed, 0.0, np.divide(rho1, rho2))
     for j in range(s - r):
-        value -= index_kernel(law, r + j, rho2) * reg_inc_beta(x, r, j + 1)
-    return clip_probability(value)
+        value = value - index_kernel(law, r + j, live_rho2) * reg_inc_beta(x, r, j + 1)
+    return clip_probability(value if value.ndim else float(value))
 
 
 def mixture_marginal(
     side,
     params: GosParams,
     r: int,
-    value: float,
+    value,
     law: IndexLaw,
-) -> float:
-    """Mixed marginal: upper int [1 - Gamma_{R_r}(z kappa^(m+1))] dH(z),
-    lower int Gamma_r(z rho) dH(z)."""
+):
+    """Mixed marginal at a float or an array: upper
+    int [1 - Gamma_{R_r}(z kappa^(m+1))] dH(z), lower int Gamma_r(z rho) dH(z)."""
     if ExtremeSide(side) == ExtremeSide.UPPER:
         return clip_probability(
             index_kernel(law, 0.0, 0.0, params.rank_weight(r), params.kappa_power(value))
@@ -345,7 +382,7 @@ def mixture_marginal(
     return _mixed_lower(r, value, law)
 
 
-def _mixed_lower(r: int, rho: float, law: IndexLaw) -> float:
+def _mixed_lower(r: int, rho, law: IndexLaw):
     return clip_probability(1.0 - index_kernel(law, 0.0, 0.0, float(r), rho))
 
 
@@ -353,12 +390,13 @@ def mixture_lu(
     params: GosParams,
     r: int,
     s: int,
-    rho1: float,
-    kappa2: float,
+    rho1,
+    kappa2,
     law: IndexLaw,
-) -> float:
+):
     """Random-index lower-upper limit
-    int Gamma_r(z rho1) [1 - Gamma_{R_s}(z kappa2^(m+1))] dH(z).
+    int Gamma_r(z rho1) [1 - Gamma_{R_s}(z kappa2^(m+1))] dH(z), at floats
+    or arrays that broadcast.
 
     Both factors share one index scale z: the sample size couples the
     minimum and the maximum, so under a non-degenerate law this is not
@@ -370,6 +408,5 @@ def mixture_lu(
     k2 = params.kappa_power(kappa2)
     shape = params.rank_weight(s)
     value = index_kernel(law, 0.0, 0.0, shape, k2)
-    if not math.isinf(rho1):
-        value -= sum(index_kernel(law, float(j), rho1, shape, k2) for j in range(r))
+    value = value - sum(index_kernel(law, float(j), rho1, shape, k2) for j in range(r))
     return clip_probability(value)

@@ -9,7 +9,7 @@ Each supported (family, m) case carries:
   fixed-size limit and the unit-exponential law the geometric-size
   forms.  The mixture is taken by Fubini: z is integrated out first
   through the closed-form kernel `randomindex.index_kernel`, which
-  leaves one quadrature over the min-side variable for the two-sided
+  leaves one integral over the min-side variable for the two-sided
   families and none for the single-sided ones;
 * the normalization convention (A_r, B_r, A_v, B_v) the simulator must
   apply, expressed through the per-sample-size constants (a, b, c, d).
@@ -24,13 +24,26 @@ forms 1 - e^(-1/r) and e^(1/v); they are kept verbatim (and pinned by
 the acceptance checks) although they are decreasing in their argument,
 so this one case is excluded from the df-shape and simulation
 diagnostics.  It is only defined for the unit-exponential law.
+
+Evaluation is per grid: `range_limit_df` and `midrange_limit_df` take a
+float or an array of t, and a whole grid costs a few array kernel calls.
+The two-sided integral is written over s = ln w, with w the index
+kernel's argument, as int N_H(1, e^s, ell, c(s)) ds.  It is taken on
+Gauss-Legendre nodes shared by the whole grid, over an s-range truncated
+by a bound on the index weight of the law; the difference of two orders
+is its error estimate, and the rare point that no pair of orders settles
+falls back alone to the adaptive `integrate` (see "the fixed rule over
+s" below).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+
+import numpy as np
+from scipy.special import roots_legendre
 
 from ._integrate import integrate
 from .distributions import DistributionModel, NormingConstants, norming_constants, tail_transform
@@ -40,7 +53,8 @@ from .params import ExtremeSide, GosParams
 from .randomindex import IndexLaw, index_kernel
 from .specfun import clip_probability, log_gamma
 
-# Absolute tolerance of the one quadrature behind each value.
+# Absolute tolerance of each two-sided range value: the fixed rule's
+# estimate and the adaptive fallback's target are a tenth of it.
 RANGE_ABS_TOL = 1e-9
 
 
@@ -85,6 +99,10 @@ class RangeQuery:
         )
         return 2.0 if published else 1.0
 
+    @cached_property
+    def _s_extent(self) -> tuple[float, float]:
+        return _s_extent(self.law)
+
 
 def _beta_normalizer(alpha: float, beta_p: float) -> float:
     return math.exp(log_gamma(alpha + beta_p) - log_gamma(alpha) - log_gamma(beta_p))
@@ -128,147 +146,245 @@ def eta_limit(model: DistributionModel, params: GosParams) -> float:
 # kappa(x)^(m+1) for the family's upper tail) against the min-side
 # conditional density.  Integrating z out first turns each slice into
 # L_H(1, w, ell, c) = int z e^(-zw) Q(ell, zc) dH(z) = N_H(1, w, ell, c) / w,
-# so the min-side variable carries the only integral left.
+# so the min-side variable carries the only integral left.  Over
+# s = ln w each pair reads
+#
+#     head(t) + int_{lo(t)}^{hi(t)} N_H(1, e^s, ell, c(s, t)) ds,
+#
+# and each pair function below returns (head, lo, hi, c) for an array of
+# t.  Without the max factor the integrand is the index weight
+# N_H(1, e^s, ell, 0) = int z e^s e^(-z e^s) dH(z), of unit mass.
 
 
-def _frechet_pair_df(law: IndexLaw, ell: float, t: float, midrange: bool) -> float:
+def _frechet_pair(t, midrange: bool):
     # Both tails power-type with unit exponent (cauchy, m = 0, eta = 1).
-    # Min-side density z y^-2 e^(-z/y) on y > 0; the max factor is taken at
-    # t - y (range, vanishing for y >= t) or v + y (midrange, v = t).
-    # With w = 1/y the integrand L_H(1, w) y^-2 is N_H(1, w) / y.
+    # Min-side density z y^-2 e^(-z/y) on y = e^-s > 0; the max factor is
+    # taken at t - y (range, vanishing for y >= t) or t + y (midrange,
+    # vanishing for y <= -t), where its argument is +inf.
+    sign = 1.0 if midrange else -1.0
+
+    def c_of(s, t):
+        gap = t + sign * np.exp(-s)
+        return np.where(gap > 0.0, 1.0 / gap, np.inf)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        edge = -np.log(-sign * t)  # where the gap closes
+    unbounded = np.full_like(t, np.inf)
     if midrange:
-        def integrand(y: float) -> float:
-            try:
-                c = 1.0 / (t + y)
-            except ZeroDivisionError:  # t + y rounds to 0 where |t| is huge
-                c = math.inf
-            return index_kernel(law, 1.0, 1.0 / y, ell, c) / y
-
-        return integrate(integrand, max(0.0, -t), math.inf, RANGE_ABS_TOL)
-    if t <= 0.0:
-        return 0.0
-
-    def integrand(y: float) -> float:
-        return index_kernel(law, 1.0, 1.0 / y, ell, 1.0 / (t - y)) / y
-
-    return integrate(integrand, 0.0, t, RANGE_ABS_TOL)
+        return np.zeros_like(t), -unbounded, np.where(t < 0.0, edge, np.inf), c_of
+    return np.zeros_like(t), np.where(t > 0.0, edge, np.inf), unbounded, c_of
 
 
-def _weibull_pair_df(
-    law: IndexLaw, ell: float, t: float, alpha: float, eta: float, midrange: bool
-) -> float:
+def _weibull_pair(law: IndexLaw, t, alpha: float, eta: float, midrange: bool):
     # Both tails bounded-endpoint type with exponents (alpha, alpha) after
     # the m+1 power (beta with alpha = (m+1)beta, power, and uniform at
     # alpha = 1).  The min-side conditional density is z e^{-z tau} after
-    # tau = w^alpha, and the max factor argument is
-    # (-(t + w/eta))_+^alpha (range) or (w/eta - t)_+^alpha (midrange).
-    # Powers past the largest float are taken as +inf, where the max
-    # factor and the min-side weight vanish.
-    def integrand(tau: float) -> float:
-        w = tau ** (1.0 / alpha)
-        x = (w / eta - t) if midrange else -(t + w / eta)
-        try:
-            c = x**alpha if x > 0.0 else 0.0
-        except OverflowError:
-            c = math.inf
-        return index_kernel(law, 1.0, tau, ell, c) / tau
+    # tau = w^alpha = e^s, and the max factor argument is
+    # (w/eta - t)_+^alpha (midrange) or (-(t + w/eta))_+^alpha (range).
+    # On the far side of tau = split = (|t| eta)^alpha the max factor is
+    # constant, 1 below it (midrange) or 0 above it (range), which leaves
+    # the index weight's mass there: 1 - N_H(0, split) or N_H(0, split).
+    # Powers past the largest float are +inf, where the max factor and
+    # the index weight vanish.
+    def c_of(s, t):
+        scaled = np.exp(s / alpha) / eta
+        return np.maximum(scaled - t if midrange else -(t + scaled), 0.0) ** alpha
 
+    beyond = t > 0.0 if midrange else t < 0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        split = np.where(beyond, np.power(np.abs(t) * eta, alpha), 0.0)
+        edge = np.log(split)
+    mass = index_kernel(law, 0.0, split)
     if midrange:
-        split = _power_or_inf(t * eta, alpha) if t > 0.0 else 0.0
-        head = 1.0 - index_kernel(law, 0.0, split) if split > 0.0 else 0.0
-        return head + integrate(integrand, split, math.inf, RANGE_ABS_TOL)
-    if t >= 0.0:
-        return 1.0
-    split = _power_or_inf(-t * eta, alpha)
-    return index_kernel(law, 0.0, split) + integrate(integrand, 0.0, split, RANGE_ABS_TOL)
+        return np.where(beyond, 1.0 - mass, 0.0), edge, np.full_like(t, np.inf), c_of
+    # t >= 0: an empty interval and the whole mass
+    return np.where(beyond, mass, 1.0), np.full_like(t, -np.inf), edge, c_of
 
 
-def _power_or_inf(base: float, expo: float) -> float:
-    """base^expo for base > 0, or +inf where it overflows a float."""
-    try:
-        return base**expo
-    except OverflowError:
-        return math.inf
-
-
-def _gumbel_pair_df(
-    law: IndexLaw, ell: float, t: float, mp1: float, eta: float, midrange: bool
-) -> float:
-    # Both tails exponential-type.  After tau = e^w the min-side density
-    # is z e^{-z tau} and the max factor argument is e^{-t(m+1)} tau^expo,
-    # expo = -(m+1)/eta (range) or +(m+1)/eta (midrange).  It is taken as
-    # (tau * scale)^expo with scale = e^{-t(m+1)/expo}, so that no infinite
-    # factor meets a zero one; past the float range the argument is 0 or
-    # +inf, as its exact value would round.
+def _gumbel_pair(t, mp1: float, eta: float, midrange: bool):
+    # Both tails exponential-type, and s is the min-side variable itself:
+    # after tau = e^s the min-side density is z e^{-z tau} and the max
+    # factor argument is e^{-t(m+1)} tau^expo, expo = +(m+1)/eta
+    # (midrange) or -(m+1)/eta (range), taken as one exponential so that
+    # past the float range it is 0 or +inf, as its exact value would round.
     expo = mp1 / eta if midrange else -mp1 / eta
-    try:
-        scale = math.exp(-t * mp1 / expo)
-    except OverflowError:
-        scale = math.inf
 
-    def integrand(tau: float) -> float:
-        try:
-            c = (tau * scale) ** expo
-        except (OverflowError, ZeroDivisionError):  # ZeroDivisionError: 0 ** -a
-            c = math.inf
-        return index_kernel(law, 1.0, tau, ell, c) / tau
+    def c_of(s, t):
+        return np.exp(expo * s - t * mp1)
 
-    return integrate(integrand, 0.0, math.inf, RANGE_ABS_TOL)
+    unbounded = np.full_like(t, np.inf)
+    return np.zeros_like(t), -unbounded, unbounded, c_of
+
+
+# --- the fixed rule over s ---------------------------------------------------
+# Every point of a grid is integrated on Gauss-Legendre nodes over its own
+# s-interval, truncated where the index weight has at most _TAIL_MASS left
+# beyond each end.  Orders double along _ORDERS; a point is done once the
+# two latest orders agree within a tenth of RANGE_ABS_TOL, counting the
+# truncated mass, and a point that no pair of orders settles falls back
+# alone to the adaptive `integrate`.  Each point's sums are taken in a
+# fixed pairwise order over its own nodes only, so its value does not
+# depend on the grid around it; the grid is taken _CHUNK points at a time,
+# so memory does not grow with its length.
+
+_ORDERS = (64, 128, 256, 512, 1024)
+_CHUNK = 64
+_TAIL_MASS = 1e-14
+
+
+@lru_cache(maxsize=None)
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [-1, 1] as a column, and their weights."""
+    nodes, weights = roots_legendre(order)
+    return nodes[:, None], weights[:, None]
+
+
+def _s_extent(law: IndexLaw) -> tuple[float, float]:
+    """(s_lo, s_hi) with at most _TAIL_MASS of the index weight's unit mass
+    below s_lo and above s_hi.
+
+    The weight's mass below ln W is int (1 - e^(-zW)) dH(z) <= W E[z], and
+    above it int e^(-zW) dH(z), the Laplace transform of H."""
+    if law.kind == "degenerate":
+        mean, top = law.c, math.log(1.0 / _TAIL_MASS) / law.c
+    elif law.kind == "unit_exponential":
+        mean, top = 1.0, 1.0 / _TAIL_MASS  # the transform is 1/(1 + W)
+    else:
+        pieces = law.pieces
+        mean = sum(slope * (z1 * z1 - z0 * z0) / 2.0 for slope, z0, z1 in pieces)
+        # H has density at most d on [z_a, inf), so the transform is at most
+        # d e^(-z_a W) / W: below d / W, and for z_a W >= 1 below
+        # d z_a e^(-z_a W).
+        d, z_a = max(p[0] for p in pieces), pieces[0][1]
+        top = d / _TAIL_MASS
+        if z_a > 0.0:
+            top = min(top, max(1.0, math.log(d * z_a / _TAIL_MASS)) / z_a)
+    return math.log(_TAIL_MASS / mean), math.log(top)
+
+
+def _gauss_legendre(law: IndexLaw, ell: float, c_of, a, b, t, order: int):
+    """The order-point rule over [a, b] for each point (1-d arrays)."""
+    nodes, weights = _legendre(order)
+    half = (b - a) / 2.0
+    s = (a + half) + half * nodes  # (order, points)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = c_of(s, t)
+    terms = index_kernel(law, 1.0, np.exp(s), ell, c) * weights
+    while len(terms) > 1:  # pairwise, in the same order for every point
+        terms = terms[: len(terms) // 2] + terms[len(terms) // 2:]
+    return half * terms[0]
+
+
+def _pair_df(query: RangeQuery, t) -> np.ndarray:
+    """A two-sided case's df over one chunk of stretched t."""
+    head, lo, hi, c_of = _pair(query, t)
+    law, ell = query.law, query.params.ell
+    s_lo, s_hi = query._s_extent
+    a, b = np.maximum(lo, s_lo), np.minimum(hi, s_hi)
+    cut = _TAIL_MASS * ((lo < s_lo).astype(float) + (hi > s_hi))
+    value = head.astype(float)
+    todo = np.flatnonzero(a < b)
+    low = _gauss_legendre(law, ell, c_of, a[todo], b[todo], t[todo], _ORDERS[0])
+    for order in _ORDERS[1:]:
+        if not todo.size:
+            break
+        high = _gauss_legendre(law, ell, c_of, a[todo], b[todo], t[todo], order)
+        done = np.abs(high - low) + cut[todo] <= RANGE_ABS_TOL / 10.0
+        value[todo[done]] += high[done]
+        todo, low = todo[~done], high[~done]
+    for i in todo:
+        value[i] += _adaptive(law, ell, c_of, a[i], b[i], t[i])
+    return value
+
+
+def _adaptive(law: IndexLaw, ell: float, c_of, a: float, b: float, t: float) -> float:
+    def integrand(s: float) -> float:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return index_kernel(law, 1.0, math.exp(s), ell, c_of(s, t))
+
+    return integrate(integrand, float(a), float(b), RANGE_ABS_TOL)
 
 
 # --- case dispatch ---------------------------------------------------------
 
 
-def _mixed_df(query: RangeQuery, t: float) -> float:
-    """int P_z(statistic <= t) dH(z) for every case `_limit_df` does not
-    serve in closed form.  The parent's lower tail type picks the pair
-    integrand; `eta_limit` alone decides which cases have one."""
-    params, law, ell = query.params, query.law, query.params.ell
-    midrange = query.statistic == "midrange"
-    eta = query._eta
+def _mixed_df(query: RangeQuery, t) -> np.ndarray:
+    """int P_z(statistic <= t) dH(z) over an array of t, for every case
+    `_limit_df` does not serve in closed form."""
     t = t * query._stretch
-
-    if math.isinf(eta):
+    if math.isinf(query._eta):
         # max side dominates; both statistics share the mixed max marginal
-        return index_kernel(law, 0.0, 0.0, ell, params.kappa_power(kappa(query._upper, t)))
+        upper = query.params.kappa_power(kappa(query._upper, t))
+        return index_kernel(query.law, 0.0, 0.0, query.params.ell, upper)
+    value = np.empty_like(t)
+    for start in range(0, len(t), _CHUNK):
+        value[start:start + _CHUNK] = _pair_df(query, t[start:start + _CHUNK])
+    return value
 
-    lower = query._lower
+
+def _pair(query: RangeQuery, t):
+    """(head, lo, hi, c) of the two-sided case at stretched t.  The
+    parent's lower tail type picks the pair integrand; `eta_limit` alone
+    decides which cases have one."""
+    lower, midrange = query._lower, query.statistic == "midrange"
     if lower.kind == "frechet":
-        return _frechet_pair_df(law, ell, t, midrange)
+        return _frechet_pair(t, midrange)
     if lower.kind == "weibull":
-        return _weibull_pair_df(law, ell, t, lower.alpha, eta, midrange)
-    return _gumbel_pair_df(law, ell, t, params.m + 1.0, eta, midrange)
+        return _weibull_pair(query.law, t, lower.alpha, query._eta, midrange)
+    return _gumbel_pair(t, query.params.m + 1.0, query._eta, midrange)
 
 
-def _cauchy_mpos_value(statistic: str, t: float) -> float:
-    if statistic == "range":
-        return -math.expm1(-1.0 / t) if t > 0.0 else 0.0
-    return math.exp(1.0 / t) if t < 0.0 else 1.0
+def adaptive_pair_df(query: RangeQuery, t: float) -> float:
+    """A two-sided case's df at one t by the adaptive `integrate` over the
+    same truncated s-interval: the fixed rule's fallback, kept as the
+    reference route that `selftest` and the tests hold the rule to."""
+    if math.isinf(query._eta):
+        raise ValueError("single-sided cases take no quadrature")
+    t = np.array([t * query._stretch])
+    head, lo, hi, c_of = _pair(query, t)
+    a, b = max(lo[0], query._s_extent[0]), min(hi[0], query._s_extent[1])
+    integral = _adaptive(query.law, query.params.ell, c_of, a, b, t[0]) if a < b else 0.0
+    return float(head[0]) + integral
 
 
-def range_limit_df(query: RangeQuery, t: float) -> float:
-    """P(normalized generalized range <= t) in the query's index limit."""
+def _cauchy_mpos_value(statistic: str, t):
+    with np.errstate(divide="ignore", over="ignore"):
+        if statistic == "range":
+            return np.where(t > 0.0, -np.expm1(-1.0 / t), 0.0)
+        return np.where(t < 0.0, np.exp(1.0 / t), 1.0)
+
+
+def range_limit_df(query: RangeQuery, t):
+    """P(normalized generalized range <= t) in the query's index limit, at
+    a float or over an array of t."""
     if query.statistic != "range":
         raise ValueError("query.statistic must be 'range'")
     return _limit_df(query, t)
 
 
-def midrange_limit_df(query: RangeQuery, v: float) -> float:
-    """P(normalized generalized midrange <= v) in the query's index limit."""
+def midrange_limit_df(query: RangeQuery, v):
+    """P(normalized generalized midrange <= v) in the query's index limit,
+    at a float or over an array of v."""
     if query.statistic != "midrange":
         raise ValueError("query.statistic must be 'midrange'")
     return _limit_df(query, v)
 
 
-def _limit_df(query: RangeQuery, t: float) -> float:
+def _limit_df(query: RangeQuery, t):
+    """The query's limit df over a whole grid of t (a float gives a float)."""
+    grid = np.asarray(t, dtype=float)
+    if np.isnan(grid).any():
+        raise ValueError("range and midrange limits are undefined at NaN")
     if query.model.family == "cauchy" and query.params.m > 0.0:
         if query.law.kind != "unit_exponential":
             raise UnsupportedCaseError(
                 "the cauchy m > 0 forms are published for the geometric "
                 "(unit-exponential) index law only"
             )
-        return _cauchy_mpos_value(query.statistic, t)
-    return clip_probability(_mixed_df(query, t))
+        value = _cauchy_mpos_value(query.statistic, grid)
+    else:
+        value = clip_probability(_mixed_df(query, grid.ravel()).reshape(grid.shape))
+    return value if value.ndim else float(value)
 
 
 def normal_range_closed_form(r: float) -> float:
@@ -362,13 +478,11 @@ def run_statistic_sim(
         values = ((maxs + mins) / 2.0 - center) / scale
 
     grid = tuple(float(g) for g in grid)
+    analytic = _limit_df(query, np.array(grid))
     config = {
         "m": params.m, "k": params.k, "n": params.n,
         "model": model.label(), "statistic": query.statistic,
         "index_mode": mode.label(), "law": query.law.label(),
         "replications": replications, "seed": seed, "grid_size": len(grid),
     }
-    return tally_report(
-        config, grid, lambda t: values < t,
-        lambda t: _limit_df(query, t), replications, seed,
-    )
+    return tally_report(config, grid, lambda t: values < t, analytic, replications, seed)

@@ -255,6 +255,27 @@ def _ranges_coincide():
     return worst <= 1e-9, f"max range/midrange gap on coincidence cases {worst:.2e}"
 
 
+@_check("range-fixed-rule")
+def _range_fixed_rule():
+    # The two-sided ranges sum scipy/numpy ufuncs over fixed Gauss-Legendre
+    # nodes; hold them to the adaptive route on a few cases of each pair
+    # integrand, so that a numpy or scipy build whose ufuncs differ shows.
+    cases = [
+        ("normal", "range", IndexLaw.degenerate(1.0), 0.0, 1.0, 0.5),
+        ("logistic", "midrange", IndexLaw.unit_exponential(), 1.2, 1.3, 8.6),
+        ("beta(alpha=4,beta=2)", "midrange", IndexLaw.unit_exponential(), 1.0, 1.0, 0.3),
+        ("uniform(theta=1)", "range", IndexLaw.degenerate(2.0), 0.0, 1.0, -0.5),
+        ("cauchy", "range", IndexLaw.tabulated([(0.5, 0.0), (1.5, 1.0)]), 0.0, 1.0, 2.0),
+        ("cauchy", "midrange", IndexLaw.degenerate(1.0), 0.0, 1.0, -1.5),
+    ]
+    worst = 0.0
+    for spec, stat, law, m, k, t in cases:
+        query = ranges.RangeQuery(model=parse_model(spec), params=GosParams(m=m, k=k, n=50),
+                                  law=law, statistic=stat)
+        worst = max(worst, abs(ranges._limit_df(query, t) - ranges.adaptive_pair_df(query, t)))
+    return worst <= ranges.RANGE_ABS_TOL, f"max fixed-rule vs adaptive gap {worst:.2e}"
+
+
 @_check("montecarlo-determinism")
 def _mc_determinism():
     cfg = SimConfig(

@@ -95,7 +95,7 @@ class TestEmit:
         parsed = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
         for got, want in zip(parsed, rows):
             for g, w in zip(got, want):
-                assert g == pytest.approx(w, rel=1e-14)
+                assert g == pytest.approx(w, rel=1e-14, abs=0.0)
 
     def test_json_structure_sorted(self):
         text = emit(Table(columns=["x"], rows=[[1.0]], config={"b": 1, "a": 2}), "json")
@@ -456,3 +456,72 @@ class TestBadNumericFlag:
         assert run_cli(capsys, *self.LIMIT[:-2], "--y-grid", "nan")[0] == 2
         assert run_cli(capsys, "example", "beta-range", "--at", "foo")[0] == 1
         assert run_cli(capsys, "example", "beta-range", "--at", "nan")[0] == 2
+
+
+# One valid call of each verb, small enough to run in a fresh interpreter.
+_EACH_VERB = [
+    ["exact", "--dist", "logistic", "--n", "20", "--marginal", "upper", "--grid", "0:2:3"],
+    ["limit", "--regime", "uu", "--r", "2", "--s", "1", "--upper-tail", "gumbel",
+     "--x-grid", "0:1:2", "--y-grid", "0:1:2"],
+    ["mix", "--regime", "lu", "--r", "1", "--s", "1", "--lower-tail", "weibull:1",
+     "--upper-tail", "frechet:1", "--H", "exponential", "--x-grid", "0.5", "--y-grid", "1"],
+    ["simulate", "--dist", "exponential(sigma=1)", "--n", "30", "--regime", "lu", "--r", "1",
+     "--s", "1", "--reps", "40", "--seed", "3", "--x-grid", "0:1:2", "--y-grid", "0"],
+    ["example", "logistic-midrange", "--grid=-1:1:3", "--format", "json"],
+    ["selftest", "--fast"],
+]
+
+
+class TestParserOncePerProcess:
+    def test_built_once(self):
+        from gosextreme.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_reuse_after_a_usage_error_matches_fresh_processes(self, capsys, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        def fresh(argv, out):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run([sys.executable, "-m", "gosextreme.cli", *argv, "--out", out],
+                                  env=env, capture_output=True)
+            return done.returncode
+
+        bad = ["limit", "--regime", "uu", "--r", "two", "--s", "1"]
+        assert main([*bad, "--out", str(tmp_path / "bad.out")]) == 1
+        assert fresh(bad, str(tmp_path / "bad-fresh.out")) == 1
+        for i, argv in enumerate(_EACH_VERB):
+            here, there = tmp_path / f"{i}.out", tmp_path / f"{i}-fresh.out"
+            assert main([*argv, "--out", str(here)]) == fresh(argv, str(there)) == 0
+            assert here.read_bytes() == there.read_bytes(), argv[0]
+        capsys.readouterr()
+
+
+class TestRangeRepro:
+    def test_logistic_midrange_far_right(self, capsys):
+        # Once a QUADPACK miss that exited 2; 256-, 512- and 1024-node rules
+        # agree on this value to 1e-14.
+        code, out, _ = run_cli(capsys, "example", "logistic-midrange", "--m", "1.2",
+                               "--k", "1.3", "--at", "8.6")
+        assert code == 0
+        value = float(out.strip().splitlines()[-1].split(",")[1])
+        assert value == pytest.approx(0.99994446493667, rel=0.0, abs=1e-12)
+
+
+class TestLabelsRoundTrip:
+    def test_simulate_model_keeps_every_digit(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--dist", "pareto(sigma=1.0000001)",
+                               "--n", "20", "--regime", "uu", "--r", "2", "--s", "1",
+                               "--reps", "20", "--x-grid", "1")
+        assert code == 0
+        label = json.loads(out)["config"]["model"]
+        assert label == "pareto(sigma=1.0000001)"
+        assert parse_model(label).params == {"sigma": 1.0000001}
+
+    def test_example_model_keeps_every_digit(self, capsys):
+        code, out, _ = run_cli(capsys, "example", "beta-range", "--m", "0.1234567", "--at", "1")
+        assert code == 0
+        label = next(line for line in out.splitlines() if line.startswith("# dist="))[7:]
+        assert parse_model(label).params == {"alpha": (0.1234567 + 1.0) * 2.0, "beta": 2.0}

@@ -131,9 +131,9 @@ class TestCdfQuantile:
 
     def test_survival_deep_tail_relative_accuracy(self):
         model = parse_model("exponential(sigma=1)")
-        assert float(survival(model, 50.0)) == pytest.approx(math.exp(-50.0), rel=1e-13)
+        assert float(survival(model, 50.0)) == pytest.approx(math.exp(-50.0), rel=1e-13, abs=0.0)
         cau = parse_model("cauchy")
-        assert float(survival(cau, 1e8)) == pytest.approx(1.0 / (math.pi * 1e8), rel=1e-6)
+        assert float(survival(cau, 1e8)) == pytest.approx(1.0 / (math.pi * 1e8), rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("x", [-1e3, -1e10, -1e15])
     def test_cauchy_far_left_relative_accuracy(self, x):
@@ -174,13 +174,13 @@ class TestNormingConstants:
         n = 1000
         consts = norming_constants(parse_model("normal"), GosParams(m=0.0, k=1.0, n=n))
         root = math.sqrt(2.0 * math.log(n))
-        assert consts.a == pytest.approx(1.0 / root, rel=1e-12)
+        assert consts.a == pytest.approx(1.0 / root, rel=1e-12, abs=0.0)
         assert consts.b == pytest.approx(
             root - (math.log(math.log(n)) + math.log(4.0 * math.pi)) / (2.0 * root),
             rel=1e-12,
         )
         # symmetric family: the lower side mirrors the upper at m = 0, k = 1
-        assert consts.c == pytest.approx(consts.a, rel=1e-12)
+        assert consts.c == pytest.approx(consts.a, rel=1e-12, abs=0.0)
         assert consts.d == pytest.approx(-consts.b, rel=1e-12)
 
     def test_uniform_upper_m0(self):
@@ -188,7 +188,7 @@ class TestNormingConstants:
         params = GosParams(m=0.0, k=1.0, n=40)  # N = n at m=0, k=1
         consts = norming_constants(parse_model(f"uniform(theta={theta})"), params)
         assert consts.b == pytest.approx(theta)
-        assert consts.a == pytest.approx(2.0 * theta / 40.0, rel=1e-12)
+        assert consts.a == pytest.approx(2.0 * theta / 40.0, rel=1e-12, abs=0.0)
 
     def test_pareto_upper_general_m(self):
         sigma, m, k, n = 2.0, 0.5, 2.0, 30

@@ -162,7 +162,7 @@ class TestKernel:
             for w in (5e-324, 1e-310, 1e-300, 1e-200):
                 assert index_kernel(law, 0, w) == pytest.approx(1.0, abs=1e-13)
             for w in (1e-300, 1e-200):  # N(1, w) ~ w E[z] must itself be a normal float
-                assert index_kernel(law, 1, w) / w == pytest.approx(mean, rel=1e-12)
+                assert index_kernel(law, 1, w) / w == pytest.approx(mean, rel=1e-12, abs=0.0)
             params = GosParams(m=0.0, k=1.0, n=50)
             assert mixture_lu(params, 2, 1, 5e-324, 0.0, law) == pytest.approx(0.0, abs=1e-13)
 

@@ -336,3 +336,70 @@ class TestCrossModuleConsistency:
             for t in (0.0, 1.0, 2.0)
         )
         assert sep >= 1e-2
+
+
+def _example_queries(law):
+    """Every (family, m, statistic) the `example` verb serves under `law`,
+    with its default parameters, for m in {-0.5, 0, 1.2}."""
+    from argparse import Namespace
+
+    from gosextreme.cli import _EXAMPLE_FAMILIES, _example_model
+
+    for family in _EXAMPLE_FAMILIES:
+        for m in (-0.5, 0.0, 1.2):
+            args = Namespace(m=m, k=1.0, sigma=1.0, theta=1.0, alpha=None, beta=2.0)
+            model = _example_model(family, args)
+            params = GosParams(m=m, k=1.0, n=500)
+            try:
+                eta_limit(model, params)
+            except UnsupportedCaseError:
+                continue
+            if family == "cauchy" and m > 0.0 and law.kind != "unit_exponential":
+                continue  # published for the geometric index only
+            for statistic in ("range", "midrange"):
+                yield RangeQuery(model=model, params=params, law=law, statistic=statistic)
+
+
+SWEEP_LAWS = [
+    EXP_LAW,
+    IndexLaw.tabulated([(0.3, 0.0), (0.9, 0.2), (1.3, 0.6), (3.1, 1.0)]),
+    IndexLaw.tabulated([(0.0, 0.0), (0.7, 0.3), (2.0, 1.0)]),
+    IndexLaw.degenerate(1e-3),
+    IndexLaw.degenerate(1e3),
+]
+
+
+class TestExtremeTSweep:
+    """The range quadratures hold from t = -4 to 10 for every example case
+    under laws that move the index weight far from the unit scale."""
+
+    @pytest.mark.parametrize("law", SWEEP_LAWS, ids=lambda law: law.label())
+    def test_sweep_has_no_failures(self, law):
+        grid = np.linspace(-4.0, 10.0, 29)
+        failures = []
+        for q in _example_queries(law):
+            name = f"{q.model.label()} m={q.params.m} {q.statistic}"
+            try:
+                values = np.asarray(range_limit_df(q, grid) if q.statistic == "range"
+                                    else midrange_limit_df(q, grid))
+            except Exception as exc:  # noqa: BLE001 - every failure is collected
+                failures.append(f"{name}: {exc!r}")
+                continue
+            if not np.all((values >= 0.0) & (values <= 1.0)):
+                failures.append(f"{name}: value outside [0, 1]")
+            published = q.model.family == "cauchy" and q.params.m > 0.0
+            if not published and np.min(np.diff(values)) < -1e-9:
+                failures.append(f"{name}: decreasing by {-np.min(np.diff(values)):.2e}")
+        assert not failures, "\n".join(failures)
+
+    @pytest.mark.parametrize("law", SWEEP_LAWS[1:], ids=lambda law: law.label())
+    def test_fixed_rule_matches_the_adaptive_route(self, law):
+        from gosextreme.ranges import RANGE_ABS_TOL, _limit_df, adaptive_pair_df
+
+        worst = 0.0
+        for q in _example_queries(law):
+            if math.isinf(q._eta) or q.params.m != 0.0:
+                continue
+            for t in (-2.5, 0.5, 3.0):
+                worst = max(worst, abs(_limit_df(q, t) - adaptive_pair_df(q, t)))
+        assert worst <= RANGE_ABS_TOL

@@ -1,12 +1,19 @@
-"""No quadrature on a serving path: with scipy's QUADPACK entry point made
-to raise, every mixture under every law kind, both exact joints and the
-`limit` and `exact` verbs still evaluate.  Only the two-sided range
-limits and the reference routes kept for the tests integrate."""
+"""No adaptive quadrature on a serving path: with scipy's QUADPACK entry
+point made to raise, every mixture under every law kind, both exact joints,
+the `limit` and `exact` verbs, and the `example` range and midrange tables
+still evaluate.  The two-sided ranges take a fixed Gauss-Legendre rule over
+the whole grid; QUADPACK serves only that rule's per-point fallback, which
+the default grids below never reach, and the reference routes kept for the
+tests.  Range values do not depend on the grid around them, and a long
+range grid is taken in chunks of fixed size."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from gosextreme import _integrate
-from gosextreme.cli import main
+from gosextreme.cli import _EXAMPLE_FAMILIES, main
 from gosextreme.distributions import parse_model
 from gosextreme.goscore import joint_lower_df, joint_upper_df
 from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime
@@ -17,6 +24,7 @@ from gosextreme.randomindex import (
     mixture_marginal,
     mixture_uu,
 )
+from gosextreme.ranges import RangeQuery, _limit_df, range_limit_df
 
 LAWS = [
     IndexLaw.degenerate(1.0),
@@ -65,3 +73,71 @@ def test_exact_joints():
 def test_cli_verbs(capsys, argv):
     assert main([*argv, "--x-grid", "0.5", "--y-grid", "1.0"]) == 0
     assert capsys.readouterr().out.strip().splitlines()[-1].startswith("0.5,1")
+
+
+def _example_values(capsys, argv):
+    assert main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+            if line[:1] not in ("#", "t")]
+    return [float(value) for _, value in rows]
+
+
+@pytest.mark.parametrize("statistic", ["range", "midrange"])
+@pytest.mark.parametrize("family", _EXAMPLE_FAMILIES)
+def test_example_tables_under_the_fixed_size_law(capsys, family, statistic):
+    values = _example_values(capsys, ["example", f"{family}-{statistic}", "--law", "degenerate:1"])
+    assert len(values) == 41 and all(0.0 <= v <= 1.0 for v in values)
+
+
+@pytest.mark.parametrize("name", ["normal-range", "cauchy-range", "logistic-midrange",
+                                  "pareto-range"])
+def test_example_tables_under_the_geometric_law(capsys, name):
+    values = _example_values(capsys, ["example", name])
+    assert len(values) == 41 and all(0.0 <= v <= 1.0 for v in values)
+
+
+# One two-sided case of each pair integrand, under a point mass and under
+# the geometric law.
+_PAIRS = [("laplace", "range"), ("normal", "midrange"), ("beta(alpha=2,beta=2)", "midrange"),
+          ("uniform(theta=1)", "range"), ("cauchy", "range"), ("cauchy", "midrange")]
+
+
+@pytest.mark.parametrize("law", LAWS[:2], ids=lambda law: law.label())
+@pytest.mark.parametrize("spec,statistic", _PAIRS)
+def test_range_value_does_not_depend_on_its_grid(law, spec, statistic):
+    query = RangeQuery(model=parse_model(spec), params=GosParams(m=0.0, k=1.0, n=50),
+                       law=law, statistic=statistic)
+    grid = np.linspace(-3.0, 5.0, 150)  # three chunks, the last one short
+    values = _limit_df(query, grid)
+    for shift in (1, 63, 64, 100):
+        assert np.array_equal(_limit_df(query, np.roll(grid, shift)), np.roll(values, shift))
+    for i in (0, 63, 64, 77, 149):
+        assert _limit_df(query, float(grid[i])) == values[i]
+
+
+def test_long_range_grid_keeps_memory_flat():
+    query = RangeQuery(model=parse_model("laplace"), params=GosParams(m=0.0, k=1.0, n=50),
+                       law=IndexLaw.degenerate(1.0), statistic="range")
+    grid = np.linspace(-2.0, 6.0, 100_000)
+    tracemalloc.start()
+    try:
+        values = range_limit_df(query, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == grid.shape and np.all(np.diff(values) >= -1e-9)
+    # the result is 0.8 MB; a per-point node table would be hundreds of MB
+    assert peak < 4e6
+
+
+def test_at_and_grid_give_the_same_bits(capsys):
+    import json
+
+    def rows(*argv):
+        assert main(["example", "normal-range", "--law", "degenerate:1", "--format", "json",
+                     *argv]) == 0
+        return json.loads(capsys.readouterr().out)["rows"]
+
+    grid = rows("--grid=-2:6:101")
+    for t, value in grid[::25]:
+        assert rows("--at", repr(t)) == [[t, value]]

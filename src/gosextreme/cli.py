@@ -83,7 +83,10 @@ def parse_grid(text: str) -> list[float]:
     if len(parts) not in (2, 3):
         raise UsageError(f"grid spec {text!r} is not min:max[:count]")
     lo, hi = parse_number(parts[0]), parse_number(parts[1])
-    count = int(parts[2]) if len(parts) == 3 else 41
+    try:
+        count = int(parts[2]) if len(parts) == 3 else 41
+    except ValueError as exc:
+        raise UsageError(f"grid count in {text!r} is not an integer") from exc
     if count < 1:
         raise UsageError("grid count must be >= 1")
     if count == 1:
@@ -146,9 +149,9 @@ def emit(table: Table, fmt: str) -> str:
     if fmt == "csv":
         lines = [f"# {key}={table.config[key]}" for key in sorted(table.config)]
         lines.append(",".join(table.columns))
-        for row in table.rows:
-            lines.append(",".join(f"{v:.15g}" for v in row))
-        return "\n".join(lines) + "\n"
+        row = ",".join(["%.15g"] * len(table.columns)) + "\n"
+        return "\n".join(lines) + "\n" + (row * len(table.rows)) % tuple(
+            v for values in table.rows for v in values)
     raise UsageError(f"unknown format {fmt!r}")
 
 
@@ -190,29 +193,31 @@ def _run_exact(args) -> int:
         side = ExtremeSide(args.marginal)
         grid = parse_grid(args.grid)
         fn = marginal_upper_df if side == ExtremeSide.UPPER else marginal_lower_df
-        rows = [[x, fn(params, model, args.rank, x)] for x in grid]
+        values = fn(params, model, args.rank, np.array(grid))
+        rows = [[x, v] for x, v in zip(grid, values.tolist())]
         config.update({"marginal": side.value, "rank": args.rank, "grid": args.grid})
         _write(emit(Table(["x", "value"], rows, config), args.format), args.out)
         return 0
     if args.regime is None:
         raise UsageError("exact needs either --marginal/--rank or --regime/--r/--s")
-    xs, ys = parse_grid(args.x_grid), parse_grid(args.y_grid)
     config.update({
         "regime": args.regime, "r": args.r, "s": args.s,
         "x_grid": args.x_grid, "y_grid": args.y_grid,
     })
-    rows = []
     if args.regime == "uu":
-        pair = RankPair(r=args.r, s=args.s, regime=Regime.UPPER_UPPER)
-        for x in xs:
-            for y in ys:
-                rows.append([x, y, joint_upper_df(params, model, pair, x, y)])
-    elif args.regime == "ll":
-        for x in xs:
-            for y in ys:
-                rows.append([x, y, joint_lower_df(params, model, args.r, args.s, x, y)])
-    else:
-        raise UsageError("exact joint tables support regimes uu and ll")
+        return _xy_table(args, config, lambda x, y: joint_upper_df(
+            params, model, RankPair(r=args.r, s=args.s, regime=Regime.UPPER_UPPER), x, y))
+    return _xy_table(args, config,
+                     lambda x, y: joint_lower_df(params, model, args.r, args.s, x, y))
+
+
+def _xy_table(args, config: dict, evaluate) -> int:
+    """Write the table of `evaluate` over every (x, y) of the two grids,
+    taken in one call on the flattened grid."""
+    xs, ys = parse_grid(args.x_grid), parse_grid(args.y_grid)
+    x_at, y_at = np.repeat(xs, len(ys)), np.tile(ys, len(xs))
+    values = evaluate(x_at, y_at)
+    rows = [[x, y, v] for x, y, v in zip(x_at.tolist(), y_at.tolist(), values.tolist())]
     _write(emit(Table(["x", "y", "value"], rows, config), args.format), args.out)
     return 0
 
@@ -228,7 +233,6 @@ def _run_limit_like(args, law: IndexLaw | None) -> int:
     if need_low and low is None:
         raise UsageError(f"regime {args.regime} needs --lower-tail")
     pair = RankPair(r=args.r, s=args.s, regime=_REGIMES[args.regime])
-    xs, ys = parse_grid(args.x_grid), parse_grid(args.y_grid)
     config = {
         "verb": "mix" if law is not None else "limit",
         "regime": args.regime, "m": args.m, "k": args.k, "r": args.r, "s": args.s,
@@ -239,11 +243,8 @@ def _run_limit_like(args, law: IndexLaw | None) -> int:
         config["H"] = law.label()
     else:
         law = IndexLaw.degenerate(1.0)  # the fixed-size limit
-    x_at, y_at = np.repeat(xs, len(ys)), np.tile(ys, len(xs))
-    values = analytic_limit_df(params, pair, up, low, law, x_at, y_at)
-    rows = [[x, y, v] for x, y, v in zip(x_at.tolist(), y_at.tolist(), values.tolist())]
-    _write(emit(Table(["x", "y", "value"], rows, config), args.format), args.out)
-    return 0
+    return _xy_table(args, config,
+                     lambda x, y: analytic_limit_df(params, pair, up, low, law, x, y))
 
 
 def _run_simulate(args) -> int:

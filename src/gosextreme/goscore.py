@@ -16,11 +16,18 @@ uniform m-GOS, V_r > V_s, the product representation gives
 (V_s, V_r - V_s, 1 - V_r) ~ Dirichlet(a, n0, b) with an integer n0, and
 each joint df is P(V_r > p, V_s > q) at p = Lbar_m(x), q = Lbar_m(y).
 `joint_df_direct` is kept as the independent reference route.
+
+The transforms, the marginals and both joints take floats or numpy
+arrays (x and y broadcast), so a whole table is one call: each branch of
+a closed form is a mask over the points, and every beta ratio is one
+ufunc call over the grid.  A float in gives a float out.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from ._integrate import integrate
 from .distributions import DistributionModel, cdf, survival
@@ -30,139 +37,117 @@ from .specfun import clip_probability, log_gamma, reg_inc_beta
 JOINT_DIRECT_ABS_TOL = 1e-8
 
 
-def lm(params: GosParams, model: DistributionModel, x: float) -> float:
+def lm(params: GosParams, model: DistributionModel, x):
     """L_m(x) = 1 - (1 - F(x))^(m+1); equals F itself when m = 0."""
-    f = float(cdf(model, x))
-    return -math.expm1((params.m + 1.0) * math.log1p(-f)) if f < 1.0 else 1.0
+    with np.errstate(divide="ignore"):  # F = 1 gives log1p(-1) = -inf and L_m = 1
+        value = -np.expm1((params.m + 1.0) * np.log1p(-cdf(model, x)))
+    return value if value.ndim else float(value)
 
 
-def lbar(params: GosParams, model: DistributionModel, x: float) -> float:
+def lbar(params: GosParams, model: DistributionModel, x):
     """Survival transform 1 - L_m(x) = (1 - F(x))^(m+1), evaluated from
     the closed-form survival function so deep upper tails keep relative
-    accuracy."""
-    s = float(survival(model, x))
-    if s <= 0.0:
-        return 0.0
-    return math.exp((params.m + 1.0) * math.log(s))
+    accuracy.  Every df of this module takes its points through here."""
+    if np.isnan(x).any():
+        raise ValueError("df is undefined at NaN")
+    with np.errstate(divide="ignore"):  # a zero survival gives log 0 = -inf and 0
+        value = np.exp((params.m + 1.0) * np.log(survival(model, x)))
+    return value if value.ndim else float(value)
 
 
-def _check_marginal_args(params: GosParams, r: int, x: float) -> None:
+def _check_rank(params: GosParams, r: int) -> None:
     if not 1 <= r <= params.n:
         raise ValueError(f"rank {r} out of range 1..{params.n}")
-    if math.isnan(x):
-        raise ValueError("marginal df is undefined at x = NaN")
 
 
-def marginal_lower_df(
-    params: GosParams, model: DistributionModel, r: int, x: float
-) -> float:
+def marginal_lower_df(params: GosParams, model: DistributionModel, r: int, x):
     """df of the r-th m-GOS from the bottom: I_{L_m(x)}(r, N - r + 1)."""
-    _check_marginal_args(params, r, x)
+    _check_rank(params, r)
     return _beta_ratio_df(params, model, x, float(r), params.big_n - r + 1.0)
 
 
-def marginal_upper_df(
-    params: GosParams, model: DistributionModel, r: int, x: float
-) -> float:
+def marginal_upper_df(params: GosParams, model: DistributionModel, r: int, x):
     """df of the r-th m-GOS from the top: I_{L_m(x)}(N - R_r + 1, R_r)."""
-    _check_marginal_args(params, r, x)
+    _check_rank(params, r)
     rr = params.rank_weight(r)
     return _beta_ratio_df(params, model, x, params.big_n - rr + 1.0, rr)
 
 
-def _beta_ratio_df(
-    params: GosParams, model: DistributionModel, x: float, a: float, b: float
-) -> float:
+def _beta_ratio_df(params: GosParams, model: DistributionModel, x, a: float, b: float):
     """I_{L_m(x)}(a, b), routed through whichever of L_m(x) and its
-    complement carries the accurate tail."""
-    lmx = lm(params, model, x)
-    if lmx <= 0.0:
-        return 0.0
-    lbx = lbar(params, model, x)
-    if lbx <= 0.0:
-        return 1.0
-    if lbx < 0.5:
-        return 1.0 - reg_inc_beta(lbx, b, a)
-    return reg_inc_beta(lmx, a, b)
+    complement carries the accurate tail: 1 - I_{1-L_m(x)}(b, a) where
+    that complement is below 1/2."""
+    lmx, lbx = lm(params, model, x), lbar(params, model, x)
+    tail = lbx < 0.5
+    ratio = reg_inc_beta(np.where(tail, lbx, lmx), np.where(tail, b, a), np.where(tail, a, b))
+    value = np.where(tail, 1.0 - ratio, ratio)
+    return value if value.ndim else float(value)
 
 
-def _dirichlet_upper(
-    a: float, n0: int, b: float, p: float, q: float, pc: float, qc: float
-) -> float:
-    """P(V_r > p, V_s > q), 0 <= q < p, for (V_s, V_r - V_s, 1 - V_r) ~
-    Dirichlet(a, n0, b), integer n0 >= 1; pc = 1 - p and qc = 1 - q carry
-    the digits near p = 1.
+def _dirichlet_upper(a: float, n0: int, b: float, p, q, pc, qc, marginal):
+    """P(V_r > p, V_s > q) where q < p, for (V_s, V_r - V_s, 1 - V_r) ~
+    Dirichlet(a, n0, b), integer n0 >= 1, and `marginal` elsewhere (x >= y);
+    pc = 1 - p and qc = 1 - q carry the digits near p = 1.  The arguments
+    are arrays of one shape, or floats, which give a float.
 
     Either V_s > p, or V_s = g in (q, p] and V_r - V_s covers p - g (a
     negative-binomial sum); integrating over g and collecting equal powers
     (Vandermonde) leaves S_0 + sum_{j<n0} (S_{j+1} - S_j) I_{1-q/p}(j+1, a)
-    with the beta tails S_j = 1 - I_p(a+j, n0+b-j), S_n0 = P(V_r > p).
-    Beta ratios keep the terms accurate where log-gamma prefactors would not.
+    with the beta tails S_j = 1 - I_p(a+j, n0+b-j), S_n0 = P(V_r > p),
+    taken as I_{1-p}(n0+b-j, a+j) from p = 1/2 up.  Beta ratios keep the
+    terms accurate where log-gamma prefactors would not.  Points of the
+    marginal branch enter the sum at p = 1, q = 0, where it is 0 at no cost.
     """
-    if pc <= 0.0:
-        return 0.0
-    if p < 0.5:
-        x = 1.0 - q / p
-        tails = [1.0 - reg_inc_beta(p, a + j, n0 + b - j) for j in range(n0 + 1)]
-    else:
-        gap = max(qc - pc, 0.0)  # p - q
-        x = gap / (q + gap)
-        tails = [reg_inc_beta(pc, n0 + b - j, a + j) for j in range(n0 + 1)]
+    joint = p > q
+    p, q = np.where(joint, p, 1.0), np.where(joint, q, 0.0)
+    pc, qc = np.where(joint, pc, 0.0), np.where(joint, qc, 1.0)
+    low = p < 0.5
+    gap = np.maximum(qc - pc, 0.0)  # p - q
+    with np.errstate(divide="ignore", invalid="ignore"):  # of the branch not taken
+        x = np.where(low, 1.0 - q / p, gap / (q + gap))
+    at, tails = np.where(low, p, pc), []
+    for j in range(n0 + 1):
+        ratio = reg_inc_beta(at, np.where(low, a + j, n0 + b - j), np.where(low, n0 + b - j, a + j))
+        tails.append(np.where(low, 1.0 - ratio, ratio))
     value = tails[0]
     for j in range(n0):
-        value += (tails[j + 1] - tails[j]) * reg_inc_beta(x, j + 1, a)
-    return clip_probability(value)
+        value = value + (tails[j + 1] - tails[j]) * reg_inc_beta(x, j + 1, a)
+    value = np.where(joint, clip_probability(np.where(pc <= 0.0, 0.0, value)), marginal)
+    return value if value.ndim else float(value)
 
 
-def joint_upper_df(
-    params: GosParams,
-    model: DistributionModel,
-    pair: RankPair,
-    x: float,
-    y: float,
-) -> float:
-    """P(r-th from top < x, s-th from top < y), s < r, any real x, y.
+def joint_upper_df(params: GosParams, model: DistributionModel, pair: RankPair, x, y):
+    """P(r-th from top < x, s-th from top < y), s < r, at floats or at
+    arrays that broadcast.
 
-    The x >= y branch collapses onto the shallower marginal at y; the
-    x <= y branch is the Dirichlet sum of the module docstring with
+    Where x >= y the joint collapses onto the shallower marginal at y;
+    where x < y it is the Dirichlet sum of the module docstring with
     a = R_s, n0 = r - s, b = n - r + 1.
     """
     if pair.regime != Regime.UPPER_UPPER:
         raise ValueError(f"expected an upper-upper rank pair, got {pair.regime}")
     pair.validate_against(params.n)
     r, s = pair.r, pair.s
-    p = lbar(params, model, x)
-    q = lbar(params, model, y)
-    if p <= q:
-        return marginal_upper_df(params, model, s, y)
+    p, q = lbar(params, model, x), lbar(params, model, y)
     # top ranks sit at small p, where 1 - p loses nothing
-    return _dirichlet_upper(params.rank_weight(s), r - s, params.n - r + 1.0,
-                            p, q, 1.0 - p, 1.0 - q)
+    return _dirichlet_upper(params.rank_weight(s), r - s, params.n - r + 1.0, p, q, 1.0 - p,
+                            1.0 - q, marginal_upper_df(params, model, s, y))
 
 
-def joint_lower_df(
-    params: GosParams,
-    model: DistributionModel,
-    r: int,
-    s: int,
-    x: float,
-    y: float,
-) -> float:
-    """P(r-th from bottom < x, s-th from bottom < y), 1 <= r < s <= n.
+def joint_lower_df(params: GosParams, model: DistributionModel, r: int, s: int, x, y):
+    """P(r-th from bottom < x, s-th from bottom < y), 1 <= r < s <= n, at
+    floats or at arrays that broadcast.
 
-    x >= y reduces to the s-th lower marginal at y, as in
-    `joint_df_direct`; otherwise the Dirichlet sum of the module
+    Where x >= y it reduces to the s-th lower marginal at y, as in
+    `joint_df_direct`; elsewhere the Dirichlet sum of the module
     docstring with a = N - s + 1, n0 = s - r, b = r.
     """
     if not 1 <= r < s <= params.n:
         raise ValueError(f"need 1 <= r < s <= n, got r={r}, s={s}, n={params.n}")
-    p = lbar(params, model, x)
-    q = lbar(params, model, y)
-    if p <= q:
-        return marginal_lower_df(params, model, s, y)
+    p, q = lbar(params, model, x), lbar(params, model, y)
     # bottom ranks sit at p near 1, so 1 - p is taken as L_m
-    return _dirichlet_upper(params.big_n - s + 1.0, s - r, float(r),
-                            p, q, lm(params, model, x), lm(params, model, y))
+    return _dirichlet_upper(params.big_n - s + 1.0, s - r, float(r), p, q, lm(params, model, x),
+                            lm(params, model, y), marginal_lower_df(params, model, s, y))
 
 
 def joint_df_direct(

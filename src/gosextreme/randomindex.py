@@ -44,9 +44,9 @@ The range and midrange limits (`ranges`) use the same kernel.
 The kernel and the mixtures take floats or numpy arrays of transform
 values (w and c broadcast), so a whole grid is one call: the degenerate
 and unit-exponential kernels are a few `gammaincc`/`betainc`/`exp` ufunc
-calls over the array, and a tabulated law's kernel runs its per-segment
-closed forms (`_segment`) element by element.  A float in gives a float
-out.
+calls over the array, and a tabulated law's kernel loops over the
+table's segments only, each a closed form whose branches are masks over
+the array.  A float in gives a float out.
 """
 
 from __future__ import annotations
@@ -181,11 +181,8 @@ def index_kernel(law: IndexLaw, j: float, w, shape: float = 1.0, c=0.0):
     if law.kind == "tabulated" and j != int(j) and np.any(c > 0.0):
         raise ValueError(f"tabulated index_kernel needs an integer j when c > 0, got {j}")
     dead = np.isinf(w) | np.isinf(c)
-    if dead.any():
-        w, c = np.where(dead, 0.0, w), np.where(dead, 0.0, c)
-    value = _KERNELS[law.kind](law, j, w, float(shape), c)
-    if dead.any():
-        value = np.where(dead, 0.0, value)
+    w, c = np.where(dead, 0.0, w), np.where(dead, 0.0, c)
+    value = np.where(dead, 0.0, _KERNELS[law.kind](law, j, w, float(shape), c))
     return value if np.ndim(value) else float(value)
 
 
@@ -223,12 +220,23 @@ def _unit_exponential_kernel(law: IndexLaw, j: float, w, shape: float, c):
 
 
 def _tabulated_kernel(law: IndexLaw, j: float, w, shape: float, c):
-    # One element at a time: each segment of the table is a closed form
-    # with branches of its own (`_segment`).
+    # Segment by segment, over all elements at once: each segment is a
+    # closed form whose branches are masks over the elements, and the
+    # segments are summed in table order, so an element's value does not
+    # depend on the others.
     w, c = np.broadcast_arrays(w, c)
-    values = [sum(slope * _segment(j, wi, shape, ci, z0, z1) for slope, z0, z1 in law.pieces)
-              for wi, ci in zip(w.ravel().tolist(), c.ravel().tolist())]
-    return np.array(values, dtype=float).reshape(w.shape)
+    out_shape, w, c = w.shape, w.ravel(), c.ravel()
+    free = c == 0.0
+    w_free, w_q, c_q = w[free], w[~free], c[~free]
+    total = np.zeros(w.shape)
+    for slope, z0, z1 in law.pieces:
+        part = np.empty(w.shape)
+        if w_free.size:
+            part[free] = _free_segment(j, w_free, z0, z1)
+        if w_q.size:
+            part[~free] = _q_segment(int(j), w_q, shape, c_q, z0, z1)
+        total += slope * part
+    return total.reshape(out_shape)
 
 
 _KERNELS = {
@@ -238,79 +246,108 @@ _KERNELS = {
 }
 
 
-def _segment(j: float, w: float, shape: float, c: float, z0: float, z1: float) -> float:
-    """int_{z0}^{z1} (zw)^j e^(-zw) / Gamma(j+1) * Q(shape, zc) dz, w and c finite."""
-    if c == 0.0:
-        a = j + 1.0
-        if w == 0.0:
-            return z1 - z0 if j == 0.0 else 0.0
-        if z1 * w == 0.0 or a * math.log(z1 * w) < -650.0:
-            # Gamma_a(zw) would be subnormal: take e^(-zw) as 1, which moves
-            # the value by less than e^-650 z1, and the power in log space.
-            shrink = -math.expm1(a * (math.log(z0) - math.log(z1))) if z0 > 0.0 else 1.0
-            return math.exp(j * math.log(w) + a * math.log(z1) - math.lgamma(a + 1.0)) * shrink
-        if z0 * w > a:  # past the mode: difference the upper ratios, which stay accurate
-            return (reg_inc_gamma_upper(a, z0 * w) - reg_inc_gamma_upper(a, z1 * w)) / w
-        return (reg_inc_gamma(a, z1 * w) - reg_inc_gamma(a, z0 * w)) / w
-    j = int(j)
-    if w * z1 > 1.0:
-        return (_segment_antiderivative(j, w, shape, c, z1)
-                - _segment_antiderivative(j, w, shape, c, z0)) / w
+def _free_segment(j: float, w, z0: float, z1: float):
+    """int_{z0}^{z1} (zw)^j e^(-zw) / Gamma(j+1) dz at each finite w (a 1-d array)."""
+    a = j + 1.0
+    value = np.full(w.shape, z1 - z0 if j == 0.0 else 0.0)  # w = 0
+    with np.errstate(divide="ignore"):
+        # Gamma_a(z1 w) would be subnormal (z1 w may round to 0): take
+        # e^(-zw) as 1, which moves the value by less than e^-650 z1, and
+        # the power in log space.
+        tiny = (w > 0.0) & (a * np.log(z1 * w) < -650.0)
+    if tiny.any():
+        shrink = -math.expm1(a * (math.log(z0) - math.log(z1))) if z0 > 0.0 else 1.0
+        value[tiny] = np.exp(j * np.log(w[tiny]) + a * math.log(z1) - math.lgamma(a + 1.0)) * shrink
+    past = z0 * w > a  # past the mode: difference the upper ratios, which stay accurate
+    if past.any():
+        at = w[past]
+        upper = reg_inc_gamma_upper(a, np.outer((z0, z1), at))
+        value[past] = (upper[0] - upper[1]) / at
+    near = (w > 0.0) & ~tiny & ~past
+    if near.any():
+        at = w[near]
+        lower = reg_inc_gamma(a, np.outer((z1, z0), at))
+        value[near] = (lower[0] - lower[1]) / at
+    return value
+
+
+def _q_segment(j: int, w, shape: float, c, z0: float, z1: float):
+    """int_{z0}^{z1} (zw)^j e^(-zw) / j! * Q(shape, zc) dz at finite w and
+    c > 0 (1-d arrays)."""
+    value = np.empty(w.shape)
+    big = w * z1 > 1.0
+    if big.any():
+        at = w[big]
+        ends = _segment_antiderivative(j, at, shape, c[big], np.array([[z1], [z0]]))
+        value[big] = (ends[0] - ends[1]) / at
+    if big.all():
+        return value
     # Small w: the closed form would cancel to O((w z1)^(j+1)), so expand
-    # e^(-zw) instead; with u = w z1 <= 1 each term is below 1/k of the one
-    # before.  The powers of z are taken relative to z1, so none overflows.
-    u = w * z1
-    q0, q1 = reg_inc_gamma_upper(shape, z0 * c), reg_inc_gamma_upper(shape, z1 * c)
-    if u == 0.0:
-        coef = 1.0 if j == 0 else 0.0
-    else:
-        coef = math.exp(j * math.log(u) - math.lgamma(j + 1.0))
-    ratio = z0 / z1
-    total = 0.0
-    for k in range(60):
-        p = j + k + 1
-        moment = z1 * (q1 + _gamma_moment_ratio(shape, p, z1 * c)
-                       - ratio**p * (q0 + _gamma_moment_ratio(shape, p, z0 * c))) / p
-        term = coef * moment
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-        coef *= -u / (k + 1)
-    return total
+    # e^(-zw) instead, sum_k coef_k moment_k with coef_k ~ (-u)^k / k! at
+    # u = w z1 <= 1.  The powers of z are taken relative to z1, so none
+    # overflows.  The moments fall with k and the sum keeps at least e^-u
+    # of the first term, so by the 21st term one is below 1e-17 of its
+    # running sum: each element stops at its own first such term (the
+    # 21st at the latest).
+    small = ~big
+    u, c = w[small] * z1, c[small]
+    q1, q0 = reg_inc_gamma_upper(shape, np.outer((z1, z0), c))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(u == 0.0, float(j == 0), np.exp(j * np.log(u) - math.lgamma(j + 1.0)))
+    k = np.arange(21.0)[:, None]
+    p = j + k + 1.0
+    g1, g0 = np.split(_gamma_moment_ratio(shape, p, np.concatenate([z1 * c, z0 * c])), 2, 1)
+    moment = z1 * (q1 + g1 - (z0 / z1) ** p * (q0 + g0)) / p
+    terms = np.multiply.accumulate(np.vstack([coef, -u / (k[:-1] + 1.0)])) * moment
+    sums = np.add.accumulate(terms)  # in order, term by term
+    stop = np.abs(terms) <= 1e-17 * np.abs(sums)
+    stop[-1] = True
+    value[small] = sums[stop.argmax(axis=0), np.arange(u.size)]
+    return value
 
 
-def _segment_antiderivative(j: int, w: float, shape: float, c: float, z: float) -> float:
-    """w * int_0^z (tw)^j e^(-tw) / j! * Q(shape, tc) dt, by parts against the
-    Poisson sum of Gamma_{j+1}: the weights C_i are negative-binomial."""
+def _segment_antiderivative(j: int, w, shape: float, c, z):
+    """w * int_0^z (tw)^j e^(-tw) / j! * Q(shape, tc) dt at rows w, c > 0 and
+    a column z, by parts against the Poisson sum of Gamma_{j+1}: the
+    weights C_i are negative-binomial.  The j + 1 terms are one array,
+    subtracted in order."""
     x = z * c
     total = reg_inc_gamma(j + 1.0, z * w) * reg_inc_gamma_upper(shape, x) + reg_inc_gamma(shape, x)
-    log_sum = math.log(c + w)
-    log_front = shape * (math.log(c) - log_sum) - math.lgamma(shape)
-    log_ratio = math.log(w) - log_sum
-    y = z * (c + w)
-    for i in range(j + 1):
-        weight = math.exp(log_front + i * log_ratio + math.lgamma(shape + i) - math.lgamma(i + 1.0))
-        total -= weight * reg_inc_gamma(shape + i, y)
+    log_sum = np.log(c + w)
+    log_front = shape * (np.log(c) - log_sum) - math.lgamma(shape)
+    log_ratio = np.log(w) - log_sum
+    i = np.arange(j + 1.0)[:, None]
+    log_gammas = np.array([[math.lgamma(shape + k) - math.lgamma(k + 1.0)] for k in range(j + 1)])
+    weight = np.exp(log_front + i * log_ratio + log_gammas)[:, None, :]
+    for term in weight * reg_inc_gamma(shape + i[:, None], z * (c + w)):
+        total = total - term
     return total
 
 
-def _gamma_moment_ratio(shape: float, p: int, x: float) -> float:
-    """E[T^p; T <= x] / x^p for T ~ Gamma(shape), so that
+def _gamma_moment_ratio(shape: float, p, x):
+    """E[T^p; T <= x] / x^p for T ~ Gamma(shape), at a column p of powers
+    and a row x >= 0, so that
     int_0^z t^(p-1) Q(shape, tc) dt = z^p [Q(shape, zc) + this at x = zc] / p."""
-    if x == 0.0:
-        return 0.0
     a = shape + p
     tail = reg_inc_gamma(a, x)
-    if tail > 1e-260:  # a normal float with digits to spare
-        return math.exp(math.lgamma(a) - math.lgamma(shape) - p * math.log(x) + math.log(tail))
-    # Small x: the series of Gamma_a(x) with x^p divided out.
-    term = math.exp(shape * math.log(x) - x - math.lgamma(shape)) / a
-    total, i = term, 0
-    while term > 1e-17 * total:
-        i += 1
-        term *= x / (a + i)
-        total += term
-    return total
+    log_norm = np.array([[math.lgamma(v) - math.lgamma(shape)] for v in a.ravel()])
+    big = tail > 1e-260  # a normal float with digits to spare
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value = np.where(big, np.exp(log_norm - p * np.log(x) + np.log(tail)), 0.0)
+    small = (x > 0.0) & ~big
+    if small.any():
+        # Small x: the series of Gamma_a(x) with x^p divided out.
+        at, a = np.broadcast_to(x, small.shape)[small], np.broadcast_to(a, small.shape)[small]
+        term = np.exp(shape * np.log(at) - at - math.lgamma(shape)) / a
+        total, i = term, 0
+        live = term > 1e-17 * total
+        while live.any():
+            i += 1
+            term = np.where(live, term * (at / (a + i)), term)
+            total = np.where(live, total + term, total)
+            live &= term > 1e-17 * total
+        value[small] = total
+    return value
 
 
 def mixture_uu(

@@ -29,7 +29,6 @@ from .params import ExtremeSide, GosParams, RankPair, Regime
 from .randomindex import IndexLaw, mixture_ll, mixture_lu, mixture_marginal, mixture_uu
 from .specfun import reg_inc_beta, reg_inc_gamma
 
-Check = tuple[str, bool, Callable[[], tuple[bool, str]]]
 _REGISTRY: list[tuple[str, bool, Callable]] = []
 
 

@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gosextreme.cli import (
     Table,
+    UsageError,
     _mode_for_law,
     emit,
     example_names,
@@ -15,9 +17,14 @@ from gosextreme.cli import (
     parse_transform,
 )
 from gosextreme.distributions import parse_model
-from gosextreme.goscore import marginal_lower_df, marginal_upper_df
+from gosextreme.goscore import (
+    joint_lower_df,
+    joint_upper_df,
+    marginal_lower_df,
+    marginal_upper_df,
+)
 from gosextreme.limitlaws import TailTransform, kappa, rho
-from gosextreme.params import ExtremeSide, GosParams
+from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime
 from gosextreme.randomindex import IndexLaw
 
 
@@ -50,6 +57,9 @@ class TestParsers:
             parse_grid("1:2:3:4")
         with pytest.raises(Exception):
             parse_grid("1:2:0")
+        for spec in ("0:1:abc", "0:1:2.5", "0:1:"):
+            with pytest.raises(UsageError, match="not an integer"):
+                parse_grid(spec)
 
     def test_transforms(self):
         tr = parse_transform("frechet:2", ExtremeSide.UPPER)
@@ -96,6 +106,21 @@ class TestEmit:
         for got, want in zip(parsed, rows):
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-14, abs=0.0)
+
+    def test_edge_values_keep_their_bytes(self):
+        # the CSV body is one %-format per table; it must print each value as
+        # a per-value f"{v:.15g}" does, in CSV, and JSON must be unaffected
+        edge = [-0.0, 0.0, math.inf, -math.inf, 5e-324, 1.0 / 3.0, -2.5e300, 1e16,
+                np.float64(0.1), np.float64(-0.0), 7]
+        rows = [[edge[(i + j) % len(edge)] for j in range(3)] for i in range(1681)]
+        table = Table(columns=["x", "y", "value"], rows=rows, config={"verb": "t"})
+        want = "# verb=t\nx,y,value\n" + "".join(
+            ",".join(f"{v:.15g}" for v in row) + "\n" for row in rows)
+        assert emit(table, "csv") == want
+        plain = [[v if isinstance(v, int) else float(v) for v in row] for row in rows]
+        assert emit(table, "json") == json.dumps(
+            {"config": {"verb": "t"}, "columns": ["x", "y", "value"], "rows": plain},
+            sort_keys=True, indent=2)
 
     def test_json_structure_sorted(self):
         text = emit(Table(columns=["x"], rows=[[1.0]], config={"b": 1, "a": 2}), "json")
@@ -416,12 +441,15 @@ class TestNanRejected:
             lambda _: rho(TailTransform(ExtremeSide.LOWER, "gumbel"), math.nan),
             lambda _: marginal_upper_df(_GOS5, _NORMAL, 1, math.nan),
             lambda _: marginal_lower_df(_GOS5, _NORMAL, 1, math.nan),
+            lambda _: joint_upper_df(_GOS5, _NORMAL, RankPair(2, 1, Regime.UPPER_UPPER),
+                                     math.nan, 1.0),
+            lambda _: joint_lower_df(_GOS5, _NORMAL, 1, 2, math.nan, 1.0),
         ],
         ids=[
             "cli-exact-grid", "parse_number", "parse_number-negated",
             "kappa-frechet", "kappa-weibull", "kappa-gumbel",
             "rho-frechet", "rho-weibull", "rho-gumbel",
-            "marginal_upper_df", "marginal_lower_df",
+            "marginal_upper_df", "marginal_lower_df", "joint_upper_df", "joint_lower_df",
         ],
     )
     def test_nan_raises(self, capsys, call):
@@ -456,6 +484,16 @@ class TestBadNumericFlag:
         assert run_cli(capsys, *self.LIMIT[:-2], "--y-grid", "nan")[0] == 2
         assert run_cli(capsys, "example", "beta-range", "--at", "foo")[0] == 1
         assert run_cli(capsys, "example", "beta-range", "--at", "nan")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--dist", "logistic", "--n", "5", "--marginal", "upper", "--grid", "0:1:abc"],
+        ["exact", "--dist", "logistic", "--n", "5", "--marginal", "upper", "--grid", "0:1:2.5"],
+        LIMIT[:-4] + ["--x-grid", "0:1:x", "--y-grid", "0"],
+    ], ids=["abc", "fraction", "limit"])
+    def test_malformed_grid_count(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "grid count" in err and "Traceback" not in err and out == ""
 
 
 # One valid call of each verb, small enough to run in a fresh interpreter.

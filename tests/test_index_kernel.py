@@ -167,6 +167,51 @@ class TestKernel:
             assert mixture_lu(params, 2, 1, 5e-324, 0.0, law) == pytest.approx(0.0, abs=1e-13)
 
 
+def _table_kernel_oracle(law, j, w, shape, c):
+    """N_H(j, w, R, c) under a tabulated law in 40 digits, for an integer
+    shape R: Q(R, zc) is then the Poisson sum e^(-zc) sum_{i<R} (zc)^i / i!,
+    and each term integrates over a segment to a difference of gamma ratios."""
+    mpmath.mp.dps = 40
+    w, c = mpmath.mpf(w), mpmath.mpf(c)
+    total = mpmath.mpf(0)
+    for slope, z0, z1 in law.pieces:
+        if c == 0:
+            seg = mpmath.gammainc(j + 1, z0 * w, z1 * w, regularized=True) / w
+        else:
+            lam = w + c
+            seg = sum(w**j * c**i * mpmath.binomial(j + i, i) / lam ** (j + i + 1)
+                      * mpmath.gammainc(j + i + 1, z0 * lam, z1 * lam, regularized=True)
+                      for i in range(shape))
+        total += mpmath.mpf(slope) * seg
+    return total
+
+
+class TestTabulatedBranches:
+    """The tabulated kernel on both sides of each of its branch switches,
+    per segment: w z1 = 1 (c > 0: by-parts sum against the small-w series),
+    a ln(z1 w) = -650 (c = 0: subnormal gamma ratio) and z0 w = j + 1 (c = 0:
+    upper against lower ratio differences), a = j + 1."""
+
+    @pytest.mark.parametrize("law", [TABLE, TABLE_AT_ZERO], ids=lambda law: law.label())
+    @pytest.mark.parametrize("j", [0, 1, 5, 199])
+    def test_against_mpmath(self, law, j):
+        a, shape = j + 1.0, 3
+        ws = []
+        for _, z0, z1 in law.pieces:
+            ws += [f / z1 for f in (1.0 - 1e-12, 1.0 + 1e-12)]
+            ws += [math.exp(-650.0 / a) / z1 * f for f in (0.999, 1.001)]
+            if z0 > 0.0:
+                ws += [a / z0 * f for f in (1.0 - 1e-12, 1.0 + 1e-12)]
+        for w in ws:
+            for c in (0.0, 0.7):
+                want = _table_kernel_oracle(law, j, w, shape, c)
+                got = index_kernel(law, j, w, float(shape), c)
+                # relative accuracy, down to values that underflow (j = 199); the
+                # by-parts sum of c > 0 holds the probability scale, 1e-15
+                floor = 1e-15 if c > 0.0 else 1e-300
+                assert abs(got - want) <= 1e-12 * want + floor, (w, c)
+
+
 class TestCollapsedMixtures:
     """Every mixture against the nested integral int Omega(z .) dH(z)."""
 

@@ -4,9 +4,10 @@ the `limit` and `exact` verbs, and the `example` range and midrange tables
 still evaluate.  The two-sided ranges take a fixed Gauss-Legendre rule over
 the whole grid; QUADPACK serves only that rule's per-point fallback, which
 the default grids below never reach, and the reference routes kept for the
-tests.  Range values do not depend on the grid around them, and a long
-range grid is taken in chunks of fixed size."""
+tests.  Range, exact and mixture values do not depend on the grid around
+them, and a long range grid is taken in chunks of fixed size."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,9 @@ import pytest
 from gosextreme import _integrate
 from gosextreme.cli import _EXAMPLE_FAMILIES, main
 from gosextreme.distributions import parse_model
-from gosextreme.goscore import joint_lower_df, joint_upper_df
+from gosextreme.goscore import joint_lower_df, joint_upper_df, marginal_upper_df
+from gosextreme.limitlaws import TailTransform
+from gosextreme.montecarlo import analytic_limit_df
 from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime
 from gosextreme.randomindex import (
     IndexLaw,
@@ -73,6 +76,20 @@ def test_exact_joints():
 def test_cli_verbs(capsys, argv):
     assert main([*argv, "--x-grid", "0.5", "--y-grid", "1.0"]) == 0
     assert capsys.readouterr().out.strip().splitlines()[-1].startswith("0.5,1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--marginal", "upper", "--rank", "2"],
+    ["--marginal", "lower", "--rank", "3"],
+    ["--regime", "uu", "--r", "2", "--s", "1"],
+    ["--regime", "ll", "--r", "1", "--s", "2"],
+], ids=["upper", "lower", "uu", "ll"])
+def test_exact_verb_over_its_default_grids(capsys, argv):
+    assert main(["exact", "--dist", "logistic", "--n", "500", *argv]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+            if line[:1] not in ("#", "x")]
+    assert len(rows) == (41 if "--marginal" in argv else 121)
+    assert all(0.0 <= float(row[-1]) <= 1.0 for row in rows)
 
 
 def _example_values(capsys, argv):
@@ -141,3 +158,48 @@ def test_at_and_grid_give_the_same_bits(capsys):
     grid = rows("--grid=-2:6:101")
     for t, value in grid[::25]:
         assert rows("--at", repr(t)) == [[t, value]]
+
+
+def test_example_range_under_a_tabulated_law(capsys, tmp_path):
+    # the fixed rule under a table law: one kernel call over all nodes of an
+    # order, taken segment by segment
+    table = tmp_path / "h.csv"
+    table.write_text("z,H\n0.3,0\n0.9,0.2\n1.3,0.6\n3.1,1\n")
+    start = time.perf_counter()
+    values = _example_values(capsys, ["example", "normal-range", "--law", f"table:{table}"])
+    assert time.perf_counter() - start < 0.5
+    assert len(values) == 41 and all(0.0 <= v <= 1.0 for v in values)
+
+
+_LOGISTIC = parse_model("logistic")
+_GUMBEL = TailTransform(side=ExtremeSide.UPPER, kind="gumbel")
+_WEIBULL = TailTransform(side=ExtremeSide.LOWER, kind="weibull", alpha=2.0)
+_GRID_CASES = {
+    "exact-marginal": lambda x, y: marginal_upper_df(PARAMS, _LOGISTIC, 2, x),
+    "exact-uu": lambda x, y: joint_upper_df(
+        PARAMS, _LOGISTIC, RankPair(r=3, s=1, regime=Regime.UPPER_UPPER), x, y),
+    "exact-ll": lambda x, y: joint_lower_df(PARAMS, _LOGISTIC, 1, 3, -x, -y),
+    "mix-table-uu": lambda x, y: analytic_limit_df(
+        PARAMS, RankPair(r=3, s=1, regime=Regime.UPPER_UPPER), _GUMBEL, None, LAWS[2],
+        x, y),
+    "mix-table-ll": lambda x, y: analytic_limit_df(
+        PARAMS, RankPair(r=1, s=3, regime=Regime.LOWER_LOWER), None, _WEIBULL, LAWS[2],
+        x / 4.0, y / 4.0),
+    "mix-table-lu": lambda x, y: analytic_limit_df(
+        PARAMS, RankPair(r=2, s=1, regime=Regime.LOWER_UPPER), _GUMBEL, _WEIBULL, LAWS[2],
+        x / 4.0, y),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_CASES))
+def test_table_value_does_not_depend_on_its_grid(name):
+    evaluate = _GRID_CASES[name]
+    xs = np.linspace(-2.0, 6.0, 9)
+    x, y = np.repeat(xs, 9), np.tile(xs, 9)
+    values = evaluate(x, y)
+    for shift in (1, 40):
+        assert np.array_equal(evaluate(np.roll(x, shift), np.roll(y, shift)),
+                              np.roll(values, shift))
+    for i in range(len(x)):
+        assert evaluate(float(x[i]), float(y[i])) == values[i]
+        assert evaluate(x[i:i + 1], y[i:i + 1])[0] == values[i]

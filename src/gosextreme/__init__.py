@@ -15,7 +15,6 @@ from .distributions import (
     tail_transform,
 )
 from .goscore import (
-    joint_df_direct,
     joint_lower_df,
     joint_upper_df,
     lbar,
@@ -23,14 +22,7 @@ from .goscore import (
     marginal_lower_df,
     marginal_upper_df,
 )
-from .limitlaws import (
-    TailTransform,
-    kappa,
-    omega_ll,
-    omega_lu_product,
-    omega_uu,
-    rho,
-)
+from .limitlaws import TailTransform, kappa, rho
 from .montecarlo import (
     IndexMode,
     SimConfig,
@@ -38,7 +30,6 @@ from .montecarlo import (
     ks_distance,
     run_bivariate_sim,
     sample_random_index,
-    sample_uniform_gos,
 )
 from .params import ExtremeSide, GosParams, RankPair, Regime
 from .randomindex import (
@@ -55,11 +46,18 @@ from .ranges import (
     UnsupportedCaseError,
     eta_limit,
     midrange_limit_df,
-    normal_midrange_integral,
     normal_range_closed_form,
-    normal_range_integral,
     range_limit_df,
     run_statistic_sim,
+)
+from .reference import (
+    joint_df_direct,
+    normal_midrange_integral,
+    normal_range_integral,
+    omega_ll,
+    omega_lu_product,
+    omega_uu,
+    sample_uniform_gos,
 )
 from .specfun import log_gamma, reg_inc_beta, reg_inc_gamma
 

@@ -7,13 +7,14 @@ Verbs:
   mix        random-index mixture tables
   simulate   seeded Monte Carlo report vs the analytic limit
   example    named reproductions of the published range/midrange limits
-  selftest   run the invariant suite
+  selftest   run the invariant suite of `reference`
 
 Numeric options accept the symbolic constants pi, e, ln2, ln4, inf
 (optionally negated) next to plain floats; grids are min:max:count with
 a default of 41 points.  Every emitted artifact embeds the fully
 resolved configuration, so a run can be reproduced byte for byte.
-Exit codes: 0 success, 1 usage error, 2 validation or numerical failure.
+Exit codes: 0 success, 1 usage error, 2 validation or numerical failure,
+141 when the reader closes stdout early (as `| head` does).
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import selftest as selftest_mod
-from ._integrate import QuadratureError
 from .distributions import DistributionModel, parse_model
 from .goscore import joint_lower_df, joint_upper_df, marginal_lower_df, marginal_upper_df
 from .limitlaws import TailTransform
@@ -160,6 +159,7 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()  # a closed pipe raises here, in `main`, not at exit
         return
     if not os.path.isabs(out):
         base = os.environ.get(OUTPUT_DIR_ENV)
@@ -262,8 +262,12 @@ def _run_simulate(args) -> int:
     report = run_bivariate_sim(cfg)
     if args.format == "json":
         _write(report.to_json(), args.out)
-    else:
-        _write("\n".join(report.csv_lines()) + "\n", args.out)
+        return 0
+    rows = [[*g, e, a, se] for g, e, a, se in zip(
+        report.grid, report.empirical, report.analytic, report.standard_errors)]
+    config = {**report.config, "sup_distance": f"{report.sup_distance:.15g}"}
+    table = Table(["x", "y", "empirical", "analytic", "standard_error"], rows, config)
+    _write(emit(table, args.format), args.out)
     return 0
 
 
@@ -357,7 +361,8 @@ def _mode_for_law(law: IndexLaw) -> IndexMode:
 
 
 def _run_selftest(args) -> int:
-    _, failed, lines = selftest_mod.run(fast=args.fast)
+    from . import reference  # the one verb that reaches the reference routes
+    _, failed, lines = reference.run(fast=args.fast)
     _write("\n".join(lines) + "\n", args.out)
     return 2 if failed else 0
 
@@ -477,9 +482,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # QuadratureError among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone (`| head`): no message, a quiet flush at exit, 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2

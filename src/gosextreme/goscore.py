@@ -3,8 +3,8 @@
 Two index conventions coexist and are kept strictly separate:
 
 * bottom ranks 1 <= r < s <= n, used by `joint_lower_df`, by the
-  defining double integral (`joint_df_direct`) and by the lower
-  marginals;
+  defining double integral (`reference.joint_df_direct`) and by the
+  lower marginals;
 * top ranks with s < r (r = 1 is the maximum, larger r lies deeper),
   used by `joint_upper_df` and the upper marginals.
 
@@ -15,7 +15,6 @@ Both joints are finite sums.  For V = (1 - U)^(m+1) of two ranks of the
 uniform m-GOS, V_r > V_s, the product representation gives
 (V_s, V_r - V_s, 1 - V_r) ~ Dirichlet(a, n0, b) with an integer n0, and
 each joint df is P(V_r > p, V_s > q) at p = Lbar_m(x), q = Lbar_m(y).
-`joint_df_direct` is kept as the independent reference route.
 
 The transforms, the marginals and both joints take floats or numpy
 arrays (x and y broadcast), so a whole table is one call: each branch of
@@ -25,16 +24,11 @@ ufunc call over the grid.  A float in gives a float out.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ._integrate import integrate
 from .distributions import DistributionModel, cdf, survival
 from .params import GosParams, RankPair, Regime
-from .specfun import clip_probability, log_gamma, reg_inc_beta
-
-JOINT_DIRECT_ABS_TOL = 1e-8
+from .specfun import clip_probability, reg_inc_beta
 
 
 def lm(params: GosParams, model: DistributionModel, x):
@@ -139,7 +133,7 @@ def joint_lower_df(params: GosParams, model: DistributionModel, r: int, s: int, 
     floats or at arrays that broadcast.
 
     Where x >= y it reduces to the s-th lower marginal at y, as in
-    `joint_df_direct`; elsewhere the Dirichlet sum of the module
+    `reference.joint_df_direct`; elsewhere the Dirichlet sum of the module
     docstring with a = N - s + 1, n0 = s - r, b = r.
     """
     if not 1 <= r < s <= params.n:
@@ -148,69 +142,3 @@ def joint_lower_df(params: GosParams, model: DistributionModel, r: int, s: int, 
     # bottom ranks sit at p near 1, so 1 - p is taken as L_m
     return _dirichlet_upper(params.big_n - s + 1.0, s - r, float(r), p, q, lm(params, model, x),
                             lm(params, model, y), marginal_lower_df(params, model, s, y))
-
-
-def joint_df_direct(
-    params: GosParams,
-    model: DistributionModel,
-    r: int,
-    s: int,
-    x: float,
-    y: float,
-) -> float:
-    """P(r-th from bottom < x, s-th from bottom < y) by the defining
-    double integral over (F(x'), F(y')) space; 1 <= r < s <= n.
-
-    Serves as the independent exactness oracle for `joint_lower_df`, and
-    for `joint_upper_df` after the top/bottom index translation.  x > y
-    reduces to the s-th lower marginal at y (df ordering), as they do.
-
-    Its 1e-8 target holds for small n only, since the 1e-13 floor of both
-    tolerances is scaled by `const` ~ N^s: on logistic configurations it
-    held up to n = 2000 at (r, s) = (1, 2) but missed by 1e-7 at n = 200
-    and by 0.16 at n = 2000 at (2, 5), where values beyond [0, 1] raise.
-    """
-    if not 1 <= r < s <= params.n:
-        raise ValueError(f"need 1 <= r < s <= n, got r={r}, s={s}, n={params.n}")
-    fx = float(cdf(model, x))
-    fy = float(cdf(model, y))
-    if fx > fy:
-        return marginal_lower_df(params, model, s, y)
-    if fx <= 0.0:
-        return 0.0
-
-    mp1 = params.m + 1.0
-    gamma_s = params.gamma_j(s)
-    log_const = (
-        2.0 * math.log(mp1)
-        + log_gamma(params.big_n + 1.0)
-        - log_gamma(params.big_n - s + 1.0)
-        - log_gamma(float(r))
-        - log_gamma(float(s - r))
-    )
-    const = math.exp(log_const)
-    # Error budget: the result is const * (outer integral), and the inner
-    # quadrature noise enters the outer integrand directly, so both
-    # tolerances are deflated by const (with a floor near machine noise).
-    inner_tol = max(JOINT_DIRECT_ABS_TOL / (20.0 * max(const, 1.0)), 1e-13)
-    outer_tol = max(JOINT_DIRECT_ABS_TOL / (2.0 * max(const, 1.0)), 1e-13)
-
-    def inner(xi: float) -> float:
-        xibar = 1.0 - xi
-        xibar_pow = xibar**mp1
-
-        def integrand(eta: float) -> float:
-            etabar = 1.0 - eta
-            diff = xibar_pow - etabar**mp1
-            if diff <= 0.0:
-                return 0.0 if s - r - 1 > 0 else etabar ** (gamma_s - 1.0)
-            return etabar ** (gamma_s - 1.0) * diff ** (s - r - 1)
-
-        return integrate(integrand, xi, fy, inner_tol)
-
-    def outer(xi: float) -> float:
-        xibar = 1.0 - xi
-        weight = xibar**params.m * (1.0 - xibar**mp1) ** (r - 1)
-        return weight * inner(xi) if weight != 0.0 else 0.0
-
-    return clip_probability(const * integrate(outer, 0.0, fx, outer_tol))

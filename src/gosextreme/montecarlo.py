@@ -16,10 +16,10 @@ builds one bit generator and re-keys it before replication i to counter
 A replication draws the uniforms only up to the highest position its
 pair reads, and sums ln(W_j)/gamma_j in fixed-size blocks with the
 arithmetic and order of one whole `cumsum`, so every value is the one
-`sample_uniform_gos` gives from the same stream.  A lower-lower pair
-(r, s) draws max(r, s) uniforms whatever nu is; a pair that reaches the
-top of the sample draws about nu, in time linear in nu and in memory
-bounded by one block.
+`reference.sample_uniform_gos` gives from the same stream.  A
+lower-lower pair (r, s) draws max(r, s) uniforms whatever nu is; a pair
+that reaches the top of the sample draws about nu, in time linear in nu
+and in memory bounded by one block.
 
 Random-size modes:
 
@@ -176,22 +176,6 @@ class SimulationReport:
             payload["extra"] = self.extra
         return json.dumps(payload, sort_keys=True, indent=2)
 
-    def csv_lines(self) -> list[str]:
-        lines = [f"# {k}={v}" for k, v in sorted(self.config.items())]
-        lines.append(f"# sup_distance={self.sup_distance:.15g}")
-        first = self.grid[0]
-        if isinstance(first, tuple):
-            lines.append("x,y,empirical,analytic,standard_error")
-            for g, e, a, se in zip(self.grid, self.empirical, self.analytic, self.standard_errors):
-                lines.append(
-                    f"{g[0]:.15g},{g[1]:.15g},{e:.15g},{a:.15g},{se:.15g}"
-                )
-        else:
-            lines.append("x,empirical,analytic,standard_error")
-            for g, e, a, se in zip(self.grid, self.empirical, self.analytic, self.standard_errors):
-                lines.append(f"{g:.15g},{e:.15g},{a:.15g},{se:.15g}")
-        return lines
-
 
 def ks_distance(empirical: Sequence[float], analytic: Sequence[float]) -> float:
     """Max absolute difference between two equal-shape probability grids."""
@@ -200,24 +184,6 @@ def ks_distance(empirical: Sequence[float], analytic: Sequence[float]) -> float:
     if emp.shape != ana.shape:
         raise ValueError(f"shape mismatch: {emp.shape} vs {ana.shape}")
     return float(np.max(np.abs(emp - ana)))
-
-
-def sample_uniform_gos(
-    params: GosParams,
-    size: int,
-    rng: np.random.Generator,
-    carried_uniform: float | None = None,
-) -> np.ndarray:
-    """Ascending uniform m-GOS vector of the given sample size; a carried
-    uniform replaces the middle factor W_ceil(size/2)."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    w = rng.random(size)
-    if carried_uniform is not None:
-        w[(size - 1) // 2] = carried_uniform
-    gammas = params.k + (size - np.arange(1, size + 1)) * (params.m + 1.0)
-    csum = np.cumsum(np.log(w) / gammas)
-    return -np.expm1(csum)
 
 
 def sample_random_index(mode: IndexMode, n: int, rng: np.random.Generator, floor: int = 1) -> int:
@@ -272,8 +238,9 @@ class _Streams:
 
 
 class _Gammas:
-    """gamma_j = k + (nu - j)(m + 1), computed as `sample_uniform_gos` does
-    and served as contiguous runs of a per-call table indexed by nu - j."""
+    """gamma_j = k + (nu - j)(m + 1), computed as
+    `reference.sample_uniform_gos` does and served as contiguous runs of
+    a per-call table indexed by nu - j."""
 
     def __init__(self, params: GosParams):
         self._k, self._step = params.k, params.m + 1.0

@@ -37,8 +37,8 @@ order of integration (Fubini) gives
 
 No mixture takes a quadrature, and every law, the degenerate one
 included, takes this one path per regime; under a point mass c each
-form reduces to the quadrature reference of `limitlaws` at c-scaled
-arguments, which the tests check.  The `limit` verb is the point mass 1.
+form reduces to the routes of `reference` at c-scaled arguments,
+which the tests check.  The `limit` verb is the point mass 1.
 The range and midrange limits (`ranges`) use the same kernel.
 
 The kernel and the mixtures take floats or numpy arrays of transform

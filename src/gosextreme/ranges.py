@@ -337,7 +337,8 @@ def _pair(query: RangeQuery, t):
 def adaptive_pair_df(query: RangeQuery, t: float) -> float:
     """A two-sided case's df at one t by the adaptive `integrate` over the
     same truncated s-interval: the fixed rule's fallback, kept as the
-    reference route that `selftest` and the tests hold the rule to."""
+    reference route that the `range-fixed-rule` selftest check and the
+    tests hold the rule to."""
     if math.isinf(query._eta):
         raise ValueError("single-sided cases take no quadrature")
     t = np.array([t * query._stretch])
@@ -402,29 +403,6 @@ def normal_range_closed_form(r: float) -> float:
         return (1.0 - 0.5 * e * math.log(4.0 / e)) / (1.0 - e)
     root = math.sqrt(1.0 - e)
     return (1.0 - (e / 2.0) / root * math.log((1.0 + root) / (1.0 - root))) / (1.0 - e)
-
-
-def normal_range_integral(r: float) -> float:
-    """Quadrature form int_0^inf y^2 / (y^2 + y + e^-r)^2 dy of the same
-    limit, kept as an independent numeric route."""
-    c = math.exp(-r)
-
-    def integrand(y: float) -> float:
-        den = y * y + y + c
-        return y * y / (den * den)
-
-    return integrate(integrand, 0.0, math.inf, RANGE_ABS_TOL)
-
-
-def normal_midrange_integral(v: float) -> float:
-    """Quadrature form 1 - int_0^inf dy / (y (e^{2v}+1) + 1)^2."""
-    slope = math.exp(2.0 * v) + 1.0
-
-    def integrand(y: float) -> float:
-        den = y * slope + 1.0
-        return 1.0 / (den * den)
-
-    return 1.0 - integrate(integrand, 0.0, math.inf, RANGE_ABS_TOL)
 
 
 # --- simulation conventions and overlay ------------------------------------

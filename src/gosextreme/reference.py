@@ -1,10 +1,40 @@
-"""Invariant suite behind the CLI `selftest` verb.
+"""Reference routes and the invariant suite behind the CLI `selftest` verb.
 
-Each check is a named callable returning (ok, detail).  The fast tier
-covers the analytic invariants; the full tier adds the seeded
-Monte Carlo confirmations.  The pytest suite runs sharper versions of
-everything here; this module exists so a deployed install can vouch for
-itself without the test tree.
+No verb serves a value from here.  Each route is an independent numeric
+form of what a serving module computes by finite sums or fixed rules:
+the fixed-size limit families as written (`omega_uu`, `omega_ll`,
+`omega_lu_product`, the marginal limits), which the `limit` verb's sums
+of `randomindex` reduce to at any point mass; the defining double
+integral of the exact joint df (`joint_df_direct`), the oracle of
+`goscore`; quadrature forms of the published normal range and midrange
+limits; and the uniform m-GOS drawn whole (`sample_uniform_gos`), whose
+values the simulator's blocked sampler reproduces bit for bit.
+
+Limit families, with R_r = ell + r - 1 and the transforms of `limitlaws`:
+
+  upper-upper (s < r, both ranks from the top), arguments kappa1 >= kappa2
+  when x <= y because the transforms are nonincreasing:
+
+      1 - Gamma_{R_r}(k1) - (1/Gamma(R_r)) *
+          int_{k1}^{inf} I_{k2/u}(R_s, R_r - R_s) u^{R_r-1} e^{-u} du,
+
+  with k_i = kappa_i^(m+1); on x >= y it collapses to the shallower
+  marginal 1 - Gamma_{R_s}(k2).
+
+  lower-lower (r < s, from the bottom; no m, k dependence):
+
+      Gamma_s(rho2) on x >= y, else
+      (1/(r-1)!) int_0^{rho1} Gamma_{s-r}(rho2 - u) u^{r-1} e^{-u} du.
+
+  lower-upper: the product Gamma_r(rho1) * [1 - Gamma_{R_s}(kappa2^(m+1))].
+
+A transform value or power kappa^(m+1) beyond the largest float is
+taken as +inf (`GosParams.kappa_power`), where every df above is 0.
+
+The invariant suite is a registry of named checks returning (ok, detail):
+the fast tier covers the analytic invariants, the full tier adds the
+seeded Monte Carlo confirmations.  It ships so that a deployed install
+can vouch for itself without the test tree, which runs every check.
 """
 
 from __future__ import annotations
@@ -15,6 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import goscore, ranges
+from ._integrate import integrate
 from .distributions import (
     DistributionModel,
     cdf,
@@ -23,11 +54,209 @@ from .distributions import (
     quantile,
     tail_transform,
 )
-from .limitlaws import kappa, omega_ll, omega_uu, rho
+from .limitlaws import kappa
 from .montecarlo import IndexMode, SimConfig, _Streams, run_bivariate_sim
 from .params import ExtremeSide, GosParams, RankPair, Regime
 from .randomindex import IndexLaw, mixture_ll, mixture_lu, mixture_marginal, mixture_uu
-from .specfun import reg_inc_beta, reg_inc_gamma
+from .specfun import clip_probability, log_gamma, reg_inc_beta, reg_inc_gamma, reg_inc_gamma_upper
+
+OMEGA_ABS_TOL = 1e-10
+JOINT_DIRECT_ABS_TOL = 1e-8
+
+
+# --- fixed-size limit families ----------------------------------------------
+
+
+def omega_uu(params: GosParams, r: int, s: int, kappa1: float, kappa2: float) -> float:
+    """Upper-upper limit df evaluated at transform values (kappa1, kappa2).
+
+    The x <= y branch corresponds to kappa1 >= kappa2.
+    """
+    if not s < r:
+        raise ValueError(f"upper-upper requires s < r, got r={r}, s={s}")
+    if kappa1 < 0.0 or kappa2 < 0.0 or math.isnan(kappa1) or math.isnan(kappa2):
+        raise ValueError("transform values must be in [0, +inf]")
+    k1, k2 = params.kappa_power(kappa1), params.kappa_power(kappa2)
+    rr = params.rank_weight(r)
+    rs = params.rank_weight(s)
+    if k1 <= k2:
+        # x >= y: the joint collapses onto the shallower marginal.
+        return reg_inc_gamma_upper(rs, k2)
+    if math.isinf(k1):
+        return 0.0
+    head = reg_inc_gamma_upper(rr, k1)
+    if k2 == 0.0:
+        return head
+    log_norm = log_gamma(rr)
+    bshape_a, bshape_b = rs, rr - rs
+
+    def integrand(u: float) -> float:
+        ratio = k2 / u
+        if ratio >= 1.0:
+            ratio = 1.0
+        beta_factor = reg_inc_beta(ratio, bshape_a, bshape_b)
+        if beta_factor == 0.0:
+            return 0.0
+        return beta_factor * math.exp((rr - 1.0) * math.log(u) - u - log_norm)
+
+    tail = integrate(integrand, k1, math.inf, OMEGA_ABS_TOL)
+    return clip_probability(head - tail)
+
+
+def omega_ll(r: int, s: int, rho1: float, rho2: float) -> float:
+    """Lower-lower limit df at transform values (rho1, rho2); r < s."""
+    if not r < s:
+        raise ValueError(f"lower-lower requires r < s, got r={r}, s={s}")
+    if rho1 < 0.0 or rho2 < 0.0 or math.isnan(rho1) or math.isnan(rho2):
+        raise ValueError("transform values must be in [0, +inf]")
+    if rho1 >= rho2:
+        # x >= y branch: the deeper coordinate is inactive.
+        return reg_inc_gamma(s, rho2)
+    if rho1 == 0.0:
+        return 0.0
+    log_norm = log_gamma(float(r))
+    diff = s - r
+
+    def integrand(u: float) -> float:
+        gam = reg_inc_gamma(diff, max(rho2 - u, 0.0))
+        if gam == 0.0:
+            return 0.0
+        if u <= 0.0:
+            return gam if r == 1 else 0.0
+        return gam * math.exp((r - 1.0) * math.log(u) - u - log_norm)
+
+    return clip_probability(integrate(integrand, 0.0, rho1, OMEGA_ABS_TOL))
+
+
+def omega_lu_product(params: GosParams, r: int, s: int, rho1: float, kappa2: float) -> float:
+    """Lower-upper limit: product of the two univariate limit marginals."""
+    if r < 1 or s < 1:
+        raise ValueError("ranks must be >= 1")
+    lower = reg_inc_gamma(float(r), rho1)
+    upper = reg_inc_gamma_upper(params.rank_weight(s), params.kappa_power(kappa2))
+    return lower * upper
+
+
+def upper_marginal_limit(params: GosParams, r: int, kappa_value: float) -> float:
+    """Fixed-size limit df of the r-th extreme from the top."""
+    return reg_inc_gamma_upper(params.rank_weight(r), params.kappa_power(kappa_value))
+
+
+def lower_marginal_limit(r: int, rho_value: float) -> float:
+    """Fixed-size limit df of the r-th extreme from the bottom."""
+    return reg_inc_gamma(float(r), rho_value)
+
+
+# --- exact joint df ----------------------------------------------------------
+
+
+def joint_df_direct(params: GosParams, model: DistributionModel, r: int, s: int,
+                    x: float, y: float) -> float:
+    """P(r-th from bottom < x, s-th from bottom < y) by the defining
+    double integral over (F(x'), F(y')) space; 1 <= r < s <= n.
+
+    Serves as the independent exactness oracle for `goscore.joint_lower_df`,
+    and for `joint_upper_df` after the top/bottom index translation.  x > y
+    reduces to the s-th lower marginal at y (df ordering), as they do.
+
+    Its 1e-8 target holds for small n only, since the 1e-13 floor of both
+    tolerances is scaled by `const` ~ N^s: on logistic configurations it
+    held up to n = 2000 at (r, s) = (1, 2) but missed by 1e-7 at n = 200
+    and by 0.16 at n = 2000 at (2, 5), where values beyond [0, 1] raise.
+    """
+    if not 1 <= r < s <= params.n:
+        raise ValueError(f"need 1 <= r < s <= n, got r={r}, s={s}, n={params.n}")
+    fx = float(cdf(model, x))
+    fy = float(cdf(model, y))
+    if fx > fy:
+        return goscore.marginal_lower_df(params, model, s, y)
+    if fx <= 0.0:
+        return 0.0
+
+    mp1 = params.m + 1.0
+    gamma_s = params.gamma_j(s)
+    log_const = (
+        2.0 * math.log(mp1)
+        + log_gamma(params.big_n + 1.0)
+        - log_gamma(params.big_n - s + 1.0)
+        - log_gamma(float(r))
+        - log_gamma(float(s - r))
+    )
+    const = math.exp(log_const)
+    # Error budget: the result is const * (outer integral), and the inner
+    # quadrature noise enters the outer integrand directly, so both
+    # tolerances are deflated by const (with a floor near machine noise).
+    inner_tol = max(JOINT_DIRECT_ABS_TOL / (20.0 * max(const, 1.0)), 1e-13)
+    outer_tol = max(JOINT_DIRECT_ABS_TOL / (2.0 * max(const, 1.0)), 1e-13)
+
+    def inner(xi: float) -> float:
+        xibar = 1.0 - xi
+        xibar_pow = xibar**mp1
+
+        def integrand(eta: float) -> float:
+            etabar = 1.0 - eta
+            diff = xibar_pow - etabar**mp1
+            if diff <= 0.0:
+                return 0.0 if s - r - 1 > 0 else etabar ** (gamma_s - 1.0)
+            return etabar ** (gamma_s - 1.0) * diff ** (s - r - 1)
+
+        return integrate(integrand, xi, fy, inner_tol)
+
+    def outer(xi: float) -> float:
+        xibar = 1.0 - xi
+        weight = xibar**params.m * (1.0 - xibar**mp1) ** (r - 1)
+        return weight * inner(xi) if weight != 0.0 else 0.0
+
+    return clip_probability(const * integrate(outer, 0.0, fx, outer_tol))
+
+
+# --- normal range and midrange ----------------------------------------------
+
+
+def normal_range_integral(r: float) -> float:
+    """Quadrature form int_0^inf y^2 / (y^2 + y + e^-r)^2 dy of the
+    standard-normal (m=0, k=1) random range limit, the independent route
+    to `ranges.normal_range_closed_form`."""
+    c = math.exp(-r)
+
+    def integrand(y: float) -> float:
+        den = y * y + y + c
+        return y * y / (den * den)
+
+    return integrate(integrand, 0.0, math.inf, ranges.RANGE_ABS_TOL)
+
+
+def normal_midrange_integral(v: float) -> float:
+    """Quadrature form 1 - int_0^inf dy / (y (e^{2v}+1) + 1)^2 of the
+    standard-normal random midrange limit, the logistic law 1/(1 + e^{-2v})."""
+    slope = math.exp(2.0 * v) + 1.0
+
+    def integrand(y: float) -> float:
+        den = y * slope + 1.0
+        return 1.0 / (den * den)
+
+    return 1.0 - integrate(integrand, 0.0, math.inf, ranges.RANGE_ABS_TOL)
+
+
+# --- the uniform m-GOS, drawn whole ------------------------------------------
+
+
+def sample_uniform_gos(params: GosParams, size: int, rng: np.random.Generator,
+                       carried_uniform: float | None = None) -> np.ndarray:
+    """Ascending uniform m-GOS vector of the given sample size; a carried
+    uniform replaces the middle factor W_ceil(size/2).  The simulator's
+    blocked sums give the same values from the same stream."""
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    w = rng.random(size)
+    if carried_uniform is not None:
+        w[(size - 1) // 2] = carried_uniform
+    gammas = params.k + (size - np.arange(1, size + 1)) * (params.m + 1.0)
+    csum = np.cumsum(np.log(w) / gammas)
+    return -np.expm1(csum)
+
+
+# --- invariant suite ---------------------------------------------------------
 
 _REGISTRY: list[tuple[str, bool, Callable]] = []
 
@@ -117,6 +346,8 @@ def _dist_norming():
 
 @_check("goscore-exactness")
 def _goscore_exact():
+    # n = 5 only: the direct route meets its 1e-8 target at small n alone
+    # (see joint_df_direct), so it cannot vouch for the sums at large n.
     uni = parse_model("power(alpha=1)")
     pair = RankPair(r=2, s=1, regime=Regime.UPPER_UPPER)
     worst = 0.0
@@ -124,7 +355,7 @@ def _goscore_exact():
         params = GosParams(m=m, k=k, n=5)
         for x in (0.3, 0.6):
             for y in (0.5, 0.9):
-                b = goscore.joint_df_direct(params, uni, 4, 5, x, y)
+                b = joint_df_direct(params, uni, 4, 5, x, y)
                 for a in (goscore.joint_upper_df(params, uni, pair, x, y),
                           goscore.joint_lower_df(params, uni, 4, 5, x, y)):
                     worst = max(worst, abs(a - b))
@@ -220,7 +451,7 @@ def _ranges_normal():
     ln4 = math.log(4.0)
     worst = abs(ranges.normal_range_closed_form(ln4) - 2.0 / 3.0)
     for r in (-1.0, 0.0, 1.0, 2.0, 4.0):
-        worst = max(worst, abs(ranges.normal_range_integral(r) - ranges.normal_range_closed_form(r)))
+        worst = max(worst, abs(normal_range_integral(r) - ranges.normal_range_closed_form(r)))
     return worst <= 1e-6, f"max defect {worst:.2e}"
 
 

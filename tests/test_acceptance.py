@@ -8,10 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from gosextreme import goscore
+from gosextreme import goscore, reference
 from gosextreme.cli import main as cli_main
 from gosextreme.distributions import parse_model
-from gosextreme.limitlaws import omega_ll, omega_lu_product, omega_uu
 from gosextreme.montecarlo import IndexMode, SimConfig, run_bivariate_sim
 from gosextreme.params import GosParams, RankPair, Regime
 from gosextreme.randomindex import IndexLaw, mixture_ll, mixture_lu, mixture_uu
@@ -19,9 +18,9 @@ from gosextreme.ranges import (
     RangeQuery,
     midrange_limit_df,
     normal_range_closed_form,
-    normal_range_integral,
     range_limit_df,
 )
+from gosextreme.reference import normal_range_integral, omega_ll, omega_lu_product, omega_uu
 from gosextreme.specfun import reg_inc_beta, reg_inc_gamma
 
 EXP_LAW = IndexLaw.unit_exponential()
@@ -131,7 +130,7 @@ def test_criterion_5_exactness_oracle(capsys):
         params = GosParams(m=0.0, k=1.0, n=n)
         for x, y in itertools.product(xs, ys):
             upper = goscore.joint_upper_df(params, uni, pair, x, y)
-            direct = goscore.joint_df_direct(params, uni, n - 1, n, x, y)
+            direct = reference.joint_df_direct(params, uni, n - 1, n, x, y)
             if x <= y:
                 oracle = multinomial(n, n - 1, n, x, y)
             else:

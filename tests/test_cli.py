@@ -294,12 +294,12 @@ class TestSelftestVerb:
         assert out.count("PASS") >= 10
 
     def test_failure_exits_2(self, capsys, monkeypatch):
-        from gosextreme import selftest as selftest_mod
+        from gosextreme import reference
 
-        broken = list(selftest_mod._REGISTRY) + [
+        broken = list(reference._REGISTRY) + [
             ("forced-failure", False, lambda: (False, "injected"))
         ]
-        monkeypatch.setattr(selftest_mod, "_REGISTRY", broken)
+        monkeypatch.setattr(reference, "_REGISTRY", broken)
         code, out, _ = run_cli(capsys, "selftest", "--fast")
         assert code == 2
         assert "FAIL forced-failure" in out
@@ -331,10 +331,10 @@ class TestExactLowerLower:
         )
         assert code == 0
         value = float(out.strip().splitlines()[-1].split(",")[2])
-        from gosextreme import goscore
+        from gosextreme import reference
         from gosextreme.distributions import parse_model as _pm
         from gosextreme.params import GosParams as _GP
-        want = goscore.joint_df_direct(_GP(m=0.0, k=1.0, n=5), _pm("power(alpha=1)"), 1, 2, 0.2, 0.5)
+        want = reference.joint_df_direct(_GP(m=0.0, k=1.0, n=5), _pm("power(alpha=1)"), 1, 2, 0.2, 0.5)
         assert value == pytest.approx(want, abs=1e-9)
 
     def test_ll_bad_ranks_exit_2(self, capsys):
@@ -563,3 +563,64 @@ class TestLabelsRoundTrip:
         assert code == 0
         label = next(line for line in out.splitlines() if line.startswith("# dist="))[7:]
         assert parse_model(label).params == {"alpha": (0.1234567 + 1.0) * 2.0, "beta": 2.0}
+
+
+_SIMULATE_CSV = ["simulate", "--dist", "logistic", "--m", "0.5", "--n", "40", "--regime", "uu",
+                 "--r", "2", "--s", "1", "--index", "geometric", "--reps", "300", "--seed", "11",
+                 "--x-grid=-1:1:3", "--y-grid=-0.5:1.5:2", "--format", "csv"]
+
+# The CSV that `simulate` wrote through its own writer before it went through `emit`.
+_SIMULATE_CSV_BYTES = """\
+# grid_size=6
+# index_mode=geometric
+# k=1.0
+# m=0.5
+# model=logistic
+# n=40
+# r=2
+# regime=upper_upper
+# replications=300
+# s=1
+# seed=11
+# sup_distance=0.0315150263496834
+x,y,empirical,analytic,standard_error
+-1,-0.5,0.18,0.18841064371073,0.0221810730128188
+-1,1.5,0.276666666666667,0.272061613808963,0.0258277771802777
+0,-0.5,0.206666666666667,0.227338324995804,0.0233777355301688
+0,1.5,0.616666666666667,0.614738141116926,0.0280706779925773
+1,-0.5,0.206666666666667,0.227338324995804,0.0233777355301688
+1,1.5,0.813333333333333,0.78181830698365,0.0224960901952778
+"""
+
+
+class TestSimulateCsv:
+    def test_header_and_row_count(self, capsys):
+        code, out, _ = run_cli(capsys, *_SIMULATE_CSV)
+        assert code == 0
+        lines = out.splitlines()
+        header_idx = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        assert lines[header_idx] == "x,y,empirical,analytic,standard_error"
+        assert lines[header_idx - 1].startswith("# sup_distance=")
+        assert len(lines) - header_idx - 1 == 6
+
+    def test_bytes_unchanged(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert main([*_SIMULATE_CSV, "--out", str(out)]) == 0
+        assert out.read_text() == _SIMULATE_CSV_BYTES
+
+
+class TestClosedStdout:
+    def test_exits_141_without_a_message(self):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("PYTHONUNBUFFERED", None)  # the small table stays in the buffer
+        argv = ["exact", "--dist", "logistic", "--n", "5", "--marginal", "upper"]
+        proc = subprocess.Popen([sys.executable, "-m", "gosextreme.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before the table is written
+        err = proc.stderr.read()
+        assert proc.wait() == 141
+        assert err == b""

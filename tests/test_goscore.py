@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gosextreme import goscore
+from gosextreme import goscore, reference
 from gosextreme.distributions import norming_constants, parse_model
 from gosextreme.params import GosParams, RankPair, Regime
 from gosextreme.specfun import reg_inc_gamma_upper
@@ -197,7 +197,7 @@ class TestJointUpper:
 class TestJointDirect:
     def test_total_mass(self):
         params = GosParams(m=0.0, k=1.0, n=4)
-        assert goscore.joint_df_direct(params, UNIFORM01, 1, 2, 1.0, 1.0) == pytest.approx(
+        assert reference.joint_df_direct(params, UNIFORM01, 1, 2, 1.0, 1.0) == pytest.approx(
             1.0, abs=1e-8
         )
 
@@ -205,11 +205,11 @@ class TestJointDirect:
         params = GosParams(m=0.0, k=1.0, n=4)
         for r, s in ((2, 2), (3, 1), (0, 2), (1, 5)):
             with pytest.raises(ValueError):
-                goscore.joint_df_direct(params, UNIFORM01, r, s, 0.3, 0.5)
+                reference.joint_df_direct(params, UNIFORM01, r, s, 0.3, 0.5)
 
     def test_x_above_y_collapses(self):
         params = GosParams(m=0.5, k=1.0, n=5)
-        got = goscore.joint_df_direct(params, UNIFORM01, 2, 4, 0.8, 0.5)
+        got = reference.joint_df_direct(params, UNIFORM01, 2, 4, 0.8, 0.5)
         want = goscore.marginal_lower_df(params, UNIFORM01, 4, 0.5)
         assert got == pytest.approx(want, abs=1e-8)
 
@@ -223,13 +223,13 @@ class TestJointDirect:
             fy = float(rng.uniform(fx, 0.95))
             params = GosParams(m=0.0, k=1.0, n=n)
             want = multinomial_joint(n, r, s, fx, fy)
-            got = goscore.joint_df_direct(params, UNIFORM01, r, s, fx, fy)
+            got = reference.joint_df_direct(params, UNIFORM01, r, s, fx, fy)
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_diagonal_matches_deeper_marginal_constraint(self):
         # On x = y the event is {s-th smallest <= y}, the s-th marginal.
         params = GosParams(m=1.0, k=2.0, n=5)
-        got = goscore.joint_df_direct(params, UNIFORM01, 2, 3, 0.6, 0.6)
+        got = reference.joint_df_direct(params, UNIFORM01, 2, 3, 0.6, 0.6)
         want = goscore.marginal_lower_df(params, UNIFORM01, 3, 0.6)
         assert got == pytest.approx(want, abs=1e-8)
 
@@ -246,7 +246,7 @@ class TestRepresentationAgreement:
             for x, y in itertools.product((0.2, 0.45, 0.7, 0.9), (0.3, 0.55, 0.8, 0.95)):
                 upper = goscore.joint_upper_df(params, UNIFORM01, PAIR21, x, y)
                 lower = goscore.joint_lower_df(params, UNIFORM01, n - 1, n, x, y)
-                direct = goscore.joint_df_direct(params, UNIFORM01, n - 1, n, x, y)
+                direct = reference.joint_df_direct(params, UNIFORM01, n - 1, n, x, y)
                 worst = max(worst, abs(upper - direct), abs(lower - direct))
         assert worst <= 1e-10
 
@@ -256,7 +256,7 @@ class TestRepresentationAgreement:
             params = GosParams(m=-0.5, k=2.0, n=n)
             for x, y in itertools.product((0.3, 0.6), (0.5, 0.85)):
                 upper = goscore.joint_upper_df(params, UNIFORM01, pair, x, y)
-                direct = goscore.joint_df_direct(params, UNIFORM01, n - 2, n - 1, x, y)
+                direct = reference.joint_df_direct(params, UNIFORM01, n - 2, n - 1, x, y)
                 assert upper == pytest.approx(direct, abs=1e-7)
 
     def test_multinomial_three_way(self):
@@ -268,7 +268,7 @@ class TestRepresentationAgreement:
             assert goscore.joint_upper_df(params, UNIFORM01, PAIR21, x, y) == pytest.approx(
                 want, abs=1e-9
             )
-            assert goscore.joint_df_direct(params, UNIFORM01, 4, 5, x, y) == pytest.approx(
+            assert reference.joint_df_direct(params, UNIFORM01, 4, 5, x, y) == pytest.approx(
                 want, abs=1e-9
             )
             assert goscore.joint_lower_df(params, UNIFORM01, 4, 5, x, y) == pytest.approx(
@@ -296,7 +296,7 @@ class TestDirichletSums:
             r = int(rng.integers(1, min(n, 5)))
             s = r + int(rng.integers(1, min(n - r, 4) + 1))
             x, y = (float(v) for v in rng.uniform(-3.0, 4.0, 2))
-            direct = goscore.joint_df_direct(params, model, r, s, x, y)
+            direct = reference.joint_df_direct(params, model, r, s, x, y)
             assert goscore.joint_lower_df(params, model, r, s, x, y) == pytest.approx(
                 direct, abs=1e-10)
             # the same event in top ranks: bottom r is top n - r + 1, the deeper one

@@ -17,13 +17,6 @@ from scipy import integrate as sci_integrate
 from scipy import special
 
 from gosextreme.distributions import parse_model
-from gosextreme.limitlaws import (
-    lower_marginal_limit,
-    omega_ll,
-    omega_lu_product,
-    omega_uu,
-    upper_marginal_limit,
-)
 from gosextreme.params import ExtremeSide, GosParams
 from gosextreme.randomindex import (
     IndexLaw,
@@ -35,6 +28,13 @@ from gosextreme.randomindex import (
     mixture_uu,
 )
 from gosextreme.ranges import RangeQuery, eta_limit, midrange_limit_df, range_limit_df
+from gosextreme.reference import (
+    lower_marginal_limit,
+    omega_ll,
+    omega_lu_product,
+    omega_uu,
+    upper_marginal_limit,
+)
 
 EXP = IndexLaw.unit_exponential()
 TABLE = IndexLaw.tabulated([(0.3, 0.0), (0.9, 0.2), (1.3, 0.6), (3.1, 1.0)])

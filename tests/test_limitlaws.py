@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from gosextreme import goscore
 from gosextreme.distributions import norming_constants, parse_model
-from gosextreme.limitlaws import (
-    TailTransform,
-    kappa,
+from gosextreme.limitlaws import TailTransform, kappa, rho
+from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime
+from gosextreme.reference import (
     lower_marginal_limit,
     omega_ll,
     omega_lu_product,
     omega_uu,
-    rho,
     upper_marginal_limit,
 )
-from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime
 from gosextreme.specfun import reg_inc_gamma
 
 UP_GUMBEL = TailTransform(side=ExtremeSide.UPPER, kind="gumbel")

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gosextreme import goscore, montecarlo
+from gosextreme import goscore, montecarlo, reference
 from gosextreme.distributions import norming_constants, parse_model, quantile
 from gosextreme.montecarlo import (
     IndexMode,
@@ -15,11 +15,11 @@ from gosextreme.montecarlo import (
     ks_distance,
     run_bivariate_sim,
     sample_random_index,
-    sample_uniform_gos,
     simulate_value_pairs,
 )
 from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime
 from gosextreme.randomindex import IndexLaw
+from gosextreme.reference import sample_uniform_gos
 
 
 def _rng(seed=0):
@@ -235,7 +235,7 @@ class TestRunBivariateSim:
         )
         rep = run_bivariate_sim(cfg)
         for (x, y), e, se in zip(rep.grid, rep.empirical, rep.standard_errors):
-            exact = goscore.joint_df_direct(
+            exact = reference.joint_df_direct(
                 params, model, 1, 2, consts.d + consts.c * x, consts.d + consts.c * y
             )
             assert abs(e - exact) <= max(3.0 * se, 5e-4)
@@ -263,13 +263,6 @@ class TestRunBivariateSim:
             _basic_config(index_mode=IndexMode.parse("dependent:const:1"))
         )
         assert a.empirical == b.empirical
-
-    def test_csv_lines_shape(self):
-        rep = run_bivariate_sim(_basic_config())
-        lines = rep.csv_lines()
-        header_idx = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-        assert lines[header_idx] == "x,y,empirical,analytic,standard_error"
-        assert len(lines) - header_idx - 1 == len(rep.grid)
 
 
 class TestConvergenceAlongN:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from gosextreme.limitlaws import omega_ll, omega_lu_product, omega_uu
 from gosextreme.params import ExtremeSide, GosParams
 from gosextreme.randomindex import (
     IndexLaw,
@@ -14,6 +13,7 @@ from gosextreme.randomindex import (
     mixture_marginal,
     mixture_uu,
 )
+from gosextreme.reference import omega_ll, omega_lu_product, omega_uu
 
 EXP_LAW = IndexLaw.unit_exponential()
 DEG1 = IndexLaw.degenerate(1.0)

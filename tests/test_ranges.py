@@ -12,12 +12,11 @@ from gosextreme.ranges import (
     UnsupportedCaseError,
     eta_limit,
     midrange_limit_df,
-    normal_midrange_integral,
     normal_range_closed_form,
-    normal_range_integral,
     range_limit_df,
     run_statistic_sim,
 )
+from gosextreme.reference import normal_midrange_integral, normal_range_integral
 
 EXP_LAW = IndexLaw.unit_exponential()
 LN4 = math.log(4.0)

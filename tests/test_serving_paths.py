@@ -3,17 +3,21 @@ point made to raise, every mixture under every law kind, both exact joints,
 the `limit` and `exact` verbs, and the `example` range and midrange tables
 still evaluate.  The two-sided ranges take a fixed Gauss-Legendre rule over
 the whole grid; QUADPACK serves only that rule's per-point fallback, which
-the default grids below never reach, and the reference routes kept for the
-tests.  Range, exact and mixture values do not depend on the grid around
-them, and a long range grid is taken in chunks of fixed size."""
+the default grids below never reach, and the routes of `reference`, and
+importing the CLI does not load it.  Range, exact and mixture values do not
+depend on the grid around them, and a long range grid is taken in chunks of
+fixed size."""
 
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 
-from gosextreme import _integrate
 from gosextreme.cli import _EXAMPLE_FAMILIES, main
 from gosextreme.distributions import parse_model
 from gosextreme.goscore import joint_lower_df, joint_upper_df, marginal_upper_df
@@ -43,7 +47,17 @@ def refuse_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a serving path called scipy.integrate.quad")
 
-    monkeypatch.setattr(_integrate._sci, "quad", refuse)
+    # `_integrate` reads the name from scipy.integrate at each call
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+
+
+def test_importing_the_cli_loads_no_quadpack():
+    # a fresh interpreter: this one has imported scipy.integrate already
+    code = "import sys, gosextreme.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.label())

@@ -90,6 +90,8 @@ def parse_grid(text: str) -> list[float]:
         raise UsageError("grid count must be >= 1")
     if count == 1:
         return [lo]
+    if math.isinf(lo) or math.isinf(hi):
+        raise UsageError(f"grid spec {text!r} spaces {count} points over an infinite range")
     return [float(v) for v in np.linspace(lo, hi, count)]
 
 

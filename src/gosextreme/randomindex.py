@@ -111,6 +111,9 @@ class IndexLaw:
 def _validate_table(grid) -> None:
     if not grid or len(grid) < 2:
         raise ValueError("tabulated law needs at least two (z, H) nodes")
+    for node in grid:
+        if not all(map(math.isfinite, node)):
+            raise ValueError(f"tabulated law node {node} is not finite")
     zs = [z for z, _ in grid]
     hs = [h for _, h in grid]
     if zs[0] < 0.0:
@@ -144,6 +147,8 @@ def load_tabulated_csv(path) -> IndexLaw:
         for line in reader:
             if not line or not "".join(line).strip():
                 continue
+            if len(line) < 2:
+                raise ValueError(f"{path}: row {line} does not have two columns z,H")
             rows.append((float(line[0]), float(line[1])))
     return IndexLaw.tabulated(rows)
 

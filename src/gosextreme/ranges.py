@@ -28,12 +28,9 @@ diagnostics.  It is only defined for the unit-exponential law.
 Evaluation is per grid: `range_limit_df` and `midrange_limit_df` take a
 float or an array of t, and a whole grid costs a few array kernel calls.
 The two-sided integral is written over s = ln w, with w the index
-kernel's argument, as int N_H(1, e^s, ell, c(s)) ds.  It is taken on
-Gauss-Legendre nodes shared by the whole grid, over an s-range truncated
-by a bound on the index weight of the law; the difference of two orders
-is its error estimate, and the rare point that no pair of orders settles
-falls back alone to the adaptive `integrate` (see "the fixed rule over
-s" below).
+kernel's argument, as int N_H(1, e^s, ell, c(s)) ds, and taken by one
+fixed Gauss-Legendre rule with no adaptive fallback (see "the fixed rule
+over s" below).
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from ._integrate import integrate
 from .distributions import DistributionModel, NormingConstants, norming_constants, tail_transform
 from .limitlaws import TailTransform, kappa
 from .montecarlo import IndexMode, SimulationReport, simulate_value_pairs, tally_report
@@ -54,8 +50,16 @@ from .randomindex import IndexLaw, index_kernel
 from .specfun import clip_probability, log_gamma
 
 # Absolute tolerance of each two-sided range value: the fixed rule's
-# estimate and the adaptive fallback's target are a tenth of it.
+# two-order estimate, with the truncated mass, is held to a tenth of it.
 RANGE_ABS_TOL = 1e-9
+
+
+class QuadratureError(ArithmeticError):
+    """Quadrature did not reach the requested absolute tolerance."""
+
+    def __init__(self, message: str, achieved: float):
+        super().__init__(f"{message} (achieved abs error estimate {achieved:.3e})")
+        self.achieved = achieved
 
 
 class UnsupportedCaseError(ValueError):
@@ -219,13 +223,13 @@ def _gumbel_pair(t, mp1: float, eta: float, midrange: bool):
 # --- the fixed rule over s ---------------------------------------------------
 # Every point of a grid is integrated on Gauss-Legendre nodes over its own
 # s-interval, truncated where the index weight has at most _TAIL_MASS left
-# beyond each end.  Orders double along _ORDERS; a point is done once the
-# two latest orders agree within a tenth of RANGE_ABS_TOL, counting the
-# truncated mass, and a point that no pair of orders settles falls back
-# alone to the adaptive `integrate`.  Each point's sums are taken in a
-# fixed pairwise order over its own nodes only, so its value does not
-# depend on the grid around it; the grid is taken _CHUNK points at a time,
-# so memory does not grow with its length.
+# beyond each end, and graded toward the pair's edge if the interval ends
+# there.  Orders double along _ORDERS; a point is done once the two latest
+# orders agree within a tenth of RANGE_ABS_TOL, counting the truncated
+# mass, and a point that none settles raises QuadratureError.  Each point's
+# sums are taken in a fixed pairwise order over its own nodes only, so its
+# value does not depend on the grid around it; the grid is taken _CHUNK
+# points at a time, so memory does not grow with its length.
 
 _ORDERS = (64, 128, 256, 512, 1024)
 _CHUNK = 64
@@ -233,10 +237,11 @@ _TAIL_MASS = 1e-14
 
 
 @lru_cache(maxsize=None)
-def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on [-1, 1] as a column, and their weights."""
+def _legendre(order: int) -> tuple[np.ndarray, ...]:
+    """Columns of Gauss-Legendre nodes x, weights w, and graded y^2 and y w, y = (1 + x)/2."""
     nodes, weights = roots_legendre(order)
-    return nodes[:, None], weights[:, None]
+    y = (1.0 + nodes) / 2.0
+    return nodes[:, None], weights[:, None], (y * y)[:, None], (y * weights)[:, None]
 
 
 def _s_extent(law: IndexLaw) -> tuple[float, float]:
@@ -262,47 +267,49 @@ def _s_extent(law: IndexLaw) -> tuple[float, float]:
     return math.log(_TAIL_MASS / mean), math.log(top)
 
 
-def _gauss_legendre(law: IndexLaw, ell: float, c_of, a, b, t, order: int):
-    """The order-point rule over [a, b] for each point (1-d arrays)."""
-    nodes, weights = _legendre(order)
-    half = (b - a) / 2.0
-    s = (a + half) + half * nodes  # (order, points)
+def _gauss_legendre(query: RangeQuery, c_of, rule, order: int):
+    """The order-point rule for each point of `rule` (see `_pair_df`)."""
+    nodes, weights, graded_nodes, graded_weights = _legendre(order)
+    origin, scale, graded, t = rule
+    s = origin + scale * np.where(graded, graded_nodes, nodes)  # (order, points)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        c = c_of(s, t)
-    terms = index_kernel(law, 1.0, np.exp(s), ell, c) * weights
+        kernel = index_kernel(query.law, 1.0, np.exp(s), query.params.ell, c_of(s, t))
+    terms = kernel * np.where(graded, graded_weights, weights)
     while len(terms) > 1:  # pairwise, in the same order for every point
         terms = terms[: len(terms) // 2] + terms[len(terms) // 2:]
-    return half * terms[0]
+    return np.abs(scale) * terms[0]
 
 
 def _pair_df(query: RangeQuery, t) -> np.ndarray:
     """A two-sided case's df over one chunk of stretched t."""
     head, lo, hi, c_of = _pair(query, t)
-    law, ell = query.law, query.params.ell
     s_lo, s_hi = query._s_extent
+    value = head.astype(float)
+    todo = np.flatnonzero(np.maximum(lo, s_lo) < np.minimum(hi, s_hi))
+    lo, hi = lo[todo], hi[todo]
     a, b = np.maximum(lo, s_lo), np.minimum(hi, s_hi)
     cut = _TAIL_MASS * ((lo < s_lo).astype(float) + (hi > s_hi))
-    value = head.astype(float)
-    todo = np.flatnonzero(a < b)
-    low = _gauss_legendre(law, ell, c_of, a[todo], b[todo], t[todo], _ORDERS[0])
+    # A pair's own end inside the truncated interval is its edge, where the
+    # integrand goes like (s - edge)^(alpha ell): nodes are graded toward it by
+    # s = edge + L y^2 (y in [0, 1]), and elsewhere s = (a + half) + half x.
+    at_lo, at_hi, half = lo > s_lo, hi < s_hi, (b - a) / 2.0
+    origin = np.where(at_hi, b, np.where(at_lo, a, a + half))
+    scale = np.where(at_hi, a - b, np.where(at_lo, b - a, half))
+    rule = (origin, scale, at_lo | at_hi, t[todo])
+    low = _gauss_legendre(query, c_of, rule, _ORDERS[0])
     for order in _ORDERS[1:]:
         if not todo.size:
             break
-        high = _gauss_legendre(law, ell, c_of, a[todo], b[todo], t[todo], order)
-        done = np.abs(high - low) + cut[todo] <= RANGE_ABS_TOL / 10.0
+        high = _gauss_legendre(query, c_of, rule, order)
+        gap = np.abs(high - low) + cut
+        done = gap <= RANGE_ABS_TOL / 10.0
         value[todo[done]] += high[done]
-        todo, low = todo[~done], high[~done]
-    for i in todo:
-        value[i] += _adaptive(law, ell, c_of, a[i], b[i], t[i])
+        todo, low, gap, cut = todo[~done], high[~done], gap[~done], cut[~done]
+        rule = tuple(part[~done] for part in rule)
+    if todo.size:
+        raise QuadratureError(f"the range rule left {todo.size} point(s) unsettled at order "
+                              f"{_ORDERS[-1]}", float(gap.max()))
     return value
-
-
-def _adaptive(law: IndexLaw, ell: float, c_of, a: float, b: float, t: float) -> float:
-    def integrand(s: float) -> float:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return index_kernel(law, 1.0, math.exp(s), ell, c_of(s, t))
-
-    return integrate(integrand, float(a), float(b), RANGE_ABS_TOL)
 
 
 # --- case dispatch ---------------------------------------------------------
@@ -332,20 +339,6 @@ def _pair(query: RangeQuery, t):
     if lower.kind == "weibull":
         return _weibull_pair(query.law, t, lower.alpha, query._eta, midrange)
     return _gumbel_pair(t, query.params.m + 1.0, query._eta, midrange)
-
-
-def adaptive_pair_df(query: RangeQuery, t: float) -> float:
-    """A two-sided case's df at one t by the adaptive `integrate` over the
-    same truncated s-interval: the fixed rule's fallback, kept as the
-    reference route that the `range-fixed-rule` selftest check and the
-    tests hold the rule to."""
-    if math.isinf(query._eta):
-        raise ValueError("single-sided cases take no quadrature")
-    t = np.array([t * query._stretch])
-    head, lo, hi, c_of = _pair(query, t)
-    a, b = max(lo[0], query._s_extent[0]), min(hi[0], query._s_extent[1])
-    integral = _adaptive(query.law, query.params.ell, c_of, a, b, t[0]) if a < b else 0.0
-    return float(head[0]) + integral
 
 
 def _cauchy_mpos_value(statistic: str, t):

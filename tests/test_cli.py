@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,13 @@ class TestParsers:
         for spec in ("0:1:abc", "0:1:2.5", "0:1:"):
             with pytest.raises(UsageError, match="not an integer"):
                 parse_grid(spec)
+
+    def test_infinite_grid_endpoint(self):
+        for spec in ("0:inf:2", "-inf:1", "-inf:inf:5"):
+            with pytest.raises(UsageError, match="infinite"):
+                parse_grid(spec)
+        assert parse_grid("inf") == [math.inf]
+        assert parse_grid("-inf:0:1") == [-math.inf]
 
     def test_transforms(self):
         tr = parse_transform("frechet:2", ExtremeSide.UPPER)
@@ -266,6 +274,30 @@ class TestVerbs:
         )
         assert code == 0
         assert "tabulated" in out
+
+    @pytest.mark.parametrize("body,message", [
+        ("z,H\n0.5,0\n1.0\n", "h.csv: row .* two columns"),
+        ("z,H\n0.5,0\nnan,1\n", "node .* not finite"),
+        ("z,H\n0.5,0\ninf,1\n", "node .* not finite"),
+    ], ids=["short-row", "nan-z", "inf-z"])
+    def test_bad_tabulated_law_file_exits_2(self, capsys, tmp_path, body, message):
+        path = tmp_path / "h.csv"
+        path.write_text(body)
+        code, _, err = run_cli(
+            capsys, "mix", "--regime", "uu", "--r", "2", "--s", "1",
+            "--upper-tail", "gumbel", "--x-grid", "0", "--y-grid", "0",
+            "--H", f"table:{path}",
+        )
+        assert code == 2
+        assert re.search(f"validation failure: .*{message}", err)
+
+    def test_infinite_grid_endpoint_exits_1(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "--dist", "logistic", "--n", "40", "--regime", "uu",
+            "--r", "2", "--s", "1", "--x-grid=-1:1:3", "--y-grid", "0:inf:2",
+        )
+        assert code == 1
+        assert "'0:inf:2'" in err
 
     def test_out_file_and_env_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GOSEXTREME_OUTDIR", str(tmp_path))

@@ -1,10 +1,11 @@
-"""The quadrature layer: one QUADPACK call, checked against its target."""
+"""The reference quadrature: one QUADPACK call, checked against its target."""
 
 import math
 
 import pytest
 
-from gosextreme._integrate import QuadratureError, integrate
+from gosextreme.ranges import QuadratureError
+from gosextreme.reference import integrate
 
 
 def test_many_subintervals_converge():

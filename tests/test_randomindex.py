@@ -62,6 +62,23 @@ class TestIndexLaw:
         assert law.kind == "tabulated"
         assert h_cdf(law, 1.0) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("node", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5)])
+    def test_non_finite_node_rejected(self, node):
+        with pytest.raises(ValueError, match="not finite"):
+            IndexLaw.tabulated([(0.0, 0.0), node, (2.0, 1.0)])
+
+    def test_csv_short_row_names_the_file(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("z,H\n0.5,0\n1.0\n")
+        with pytest.raises(ValueError, match="h.csv.*two columns"):
+            load_tabulated_csv(path)
+
+    def test_csv_nan_node_rejected(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("z,H\n0.5,0\nnan,1\n")
+        with pytest.raises(ValueError, match="not finite"):
+            load_tabulated_csv(path)
+
     def test_csv_missing_header(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("0.0,0.0\n1.0,1.0\n")

@@ -337,18 +337,18 @@ class TestCrossModuleConsistency:
         assert sep >= 1e-2
 
 
-def _example_queries(law):
+def _example_queries(law, k=1.0):
     """Every (family, m, statistic) the `example` verb serves under `law`,
-    with its default parameters, for m in {-0.5, 0, 1.2}."""
+    with its default parameters at k, for m in {-0.5, 0, 1.2}."""
     from argparse import Namespace
 
     from gosextreme.cli import _EXAMPLE_FAMILIES, _example_model
 
     for family in _EXAMPLE_FAMILIES:
         for m in (-0.5, 0.0, 1.2):
-            args = Namespace(m=m, k=1.0, sigma=1.0, theta=1.0, alpha=None, beta=2.0)
+            args = Namespace(m=m, k=k, sigma=1.0, theta=1.0, alpha=None, beta=2.0)
             model = _example_model(family, args)
-            params = GosParams(m=m, k=1.0, n=500)
+            params = GosParams(m=m, k=k, n=500)
             try:
                 eta_limit(model, params)
             except UnsupportedCaseError:
@@ -357,6 +357,26 @@ def _example_queries(law):
                 continue  # published for the geometric index only
             for statistic in ("range", "midrange"):
                 yield RangeQuery(model=model, params=params, law=law, statistic=statistic)
+
+
+def _sweep_failures(law, k):
+    """What goes wrong over t from -4 to 10 in every example case at k."""
+    grid = np.linspace(-4.0, 10.0, 29)
+    failures = []
+    for q in _example_queries(law, k):
+        name = f"{q.model.label()} m={q.params.m} {q.statistic}"
+        try:
+            values = np.asarray(range_limit_df(q, grid) if q.statistic == "range"
+                                else midrange_limit_df(q, grid))
+        except Exception as exc:  # noqa: BLE001 - every failure is collected
+            failures.append(f"{name}: {exc!r}")
+            continue
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            failures.append(f"{name}: value outside [0, 1]")
+        published = q.model.family == "cauchy" and q.params.m > 0.0
+        if not published and np.min(np.diff(values)) < -1e-9:
+            failures.append(f"{name}: decreasing by {-np.min(np.diff(values)):.2e}")
+    return failures
 
 
 SWEEP_LAWS = [
@@ -374,26 +394,27 @@ class TestExtremeTSweep:
 
     @pytest.mark.parametrize("law", SWEEP_LAWS, ids=lambda law: law.label())
     def test_sweep_has_no_failures(self, law):
-        grid = np.linspace(-4.0, 10.0, 29)
-        failures = []
-        for q in _example_queries(law):
-            name = f"{q.model.label()} m={q.params.m} {q.statistic}"
-            try:
-                values = np.asarray(range_limit_df(q, grid) if q.statistic == "range"
-                                    else midrange_limit_df(q, grid))
-            except Exception as exc:  # noqa: BLE001 - every failure is collected
-                failures.append(f"{name}: {exc!r}")
-                continue
-            if not np.all((values >= 0.0) & (values <= 1.0)):
-                failures.append(f"{name}: value outside [0, 1]")
-            published = q.model.family == "cauchy" and q.params.m > 0.0
-            if not published and np.min(np.diff(values)) < -1e-9:
-                failures.append(f"{name}: decreasing by {-np.min(np.diff(values)):.2e}")
+        failures = _sweep_failures(law, 1.0)
+        assert not failures, "\n".join(failures)
+
+    @pytest.mark.parametrize("c", [1e-4, 1e-3])
+    @pytest.mark.parametrize("k", [0.37, 0.59, 2.3])
+    def test_fractional_ell_settles_without_quadpack(self, monkeypatch, k, c):
+        # A point mass far below 1 puts the index weight next to the pair's
+        # edge, where a non-integer ell makes the integrand singular.
+        import scipy.integrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the range rule called scipy.integrate.quad")
+
+        monkeypatch.setattr(scipy.integrate, "quad", refuse)
+        failures = _sweep_failures(IndexLaw.degenerate(c), k)
         assert not failures, "\n".join(failures)
 
     @pytest.mark.parametrize("law", SWEEP_LAWS[1:], ids=lambda law: law.label())
     def test_fixed_rule_matches_the_adaptive_route(self, law):
-        from gosextreme.ranges import RANGE_ABS_TOL, _limit_df, adaptive_pair_df
+        from gosextreme.ranges import RANGE_ABS_TOL, _limit_df
+        from gosextreme.reference import adaptive_pair_df
 
         worst = 0.0
         for q in _example_queries(law):
@@ -402,3 +423,15 @@ class TestExtremeTSweep:
             for t in (-2.5, 0.5, 3.0):
                 worst = max(worst, abs(_limit_df(q, t) - adaptive_pair_df(q, t)))
         assert worst <= RANGE_ABS_TOL
+
+
+def test_unsettled_point_raises_with_the_last_gap(monkeypatch):
+    # the cauchy midrange at the pair's edge under a small point mass needs
+    # more than 128 graded nodes
+    from gosextreme import ranges
+
+    monkeypatch.setattr(ranges, "_ORDERS", (64, 128))
+    q = query("cauchy", 0.0, 2.3, "midrange", law=IndexLaw.degenerate(1e-3))
+    with pytest.raises(ranges.QuadratureError, match="order 128") as info:
+        midrange_limit_df(q, -2.5)
+    assert ranges.RANGE_ABS_TOL / 10.0 < info.value.achieved < 1.0

@@ -2,9 +2,10 @@
 point made to raise, every mixture under every law kind, both exact joints,
 the `limit` and `exact` verbs, and the `example` range and midrange tables
 still evaluate.  The two-sided ranges take a fixed Gauss-Legendre rule over
-the whole grid; QUADPACK serves only that rule's per-point fallback, which
-the default grids below never reach, and the routes of `reference`, and
-importing the CLI does not load it.  Range, exact and mixture values do not
+the whole grid, graded toward the pair's edge, and settle every point
+without a fallback: at an edge point they match a 30-digit mpmath
+integral.  QUADPACK serves only the routes of `reference`, and neither
+importing the CLI nor serving a range table loads it.  Range, exact and mixture values do not
 depend on the grid around them, and a long range grid is taken in chunks of
 fixed size."""
 
@@ -14,6 +15,7 @@ import sys
 import time
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
@@ -31,7 +33,7 @@ from gosextreme.randomindex import (
     mixture_marginal,
     mixture_uu,
 )
-from gosextreme.ranges import RangeQuery, _limit_df, range_limit_df
+from gosextreme.ranges import RANGE_ABS_TOL, RangeQuery, _limit_df, range_limit_df
 
 LAWS = [
     IndexLaw.degenerate(1.0),
@@ -47,17 +49,29 @@ def refuse_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a serving path called scipy.integrate.quad")
 
-    # `_integrate` reads the name from scipy.integrate at each call
+    # `reference.integrate` reads the name from scipy.integrate at each call
     monkeypatch.setattr(scipy.integrate, "quad", refuse)
 
 
-def test_importing_the_cli_loads_no_quadpack():
-    # a fresh interpreter: this one has imported scipy.integrate already
-    code = "import sys, gosextreme.cli; print('scipy.integrate' in sys.modules)"
+def _loads_quadpack(code: str) -> bool:
+    """Whether running `code` in a fresh interpreter (this one has imported
+    scipy.integrate already) loads scipy.integrate."""
+    code += "\nimport sys; print('scipy.integrate' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_importing_the_cli_loads_no_quadpack():
+    assert not _loads_quadpack("import gosextreme.cli")
+
+
+def test_a_range_table_with_edge_points_loads_no_quadpack():
+    # the uniform midrange's pair has an edge at each t > 0, where the
+    # integrand goes like (s - edge)^ell with ell = 0.59
+    code = "from gosextreme.cli import main; main(['example', 'uniform-midrange', '--k', '0.59'])"
+    assert not _loads_quadpack(code)
 
 
 @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.label())
@@ -144,6 +158,31 @@ def test_range_value_does_not_depend_on_its_grid(law, spec, statistic):
         assert np.array_equal(_limit_df(query, np.roll(grid, shift)), np.roll(values, shift))
     for i in (0, 63, 64, 77, 149):
         assert _limit_df(query, float(grid[i])) == values[i]
+
+
+def _cauchy_pair_oracle(t: float, midrange: bool, z: str, ell: str) -> float:
+    """The cauchy (m = 0) range or midrange df at t under the point mass z,
+    at 30 digits: int z y^-2 e^(-z/y) Q(ell, z/gap) dy over the min-side
+    variable y, with gap = t + y (midrange) or t - y (range) and Q the
+    regularized upper gamma, taken in the gap itself, which is 0 at the edge."""
+    with mp.workdps(30):
+        z, ell, edge = mp.mpf(z), mp.mpf(ell), mp.mpf(-t if midrange else t)
+
+        def integrand(gap):
+            y = edge + gap if midrange else edge - gap
+            return z / y**2 * mp.exp(-z / y) * mp.gammainc(ell, z / gap, mp.inf, regularized=True)
+
+        top = mp.inf if midrange else edge
+        breaks = [0] + [p for p in (z / 10, z, 10 * z, 100 * z, 1000 * z, 10, 1000) if p < top]
+        return float(mp.quad(integrand, [*breaks, top]))
+
+
+@pytest.mark.parametrize("name,at", [("cauchy-midrange", -2.5), ("cauchy-range", 4.5)])
+def test_cauchy_edge_points_against_mpmath(capsys, name, at):
+    values = _example_values(capsys, ["example", name, "--k", "2.3", "--law", "degenerate:0.001",
+                                      f"--at={at!r}"])
+    want = _cauchy_pair_oracle(at, name.endswith("midrange"), "0.001", "2.3")
+    assert values[0] == pytest.approx(want, abs=RANGE_ABS_TOL / 10.0)
 
 
 def test_long_range_grid_keeps_memory_flat():

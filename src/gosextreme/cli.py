@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -130,29 +131,45 @@ def parse_law(text: str) -> IndexLaw:
 
 @dataclass
 class Table:
+    """Rows under `columns`.  A table over the product of two grids passes
+    them as `grid` = (xs, ys): its rows then hold the columns after x and y,
+    one row per point, x-major."""
+
     columns: list[str]
     rows: list[list[float]]
     config: dict
+    grid: tuple[list[float], list[float]] | None = None
 
     def __post_init__(self):
         if not self.rows:
             raise ValueError("refusing to emit an empty table")
+        if self.grid is not None and len(self.rows) != len(self.grid[0]) * len(self.grid[1]):
+            raise ValueError("an xy table needs one row per grid point")
 
 
 def emit(table: Table, fmt: str) -> str:
     """Serialize a table; CSV carries the config as # comments."""
     if fmt == "json":
+        rows = table.rows
+        if table.grid is not None:
+            rows = [[x, y, *values] for (x, y), values in zip(itertools.product(*table.grid), rows)]
         return json.dumps(
-            {"config": table.config, "columns": table.columns, "rows": table.rows},
+            {"config": table.config, "columns": table.columns, "rows": rows},
             sort_keys=True,
             indent=2,
         )
     if fmt == "csv":
         lines = [f"# {key}={table.config[key]}" for key in sorted(table.config)]
         lines.append(",".join(table.columns))
-        row = ",".join(["%.15g"] * len(table.columns)) + "\n"
-        return "\n".join(lines) + "\n" + (row * len(table.rows)) % tuple(
-            v for values in table.rows for v in values)
+        row = ",".join(["%.15g"] * len(table.rows[0])) + "\n"
+        if table.grid is None:
+            body = (row * len(table.rows)) % tuple(v for values in table.rows for v in values)
+        else:  # each grid value is formatted once, and heads the rows of its points
+            xs, ys = (["%.15g," % v for v in axis] for axis in table.grid)
+            points = [x + y for x in xs for y in ys]
+            body = (("%s" + row) * len(points)) % tuple(
+                v for point, values in zip(points, table.rows) for v in (point, *values))
+        return "\n".join(lines) + "\n" + body
     raise UsageError(f"unknown format {fmt!r}")
 
 
@@ -217,10 +234,9 @@ def _xy_table(args, config: dict, evaluate) -> int:
     """Write the table of `evaluate` over every (x, y) of the two grids,
     taken in one call on the flattened grid."""
     xs, ys = parse_grid(args.x_grid), parse_grid(args.y_grid)
-    x_at, y_at = np.repeat(xs, len(ys)), np.tile(ys, len(xs))
-    values = evaluate(x_at, y_at)
-    rows = [[x, y, v] for x, y, v in zip(x_at.tolist(), y_at.tolist(), values.tolist())]
-    _write(emit(Table(["x", "y", "value"], rows, config), args.format), args.out)
+    values = evaluate(np.repeat(xs, len(ys)), np.tile(ys, len(xs)))
+    rows = [[v] for v in values.tolist()]
+    _write(emit(Table(["x", "y", "value"], rows, config, grid=(xs, ys)), args.format), args.out)
     return 0
 
 
@@ -265,10 +281,11 @@ def _run_simulate(args) -> int:
     if args.format == "json":
         _write(report.to_json(), args.out)
         return 0
-    rows = [[*g, e, a, se] for g, e, a, se in zip(
-        report.grid, report.empirical, report.analytic, report.standard_errors)]
+    rows = [list(values) for values in zip(
+        report.empirical, report.analytic, report.standard_errors)]
     config = {**report.config, "sup_distance": f"{report.sup_distance:.15g}"}
-    table = Table(["x", "y", "empirical", "analytic", "standard_error"], rows, config)
+    table = Table(["x", "y", "empirical", "analytic", "standard_error"], rows, config,
+                  grid=(xs, ys))
     _write(emit(table, args.format), args.out)
     return 0
 

@@ -46,7 +46,10 @@ values (w and c broadcast), so a whole grid is one call: the degenerate
 and unit-exponential kernels are a few `gammaincc`/`betainc`/`exp` ufunc
 calls over the array, and a tabulated law's kernel loops over the
 table's segments only, each a closed form whose branches are masks over
-the array.  A float in gives a float out.
+the array.  Under c > 0 its gamma ratios are taken once per node of the
+table, for both segments that meet there; its small-w series runs each
+element only as far as that element's stop test needs, and is the first
+row alone where w = 0.  A float in gives a float out.
 """
 
 from __future__ import annotations
@@ -179,6 +182,10 @@ def index_kernel(law: IndexLaw, j: float, w, shape: float = 1.0, c=0.0):
     j >= 0 may be real; under a tabulated law with c > 0 it must be an
     integer.  w and c are floats or arrays in [0, +inf], which broadcast;
     an infinite w or c gives 0, and a float pair gives a float.
+
+    Under a tabulated law, the by-parts branch (c > 0, w z1 > 1 on a
+    segment ending at z1) keeps absolute accuracy only, about 1e-16: where
+    the value is far below that (high j), it is roundoff of either sign.
     """
     w, c = np.asarray(w, dtype=float), np.asarray(c, dtype=float)
     if not (j >= 0.0 and np.all(w >= 0.0) and np.all(c >= 0.0)):
@@ -226,20 +233,23 @@ def _unit_exponential_kernel(law: IndexLaw, j: float, w, shape: float, c):
 
 def _tabulated_kernel(law: IndexLaw, j: float, w, shape: float, c):
     # Segment by segment, over all elements at once: each segment is a
-    # closed form whose branches are masks over the elements, and the
+    # closed form whose branches are masks over the elements (the c > 0
+    # elements take every segment in one `_q_segments` call), and the
     # segments are summed in table order, so an element's value does not
     # depend on the others.
     w, c = np.broadcast_arrays(w, c)
     out_shape, w, c = w.shape, w.ravel(), c.ravel()
     free = c == 0.0
     w_free, w_q, c_q = w[free], w[~free], c[~free]
+    if w_q.size:
+        q_parts = _q_segments(int(j), w_q, shape, c_q, law.pieces)
     total = np.zeros(w.shape)
-    for slope, z0, z1 in law.pieces:
+    for piece, (slope, z0, z1) in enumerate(law.pieces):
         part = np.empty(w.shape)
         if w_free.size:
             part[free] = _free_segment(j, w_free, z0, z1)
         if w_q.size:
-            part[~free] = _q_segment(int(j), w_q, shape, c_q, z0, z1)
+            part[~free] = q_parts[piece]
         total += slope * part
     return total.reshape(out_shape)
 
@@ -276,73 +286,139 @@ def _free_segment(j: float, w, z0: float, z1: float):
     return value
 
 
-def _q_segment(j: int, w, shape: float, c, z0: float, z1: float):
-    """int_{z0}^{z1} (zw)^j e^(-zw) / j! * Q(shape, zc) dz at finite w and
-    c > 0 (1-d arrays)."""
-    value = np.empty(w.shape)
-    big = w * z1 > 1.0
-    if big.any():
-        at = w[big]
-        ends = _segment_antiderivative(j, at, shape, c[big], np.array([[z1], [z0]]))
-        value[big] = (ends[0] - ends[1]) / at
-    if big.all():
-        return value
+def _q_segments(j: int, w, shape: float, c, pieces):
+    """int_{z0}^{z1} (zw)^j e^(-zw) / j! * Q(shape, zc) dz over each piece
+    (z0, z1), one row each, at finite w and c > 0 (1-d arrays).
+
+    Two pieces that meet share their node: every gamma ratio at a node is
+    taken once, for the elements that either piece reads there."""
+    nodes = sorted({z for _, z0, z1 in pieces for z in (z0, z1)})
+    ends = [(nodes.index(z0), nodes.index(z1)) for _, z0, z1 in pieces]
+    lo, hi = np.array(ends).T
+    z = np.array(nodes)
+    q = reg_inc_gamma_upper(shape, np.outer(z, c))
+    value = np.empty((len(pieces), w.size))
     # Small w: the closed form would cancel to O((w z1)^(j+1)), so expand
     # e^(-zw) instead, sum_k coef_k moment_k with coef_k ~ (-u)^k / k! at
     # u = w z1 <= 1.  The powers of z are taken relative to z1, so none
-    # overflows.  The moments fall with k and the sum keeps at least e^-u
-    # of the first term, so by the 21st term one is below 1e-17 of its
-    # running sum: each element stops at its own first such term (the
-    # 21st at the latest).
-    small = ~big
-    u, c = w[small] * z1, c[small]
-    q1, q0 = reg_inc_gamma_upper(shape, np.outer((z1, z0), c))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(u == 0.0, float(j == 0), np.exp(j * np.log(u) - math.lgamma(j + 1.0)))
-    k = np.arange(21.0)[:, None]
-    p = j + k + 1.0
-    g1, g0 = np.split(_gamma_moment_ratio(shape, p, np.concatenate([z1 * c, z0 * c])), 2, 1)
-    moment = z1 * (q1 + g1 - (z0 / z1) ** p * (q0 + g0)) / p
-    terms = np.multiply.accumulate(np.vstack([coef, -u / (k[:-1] + 1.0)])) * moment
-    sums = np.add.accumulate(terms)  # in order, term by term
-    stop = np.abs(terms) <= 1e-17 * np.abs(sums)
-    stop[-1] = True
-    value[small] = sums[stop.argmax(axis=0), np.arange(u.size)]
+    # overflows.  Each element stops at its first term below 1e-17 of its
+    # running sum.  The moments fall with k and the sum keeps at least e^-u
+    # of the first term, so that holds by the first k with u^k / k! <=
+    # 3e-18 (the 21st term at the latest): an element reads its rows up to
+    # there only.  At w = 0 the sum is its first row, coef_0 moment_0,
+    # which is taken here for every piece at once.
+    zero, live = w == 0.0, w > 0.0
+    if zero.any():
+        p = j + 1.0
+        m = q[:, zero] + _gamma_moment_ratio(shape, p, np.outer(z, c[zero]))
+        z0, z1 = z[lo, None], z[hi, None]
+        value[:, zero] = float(j == 0) * (z1 * (m[hi] - (z0 / z1) ** p * m[lo]) / p)
+        if zero.all():
+            return value
+        w, c, q = w[live], c[live], q[:, live]
+    u = np.array([w * z1 for _, _, z1 in pieces])
+    big = u > 1.0
+    rows = np.where(big, 0, 2 + np.searchsorted(_SERIES_REACH, u))
+    by_parts = np.zeros(q.shape, dtype=bool)  # the (node, element) pairs each form reads
+    node_rows = np.zeros(q.shape, dtype=int)
+    for (a, b), piece_big, piece_rows in zip(ends, big, rows):
+        by_parts[[a, b]] |= piece_big
+        node_rows[[a, b]] = np.maximum(node_rows[[a, b]], piece_rows)
+    ends_value = np.zeros(q.shape)
+    if by_parts.any():
+        z_at, w_at, c_at = (np.broadcast_to(v, q.shape)[by_parts] for v in (z[:, None], w, c))
+        ends_value[by_parts] = _segment_antiderivative(j, z_at, w_at, shape, c_at, q[by_parts])
+    part = np.empty(u.shape)
+    moments = {}  # node -> `_node_moments`, until the piece right of it is done
+    for piece, ((a, b), (_, z0, z1)) in enumerate(zip(ends, pieces)):
+        on = big[piece]
+        part[piece, on] = (ends_value[b, on] - ends_value[a, on]) / w[on]
+        on = ~on
+        if on.any():
+            for node in (a, b):
+                if node not in moments:
+                    moments[node] = _node_moments(j, shape, z[node], c, q[node], node_rows[node])
+            part[piece, on] = _small_w_series(j, u[piece, on], rows[piece, on], on,
+                                              moments[b], moments.pop(a), z0, z1)
+    value[:, live] = part
     return value
 
 
-def _segment_antiderivative(j: int, w, shape: float, c, z):
-    """w * int_0^z (tw)^j e^(-tw) / j! * Q(shape, tc) dt at rows w, c > 0 and
-    a column z, by parts against the Poisson sum of Gamma_{j+1}: the
-    weights C_i are negative-binomial.  The j + 1 terms are one array,
-    subtracted in order."""
+def _node_moments(j: int, shape: float, z: float, c, q, rows):
+    """(elements, M) at one node z, on each element's first `rows` powers
+    p = j + 1, j + 2, ... (1-d arrays, q = Q(shape, zc)):
+    M = p z^-p int_0^z t^(p-1) Q(shape, tc) dt = q + `_gamma_moment_ratio` at zc."""
+    at = np.flatnonzero(rows)
+    k = np.arange(float(rows.max()))[:, None]
+    return at, q[at] + _gamma_moment_ratio(shape, j + k + 1.0, z * c[at], k < rows[at])
+
+
+def _small_w_series(j: int, u, rows, on, right, left, z0: float, z1: float):
+    """The series of `_q_segments` over each element's rows at u = w z1 <= 1,
+    for the elements `on` picks, from the `_node_moments` M at both ends:
+    row k's moment is
+    int_{z0}^{z1} (z/z1)^(j+k) Q(shape, zc) dz = z1 [M(z1) - (z0/z1)^p M(z0)] / p."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(u == 0.0, float(j == 0), np.exp(j * np.log(u) - math.lgamma(j + 1.0)))
+    k = np.arange(float(rows.max()))[:, None]
+    p = j + k + 1.0
+    # a node's elements include the piece's; most often they are the same
+    m1, m0 = (m[:k.size] if at.size == u.size else m[:k.size, on[at]] for at, m in (right, left))
+    terms = np.empty((k.size, u.size))  # in place from here: (row, element) arrays are large
+    terms[0] = coef
+    np.divide(-u, k[1:], out=terms[1:])
+    np.multiply.accumulate(terms, out=terms)
+    terms *= z1 * (m1 - (z0 / z1) ** p * m0) / p
+    sums = np.add.accumulate(terms)  # in order, term by term
+    bound = np.abs(sums)
+    bound *= 1e-17
+    stop = np.abs(terms, out=terms) <= bound
+    every = np.arange(u.size)
+    stop[rows - 1, every] = True
+    return sums[stop.argmax(axis=0), every]
+
+
+# u^k / k! <= 3e-18 exactly where u <= _SERIES_REACH[k - 1], k = 1 ... 20;
+# 3e-18 stays below 1e-17 e^-1 with a fifth to spare for rounding.
+_SERIES_REACH = np.array([(3e-18 * math.factorial(k)) ** (1.0 / k) for k in range(1, 21)])
+
+
+def _segment_antiderivative(j: int, z, w, shape: float, c, q):
+    """w * int_0^z (tw)^j e^(-tw) / j! * Q(shape, tc) dt at w, c > 0, given
+    q = Q(shape, zc) (1-d arrays, pair by pair), by parts against the
+    Poisson sum of Gamma_{j+1}: the weights C_i are negative-binomial.  The
+    j + 1 terms are one array, subtracted in order."""
     x = z * c
-    total = reg_inc_gamma(j + 1.0, z * w) * reg_inc_gamma_upper(shape, x) + reg_inc_gamma(shape, x)
+    total = reg_inc_gamma(j + 1.0, z * w) * q + reg_inc_gamma(shape, x)
     log_sum = np.log(c + w)
     log_front = shape * (np.log(c) - log_sum) - math.lgamma(shape)
     log_ratio = np.log(w) - log_sum
     i = np.arange(j + 1.0)[:, None]
     log_gammas = np.array([[math.lgamma(shape + k) - math.lgamma(k + 1.0)] for k in range(j + 1)])
-    weight = np.exp(log_front + i * log_ratio + log_gammas)[:, None, :]
-    for term in weight * reg_inc_gamma(shape + i[:, None], z * (c + w)):
+    weight = np.exp(log_front + i * log_ratio + log_gammas)
+    for term in weight * reg_inc_gamma(shape + i, z * (c + w)):
         total = total - term
     return total
 
 
-def _gamma_moment_ratio(shape: float, p, x):
-    """E[T^p; T <= x] / x^p for T ~ Gamma(shape), at a column p of powers
-    and a row x >= 0, so that
+def _gamma_moment_ratio(shape: float, p, x, need=None):
+    """E[T^p; T <= x] / x^p for T ~ Gamma(shape), at powers p and x >= 0
+    that broadcast, on the pairs that the mask `need` picks (all by
+    default; 0 on the others), so that
     int_0^z t^(p-1) Q(shape, tc) dt = z^p [Q(shape, zc) + this at x = zc] / p."""
-    a = shape + p
+    a = shape + np.asarray(p)
+    log_norm = np.array([math.lgamma(v) - math.lgamma(shape) for v in a.ravel()]).reshape(a.shape)
+    if need is None:
+        need = np.ones(np.broadcast_shapes(a.shape, x.shape), dtype=bool)
+    a, p, x, log_norm = (np.broadcast_to(v, need.shape)[need] for v in (a, p, x, log_norm))
     tail = reg_inc_gamma(a, x)
-    log_norm = np.array([[math.lgamma(v) - math.lgamma(shape)] for v in a.ravel()])
     big = tail > 1e-260  # a normal float with digits to spare
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         value = np.where(big, np.exp(log_norm - p * np.log(x) + np.log(tail)), 0.0)
     small = (x > 0.0) & ~big
     if small.any():
         # Small x: the series of Gamma_a(x) with x^p divided out.
-        at, a = np.broadcast_to(x, small.shape)[small], np.broadcast_to(a, small.shape)[small]
+        at, a = x[small], a[small]
         term = np.exp(shape * np.log(at) - at - math.lgamma(shape)) / a
         total, i = term, 0
         live = term > 1e-17 * total
@@ -352,7 +428,9 @@ def _gamma_moment_ratio(shape: float, p, x):
             total = np.where(live, total + term, total)
             live &= term > 1e-17 * total
         value[small] = total
-    return value
+    out = np.zeros(need.shape)
+    out[need] = value
+    return out
 
 
 def mixture_uu(

@@ -257,19 +257,31 @@ def normal_midrange_integral(v: float) -> float:
 
 def adaptive_pair_df(query: ranges.RangeQuery, t: float) -> float:
     """A two-sided case's df at one t by the adaptive `integrate` over the
-    fixed rule's truncated s-interval: the reference route that the
+    fixed rule's truncated s-interval, in the rule's graded variable where
+    that interval ends at the pair's edge: the reference route that the
     `range-fixed-rule` check and the tests hold the rule to."""
     if math.isinf(query._eta):
         raise ValueError("single-sided cases take no quadrature")
     t = np.array([t * query._stretch])
     head, lo, hi, c_of = ranges._pair(query, t)
-    a, b = max(lo[0], query._s_extent[0]), min(hi[0], query._s_extent[1])
+    s_lo, s_hi = query._s_extent
+    a, b, tol = float(max(lo[0], s_lo)), float(min(hi[0], s_hi)), ranges.RANGE_ABS_TOL
 
     def integrand(s: float) -> float:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return index_kernel(query.law, 1.0, math.exp(s), query.params.ell, c_of(s, t[0]))
 
-    integral = integrate(integrand, float(a), float(b), ranges.RANGE_ABS_TOL) if a < b else 0.0
+    if not a < b:
+        return float(head[0])
+    if hi[0] < s_hi or lo[0] > s_lo:
+        # The pair's own end lies inside, where the integrand goes like
+        # (s - edge)^(alpha ell): QUADPACK's error estimate misses that layer
+        # in s, so take s = edge + L y^2 over y in [0, 1], as the fixed rule does.
+        edge, span = (b, a - b) if hi[0] < s_hi else (a, b - a)
+        integral = integrate(lambda y: integrand(edge + span * y * y) * 2.0 * y * abs(span),
+                             0.0, 1.0, tol)
+    else:
+        integral = integrate(integrand, a, b, tol)
     return float(head[0]) + integral
 
 

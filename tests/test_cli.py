@@ -130,6 +130,24 @@ class TestEmit:
             {"config": {"verb": "t"}, "columns": ["x", "y", "value"], "rows": plain},
             sort_keys=True, indent=2)
 
+    def test_grid_values_keep_their_bytes(self):
+        # an xy table formats each grid value once; every row must still read
+        # as a per-value f"{v:.15g}" of its x, y and value
+        xs = [-0.0, math.inf, 1e-300, 0.1 + 0.2]
+        ys = [-math.inf, 0.0, 0.1 + 0.2, -0.0, 1e-300]
+        values = [[-0.0], [math.inf], [1e-300], [0.1 + 0.2], [-math.inf]] * 4
+        table = Table(columns=["x", "y", "value"], rows=values, config={"verb": "t"},
+                      grid=(xs, ys))
+        points = [[x, y, *v] for (x, y), v in zip([(x, y) for x in xs for y in ys], values)]
+        want = "# verb=t\nx,y,value\n" + "".join(
+            ",".join(f"{v:.15g}" for v in row) + "\n" for row in points)
+        assert emit(table, "csv") == want
+        assert emit(table, "json") == json.dumps(
+            {"config": {"verb": "t"}, "columns": ["x", "y", "value"], "rows": points},
+            sort_keys=True, indent=2)
+        with pytest.raises(ValueError):
+            Table(columns=["x", "y", "value"], rows=values[1:], config={}, grid=(xs, ys))
+
     def test_json_structure_sorted(self):
         text = emit(Table(columns=["x"], rows=[[1.0]], config={"b": 1, "a": 2}), "json")
         payload = json.loads(text)
@@ -639,6 +657,73 @@ class TestSimulateCsv:
         out = tmp_path / "sim.csv"
         assert main([*_SIMULATE_CSV, "--out", str(out)]) == 0
         assert out.read_text() == _SIMULATE_CSV_BYTES
+
+
+# A five-node tabulated index law, and the CSV the tabulated kernel wrote under
+# it when each segment ran all 21 rows of its small-w series and took the
+# gamma ratios at both of its ends.
+_TABLE_LAW = "z,H\n0.3,0\n0.8,0.25\n1.4,0.5\n2.1,0.8\n3.0,1\n"
+
+_TABLE_MIX_CSV = ["mix", "--regime", "lu", "--r", "1", "--s", "1", "--lower-tail", "weibull:1",
+                  "--upper-tail", "frechet:1", "--m", "0.5", "--k", "1", "--x-grid=0.2:3:3",
+                  "--y-grid=0.5:4:3", "--format", "csv"]
+
+_TABLE_MIX_CSV_BYTES = """\
+# H=tabulated[5]
+# format=csv
+# k=1.0
+# lower_tail=weibull:1
+# m=0.5
+# r=1
+# regime=lu
+# s=1
+# upper_tail=frechet:1
+# verb=mix
+# x_grid=0.2:3:3
+# y_grid=0.5:4:3
+x,y,value
+0.2,0.5,0.00443077138472412
+0.2,2.25,0.104408745410807
+0.2,4,0.155270038004593
+1.6,0.5,0.0231508983469359
+1.6,2.25,0.384378917375591
+1.6,4,0.548731513713621
+3,0.5,0.0313127265947665
+3,2.25,0.448989663077595
+3,4,0.630870520785682
+"""
+
+_TABLE_RANGE_CSV = ["example", "normal-range", "--grid", "0:4:5", "--format", "csv"]
+
+_TABLE_RANGE_CSV_BYTES = """\
+# dist=normal
+# format=csv
+# grid=0:4:5
+# k=1.0
+# law=tabulated[5]
+# m=0.0
+# name=normal-range
+# verb=example
+t,analytic
+0,0.232607102351339
+1,0.40720268758451
+2,0.598940233147005
+3,0.761267980520228
+4,0.872116347165877
+"""
+
+
+class TestTableLawCsv:
+    @pytest.mark.parametrize("argv,flag,want", [
+        (_TABLE_MIX_CSV, "--H", _TABLE_MIX_CSV_BYTES),
+        (_TABLE_RANGE_CSV, "--law", _TABLE_RANGE_CSV_BYTES),
+    ], ids=["mix-lu", "normal-range"])
+    def test_bytes_unchanged(self, tmp_path, argv, flag, want):
+        law = tmp_path / "h.csv"
+        law.write_text(_TABLE_LAW)
+        out = tmp_path / "table.csv"
+        assert main([*argv, flag, f"table:{law}", "--out", str(out)]) == 0
+        assert out.read_text() == want
 
 
 class TestClosedStdout:

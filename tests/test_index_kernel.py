@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 from scipy import special
 
+from gosextreme import randomindex
 from gosextreme.distributions import parse_model
 from gosextreme.params import ExtremeSide, GosParams
 from gosextreme.randomindex import (
@@ -35,6 +36,7 @@ from gosextreme.reference import (
     omega_uu,
     upper_marginal_limit,
 )
+from gosextreme.specfun import reg_inc_gamma, reg_inc_gamma_upper
 
 EXP = IndexLaw.unit_exponential()
 TABLE = IndexLaw.tabulated([(0.3, 0.0), (0.9, 0.2), (1.3, 0.6), (3.1, 1.0)])
@@ -210,6 +212,122 @@ class TestTabulatedBranches:
                 # by-parts sum of c > 0 holds the probability scale, 1e-15
                 floor = 1e-15 if c > 0.0 else 1e-300
                 assert abs(got - want) <= 1e-12 * want + floor, (w, c)
+
+
+def _q_segment_reference(j, w, shape, c, z0, z1):
+    """The c > 0 segment that `randomindex` takes per element only as far as
+    it reads: here every element runs all 21 rows of the small-w series,
+    and each segment takes the gamma ratios at both of its ends."""
+    value = np.empty(w.shape)
+    big = w * z1 > 1.0
+    if big.any():
+        at = w[big]
+        ends = _segment_antiderivative_reference(j, at, shape, c[big], np.array([[z1], [z0]]))
+        value[big] = (ends[0] - ends[1]) / at
+    if big.all():
+        return value
+    small = ~big
+    u, c = w[small] * z1, c[small]
+    q1, q0 = reg_inc_gamma_upper(shape, np.outer((z1, z0), c))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(u == 0.0, float(j == 0), np.exp(j * np.log(u) - math.lgamma(j + 1.0)))
+    k = np.arange(21.0)[:, None]
+    p = j + k + 1.0
+    g1, g0 = np.split(_gamma_moment_ratio_reference(shape, p, np.concatenate([z1 * c, z0 * c])),
+                      2, 1)
+    moment = z1 * (q1 + g1 - (z0 / z1) ** p * (q0 + g0)) / p
+    terms = np.multiply.accumulate(np.vstack([coef, -u / (k[:-1] + 1.0)])) * moment
+    sums = np.add.accumulate(terms)
+    stop = np.abs(terms) <= 1e-17 * np.abs(sums)
+    stop[-1] = True
+    value[small] = sums[stop.argmax(axis=0), np.arange(u.size)]
+    return value
+
+
+def _segment_antiderivative_reference(j, w, shape, c, z):
+    x = z * c
+    total = reg_inc_gamma(j + 1.0, z * w) * reg_inc_gamma_upper(shape, x) + reg_inc_gamma(shape, x)
+    log_sum = np.log(c + w)
+    log_front = shape * (np.log(c) - log_sum) - math.lgamma(shape)
+    log_ratio = np.log(w) - log_sum
+    i = np.arange(j + 1.0)[:, None]
+    log_gammas = np.array([[math.lgamma(shape + k) - math.lgamma(k + 1.0)] for k in range(j + 1)])
+    weight = np.exp(log_front + i * log_ratio + log_gammas)[:, None, :]
+    for term in weight * reg_inc_gamma(shape + i[:, None], z * (c + w)):
+        total = total - term
+    return total
+
+
+def _gamma_moment_ratio_reference(shape, p, x):
+    a = shape + p
+    tail = reg_inc_gamma(a, x)
+    log_norm = np.array([[math.lgamma(v) - math.lgamma(shape)] for v in a.ravel()])
+    big = tail > 1e-260
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value = np.where(big, np.exp(log_norm - p * np.log(x) + np.log(tail)), 0.0)
+    small = (x > 0.0) & ~big
+    if small.any():
+        at, a = np.broadcast_to(x, small.shape)[small], np.broadcast_to(a, small.shape)[small]
+        term = np.exp(shape * np.log(at) - at - math.lgamma(shape)) / a
+        total, i = term, 0
+        live = term > 1e-17 * total
+        while live.any():
+            i += 1
+            term = np.where(live, term * (at / (a + i)), term)
+            total = np.where(live, total + term, total)
+            live &= term > 1e-17 * total
+        value[small] = total
+    return value
+
+
+def _q_kernel_reference(law, j, w, shape, c):
+    """The tabulated kernel at c > 0, segment by segment in table order."""
+    total = np.zeros(w.shape)
+    for slope, z0, z1 in law.pieces:
+        total += slope * _q_segment_reference(j, w, shape, c, z0, z1)
+    return total
+
+
+class TestTabulatedKernelMatchesTheFullSeries:
+    """The tabulated kernel reads each small-w series only up to the row its
+    stop test needs (row 0 alone at w = 0) and shares the gamma ratios at a
+    node between the two segments that meet there; every value must equal
+    the full series taken segment by segment."""
+
+    # the last law's first segment ends below 1/2, where u = w z1 underflows
+    # to 0 at the least w > 0
+    @pytest.mark.parametrize("law", [
+        TABLE, TABLE_AT_ZERO, IndexLaw.tabulated([(0.0, 0.0), (0.3, 0.4), (2.0, 1.0)]),
+    ], ids=["table", "table-at-zero", "short-first"])
+    @pytest.mark.parametrize("j", [0, 1, 5, 199])
+    def test_bit_for_bit(self, law, j):
+        rng = np.random.default_rng(1800 + j)
+        # u = w z1 on both sides of the series' reach and of its switch at 1,
+        # and the least w > 0
+        us = (1e-300, 1e-8, 0.3, 1.0 - 1e-12, 1.0 + 1e-12)
+        ws = [0.0] * 12 + [5e-324] + [u / z1 for _, _, z1 in law.pieces for u in us]
+        ws += [*rng.uniform(0.0, 3.0, 12), *10.0 ** rng.uniform(-12.0, 0.5, 12)]
+        w = rng.permutation(np.repeat(ws, 2))
+        c = np.where(rng.random(w.size) < 0.75, rng.choice([1e-300, 0.7, 1e6], w.size),
+                     10.0 ** rng.uniform(-3.0, 3.0, w.size))
+        for shape in (0.5, 1.0, 3.0, 7.3):
+            want = _q_kernel_reference(law, j, w, shape, c)
+            assert np.array_equal(index_kernel(law, j, w, shape, c), want), shape
+
+    @pytest.mark.parametrize("law", [TABLE, TABLE_AT_ZERO], ids=lambda law: law.label())
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_zero_w_reads_row_zero_only(self, law, j, monkeypatch):
+        # The full series took 2 x 21 lower ratios per segment and element.
+        seen = []
+
+        def counting(a, x):
+            seen.append(np.broadcast(a, x).size)
+            return reg_inc_gamma(a, x)
+
+        monkeypatch.setattr(randomindex, "reg_inc_gamma", counting)
+        c = np.linspace(0.05, 6.0, 40)
+        index_kernel(law, float(j), 0.0, 0.7, c)
+        assert 0 < sum(seen) <= 2 * len(law.pieces) * c.size
 
 
 class TestCollapsedMixtures:

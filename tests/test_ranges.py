@@ -424,6 +424,20 @@ class TestExtremeTSweep:
                 worst = max(worst, abs(_limit_df(q, t) - adaptive_pair_df(q, t)))
         assert worst <= RANGE_ABS_TOL
 
+    @pytest.mark.parametrize("statistic,t", [("midrange", -2.5), ("range", 4.5)])
+    def test_adaptive_route_at_the_pair_edge(self, statistic, t):
+        # Under a small point mass the index weight sits next to the pair's
+        # edge; the adaptive route once read 1.2e-7 (midrange) and 3.8e-8
+        # (range) above the 30-digit integral there.
+        from test_serving_paths import _cauchy_pair_oracle
+
+        from gosextreme.ranges import RANGE_ABS_TOL
+        from gosextreme.reference import adaptive_pair_df
+
+        q = query("cauchy", 0.0, 2.3, statistic, law=IndexLaw.degenerate(1e-3))
+        want = _cauchy_pair_oracle(t, statistic == "midrange", "0.001", "2.3")
+        assert adaptive_pair_df(q, t) == pytest.approx(want, abs=RANGE_ABS_TOL)
+
 
 def test_unsettled_point_raises_with_the_last_gap(monkeypatch):
     # the cauchy midrange at the pair's edge under a small point mass needs

@@ -200,6 +200,24 @@ def test_long_range_grid_keeps_memory_flat():
     assert peak < 4e6
 
 
+def test_table_law_range_memory_is_bounded_by_the_chunk():
+    # a table law's kernel holds (series row, element) arrays over a whole
+    # chunk of grid points times the rule's nodes, and no more
+    query = RangeQuery(model=parse_model("normal"), params=GosParams(m=0.0, k=1.0, n=50),
+                       law=LAWS[2], statistic="range")
+
+    def peak(points):
+        tracemalloc.start()
+        try:
+            range_limit_df(query, np.linspace(-2.0, 6.0, points))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64)  # the rule's node tables are built once, on the first call
+    assert peak(200) <= 1.1 * peak(64)
+
+
 def test_at_and_grid_give_the_same_bits(capsys):
     import json
 

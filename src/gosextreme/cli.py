@@ -347,11 +347,12 @@ def _run_example(args) -> int:
         "format": args.format,
     }
     columns = ["t", "analytic"]
-    rows = [[t, v] for t, v in zip(grid, evaluate(query, np.array(grid)).tolist())]
+    analytic = evaluate(query, np.array(grid))
+    rows = [[t, v] for t, v in zip(grid, analytic.tolist())]
 
     if args.sim_reps:
         mode = _mode_for_law(law)
-        report = run_statistic_sim(query, mode, grid, args.sim_reps, args.sim_seed)
+        report = run_statistic_sim(query, mode, grid, args.sim_reps, args.sim_seed, analytic)
         config.update({
             "sim_n": params.n, "sim_reps": args.sim_reps, "sim_seed": args.sim_seed,
             "sim_index_mode": mode.label(),

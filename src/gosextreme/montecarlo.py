@@ -9,17 +9,27 @@ quantile.  Replications draw from independent Philox streams (stream i
 is `Philox(key=seed).jumped(i)`), so the tally is reproducible bit for
 bit regardless of how replications would be partitioned across workers;
 the reduction is integer counting and therefore associative.  Philox is
-counter-based and a jump adds 1 to word 2 of its counter, so each call
-builds one bit generator and re-keys it before replication i to counter
-[0, 0, i, 0] with an empty buffer, which is exactly stream i.
+counter-based and a jump adds 1 to word 2 of its counter, so a bit
+generator re-keyed to counter [0, 0, i, 0] with an empty buffer is
+exactly stream i.
 
-A replication draws the uniforms only up to the highest position its
-pair reads, and sums ln(W_j)/gamma_j in fixed-size blocks with the
-arithmetic and order of one whole `cumsum`, so every value is the one
+Replications are summed a tile of up to _TILE at a time.  Each call
+keeps one bit generator per row of a tile, so a row resumes its stream
+from block to block of positions.  A replication draws the uniforms
+only up to the highest position its pair reads, and its terms
+ln(W_j)/gamma_j are added in order, position by position, as one
+`cumsum` of the replication alone adds them: a tile's block is laid out
+position-major, and one `np.add.reduce(axis=0)` over its two or more
+columns advances every row's running sum (a lone row takes `cumsum`,
+as numpy sums a single column pairwise).  So every value is the one
 `reference.sample_uniform_gos` gives from the same stream.  A
 lower-lower pair (r, s) draws max(r, s) uniforms whatever nu is; a pair
-that reaches the top of the sample draws about nu, in time linear in nu
-and in memory bounded by one block.
+that reaches the top of the sample draws about nu, in time linear in
+nu.  Under a random nu the lengths of such a pair's sums differ, so
+every nu is drawn once ahead and the tiles take the replications in
+order of length.  Beyond its results, a call's memory is one tile (two
+buffers of _TILE x _BLOCK values) and a gamma table of at most
+_GAMMA_TABLE_MAX values, whatever nu or the number of replications.
 
 Random-size modes:
 
@@ -211,30 +221,38 @@ def _draw_index(
 
 _SideRank = tuple[ExtremeSide, int]
 
-# Uniforms per block of the running sum: the sampler's memory for a pair
-# that reaches the top of the sample.
-_BLOCK = 4096
+# Positions per block: a replication draws its uniforms _BLOCK at a time.
+_BLOCK = 1024
+# Replications per tile: the rows whose running sums advance together.  A
+# tile's two buffers hold _TILE x _BLOCK values each, whatever nu is.
+_TILE = 64
 # The per-call gamma table covers nu - j below this bound, so its memory,
-# like the block's, stays flat in nu; blocks above it compute their own.
+# like the tile's, stays flat in nu; blocks above it compute their own.
 _GAMMA_TABLE_MAX = 1 << 16
 
 
 class _Streams:
-    """Stream i of the module docstring, taken by re-keying one Philox bit
-    generator in place: counter [0, 0, i, 0], key = seed, buffer empty."""
+    """Stream i of the module docstring, taken by re-keying a Philox bit
+    generator in place: counter [0, 0, i, 0], key = seed, buffer empty.
+    The pool holds `size` generators, so as many streams stay open at
+    once and each resumes where its last draw stopped."""
 
-    def __init__(self, seed: int):
-        self._bitgen = np.random.Philox(key=seed)
-        self._rng = np.random.Generator(self._bitgen)
-        self._state = self._bitgen.state
-        self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-        self._counter = self._state["state"]["counter"]
-        self._counter[:] = 0
+    def __init__(self, seed: int, size: int = 1):
+        self._bitgens = [np.random.Philox(key=seed) for _ in range(size)]
+        self._rngs = [np.random.Generator(bitgen) for bitgen in self._bitgens]
+        state = self._bitgens[0].state
+        # Plain ints, which the state setter reads faster than arrays.
+        self._counter = [0, 0, 0, 0]
+        self._state = {
+            "bit_generator": state["bit_generator"],
+            "state": {"counter": self._counter, "key": state["state"]["key"].tolist()},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
 
-    def start(self, replication: int) -> np.random.Generator:
+    def start(self, replication: int, slot: int = 0) -> np.random.Generator:
         self._counter[2] = replication
-        self._bitgen.state = self._state
-        return self._rng
+        self._bitgens[slot].state = self._state
+        return self._rngs[slot]
 
 
 class _Gammas:
@@ -257,6 +275,147 @@ class _Gammas:
         start = size - 1 - top
         return self._table[start:start + count]
 
+    def runs(self, tops: np.ndarray, count: int) -> np.ndarray:
+        """One run per row, for rows whose tops differ."""
+        return self._k + (tops[:, None] - np.arange(count)) * self._step
+
+
+def _column_sums(segment: np.ndarray) -> np.ndarray:
+    """Each column's sum down a position-major segment, adding the rows in
+    order, so that it is the last entry of the column's `cumsum`.
+    `np.add.reduce` adds rows in order over two or more columns; over one
+    it sums pairwise, so a lone column takes `cumsum`."""
+    if segment.shape[1] == 1:
+        return np.cumsum(segment[:, 0])[-1:]
+    return np.add.reduce(segment, axis=0)
+
+
+class _TileSampler:
+    """Prefix sums of ln(W_j)/gamma_j at a pair's two positions, a tile of
+    up to _TILE replications at a time.
+
+    A tile's rows are right-aligned: row b starts `pad` columns in, so
+    every row ends at the tile's last column and column c carries gamma
+    index `top - c`.  Columns before a row's start hold zeros, which add
+    nothing to its sum.  Each block of columns is drawn row by row, each
+    row from its own open stream, then taken through `log` and the divide
+    in whole-tile calls and copied position-major, where `_column_sums`
+    advances every row's running total at once.  A position that sits in
+    the same column for every row is read there; one that does not (the
+    lower rank of a lower-upper pair under a random nu) is read off a
+    row-wise `cumsum` of the block's prefix.
+    """
+
+    def __init__(self, params, mode, first, second, seed, tile):
+        self._n, self._mode = params.n, mode
+        self._sides = (first, second)
+        self._floor = max(first[1], second[1]) + 1
+        self._carries = mode.t_kind == "uniform"
+        self._streams = _Streams(seed, tile)
+        self._gammas = _Gammas(params)
+        self._tile = tile
+
+    def plan(self, replications: int) -> np.ndarray:
+        """The replications in tile order, with the tile's buffers sized for
+        the longest sum.  Lengths differ only under a random nu and a pair
+        that reaches the top; then every nu is drawn here once, and sorting
+        by length gives each tile rows of about equal length.  Otherwise
+        replication 0's length is every replication's."""
+        random_nu = self._mode.kind == "geometric" or self._carries
+        upper = any(side == ExtremeSide.UPPER for side, _ in self._sides)
+        draws = range(replications) if random_nu and upper else range(1)
+        nus = np.fromiter((
+            _draw_index(self._mode, self._n, self._streams.start(i), self._floor)[0]
+            for i in draws
+        ), dtype=np.int64, count=len(draws))
+        stops = np.maximum(*(_position(side_rank, nus) for side_rank in self._sides)) + 1
+        size = self._tile * min(_BLOCK, int(stops.max()))
+        self._flat = (np.empty(size), np.empty(size))
+        # A tile's top is at most this; taking it now builds the table once.
+        self._gammas.run(int((nus - stops).max() + stops.max()) - 1, 1)
+        if len(draws) < replications:
+            return np.arange(replications)
+        return np.argsort(stops, kind="stable")
+
+    def sums(self, replications: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The prefix sums at the pair's two positions for one tile."""
+        count = len(replications)
+        # Each row opens its stream on a slot of the pool and draws its nu
+        # (and carry) there, so the stream stands at the row's first W.
+        rngs, nus, carries = [], np.empty(count, dtype=np.int64), np.empty(count)
+        for slot, i in enumerate(replications.tolist()):
+            rng = self._streams.start(i, slot)
+            nus[slot], carry = _draw_index(self._mode, self._n, rng, self._floor)
+            rngs.append(rng)
+            if carry is not None:
+                carries[slot] = carry
+        at = [_position(side_rank, nus) for side_rank in self._sides]
+        stop = np.maximum(*at) + 1
+        width = int(stop.max())
+        pad = width - stop
+        pads = pad.tolist()
+        tops = nus - 1 + pad
+        top = int(tops[0]) if tops.min() == tops.max() else None
+        cols = [pad + a for a in at]
+        marks = {}  # column -> the targets every row reads there
+        scattered = {}  # block start -> (target, the rows it holds that target for)
+        for target, col in enumerate(cols):
+            if col.min() == col.max():
+                marks.setdefault(int(col[0]), []).append(target)
+                continue
+            blocks = col // _BLOCK
+            for b in np.unique(blocks).tolist():
+                scattered.setdefault(b * _BLOCK, []).append((target, np.flatnonzero(blocks == b)))
+        slot_cols = pad + (nus - 1) // 2
+        values = (np.empty(count), np.empty(count))
+        total = np.zeros(count)
+        for lo in range(0, width, _BLOCK):
+            hi = min(lo + _BLOCK, width)
+            # Rows past `idle` have started by this block and run to its end.
+            idle = int(np.count_nonzero(pad >= hi))
+            size = (count - idle) * (hi - lo)
+            block = self._flat[0][:size].reshape(count - idle, hi - lo)
+            by_position = self._flat[1][:size].reshape(hi - lo, count - idle)
+            for slot in range(idle, count):
+                start = pads[slot] - lo
+                row = block[slot - idle]
+                if start > 0:
+                    row[:start] = 1.0  # ln 1 = 0
+                    row = row[start:]
+                rngs[slot].random(out=row)
+            if self._carries:
+                hit = np.flatnonzero((slot_cols >= lo) & (slot_cols < hi))
+                block[hit - idle, slot_cols[hit] - lo] = carries[hit]
+            np.log(block, out=block)
+            if top is not None:
+                np.divide(block, self._gammas.run(top - lo, hi - lo), out=block)
+            else:
+                np.divide(block, self._gammas.runs(tops[idle:] - lo, hi - lo), out=block)
+            # A scattered target: each row's running total, then its terms
+            # from its start in this block (zeros before it add nothing).
+            for target, rows in scattered.get(lo, ()):
+                begin = np.maximum(pad[rows] - lo, 0)
+                span = cols[target][rows] - lo - begin
+                reach = np.minimum(begin[:, None] + np.arange(span.max() + 1), hi - lo - 1)
+                prefix = block[(rows - idle)[:, None], reach]
+                prefix[:, 0] += total[rows]
+                np.cumsum(prefix, axis=1, out=prefix)
+                values[target][rows] = prefix[np.arange(rows.size), span]
+            # Position-major, the running totals advance a segment at a time,
+            # each segment ending at a marked column or the block's last, and
+            # each starting from the row that holds the sum so far.
+            np.copyto(by_position, block.T)
+            by_position[0] += total[idle:]
+            begin = 0
+            for mark in sorted({c - lo for c in marks if lo <= c < hi} | {hi - lo - 1}):
+                running = _column_sums(by_position[begin:mark + 1])
+                for target in marks.get(mark + lo, ()):
+                    values[target][:] = running
+                by_position[mark] = running
+                begin = mark
+            total[idle:] = running
+        return values
+
 
 def simulate_value_pairs(
     params: GosParams,
@@ -272,34 +431,14 @@ def simulate_value_pairs(
     Each coordinate is (side, rank): rank from the bottom for LOWER,
     from the top for UPPER.
     """
-    floor = max(first[1], second[1]) + 1
-    streams = _Streams(seed)
-    gammas = _Gammas(params)
-    block = np.empty(_BLOCK)
+    tile = min(_TILE, replications)
+    sampler = _TileSampler(params, mode, first, second, seed, tile)
     sum_first = np.empty(replications)
     sum_second = np.empty(replications)
-    for i in range(replications):
-        rng = streams.start(i)
-        nu, carry = _draw_index(mode, params.n, rng, floor)
-        at_first, at_second = _position(first, nu), _position(second, nu)
-        stop = max(at_first, at_second) + 1
-        slot = (nu - 1) // 2
-        total = 0.0
-        for lo in range(0, stop, _BLOCK):
-            hi = min(lo + _BLOCK, stop)
-            w = block[:hi - lo]
-            rng.random(out=w)
-            if carry is not None and lo <= slot < hi:
-                w[slot - lo] = carry
-            np.log(w, out=w)
-            np.divide(w, gammas.run(nu - 1 - lo, hi - lo), out=w)
-            w[0] += total
-            np.cumsum(w, out=w)
-            total = w[-1]
-            if lo <= at_first < hi:
-                sum_first[i] = w[at_first - lo]
-            if lo <= at_second < hi:
-                sum_second[i] = w[at_second - lo]
+    order = sampler.plan(replications)
+    for lo in range(0, replications, tile):
+        rows = order[lo:lo + tile]
+        sum_first[rows], sum_second[rows] = sampler.sums(rows)
     clip = np.clip
     u_first, u_second = -np.expm1(sum_first), -np.expm1(sum_second)
     x_first = np.asarray(quantile(model, clip(u_first, _TINY, _ONE_BELOW)), dtype=float)
@@ -307,9 +446,9 @@ def simulate_value_pairs(
     return x_first, x_second
 
 
-def _position(side_rank: _SideRank, nu: int) -> int:
+def _position(side_rank: _SideRank, nu: np.ndarray) -> np.ndarray:
     side, rank = side_rank
-    return rank - 1 if side == ExtremeSide.LOWER else nu - rank
+    return np.full_like(nu, rank - 1) if side == ExtremeSide.LOWER else nu - rank
 
 
 def _regime_sides(pair: RankPair) -> tuple[_SideRank, _SideRank]:

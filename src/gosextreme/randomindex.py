@@ -291,12 +291,17 @@ def _q_segments(j: int, w, shape: float, c, pieces):
     (z0, z1), one row each, at finite w and c > 0 (1-d arrays).
 
     Two pieces that meet share their node: every gamma ratio at a node is
-    taken once, for the elements that either piece reads there."""
+    taken once, for the elements that either piece reads there.  The ratios
+    that depend on c alone (Q(shape, zc), the first row at w = 0 and the
+    node moments) are taken once per distinct c, as a product grid repeats
+    its c over many w."""
     nodes = sorted({z for _, z0, z1 in pieces for z in (z0, z1)})
     ends = [(nodes.index(z0), nodes.index(z1)) for _, z0, z1 in pieces]
     lo, hi = np.array(ends).T
     z = np.array(nodes)
-    q = reg_inc_gamma_upper(shape, np.outer(z, c))
+    c_set, c_at = np.unique(c, return_inverse=True)
+    q_set = reg_inc_gamma_upper(shape, np.outer(z, c_set))
+    q = q_set[:, c_at]
     value = np.empty((len(pieces), w.size))
     # Small w: the closed form would cancel to O((w z1)^(j+1)), so expand
     # e^(-zw) instead, sum_k coef_k moment_k with coef_k ~ (-u)^k / k! at
@@ -310,7 +315,8 @@ def _q_segments(j: int, w, shape: float, c, pieces):
     zero, live = w == 0.0, w > 0.0
     if zero.any():
         p = j + 1.0
-        m = q[:, zero] + _gamma_moment_ratio(shape, p, np.outer(z, c[zero]))
+        used, at = np.unique(c_at[zero], return_inverse=True)
+        m = (q_set[:, used] + _gamma_moment_ratio(shape, p, np.outer(z, c_set[used])))[:, at]
         z0, z1 = z[lo, None], z[hi, None]
         value[:, zero] = float(j == 0) * (z1 * (m[hi] - (z0 / z1) ** p * m[lo]) / p)
         if zero.all():
@@ -347,10 +353,17 @@ def _q_segments(j: int, w, shape: float, c, pieces):
 def _node_moments(j: int, shape: float, z: float, c, q, rows):
     """(elements, M) at one node z, on each element's first `rows` powers
     p = j + 1, j + 2, ... (1-d arrays, q = Q(shape, zc)):
-    M = p z^-p int_0^z t^(p-1) Q(shape, tc) dt = q + `_gamma_moment_ratio` at zc."""
+    M = p z^-p int_0^z t^(p-1) Q(shape, tc) dt = q + `_gamma_moment_ratio` at zc.
+    M depends on c alone, so it is taken once per distinct c, on as many
+    powers as any element with that c needs (rows past an element's own
+    do not reach its value)."""
     at = np.flatnonzero(rows)
-    k = np.arange(float(rows.max()))[:, None]
-    return at, q[at] + _gamma_moment_ratio(shape, j + k + 1.0, z * c[at], k < rows[at])
+    c_set, first, back = np.unique(c[at], return_index=True, return_inverse=True)
+    reach = np.zeros(c_set.size, dtype=int)
+    np.maximum.at(reach, back, rows[at])
+    k = np.arange(float(reach.max()))[:, None]
+    m = q[at[first]] + _gamma_moment_ratio(shape, j + k + 1.0, z * c_set, k < reach)
+    return at, m[:, back]
 
 
 def _small_w_series(j: int, u, rows, on, right, left, z0: float, z1: float):

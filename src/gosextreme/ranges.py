@@ -432,9 +432,11 @@ def run_statistic_sim(
     grid,
     replications: int,
     seed: int,
+    analytic=None,
 ) -> SimulationReport:
     """Simulate the normalized range/midrange and compare with the
-    analytic limit of `query` on the grid."""
+    analytic limit of `query` on the grid.  `analytic` holds that limit
+    on the grid when the caller has already evaluated it."""
     params, model = query.params, query.model
     consts = norming_constants(model, params)
     mins, maxs = simulate_value_pairs(
@@ -449,7 +451,8 @@ def run_statistic_sim(
         values = ((maxs + mins) / 2.0 - center) / scale
 
     grid = tuple(float(g) for g in grid)
-    analytic = _limit_df(query, np.array(grid))
+    if analytic is None:
+        analytic = _limit_df(query, np.array(grid))
     config = {
         "m": params.m, "k": params.k, "n": params.n,
         "model": model.label(), "statistic": query.statistic,

@@ -58,7 +58,7 @@ from .distributions import (
     tail_transform,
 )
 from .limitlaws import kappa
-from .montecarlo import IndexMode, SimConfig, _Streams, run_bivariate_sim
+from .montecarlo import IndexMode, SimConfig, _column_sums, _Streams, run_bivariate_sim
 from .params import ExtremeSide, GosParams, RankPair, Regime
 from .randomindex import IndexLaw, index_kernel, mixture_ll, mixture_lu, mixture_marginal, mixture_uu
 from .specfun import clip_probability, log_gamma, reg_inc_beta, reg_inc_gamma, reg_inc_gamma_upper
@@ -592,6 +592,28 @@ def _mc_stream_identity():
     return not bad, (
         f"counter reset differs from jumped(i) at (seed, i) = {bad}" if bad
         else "counter reset gives stream i"
+    )
+
+
+@_check("montecarlo-sum-order")
+def _mc_sum_order():
+    # The sampler advances a tile of replications together, positions down
+    # the rows, and relies on the installed numpy's add.reduce(axis=0)
+    # adding the rows in order over two or more columns, which gives each
+    # column its own cumsum's last entry; a lone column, which add.reduce
+    # sums pairwise, must take cumsum.
+    rng = np.random.default_rng(19)
+    bad = []
+    for positions in (2, 9, 16, 100, 257, 1025, 4097):
+        values = np.log(rng.random((positions, 64))) / rng.uniform(1.0, 50.0, (positions, 1))
+        for columns in (1, 2, 3, 8, 64):
+            tile = np.ascontiguousarray(values[:, :columns])
+            want = [np.cumsum(tile[:, c])[-1] for c in range(columns)]
+            if not np.array_equal(_column_sums(tile), want):
+                bad.append((positions, columns))
+    return not bad, (
+        f"tile sums differ from cumsum at (positions, columns) = {bad}" if bad
+        else "tile sums add positions in order"
     )
 
 

@@ -183,6 +183,24 @@ class TestVerbs:
         assert lines[0] == "t,analytic,empirical,stderr"
         assert len(lines) == 6
 
+    def test_example_overlay_takes_the_limit_once(self, capsys, monkeypatch):
+        from gosextreme import ranges
+
+        sizes = []
+        limit_df = ranges._limit_df
+
+        def counted(query, t):
+            sizes.append(np.size(t))
+            return limit_df(query, t)
+
+        monkeypatch.setattr(ranges, "_limit_df", counted)
+        code, _, _ = run_cli(
+            capsys, "example", "logistic-midrange", "--grid=-2:2:5",
+            "--sim-n", "50", "--sim-reps", "20", "--sim-seed", "3",
+        )
+        assert code == 0
+        assert sizes == [5]
+
     def test_mix_degenerate_equals_limit(self, capsys):
         common = [
             "--regime", "uu", "--m", "0.5", "--k", "1", "--r", "2", "--s", "1",

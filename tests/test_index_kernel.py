@@ -310,9 +310,27 @@ class TestTabulatedKernelMatchesTheFullSeries:
         w = rng.permutation(np.repeat(ws, 2))
         c = np.where(rng.random(w.size) < 0.75, rng.choice([1e-300, 0.7, 1e6], w.size),
                      10.0 ** rng.uniform(-3.0, 3.0, w.size))
+        # a product grid, as the mixtures evaluate, repeats each c over all w
+        w_grid, c_grid = (v.ravel() for v in np.meshgrid(w[:30], c[:9]))
         for shape in (0.5, 1.0, 3.0, 7.3):
             want = _q_kernel_reference(law, j, w, shape, c)
             assert np.array_equal(index_kernel(law, j, w, shape, c), want), shape
+            want = _q_kernel_reference(law, j, w_grid, shape, c_grid)
+            assert np.array_equal(index_kernel(law, j, w_grid, shape, c_grid), want), shape
+
+    @pytest.mark.parametrize("law", [TABLE, TABLE_AT_ZERO], ids=lambda law: law.label())
+    def test_upper_ratios_once_per_distinct_c(self, law, monkeypatch):
+        seen = []
+
+        def counting(a, x):
+            seen.append(np.broadcast(a, x).size)
+            return reg_inc_gamma_upper(a, x)
+
+        monkeypatch.setattr(randomindex, "reg_inc_gamma_upper", counting)
+        w, c = np.meshgrid(np.linspace(0.0, 3.0, 11), np.linspace(0.2, 4.0, 11))
+        index_kernel(law, 2.0, w.ravel(), 1.7, c.ravel())
+        nodes = {z for _, z0, z1 in law.pieces for z in (z0, z1)}
+        assert 0 < sum(seen) <= len(nodes) * 11
 
     @pytest.mark.parametrize("law", [TABLE, TABLE_AT_ZERO], ids=lambda law: law.label())
     @pytest.mark.parametrize("j", [0, 3])

@@ -441,6 +441,42 @@ class TestSamplerMatchesTheLoop:
         for g, w in zip(simulate_value_pairs(*args), _loop_reference(*args)):
             assert np.array_equal(g, w)
 
+    @pytest.mark.parametrize("mode", _ORACLE_MODES)
+    def test_tiles_split_bit_for_bit(self, mode, monkeypatch):
+        """Thirteen replications in tiles of four, the last tile one row, and
+        64-position blocks, past pairwise summation's 8-element cutoff, so
+        that a block with one row left must take the cumsum route.  Under a
+        random nu at n = 60 the rows of a tile differ in length; at n = 3
+        the lower position of ((L, 3), (U, 2)) lies above the upper one."""
+        monkeypatch.setattr(montecarlo, "_TILE", 4)
+        monkeypatch.setattr(montecarlo, "_BLOCK", 64)
+        model = parse_model("logistic")
+        index = IndexMode.parse(mode)
+        for n in (3, 7, 60):
+            params = GosParams(m=0.4, k=1.3, n=n)
+            for first, second in _ORACLE_PAIRS:
+                if max(first[1], second[1]) > n:
+                    continue
+                args = (params, model, index, first, second, 13, 77 + n)
+                for g, w in zip(simulate_value_pairs(*args), _loop_reference(*args)):
+                    assert np.array_equal(g, w), (mode, n, first, second)
+
+    @pytest.mark.parametrize("block", [50, 51])
+    def test_carry_on_a_block_edge(self, block, monkeypatch):
+        """nu = 101 in every replication, so the carried slot 50 opens a
+        block (block 50) or closes one (block 51)."""
+        monkeypatch.setattr(montecarlo, "_TILE", 4)
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        params = GosParams(m=0.0, k=1.0, n=100)
+        index = IndexMode.parse("dependent:uniform:1:1.001")
+        for i in range(9):
+            rng = np.random.Generator(np.random.Philox(key=5).jumped(i))
+            assert _draw_index(index, 100, rng, 3)[0] == 101
+        for first, second in (((_U, 2), (_U, 1)), ((_L, 1), (_U, 1))):
+            args = (params, parse_model("logistic"), index, first, second, 9, 5)
+            for g, w in zip(simulate_value_pairs(*args), _loop_reference(*args)):
+                assert np.array_equal(g, w), (block, first, second)
+
     def test_streams_are_jumped_streams(self):
         """Re-keying by counter is `Philox(key=seed).jumped(i)`, also after
         the generator was left with a buffered word and a half-used one."""
@@ -490,3 +526,21 @@ class TestSamplerMemory:
                 (_U, 2), (_U, 1), 1, 5))
 
         assert peak(2 * 10**6) <= peak(2 * 10**5) + 8 * montecarlo._BLOCK
+
+    def test_memory_is_one_tile(self, monkeypatch):
+        """Under a fixed nu the tile's buffers are the sampler's memory: ten
+        times the sample size, or eight times the replications, cost at most
+        one tile more.  The gamma table, bounded on its own by
+        _GAMMA_TABLE_MAX, is held below both sample sizes here."""
+        monkeypatch.setattr(montecarlo, "_GAMMA_TABLE_MAX", 10**4)
+
+        def peak(n, replications):
+            params = GosParams(m=0.0, k=1.0, n=n)
+            return _traced_peak(lambda: simulate_value_pairs(
+                params, parse_model("logistic"), IndexMode.parse("fixed"),
+                (_U, 2), (_U, 1), replications, 5))
+
+        tile = 8 * montecarlo._TILE * montecarlo._BLOCK
+        small = peak(2 * 10**4, 64)
+        assert abs(peak(2 * 10**5, 64) - small) <= tile
+        assert abs(peak(2 * 10**4, 512) - small) <= tile

@@ -44,12 +44,15 @@ The range and midrange limits (`ranges`) use the same kernel.
 The kernel and the mixtures take floats or numpy arrays of transform
 values (w and c broadcast), so a whole grid is one call: the degenerate
 and unit-exponential kernels are a few `gammaincc`/`betainc`/`exp` ufunc
-calls over the array, and a tabulated law's kernel loops over the
-table's segments only, each a closed form whose branches are masks over
-the array.  Under c > 0 its gamma ratios are taken once per node of the
-table, for both segments that meet there; its small-w series runs each
-element only as far as that element's stop test needs, and is the first
-row alone where w = 0.  A float in gives a float out.
+calls over the array, and both take Q(1, x) = e^-x in closed form.  Under
+the exponential law that gives N_H(j, w, 1, c) = w^j / (1+w+c)^(j+1), with
+no beta ratio, at every range integrand of ell = 1 and every shape-1 term
+of a mixture.  A tabulated law's kernel loops over the table's segments
+only, each a closed form whose branches are masks over the array.  Under
+c > 0 its gamma ratios are taken once per node of the table, for both
+segments that meet there; its small-w series runs each element only as
+far as that element's stop test needs, and is the first row alone where
+w = 0.  A float in gives a float out.
 """
 
 from __future__ import annotations
@@ -183,6 +186,10 @@ def index_kernel(law: IndexLaw, j: float, w, shape: float = 1.0, c=0.0):
     integer.  w and c are floats or arrays in [0, +inf], which broadcast;
     an infinite w or c gives 0, and a float pair gives a float.
 
+    At R = 1 the degenerate and unit-exponential kernels take
+    Q(1, x) = e^-x in closed form; the exponential one is then
+    w^j / (1+w+c)^(j+1).
+
     Under a tabulated law, the by-parts branch (c > 0, w z1 > 1 on a
     segment ending at z1) keeps absolute accuracy only, about 1e-16: where
     the value is far below that (high j), it is roundoff of either sign.
@@ -216,6 +223,11 @@ def _degenerate_kernel(law: IndexLaw, j: float, w, shape: float, c):
 
 
 def _unit_exponential_kernel(law: IndexLaw, j: float, w, shape: float, c):
+    if shape == 1.0:
+        # Q(1, zc) = e^-zc merges with the law's e^-z: the kernel is
+        # w^j / (1+w+c)^(j+1), and at c = 0 the front below bit for bit.
+        t = 1.0 + w + c
+        return (w / t) ** j / t
     # z ~ Gamma(j+1) and the Gamma(R) variate behind Q meet in a beta
     # ratio I_x(j+1, R), x = (1+w)/(1+w+c); near x = 1 it is taken
     # through its complement, since 1 - x is exact only as c/(1+w+c).

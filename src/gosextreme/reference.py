@@ -481,6 +481,25 @@ def _mix_closed():
     return worst <= 1e-8, f"max closed-form defect {worst:.2e}"
 
 
+@_check("randomindex-exponential-q")
+def _mix_exponential_q():
+    # At shape 1 the exponential-law kernel is w^j / (1+w+c)^(j+1); hold it
+    # to the beta-ratio route that every other shape takes, front times
+    # 1 - I_{c/(1+w+c)}(1, j+1), where that route keeps its digits
+    # (c < (1+w)/(j+1), small j).
+    rng = np.random.default_rng(23)
+    law = IndexLaw.unit_exponential()
+    worst = 0.0
+    for j in (0.0, 1.0, 2.0, 3.0):
+        w = 10.0 ** rng.uniform(-3.0, 3.0, 200)
+        c = 10.0 ** rng.uniform(-6.0, 0.0, 200) * (1.0 + w) / (j + 1.0)
+        front = (w / (1.0 + w)) ** j / (1.0 + w)
+        general = front * (1.0 - reg_inc_beta(c / (1.0 + w + c), 1.0, j + 1.0))
+        worst = max(worst, float(np.max(np.abs(index_kernel(law, j, w, 1.0, c) / general - 1.0))))
+    ulps = worst / np.finfo(float).eps
+    return ulps <= 8.0, f"max shape-1 gap to the beta-ratio route {ulps:.1f} ulps"
+
+
 @_check("randomindex-uniqueness")
 def _mix_unique():
     params = GosParams(m=0.0, k=1.0, n=50)

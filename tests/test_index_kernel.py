@@ -169,6 +169,105 @@ class TestKernel:
             assert mixture_lu(params, 2, 1, 5e-324, 0.0, law) == pytest.approx(0.0, abs=1e-13)
 
 
+def _exponential_shape_one_oracle(j, w, c):
+    """N_H(j, w, 1, c) under the unit-exponential law in 40 digits:
+    int (zw)^j e^(-zw) / Gamma(j+1) e^(-zc) e^(-z) dz = w^j / (1+w+c)^(j+1)."""
+    mpmath.mp.dps = 40
+    w, c = mpmath.mpf(w), mpmath.mpf(c)
+    return w**j / (1 + w + c) ** (j + 1)
+
+
+def _exponential_beta_ratio_reference(j, w, shape, c):
+    """The unit-exponential kernel as every shape took it before shape 1
+    had its closed form: front times a beta ratio I_x(j+1, R),
+    x = (1+w)/(1+w+c), near x = 1 through its complement."""
+    front = (w / (1.0 + w)) ** j / (1.0 + w)
+    if not c.any():
+        return front
+    near = c < 1.0 + w
+    ratio = randomindex.reg_inc_beta(
+        np.where(near, c, 1.0 + w) / (1.0 + w + c),
+        np.where(near, shape, j + 1.0),
+        np.where(near, j + 1.0, shape),
+    )
+    return front * np.where(near, 1.0 - ratio, ratio)
+
+
+class TestExponentialClosedForm:
+    """At shape 1, Q(1, zc) = e^-zc merges with the law's own exponential and
+    the kernel is w^j / (1+w+c)^(j+1); every other shape keeps its beta ratio."""
+
+    @pytest.mark.parametrize("j", [0, 1, 2.5, 40, 199])
+    def test_against_mpmath(self, j):
+        ws = [0.0, 5e-324, *np.logspace(-12.0, 6.0, 19)]
+        cs = [0.0, 1e300, *np.logspace(-12.0, 6.0, 19)]
+        worst = 0.0
+        for w in ws:
+            for c in cs:
+                want = _exponential_shape_one_oracle(j, w, c)
+                got = index_kernel(EXP, j, w, 1.0, c)
+                if want >= 1e-300:
+                    worst = max(worst, float(abs(got - want) / want))
+                else:  # below the normal floats only the scale holds
+                    assert abs(got - want) <= 1e-300, (w, c)
+        assert worst <= 1e-13
+
+    def test_seeded_inputs(self):
+        rng = np.random.default_rng(2000)
+        j = rng.choice([0.0, 1.0, 2.5, 40.0, 199.0], 400)
+        w = 10.0 ** rng.uniform(-12.0, 6.0, 400)
+        c = 10.0 ** rng.uniform(-12.0, 6.0, 400)
+        for jj, ww, cc in zip(j, w, c):
+            want = _exponential_shape_one_oracle(jj, ww, cc)
+            if want >= 1e-300:
+                got = index_kernel(EXP, jj, ww, 1.0, cc)
+                assert abs(got - want) <= 1e-13 * want, (jj, ww, cc)
+
+    @pytest.mark.parametrize("j, w, c", [
+        (199, 150995.7603712351, 49999.37903854317),
+        (199, 10.5834758811038, 7.310285632158934),
+    ])
+    def test_beta_ratio_underflow_reproducers(self, j, w, c):
+        # the beta-ratio route read 0.0 at both (true values ~9.5e-31, ~4.3e-52)
+        want = _exponential_shape_one_oracle(j, w, c)
+        got = index_kernel(EXP, j, w, 1.0, c)
+        assert abs(got - want) <= 1e-13 * want
+
+    def test_exact_edges(self):
+        assert index_kernel(EXP, 0, 0.0, 1.0, 0.0) == 1.0
+        for j in (1, 2.5, 40, 199):
+            for c in (0.0, 0.7, 1e300):
+                assert index_kernel(EXP, j, 0.0, 1.0, c) == 0.0
+        # c = 0 drops the Q factor: the Q-free kernel bit for bit
+        w = 10.0 ** np.random.default_rng(2001).uniform(-12.0, 6.0, 200)
+        for j in (0, 1, 2.5, 40, 199):
+            assert np.array_equal(index_kernel(EXP, j, w, 1.0, 0.0), index_kernel(EXP, j, w))
+
+    def test_closed_form_is_the_integral(self):
+        # the oracle's closed form against the defining integral over z
+        mpmath.mp.dps = 40
+        for j, w, c in [(0, 0.3, 2.0), (1, 1e-3, 5.0), (2.5, 4.0, 0.01), (40, 30.0, 7.0)]:
+            w, c = mpmath.mpf(w), mpmath.mpf(c)
+
+            def integrand(z):
+                return (z * w) ** j * mpmath.exp(-z * (w + c + 1)) / mpmath.gamma(j + 1)
+
+            want = mpmath.quad(integrand, [0, (j + 1) / (1 + w + c), mpmath.inf])
+            assert abs(_exponential_shape_one_oracle(j, w, c) - want) <= 1e-30 * want
+
+    @pytest.mark.parametrize("shape", [0.5, 2.0 / 3.0, 3.0, 7.3])
+    @pytest.mark.parametrize("j", [0, 1, 2.5, 5, 199])
+    def test_other_shapes_keep_their_bits(self, shape, j):
+        rng = np.random.default_rng(2002 + int(2 * j))
+        w = np.concatenate([[0.0, 5e-324], 10.0 ** rng.uniform(-12.0, 6.0, 198)])
+        c = np.where(rng.random(200) < 0.2, 0.0, 10.0 ** rng.uniform(-12.0, 6.0, 200))
+        want = _exponential_beta_ratio_reference(j, w, shape, c)
+        assert np.array_equal(index_kernel(EXP, j, w, shape, c), want)
+        # and an all-zero c, which takes the Q-free front alone
+        want = _exponential_beta_ratio_reference(j, w, shape, np.zeros(200))
+        assert np.array_equal(index_kernel(EXP, j, w, shape, 0.0), want)
+
+
 def _table_kernel_oracle(law, j, w, shape, c):
     """N_H(j, w, R, c) under a tabulated law in 40 digits, for an integer
     shape R: Q(R, zc) is then the Poisson sum e^(-zc) sum_{i<R} (zc)^i / i!,

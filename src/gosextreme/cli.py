@@ -14,7 +14,9 @@ Numeric options accept the symbolic constants pi, e, ln2, ln4, inf
 a default of 41 points.  Every emitted artifact embeds the fully
 resolved configuration, so a run can be reproduced byte for byte.
 Exit codes: 0 success, 1 usage error, 2 validation or numerical failure,
-141 when the reader closes stdout early (as `| head` does).
+141 when the reader closes stdout early (as `| head` does).  A verb's
+arguments are parsed by that verb's own parser; the top-level parser
+serves only help, unknown verbs and arguments the verb leaves over.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def parse_grid(text: str) -> list[float]:
         return [lo]
     if math.isinf(lo) or math.isinf(hi):
         raise UsageError(f"grid spec {text!r} spaces {count} points over an infinite range")
-    return [float(v) for v in np.linspace(lo, hi, count)]
+    return np.linspace(lo, hi, count).tolist()
 
 
 def parse_transform(text: str, side: ExtremeSide) -> TailTransform:
@@ -131,44 +133,56 @@ def parse_law(text: str) -> IndexLaw:
 
 @dataclass
 class Table:
-    """Rows under `columns`.  A table over the product of two grids passes
-    them as `grid` = (xs, ys): its rows then hold the columns after x and y,
-    one row per point, x-major."""
+    """One list of values per name in `columns`, all of one length.  A
+    table over the product of two grids passes them as `grid` = (xs, ys):
+    `data` then holds the columns after x and y, one value per point,
+    x-major."""
 
     columns: list[str]
-    rows: list[list[float]]
+    data: list[list[float]]
     config: dict
     grid: tuple[list[float], list[float]] | None = None
 
     def __post_init__(self):
-        if not self.rows:
+        size = len(self.data[0]) if self.data else 0
+        if not size:
             raise ValueError("refusing to emit an empty table")
-        if self.grid is not None and len(self.rows) != len(self.grid[0]) * len(self.grid[1]):
+        if any(len(column) != size for column in self.data):
+            raise ValueError("the columns of a table differ in length")
+        if self.grid is not None and size != len(self.grid[0]) * len(self.grid[1]):
             raise ValueError("an xy table needs one row per grid point")
+
+
+def _interleave(columns: list) -> list:
+    """The values of equally long columns, row by row, in one list."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        flat[i::len(columns)] = column
+    return flat
 
 
 def emit(table: Table, fmt: str) -> str:
     """Serialize a table; CSV carries the config as # comments."""
     if fmt == "json":
-        rows = table.rows
+        rows = zip(*table.data)
         if table.grid is not None:
-            rows = [[x, y, *values] for (x, y), values in zip(itertools.product(*table.grid), rows)]
+            rows = ((x, y, *values) for (x, y), values in zip(itertools.product(*table.grid), rows))
         return json.dumps(
-            {"config": table.config, "columns": table.columns, "rows": rows},
+            {"config": table.config, "columns": table.columns, "rows": list(rows)},
             sort_keys=True,
             indent=2,
         )
     if fmt == "csv":
         lines = [f"# {key}={table.config[key]}" for key in sorted(table.config)]
         lines.append(",".join(table.columns))
-        row = ",".join(["%.15g"] * len(table.rows[0])) + "\n"
+        size = len(table.data[0])
+        row = ",".join(["%.15g"] * len(table.data)) + "\n"
         if table.grid is None:
-            body = (row * len(table.rows)) % tuple(v for values in table.rows for v in values)
+            body = (row * size) % tuple(_interleave(table.data))
         else:  # each grid value is formatted once, and heads the rows of its points
             xs, ys = (["%.15g," % v for v in axis] for axis in table.grid)
             points = [x + y for x in xs for y in ys]
-            body = (("%s" + row) * len(points)) % tuple(
-                v for point, values in zip(points, table.rows) for v in (point, *values))
+            body = (("%s" + row) * size) % tuple(_interleave([points, *table.data]))
         return "\n".join(lines) + "\n" + body
     raise UsageError(f"unknown format {fmt!r}")
 
@@ -213,9 +227,9 @@ def _run_exact(args) -> int:
         grid = parse_grid(args.grid)
         fn = marginal_upper_df if side == ExtremeSide.UPPER else marginal_lower_df
         values = fn(params, model, args.rank, np.array(grid))
-        rows = [[x, v] for x, v in zip(grid, values.tolist())]
         config.update({"marginal": side.value, "rank": args.rank, "grid": args.grid})
-        _write(emit(Table(["x", "value"], rows, config), args.format), args.out)
+        _write(emit(Table(["x", "value"], [grid, values.tolist()], config), args.format),
+               args.out)
         return 0
     if args.regime is None:
         raise UsageError("exact needs either --marginal/--rank or --regime/--r/--s")
@@ -235,8 +249,8 @@ def _xy_table(args, config: dict, evaluate) -> int:
     taken in one call on the flattened grid."""
     xs, ys = parse_grid(args.x_grid), parse_grid(args.y_grid)
     values = evaluate(np.repeat(xs, len(ys)), np.tile(ys, len(xs)))
-    rows = [[v] for v in values.tolist()]
-    _write(emit(Table(["x", "y", "value"], rows, config, grid=(xs, ys)), args.format), args.out)
+    table = Table(["x", "y", "value"], [values.tolist()], config, grid=(xs, ys))
+    _write(emit(table, args.format), args.out)
     return 0
 
 
@@ -281,10 +295,9 @@ def _run_simulate(args) -> int:
     if args.format == "json":
         _write(report.to_json(), args.out)
         return 0
-    rows = [list(values) for values in zip(
-        report.empirical, report.analytic, report.standard_errors)]
+    data = [report.empirical, report.analytic, report.standard_errors]
     config = {**report.config, "sup_distance": f"{report.sup_distance:.15g}"}
-    table = Table(["x", "y", "empirical", "analytic", "standard_error"], rows, config,
+    table = Table(["x", "y", "empirical", "analytic", "standard_error"], data, config,
                   grid=(xs, ys))
     _write(emit(table, args.format), args.out)
     return 0
@@ -348,7 +361,7 @@ def _run_example(args) -> int:
     }
     columns = ["t", "analytic"]
     analytic = evaluate(query, np.array(grid))
-    rows = [[t, v] for t, v in zip(grid, analytic.tolist())]
+    data = [grid, analytic.tolist()]
 
     if args.sim_reps:
         mode = _mode_for_law(law)
@@ -359,9 +372,8 @@ def _run_example(args) -> int:
             "sim_sup_distance": f"{report.sup_distance:.15g}",
         })
         columns += ["empirical", "stderr"]
-        for row, e, se in zip(rows, report.empirical, report.standard_errors):
-            row.extend([e, se])
-    _write(emit(Table(columns, rows, config), args.format), args.out)
+        data += [report.empirical, report.standard_errors]
+    _write(emit(Table(columns, data, config), args.format), args.out)
     return 0
 
 
@@ -487,13 +499,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(run=_run_selftest)
 
+    parser.verbs = sub.choices
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The verb's own parser reads its arguments.  Leftovers, help, an
+    unknown verb and an empty line go through the whole parser, which
+    reports them under its own usage line."""
     parser = build_parser()
+    verb = parser.verbs.get(argv[0]) if argv else None
+    if verb is not None:
+        args, rest = verb.parse_known_args(argv[1:])
+        if not rest:
+            args.verb = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except _UsageExit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -188,20 +188,28 @@ def index_kernel(law: IndexLaw, j: float, w, shape: float = 1.0, c=0.0):
 
     At R = 1 the degenerate and unit-exponential kernels take
     Q(1, x) = e^-x in closed form; the exponential one is then
-    w^j / (1+w+c)^(j+1).
+    w^j / (1+w+c)^(j+1).  At R != 1 it is (w/(1+w))^j / (1+w) times
+    I_x(j+1, R), x = (1+w)/(1+w+c), and where c < 1 + w the ratio is taken
+    as the complement 1 - I_{1-x}(R, j+1), which keeps absolute accuracy
+    only, about 1e-16: at high j, where the value is far below that, it
+    may read 0.
 
     Under a tabulated law, the by-parts branch (c > 0, w z1 > 1 on a
     segment ending at z1) keeps absolute accuracy only, about 1e-16: where
     the value is far below that (high j), it is roundoff of either sign.
     """
     w, c = np.asarray(w, dtype=float), np.asarray(c, dtype=float)
-    if not (j >= 0.0 and np.all(w >= 0.0) and np.all(c >= 0.0)):
+    if not (j >= 0.0 and (w >= 0.0).all() and (c >= 0.0).all()):
         raise ValueError(f"index_kernel needs j, w, c >= 0, got j={j}, w={w}, c={c}")
     if law.kind == "tabulated" and j != int(j) and np.any(c > 0.0):
         raise ValueError(f"tabulated index_kernel needs an integer j when c > 0, got {j}")
     dead = np.isinf(w) | np.isinf(c)
-    w, c = np.where(dead, 0.0, w), np.where(dead, 0.0, c)
-    value = np.where(dead, 0.0, _KERNELS[law.kind](law, j, w, float(shape), c))
+    masked = dead.any()
+    if masked:  # the kernels see 0 in place of an infinite w or c
+        w, c = np.where(dead, 0.0, w), np.where(dead, 0.0, c)
+    value = _KERNELS[law.kind](law, j, w, float(shape), c)
+    if masked or np.shape(value) != dead.shape:  # a c = 0 kernel may drop c's shape
+        value = np.where(dead, 0.0, value)
     return value if np.ndim(value) else float(value)
 
 

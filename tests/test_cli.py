@@ -103,11 +103,14 @@ class TestParsers:
 class TestEmit:
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            Table(columns=["x"], rows=[], config={})
+            Table(columns=["x"], data=[[]], config={})
+        with pytest.raises(ValueError):
+            Table(columns=["x", "y"], data=[[1.0], [1.0, 2.0]], config={})
 
     def test_csv_roundtrip_15_digits(self):
         rows = [[1.0 / 3.0, math.pi], [2.0 / 7.0, math.e]]
-        text = emit(Table(columns=["a", "b"], rows=rows, config={"verb": "t"}), "csv")
+        text = emit(Table(columns=["a", "b"], data=[list(c) for c in zip(*rows)],
+                          config={"verb": "t"}), "csv")
         lines = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
         assert lines[0] == "a,b"
         parsed = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
@@ -121,7 +124,8 @@ class TestEmit:
         edge = [-0.0, 0.0, math.inf, -math.inf, 5e-324, 1.0 / 3.0, -2.5e300, 1e16,
                 np.float64(0.1), np.float64(-0.0), 7]
         rows = [[edge[(i + j) % len(edge)] for j in range(3)] for i in range(1681)]
-        table = Table(columns=["x", "y", "value"], rows=rows, config={"verb": "t"})
+        table = Table(columns=["x", "y", "value"], data=[list(c) for c in zip(*rows)],
+                      config={"verb": "t"})
         want = "# verb=t\nx,y,value\n" + "".join(
             ",".join(f"{v:.15g}" for v in row) + "\n" for row in rows)
         assert emit(table, "csv") == want
@@ -136,8 +140,8 @@ class TestEmit:
         xs = [-0.0, math.inf, 1e-300, 0.1 + 0.2]
         ys = [-math.inf, 0.0, 0.1 + 0.2, -0.0, 1e-300]
         values = [[-0.0], [math.inf], [1e-300], [0.1 + 0.2], [-math.inf]] * 4
-        table = Table(columns=["x", "y", "value"], rows=values, config={"verb": "t"},
-                      grid=(xs, ys))
+        table = Table(columns=["x", "y", "value"], data=[[v for v, in values]],
+                      config={"verb": "t"}, grid=(xs, ys))
         points = [[x, y, *v] for (x, y), v in zip([(x, y) for x in xs for y in ys], values)]
         want = "# verb=t\nx,y,value\n" + "".join(
             ",".join(f"{v:.15g}" for v in row) + "\n" for row in points)
@@ -146,10 +150,11 @@ class TestEmit:
             {"config": {"verb": "t"}, "columns": ["x", "y", "value"], "rows": points},
             sort_keys=True, indent=2)
         with pytest.raises(ValueError):
-            Table(columns=["x", "y", "value"], rows=values[1:], config={}, grid=(xs, ys))
+            Table(columns=["x", "y", "value"], data=[[v for v, in values[1:]]], config={},
+                  grid=(xs, ys))
 
     def test_json_structure_sorted(self):
-        text = emit(Table(columns=["x"], rows=[[1.0]], config={"b": 1, "a": 2}), "json")
+        text = emit(Table(columns=["x"], data=[[1.0]], config={"b": 1, "a": 2}), "json")
         payload = json.loads(text)
         assert payload["columns"] == ["x"]
         assert payload["rows"] == [[1.0]]
@@ -603,6 +608,54 @@ class TestParserOncePerProcess:
             assert main([*argv, "--out", str(here)]) == fresh(argv, str(there)) == 0
             assert here.read_bytes() == there.read_bytes(), argv[0]
         capsys.readouterr()
+
+
+class TestParserParity:
+    """`main` reads a verb's arguments with that verb's parser alone; every
+    other command line must read as it does through the whole parser."""
+
+    _ODD = [
+        [],
+        ["--help"],
+        ["bogus", "--n", "5"],
+        ["exact", "--dist", "logistic", "--n", "5", "--marginal", "upper", "--bogus", "1"],
+        ["limit", "--regime", "uu", "--r", "two", "--s", "1"],
+        ["exact", "-h"],
+    ]
+
+    @staticmethod
+    def _outcome(capsys, call):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", _ODD, ids=lambda argv: " ".join(argv) or "empty")
+    def test_same_exit_and_output_as_the_whole_parser(self, capsys, argv):
+        import sys
+
+        from gosextreme.cli import _UsageExit, build_parser
+
+        def whole():
+            try:
+                build_parser().parse_args(argv)
+            except _UsageExit as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            return "parsed"
+
+        want = self._outcome(capsys, whole)
+        assert want[0] != "parsed"
+        assert self._outcome(capsys, lambda: main(argv)) == want
+
+    @pytest.mark.parametrize("argv", _EACH_VERB, ids=lambda argv: argv[0])
+    def test_same_namespace_as_the_whole_parser(self, argv):
+        from gosextreme.cli import _parse, build_parser
+
+        argv = [*argv, "--out", "x.out"]
+        assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
 
 
 class TestRangeRepro:

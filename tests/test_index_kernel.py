@@ -268,6 +268,68 @@ class TestExponentialClosedForm:
         assert np.array_equal(index_kernel(EXP, j, w, shape, 0.0), want)
 
 
+def _exponential_beta_ratio_oracle(j, w, shape, c):
+    """N_H(j, w, R, c) under the unit-exponential law in 50 digits:
+    (w/(1+w))^j / (1+w) times the beta ratio I_x(j+1, R), x = (1+w)/(1+w+c)."""
+    mpmath.mp.dps = 50
+    w, c, shape = mpmath.mpf(w), mpmath.mpf(c), mpmath.mpf(shape)
+    front = (w / (1 + w)) ** j / (1 + w)
+    return front * mpmath.betainc(j + 1, shape, 0, (1 + w) / (1 + w + c), regularized=True)
+
+
+class TestExponentialComplementBranch:
+    """At shape != 1 and c < 1 + w the kernel takes 1 - I_{c/(1+w+c)}(R, j+1),
+    which keeps absolute accuracy only: at high j, where the true value is
+    far below 1e-16, it may read 0."""
+
+    @pytest.mark.parametrize("j, w, shape, c, true", [
+        (199, 150995.7603712351, 2.0, 49999.37903854317, 4.8e-29),
+        (199, 10.5834758811038, 2.0 / 3.0, 7.310285632158934, 7.5e-53),
+        (199, 10.58, 7.3, 7.31, 3.1e-43),
+    ])
+    def test_reproducers_hold_their_absolute_accuracy(self, j, w, shape, c, true):
+        want = _exponential_beta_ratio_oracle(j, w, shape, c)
+        assert float(want) == pytest.approx(true, rel=0.05)
+        assert abs(index_kernel(EXP, j, w, shape, c) - want) <= 1e-16
+
+
+class TestMaskedElements:
+    """An infinite w or c reads exactly 0, and every finite element keeps the
+    bits it has in a call without the infinite ones, whatever else the
+    array holds."""
+
+    @pytest.mark.parametrize("name", ["degenerate", "exponential", "table"])
+    @pytest.mark.parametrize("j", [0, 1, 3])
+    @pytest.mark.parametrize("shape", [1.0, 2.5])
+    def test_infinite_elements_leave_the_rest_alone(self, name, j, shape):
+        law = LAWS[name]
+        rng = np.random.default_rng(2100 + 10 * j + int(shape))
+        w = 10.0 ** rng.uniform(-6.0, 3.0, 60)
+        c = np.where(rng.random(60) < 0.3, 0.0, 10.0 ** rng.uniform(-6.0, 3.0, 60))
+        w[::7], c[3::11], w[5::13], c[5::13] = np.inf, np.inf, np.inf, np.inf
+        dead = np.isinf(w) | np.isinf(c)
+        got = index_kernel(law, j, w, shape, c)
+        assert np.array_equal(got[dead], np.zeros(dead.sum()))
+        assert np.array_equal(got[~dead], index_kernel(law, j, w[~dead], shape, c[~dead]))
+        # one side an array, the other a float
+        dead = np.isinf(w)
+        got = index_kernel(law, j, w, shape, 0.0)
+        assert np.array_equal(got[dead], np.zeros(dead.sum()))
+        assert np.array_equal(got[~dead], index_kernel(law, j, w[~dead], shape, 0.0))
+        dead = np.isinf(c)
+        got = index_kernel(law, j, 0.0, shape, c)
+        assert np.array_equal(got[dead], np.zeros(dead.sum()))
+        assert np.array_equal(got[~dead], index_kernel(law, j, 0.0, shape, c[~dead]))
+
+    @pytest.mark.parametrize("name", ["degenerate", "exponential", "table"])
+    def test_the_broadcast_shape_survives(self, name):
+        law = LAWS[name]
+        for w, c in ((0.0, np.zeros(5)), (np.zeros((2, 3)), 0.0), (0.5, np.full(4, 0.0))):
+            want = np.broadcast(np.asarray(w), np.asarray(c)).shape
+            assert np.shape(index_kernel(law, 0, w, 2.5, c)) == want
+            assert np.shape(index_kernel(law, 0, w, 1.0, c)) == want
+
+
 def _table_kernel_oracle(law, j, w, shape, c):
     """N_H(j, w, R, c) under a tabulated law in 40 digits, for an integer
     shape R: Q(R, zc) is then the Poisson sum e^(-zc) sum_{i<R} (zc)^i / i!,

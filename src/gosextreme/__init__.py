@@ -24,7 +24,6 @@ from .goscore import (
 )
 from .limitlaws import TailTransform, kappa, rho
 from .montecarlo import (
-    IndexMode,
     SimConfig,
     SimulationReport,
     ks_distance,
@@ -34,6 +33,7 @@ from .montecarlo import (
 from .params import ExtremeSide, GosParams, RankPair, Regime
 from .randomindex import (
     IndexLaw,
+    IndexMode,
     h_cdf,
     load_tabulated_csv,
     mixture_ll,

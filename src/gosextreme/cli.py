@@ -35,9 +35,9 @@ import numpy as np
 from .distributions import DistributionModel, parse_model
 from .goscore import joint_lower_df, joint_upper_df, marginal_lower_df, marginal_upper_df
 from .limitlaws import TailTransform
-from .montecarlo import IndexMode, SimConfig, analytic_limit_df, run_bivariate_sim
+from .montecarlo import SimConfig, analytic_limit_df, run_bivariate_sim
 from .params import ExtremeSide, GosParams, RankPair, Regime
-from .randomindex import IndexLaw, load_tabulated_csv
+from .randomindex import IndexLaw, IndexMode, load_tabulated_csv, realizing_mode
 from .ranges import RangeQuery, midrange_limit_df, range_limit_df, run_statistic_sim
 
 OUTPUT_DIR_ENV = "GOSEXTREME_OUTDIR"
@@ -364,7 +364,9 @@ def _run_example(args) -> int:
     data = [grid, analytic.tolist()]
 
     if args.sim_reps:
-        mode = _mode_for_law(law)
+        mode = realizing_mode(law)
+        if mode is None:
+            raise UsageError("no built-in sampler realizes this index law")
         report = run_statistic_sim(query, mode, grid, args.sim_reps, args.sim_seed, analytic)
         config.update({
             "sim_n": params.n, "sim_reps": args.sim_reps, "sim_seed": args.sim_seed,
@@ -375,21 +377,6 @@ def _run_example(args) -> int:
         data += [report.empirical, report.standard_errors]
     _write(emit(Table(columns, data, config), args.format), args.out)
     return 0
-
-
-def _mode_for_law(law: IndexLaw) -> IndexMode:
-    """Index mode whose nu_n/n limit is the given law (for sim overlays)."""
-    if law.kind == "unit_exponential":
-        return IndexMode("geometric")
-    if law.kind == "degenerate":
-        if law.c == 1.0:
-            return IndexMode("fixed")
-        return IndexMode("dependent", "const", (law.c,))
-    if law.kind == "tabulated" and len(law.grid) == 2:
-        (a, h0), (b, h1) = law.grid
-        if h0 == 0.0 and h1 == 1.0:
-            return IndexMode("dependent", "uniform", (a, b))
-    raise UsageError("no built-in sampler realizes this index law")
 
 
 def _run_selftest(args) -> int:

@@ -31,21 +31,12 @@ order of length.  Beyond its results, a call's memory is one tile (two
 buffers of _TILE x _BLOCK values) and a gamma table of at most
 _GAMMA_TABLE_MAX values, whatever nu or the number of replications.
 
-Random-size modes:
-
-* ``fixed``            nu = n;
-* ``geometric``        nu geometric with success probability 1/n
-                       (support 1, 2, ...; mean n), the H(z) = 1 - e^-z case;
-* ``dependent``        nu = max(floor, ceil(n*t)) with t drawn from the
-                       built-in T-spec (constant, or uniform on [a, b]);
-                       for the uniform T the same uniform variate is
-                       reused as the middle GOS factor W_ceil(nu/2), so
-                       the index and the sample are genuinely
-                       interrelated while nu/n -> T still holds.  A
-                       middle factor weighs O(1/nu) in every extreme,
-                       so both tails keep their mixture limit; reused
-                       as W_1 it would fix the minimum as a function
-                       of T.
+Random-size modes are `randomindex.IndexMode`, whose records
+(`randomindex._MODES`) draw nu.  Under ``dependent:uniform`` the uniform
+that sets nu is reused as the middle GOS factor W_ceil(nu/2), so index
+and sample are interrelated while nu/n -> T still holds: a middle factor
+weighs O(1/nu) in every extreme, so both tails keep their mixture limit
+(reused as W_1 it would fix the minimum as a function of T).
 
 Extremes are always normalized by the constants evaluated at the
 configured n, never at the realized nu.
@@ -62,70 +53,11 @@ import numpy as np
 
 from .distributions import DistributionModel, norming_constants, quantile, tail_transform
 from .limitlaws import TailTransform, kappa, rho
-from .params import ExtremeSide, GosParams, RankPair, Regime, number_label
-from .randomindex import IndexLaw, mixture_ll, mixture_lu, mixture_uu
+from .params import ExtremeSide, GosParams, RankPair, Regime
+from .randomindex import IndexLaw, IndexMode, _draw_index, mixture_ll, mixture_lu, mixture_uu
 
 _ONE_BELOW = float(np.nextafter(1.0, 0.0))
 _TINY = 5e-324
-
-
-@dataclass(frozen=True)
-class IndexMode:
-    """Sample-size regime: fixed | geometric | dependent(T-spec)."""
-
-    kind: str
-    t_kind: str | None = None
-    t_args: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind in ("fixed", "geometric"):
-            if self.t_kind is not None:
-                raise ValueError(f"{self.kind} mode takes no T-spec")
-        elif self.kind == "dependent":
-            if self.t_kind == "const":
-                if len(self.t_args) != 1 or not self.t_args[0] > 0.0:
-                    raise ValueError("dependent const T-spec needs one value c > 0")
-            elif self.t_kind == "uniform":
-                if len(self.t_args) != 2 or not 0.0 < self.t_args[0] < self.t_args[1]:
-                    raise ValueError("dependent uniform T-spec needs 0 < a < b")
-            else:
-                raise ValueError("dependent mode needs T-spec const:c or uniform:a:b")
-        else:
-            raise ValueError(f"unknown index mode {self.kind!r}")
-
-    @staticmethod
-    def parse(text: str) -> "IndexMode":
-        parts = text.strip().lower().split(":")
-        if parts[0] == "geometric_mean_n":
-            parts[0] = "geometric"
-        if parts[0] in ("fixed", "geometric") and len(parts) == 1:
-            return IndexMode(kind=parts[0])
-        if parts[0] == "dependent" and len(parts) >= 2:
-            return IndexMode(
-                kind="dependent",
-                t_kind=parts[1],
-                t_args=tuple(float(v) for v in parts[2:]),
-            )
-        raise ValueError(
-            f"cannot parse index mode {text!r}; expected fixed, geometric, "
-            "dependent:const:<c> or dependent:uniform:<a>:<b>"
-        )
-
-    def label(self) -> str:
-        if self.kind == "dependent":
-            return ":".join(["dependent", self.t_kind, *map(number_label, self.t_args)])
-        return self.kind
-
-    def implied_law(self) -> IndexLaw:
-        """The H toward which nu_n/n converges under this mode."""
-        if self.kind == "fixed":
-            return IndexLaw.degenerate(1.0)
-        if self.kind == "geometric":
-            return IndexLaw.unit_exponential()
-        if self.t_kind == "const":
-            return IndexLaw.degenerate(self.t_args[0])
-        a, b = self.t_args
-        return IndexLaw.tabulated([(a, 0.0), (b, 1.0)])
 
 
 @dataclass(frozen=True)
@@ -200,23 +132,6 @@ def sample_random_index(mode: IndexMode, n: int, rng: np.random.Generator, floor
     """Draw nu for one replication (the public, carry-free variant)."""
     nu, _ = _draw_index(mode, n, rng, floor)
     return nu
-
-
-def _draw_index(
-    mode: IndexMode, n: int, rng: np.random.Generator, floor: int
-) -> tuple[int, float | None]:
-    """Returns (nu, carried_uniform); the carried uniform, when present,
-    must be reused as a GOS factor of the same replication."""
-    if mode.kind == "fixed":
-        return n, None
-    if mode.kind == "geometric":
-        return max(int(rng.geometric(1.0 / n)), floor), None
-    if mode.t_kind == "const":
-        return max(math.ceil(n * mode.t_args[0]), floor), None
-    a, b = mode.t_args
-    u0 = float(rng.random())
-    t = a + (b - a) * u0
-    return max(math.ceil(n * t), floor), u0
 
 
 _SideRank = tuple[ExtremeSide, int]
@@ -310,7 +225,7 @@ class _TileSampler:
         self._n, self._mode = params.n, mode
         self._sides = (first, second)
         self._floor = max(first[1], second[1]) + 1
-        self._carries = mode.t_kind == "uniform"
+        self._carries = mode.carries
         self._streams = _Streams(seed, tile)
         self._gammas = _Gammas(params)
         self._tile = tile
@@ -321,9 +236,8 @@ class _TileSampler:
         that reaches the top; then every nu is drawn here once, and sorting
         by length gives each tile rows of about equal length.  Otherwise
         replication 0's length is every replication's."""
-        random_nu = self._mode.kind == "geometric" or self._carries
         upper = any(side == ExtremeSide.UPPER for side, _ in self._sides)
-        draws = range(replications) if random_nu and upper else range(1)
+        draws = range(replications) if self._mode.random_nu and upper else range(1)
         nus = np.fromiter((
             _draw_index(self._mode, self._n, self._streams.start(i), self._floor)[0]
             for i in draws

@@ -8,10 +8,17 @@ intended scaled argument is z * kappa^(m+1); the mixtures here therefore
 scale the powered values (equivalently, pass kappa * z^(1/(m+1))),
 which makes the degenerate-H and marginal reductions exact.
 
-Supported laws: degenerate(c), unit_exponential (the geometric-size
-limit H(z) = 1 - e^-z), and tabulated piecewise-linear dfs loaded from
+Kinds.  Every kind of law and of sampler mode is one record in this
+module, and no other module tells the kinds apart.  The laws (`_LAWS`)
+are degenerate(c), unit_exponential (the geometric-size limit
+H(z) = 1 - e^-z), and tabulated piecewise-linear dfs loaded from
 two-column CSV files (header row, strictly increasing z >= 0, H
-nondecreasing in [0, 1] with a zero first value).
+nondecreasing in [0, 1] with a zero first value); each record holds the
+check of the law's own fields, its label, H, its kernel, its mean, a
+Laplace-transform bound and the mode that realizes it.  The modes
+(`_MODES`: fixed, geometric, dependent:const, dependent:uniform) each
+hold the check of the T-spec, the draw of nu, the implied law, and
+whether nu is random and the draw's uniform carried into the sample.
 
 Evaluation.  The integral over z is never taken numerically.  Each law
 supplies one kernel in closed form (`index_kernel`),
@@ -61,7 +68,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,23 +77,24 @@ from .specfun import clip_probability, reg_inc_beta, reg_inc_gamma, reg_inc_gamm
 
 @dataclass(frozen=True)
 class IndexLaw:
-    """Weak limit of nu_n/n.  kind: degenerate | unit_exponential | tabulated."""
+    """Weak limit of nu_n/n.  kind: degenerate | unit_exponential | tabulated,
+    each defined by its record in `_LAWS`."""
 
     kind: str
     c: float | None = None
     grid: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.kind == "degenerate":
-            if self.c is None or not self.c > 0.0:
-                raise ValueError("degenerate law needs a point mass c > 0")
-        elif self.kind == "unit_exponential":
-            if self.c is not None or self.grid is not None:
-                raise ValueError("unit_exponential takes no parameters")
-        elif self.kind == "tabulated":
-            _validate_table(self.grid)
-        else:
+        if self.kind not in _LAWS:
             raise ValueError(f"unknown index law kind {self.kind!r}")
+        for name in ("c", "grid"):
+            if name not in self._spec.fields and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} law takes no {name}")
+        self._spec.check(self)
+
+    @property
+    def _spec(self) -> _LawKind:
+        return _LAWS[self.kind]
 
     @staticmethod
     def degenerate(c: float = 1.0) -> "IndexLaw":
@@ -107,11 +115,66 @@ class IndexLaw:
                      for (z0, h0), (z1, h1) in zip(self.grid, self.grid[1:]) if h1 > h0)
 
     def label(self) -> str:
-        if self.kind == "degenerate":
-            return f"degenerate:{number_label(self.c)}"
-        if self.kind == "unit_exponential":
-            return "unit_exponential"
-        return f"tabulated[{len(self.grid)}]"
+        return self._spec.label(self)
+
+    def mean(self) -> float:
+        """E[z] under H."""
+        return self._spec.mean(self)
+
+    def laplace_bound(self, mass: float) -> float:
+        """A W at which the Laplace transform int e^(-zW) dH(z) is at most `mass`."""
+        return self._spec.laplace_bound(self, mass)
+
+
+@dataclass(frozen=True)
+class IndexMode:
+    """Sample-size regime of the simulator: fixed | geometric |
+    dependent(T-spec), each defined by its record in `_MODES`."""
+
+    kind: str
+    t_kind: str | None = None
+    t_args: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if (self.kind, self.t_kind) not in _MODES:
+            if (self.kind, None) in _MODES:
+                raise ValueError(f"{self.kind} mode takes no T-spec")
+            raise ValueError("dependent mode needs T-spec const:c or uniform:a:b"
+                             if self.kind == "dependent" else f"unknown index mode {self.kind!r}")
+        self._spec.check(self)
+
+    @property
+    def _spec(self) -> _ModeKind:
+        return _MODES[self.kind, self.t_kind]
+
+    @staticmethod
+    def parse(text: str) -> "IndexMode":
+        parts = text.strip().lower().split(":")
+        if parts[0] == "geometric_mean_n":
+            parts[0] = "geometric"
+        if parts[0] in ("fixed", "geometric") and len(parts) == 1:
+            return IndexMode(kind=parts[0])
+        if parts[0] == "dependent" and len(parts) >= 2:
+            return IndexMode(
+                kind="dependent",
+                t_kind=parts[1],
+                t_args=tuple(float(v) for v in parts[2:]),
+            )
+        raise ValueError(
+            f"cannot parse index mode {text!r}; expected fixed, geometric, "
+            "dependent:const:<c> or dependent:uniform:<a>:<b>"
+        )
+
+    def label(self) -> str:
+        head = (self.kind,) if self.t_kind is None else (self.kind, self.t_kind)
+        return ":".join([*head, *map(number_label, self.t_args)])
+
+    def implied_law(self) -> IndexLaw:
+        """The H toward which nu_n/n converges under this mode."""
+        return self._spec.law(self)
+
+    random_nu = property(lambda self: self._spec.random_nu)  # nu is drawn, not fixed by n
+    carries = property(lambda self: self._spec.carries)  # the draw's uniform is a GOS factor
 
 
 def _validate_table(grid) -> None:
@@ -163,19 +226,19 @@ def h_cdf(law: IndexLaw, z: float) -> float:
     """H(z) for z >= 0."""
     if z < 0.0:
         raise ValueError(f"h_cdf requires z >= 0, got {z}")
-    if law.kind == "degenerate":
-        return 1.0 if z >= law.c else 0.0
-    if law.kind == "unit_exponential":
-        return -math.expm1(-z)
-    grid = law.grid
-    if z <= grid[0][0]:
-        return grid[0][1] if z == grid[0][0] else 0.0
-    if z >= grid[-1][0]:
-        return grid[-1][1]
-    for (z0, h0), (z1, h1) in zip(grid, grid[1:]):
-        if z0 <= z <= z1:
-            return h0 + (h1 - h0) * (z - z0) / (z1 - z0)
-    raise AssertionError("unreachable")
+    return law._spec.cdf(law, z)
+
+
+def realizing_mode(law: IndexLaw) -> IndexMode | None:
+    """The sampler mode under which nu_n/n tends to `law`, or None if none does."""
+    return law._spec.mode(law)
+
+
+def _draw_index(mode: IndexMode, n: int, rng: np.random.Generator,
+                floor: int) -> tuple[int, float | None]:
+    """Returns (nu, carried_uniform); the carried uniform, when present,
+    must be reused as a GOS factor of the same replication."""
+    return _MODES[mode.kind, mode.t_kind].draw(mode, n, rng, floor)
 
 
 def index_kernel(law: IndexLaw, j: float, w, shape: float = 1.0, c=0.0):
@@ -207,7 +270,7 @@ def index_kernel(law: IndexLaw, j: float, w, shape: float = 1.0, c=0.0):
     masked = dead.any()
     if masked:  # the kernels see 0 in place of an infinite w or c
         w, c = np.where(dead, 0.0, w), np.where(dead, 0.0, c)
-    value = _KERNELS[law.kind](law, j, w, float(shape), c)
+    value = _LAWS[law.kind].kernel(law, j, w, float(shape), c)
     if masked or np.shape(value) != dead.shape:  # a c = 0 kernel may drop c's shape
         value = np.where(dead, 0.0, value)
     return value if np.ndim(value) else float(value)
@@ -274,10 +337,119 @@ def _tabulated_kernel(law: IndexLaw, j: float, w, shape: float, c):
     return total.reshape(out_shape)
 
 
-_KERNELS = {
-    "degenerate": _degenerate_kernel,
-    "unit_exponential": _unit_exponential_kernel,
-    "tabulated": _tabulated_kernel,
+# --- the kinds: one record each (see "Kinds" in the module docstring) -------
+
+
+@dataclass(frozen=True)
+class _LawKind:
+    fields: tuple[str, ...]  # the IndexLaw fields it takes; the others stay None
+    check: Callable[[IndexLaw], None]  # raises ValueError on a bad value of those
+    label: Callable[[IndexLaw], str]
+    cdf: Callable[[IndexLaw, float], float]  # H(z) at z >= 0
+    kernel: Callable  # (law, j, w, shape, c) -> N_H at finite w, c (`index_kernel`)
+    mean: Callable[[IndexLaw], float]
+    laplace_bound: Callable[[IndexLaw, float], float]  # `IndexLaw.laplace_bound`
+    mode: Callable[[IndexLaw], IndexMode | None]  # `realizing_mode`
+
+
+@dataclass(frozen=True)
+class _ModeKind:
+    check: Callable[[IndexMode], None]  # raises ValueError on bad T-spec values
+    draw: Callable  # (mode, n, rng, floor) -> `_draw_index`
+    law: Callable[[IndexMode], IndexLaw]  # `IndexMode.implied_law`
+    random_nu: bool
+    carries: bool
+
+
+def _check_point(law: IndexLaw) -> None:
+    if law.c is None or not law.c > 0.0:
+        raise ValueError("degenerate law needs a point mass c > 0")
+    if law.c == math.inf:
+        raise ValueError("degenerate law needs a finite point mass c, got c=inf")
+
+
+def _tabulated_cdf(law: IndexLaw, z: float) -> float:
+    if z >= law.grid[-1][0]:
+        return law.grid[-1][1]
+    for (z0, h0), (z1, h1) in zip(law.grid, law.grid[1:]):
+        if z0 <= z <= z1:
+            return h0 + (h1 - h0) * (z - z0) / (z1 - z0)
+    return 0.0  # below the first node
+
+
+def _tabulated_laplace_bound(law: IndexLaw, mass: float) -> float:
+    # H has density at most d on [z_a, inf), so the transform is at most
+    # d e^(-z_a W) / W: below d / W, and for z_a W >= 1 below d z_a e^(-z_a W).
+    d, z_a = max(p[0] for p in law.pieces), law.pieces[0][1]
+    if z_a > 0.0:
+        return min(d / mass, max(1.0, math.log(d * z_a / mass)) / z_a)
+    return d / mass
+
+
+_LAWS = {  # fields, check, label, cdf, kernel, mean, laplace_bound, mode
+    "degenerate": _LawKind(
+        ("c",), _check_point, lambda law: f"degenerate:{number_label(law.c)}",
+        lambda law, z: 1.0 if z >= law.c else 0.0, _degenerate_kernel, lambda law: law.c,
+        lambda law, mass: math.log(1.0 / mass) / law.c,
+        lambda law: (IndexMode("fixed") if law.c == 1.0
+                     else IndexMode("dependent", "const", (law.c,)))),
+    "unit_exponential": _LawKind(
+        (), lambda law: None, lambda law: "unit_exponential",
+        lambda law, z: -math.expm1(-z), _unit_exponential_kernel, lambda law: 1.0,
+        lambda law, mass: 1.0 / mass,  # the transform is 1/(1 + W)
+        lambda law: IndexMode("geometric")),
+    "tabulated": _LawKind(
+        ("grid",), lambda law: _validate_table(law.grid),
+        lambda law: f"tabulated[{len(law.grid)}]", _tabulated_cdf, _tabulated_kernel,
+        lambda law: sum(slope * (z1 * z1 - z0 * z0) / 2.0 for slope, z0, z1 in law.pieces),
+        _tabulated_laplace_bound,
+        lambda law: (IndexMode("dependent", "uniform", (law.grid[0][0], law.grid[1][0]))
+                     if len(law.grid) == 2 and law.grid[1][1] == 1.0 else None)),
+}
+
+
+def _check_no_t_spec(mode: IndexMode) -> None:
+    if mode.t_args:
+        raise ValueError(f"{mode.kind} mode takes no T-spec")
+
+
+def _check_const(mode: IndexMode) -> None:
+    if len(mode.t_args) != 1 or not mode.t_args[0] > 0.0:
+        raise ValueError("dependent const T-spec needs one value c > 0")
+    if mode.t_args[0] == math.inf:
+        raise ValueError("dependent const T-spec needs a finite c, got c=inf")
+
+
+def _check_uniform(mode: IndexMode) -> None:
+    if len(mode.t_args) != 2 or not 0.0 < mode.t_args[0] < mode.t_args[1]:
+        raise ValueError("dependent uniform T-spec needs 0 < a < b")
+    if mode.t_args[1] == math.inf:  # a < b, so a is finite too
+        raise ValueError("dependent uniform T-spec needs a finite b, got b=inf")
+
+
+def _draw_uniform(mode: IndexMode, n: int, rng: np.random.Generator, floor: int):
+    a, b = mode.t_args
+    u0 = float(rng.random())
+    t = a + (b - a) * u0
+    return max(math.ceil(n * t), floor), u0
+
+
+_MODES = {  # (kind, t_kind) -> check, draw, law, random_nu, carries
+    ("fixed", None): _ModeKind(
+        _check_no_t_spec, lambda mode, n, rng, floor: (n, None),
+        lambda mode: IndexLaw.degenerate(1.0), random_nu=False, carries=False),
+    ("geometric", None): _ModeKind(  # success probability 1/n, support 1, 2, ...
+        _check_no_t_spec,
+        lambda mode, n, rng, floor: (max(int(rng.geometric(1.0 / n)), floor), None),
+        lambda mode: IndexLaw.unit_exponential(), random_nu=True, carries=False),
+    ("dependent", "const"): _ModeKind(
+        _check_const,
+        lambda mode, n, rng, floor: (max(math.ceil(n * mode.t_args[0]), floor), None),
+        lambda mode: IndexLaw.degenerate(mode.t_args[0]), random_nu=False, carries=False),
+    ("dependent", "uniform"): _ModeKind(
+        _check_uniform, _draw_uniform,
+        lambda mode: IndexLaw.tabulated([(mode.t_args[0], 0.0), (mode.t_args[1], 1.0)]),
+        random_nu=True, carries=True),
 }
 
 

@@ -44,9 +44,9 @@ from scipy.special import roots_legendre
 
 from .distributions import DistributionModel, NormingConstants, norming_constants, tail_transform
 from .limitlaws import TailTransform, kappa
-from .montecarlo import IndexMode, SimulationReport, simulate_value_pairs, tally_report
+from .montecarlo import SimulationReport, simulate_value_pairs, tally_report
 from .params import ExtremeSide, GosParams
-from .randomindex import IndexLaw, index_kernel
+from .randomindex import IndexLaw, IndexMode, index_kernel
 from .specfun import clip_probability, log_gamma
 
 # Absolute tolerance of each two-sided range value: the fixed rule's
@@ -105,7 +105,11 @@ class RangeQuery:
 
     @cached_property
     def _s_extent(self) -> tuple[float, float]:
-        return _s_extent(self.law)
+        """(s_lo, s_hi) with at most _TAIL_MASS of the index weight's unit
+        mass below s_lo and above s_hi.  The weight's mass below ln W is
+        int (1 - e^(-zW)) dH(z) <= W E[z], and above it int e^(-zW) dH(z),
+        the Laplace transform of H."""
+        return math.log(_TAIL_MASS / self.law.mean()), math.log(self.law.laplace_bound(_TAIL_MASS))
 
 
 def _beta_normalizer(alpha: float, beta_p: float) -> float:
@@ -244,29 +248,6 @@ def _legendre(order: int) -> tuple[np.ndarray, ...]:
     return nodes[:, None], weights[:, None], (y * y)[:, None], (y * weights)[:, None]
 
 
-def _s_extent(law: IndexLaw) -> tuple[float, float]:
-    """(s_lo, s_hi) with at most _TAIL_MASS of the index weight's unit mass
-    below s_lo and above s_hi.
-
-    The weight's mass below ln W is int (1 - e^(-zW)) dH(z) <= W E[z], and
-    above it int e^(-zW) dH(z), the Laplace transform of H."""
-    if law.kind == "degenerate":
-        mean, top = law.c, math.log(1.0 / _TAIL_MASS) / law.c
-    elif law.kind == "unit_exponential":
-        mean, top = 1.0, 1.0 / _TAIL_MASS  # the transform is 1/(1 + W)
-    else:
-        pieces = law.pieces
-        mean = sum(slope * (z1 * z1 - z0 * z0) / 2.0 for slope, z0, z1 in pieces)
-        # H has density at most d on [z_a, inf), so the transform is at most
-        # d e^(-z_a W) / W: below d / W, and for z_a W >= 1 below
-        # d z_a e^(-z_a W).
-        d, z_a = max(p[0] for p in pieces), pieces[0][1]
-        top = d / _TAIL_MASS
-        if z_a > 0.0:
-            top = min(top, max(1.0, math.log(d * z_a / _TAIL_MASS)) / z_a)
-    return math.log(_TAIL_MASS / mean), math.log(top)
-
-
 def _gauss_legendre(query: RangeQuery, c_of, rule, order: int):
     """The order-point rule for each point of `rule` (see `_pair_df`)."""
     nodes, weights, graded_nodes, graded_weights = _legendre(order)
@@ -370,7 +351,7 @@ def _limit_df(query: RangeQuery, t):
     if np.isnan(grid).any():
         raise ValueError("range and midrange limits are undefined at NaN")
     if query.model.family == "cauchy" and query.params.m > 0.0:
-        if query.law.kind != "unit_exponential":
+        if query.law != IndexLaw.unit_exponential():
             raise UnsupportedCaseError(
                 "the cauchy m > 0 forms are published for the geometric "
                 "(unit-exponential) index law only"

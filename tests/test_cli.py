@@ -8,7 +8,6 @@ import pytest
 from gosextreme.cli import (
     Table,
     UsageError,
-    _mode_for_law,
     emit,
     example_names,
     main,
@@ -26,7 +25,7 @@ from gosextreme.goscore import (
 )
 from gosextreme.limitlaws import TailTransform, kappa, rho
 from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime
-from gosextreme.randomindex import IndexLaw
+from gosextreme.randomindex import IndexLaw, realizing_mode as _mode_for_law
 
 
 def run_cli(capsys, *argv):
@@ -528,6 +527,30 @@ class TestNanRejected:
     def test_nan_raises(self, capsys, call):
         with pytest.raises(ValueError, match="(?i)nan"):
             call(capsys)
+
+
+class TestNonFiniteIndexParameters:
+    """An infinite point mass or T-spec value is refused when the law or mode
+    is built, before any table or sample is computed."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["mix", "--regime", "uu", "--r", "2", "--s", "1", "--upper-tail", "frechet:1",
+          "--H", "degenerate:inf"], "degenerate law needs a finite point mass c, got c=inf"),
+        (["example", "pareto-range", "--at", "1", "--law", "degenerate:inf"],
+         "degenerate law needs a finite point mass c, got c=inf"),
+        (["simulate", "--dist", "logistic", "--n", "40", "--regime", "uu", "--r", "2",
+          "--s", "1", "--x-grid", "0", "--index", "dependent:const:inf"],
+         "dependent const T-spec needs a finite c, got c=inf"),
+        (["simulate", "--dist", "logistic", "--n", "40", "--regime", "uu", "--r", "2",
+          "--s", "1", "--x-grid", "0", "--index", "dependent:uniform:0.5:inf"],
+         "dependent uniform T-spec needs a finite b, got b=inf"),
+    ], ids=["mix-H", "example-law", "simulate-const", "simulate-uniform"])
+    def test_exits_2_with_a_validation_failure(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert err == f"validation failure: {message}\n"
+        assert not out.exists()
 
 
 class TestBadNumericFlag:

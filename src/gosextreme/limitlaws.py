@@ -62,6 +62,19 @@ def rho(transform: TailTransform, x):
     return _transform(transform, x, -1.0)
 
 
+def rho_inverse(transform: TailTransform, s):
+    """The lower-side x with rho(x) = e^s, for a float or an array of s:
+    -e^(-s/b) (frechet), e^(s/b) (weibull) or s (gumbel).  Increasing in s,
+    it maps the real line onto the x where rho is positive and finite."""
+    if transform.side != ExtremeSide.LOWER:
+        raise ValueError("rho_inverse expects a lower-side transform")
+    if transform.kind == "frechet":
+        return -np.exp(-s / transform.alpha)
+    if transform.kind == "weibull":
+        return np.exp(s / transform.alpha)
+    return s
+
+
 def _transform(transform: TailTransform, x, sign: float):
     """The upper-side form at u = sign * x; the lower side is its mirror
     image.  Values beyond the largest float are +inf."""

@@ -28,8 +28,8 @@ that reaches the top of the sample draws about nu, in time linear in
 nu.  Under a random nu the lengths of such a pair's sums differ, so
 every nu is drawn once ahead and the tiles take the replications in
 order of length.  Beyond its results, a call's memory is one tile (two
-buffers of _TILE x _BLOCK values) and a gamma table of at most
-_GAMMA_TABLE_MAX values, whatever nu or the number of replications.
+buffers of _TILE x _BLOCK values, and one block's gammas), whatever nu
+or the number of replications.
 
 Random-size modes are `randomindex.IndexMode`, whose records
 (`randomindex._MODES`) draw nu.  Under ``dependent:uniform`` the uniform
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -102,7 +102,6 @@ class SimulationReport:
     standard_errors: tuple
     sup_distance: float
     seed: int
-    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         payload = {
@@ -114,8 +113,6 @@ class SimulationReport:
             "sup_distance": self.sup_distance,
             "seed": self.seed,
         }
-        if self.extra:
-            payload["extra"] = self.extra
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
@@ -141,9 +138,6 @@ _BLOCK = 1024
 # Replications per tile: the rows whose running sums advance together.  A
 # tile's two buffers hold _TILE x _BLOCK values each, whatever nu is.
 _TILE = 64
-# The per-call gamma table covers nu - j below this bound, so its memory,
-# like the tile's, stays flat in nu; blocks above it compute their own.
-_GAMMA_TABLE_MAX = 1 << 16
 
 
 class _Streams:
@@ -168,31 +162,6 @@ class _Streams:
         self._counter[2] = replication
         self._bitgens[slot].state = self._state
         return self._rngs[slot]
-
-
-class _Gammas:
-    """gamma_j = k + (nu - j)(m + 1), computed as
-    `reference.sample_uniform_gos` does and served as contiguous runs of
-    a per-call table indexed by nu - j."""
-
-    def __init__(self, params: GosParams):
-        self._k, self._step = params.k, params.m + 1.0
-        self._table = np.empty(0)
-
-    def run(self, top: int, count: int) -> np.ndarray:
-        """gamma_j for nu - j = top, top - 1, ..., top - count + 1."""
-        if top >= _GAMMA_TABLE_MAX:
-            return self._k + np.arange(top, top - count, -1) * self._step
-        size = len(self._table)
-        if top >= size:
-            size = top + 1
-            self._table = self._k + np.arange(size - 1, -1, -1) * self._step
-        start = size - 1 - top
-        return self._table[start:start + count]
-
-    def runs(self, tops: np.ndarray, count: int) -> np.ndarray:
-        """One run per row, for rows whose tops differ."""
-        return self._k + (tops[:, None] - np.arange(count)) * self._step
 
 
 def _column_sums(segment: np.ndarray) -> np.ndarray:
@@ -227,7 +196,7 @@ class _TileSampler:
         self._floor = max(first[1], second[1]) + 1
         self._carries = mode.carries
         self._streams = _Streams(seed, tile)
-        self._gammas = _Gammas(params)
+        self._k, self._step = params.k, params.m + 1.0
         self._tile = tile
 
     def plan(self, replications: int) -> np.ndarray:
@@ -245,8 +214,6 @@ class _TileSampler:
         stops = np.maximum(*(_position(side_rank, nus) for side_rank in self._sides)) + 1
         size = self._tile * min(_BLOCK, int(stops.max()))
         self._flat = (np.empty(size), np.empty(size))
-        # A tile's top is at most this; taking it now builds the table once.
-        self._gammas.run(int((nus - stops).max() + stops.max()) - 1, 1)
         if len(draws) < replications:
             return np.arange(replications)
         return np.argsort(stops, kind="stable")
@@ -269,7 +236,9 @@ class _TileSampler:
         pad = width - stop
         pads = pad.tolist()
         tops = nus - 1 + pad
-        top = int(tops[0]) if tops.min() == tops.max() else None
+        # Column c divides by k + (top - c)(m + 1), as `sample_uniform_gos`
+        # takes gamma_j; top is one for the tile if its rows' agree.
+        top = tops[0] if tops.min() == tops.max() else tops[:, None]
         cols = [pad + a for a in at]
         marks = {}  # column -> the targets every row reads there
         scattered = {}  # block start -> (target, the rows it holds that target for)
@@ -301,10 +270,8 @@ class _TileSampler:
                 hit = np.flatnonzero((slot_cols >= lo) & (slot_cols < hi))
                 block[hit - idle, slot_cols[hit] - lo] = carries[hit]
             np.log(block, out=block)
-            if top is not None:
-                np.divide(block, self._gammas.run(top - lo, hi - lo), out=block)
-            else:
-                np.divide(block, self._gammas.runs(tops[idle:] - lo, hi - lo), out=block)
+            first = top if top.ndim == 0 else top[idle:]
+            np.divide(block, self._k + (first - lo - np.arange(hi - lo)) * self._step, out=block)
             # A scattered target: each row's running total, then its terms
             # from its start in this block (zeros before it add nothing).
             for target, rows in scattered.get(lo, ()):
@@ -345,6 +312,8 @@ def simulate_value_pairs(
     Each coordinate is (side, rank): rank from the bottom for LOWER,
     from the top for UPPER.
     """
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
     tile = min(_TILE, replications)
     sampler = _TileSampler(params, mode, first, second, seed, tile)
     sum_first = np.empty(replications)

@@ -27,10 +27,12 @@ diagnostics.  It is only defined for the unit-exponential law.
 
 Evaluation is per grid: `range_limit_df` and `midrange_limit_df` take a
 float or an array of t, and a whole grid costs a few array kernel calls.
-The two-sided integral is written over s = ln w, with w the index
-kernel's argument, as int N_H(1, e^s, ell, c(s)) ds, and taken by one
-fixed Gauss-Legendre rule with no adaptive fallback (see "the fixed rule
-over s" below).
+The two-sided integral is int N_H(1, e^s, ell, c(s, t)) ds over s = ln w,
+w = rho(y) at the normalized minimum y, with the max factor
+c = kappa(x)^(m+1) read off the tail transforms at x(s, t) =
+t +- rho_inverse(e^s)/eta ("mixed conditional dfs" below).  It is taken
+by one fixed Gauss-Legendre rule with no adaptive fallback (see "the
+fixed rule over s").
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .distributions import DistributionModel, NormingConstants, norming_constants, tail_transform
-from .limitlaws import TailTransform, kappa
+from .limitlaws import TailTransform, kappa, rho, rho_inverse
 from .montecarlo import SimulationReport, simulate_value_pairs, tally_report
 from .params import ExtremeSide, GosParams
 from .randomindex import IndexLaw, IndexMode, index_kernel
@@ -149,79 +151,46 @@ def eta_limit(model: DistributionModel, params: GosParams) -> float:
 
 
 # --- mixed conditional dfs ------------------------------------------------
-# Given the index scale z the statistic's df is an integral, over the
-# min-side variable, of the max factor Q(ell, z * cval) (cval is
-# kappa(x)^(m+1) for the family's upper tail) against the min-side
-# conditional density.  Integrating z out first turns each slice into
-# L_H(1, w, ell, c) = int z e^(-zw) Q(ell, zc) dH(z) = N_H(1, w, ell, c) / w,
-# so the min-side variable carries the only integral left.  Over
-# s = ln w each pair reads
+# Given the index scale z the statistic's df is an integral over the
+# normalized minimum y of the max factor Q(ell, z c), c = kappa(x)^(m+1),
+# at the normalized maximum x(y, t) = t + y/eta (range) or t - y/eta
+# (midrange) where the statistic equals t.  Integrating z out first leaves
+# N_H(1, w, ell, c) / w at w = rho(y); over s = ln w, y = rho_inverse(e^s),
+# the df reads
 #
-#     head(t) + int_{lo(t)}^{hi(t)} N_H(1, e^s, ell, c(s, t)) ds,
+#     head(t) + int_{lo(t)}^{hi(t)} N_H(1, e^s, ell, c(s, t)) ds.
 #
-# and each pair function below returns (head, lo, hi, c) for an array of
-# t.  Without the max factor the integrand is the index weight
-# N_H(1, e^s, ell, 0) = int z e^s e^(-z e^s) dH(z), of unit mass.
+# At c = 0 the integrand is the index weight, of unit mass, whose mass
+# above ln w is index_kernel(law, 0, w).  A frechet or weibull factor ends
+# where x = 0, at the edge s = ln rho(-+eta t); past it a frechet factor is
+# closed (c = +inf) and a weibull one open (c = 0), which leaves the
+# weight's mass there as the head.  A gumbel factor has no end.
 
 
-def _frechet_pair(t, midrange: bool):
-    # Both tails power-type with unit exponent (cauchy, m = 0, eta = 1).
-    # Min-side density z y^-2 e^(-z/y) on y = e^-s > 0; the max factor is
-    # taken at t - y (range, vanishing for y >= t) or t + y (midrange,
-    # vanishing for y <= -t), where its argument is +inf.
-    sign = 1.0 if midrange else -1.0
+def _pair(query: RangeQuery, t):
+    """(head, lo, hi, c) of the two-sided case at stretched t; `eta_limit`
+    alone decides which cases have one."""
+    lower, upper, eta = query._lower, query._upper, query._eta
+    sign = 1.0 if query.statistic == "range" else -1.0
 
     def c_of(s, t):
-        gap = t + sign * np.exp(-s)
-        return np.where(gap > 0.0, 1.0 / gap, np.inf)
+        return query.params.kappa_power(kappa(upper, t + sign * rho_inverse(lower, s) / eta))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        edge = -np.log(-sign * t)  # where the gap closes
-    unbounded = np.full_like(t, np.inf)
-    if midrange:
-        return np.zeros_like(t), -unbounded, np.where(t < 0.0, edge, np.inf), c_of
-    return np.zeros_like(t), np.where(t > 0.0, edge, np.inf), unbounded, c_of
-
-
-def _weibull_pair(law: IndexLaw, t, alpha: float, eta: float, midrange: bool):
-    # Both tails bounded-endpoint type with exponents (alpha, alpha) after
-    # the m+1 power (beta with alpha = (m+1)beta, power, and uniform at
-    # alpha = 1).  The min-side conditional density is z e^{-z tau} after
-    # tau = w^alpha = e^s, and the max factor argument is
-    # (w/eta - t)_+^alpha (midrange) or (-(t + w/eta))_+^alpha (range).
-    # On the far side of tau = split = (|t| eta)^alpha the max factor is
-    # constant, 1 below it (midrange) or 0 above it (range), which leaves
-    # the index weight's mass there: 1 - N_H(0, split) or N_H(0, split).
-    # Powers past the largest float are +inf, where the max factor and
-    # the index weight vanish.
-    def c_of(s, t):
-        scaled = np.exp(s / alpha) / eta
-        return np.maximum(scaled - t if midrange else -(t + scaled), 0.0) ** alpha
-
-    beyond = t > 0.0 if midrange else t < 0.0
-    with np.errstate(over="ignore", divide="ignore"):
-        split = np.where(beyond, np.power(np.abs(t) * eta, alpha), 0.0)
+    head, unbounded = np.zeros_like(t), np.full_like(t, np.inf)
+    if upper.kind == "gumbel":
+        return head, -unbounded, unbounded, c_of
+    split = rho(lower, -sign * eta * t)
+    with np.errstate(divide="ignore"):
         edge = np.log(split)
-    mass = index_kernel(law, 0.0, split)
-    if midrange:
-        return np.where(beyond, 1.0 - mass, 0.0), edge, np.full_like(t, np.inf), c_of
-    # t >= 0: an empty interval and the whole mass
-    return np.where(beyond, mass, 1.0), np.full_like(t, -np.inf), edge, c_of
-
-
-def _gumbel_pair(t, mp1: float, eta: float, midrange: bool):
-    # Both tails exponential-type, and s is the min-side variable itself:
-    # after tau = e^s the min-side density is z e^{-z tau} and the max
-    # factor argument is e^{-t(m+1)} tau^expo, expo = +(m+1)/eta
-    # (midrange) or -(m+1)/eta (range), taken as one exponential so that
-    # past the float range it is 0 or +inf, as its exact value would round.
-    expo = mp1 / eta if midrange else -mp1 / eta
-
-    def c_of(s, t):
-        return np.exp(expo * s - t * mp1)
-
-    unbounded = np.full_like(t, np.inf)
-    return np.zeros_like(t), -unbounded, unbounded, c_of
+    # x rises with s for the range and falls for the midrange, so past the
+    # edge lies above it for a weibull range and a frechet midrange.
+    opens = upper.kind == "weibull"
+    lo, hi = (-unbounded, edge) if opens == (sign > 0.0) else (edge, unbounded)
+    if opens:
+        inside = sign * t < 0.0  # else open (range) or closed (midrange) for every s
+        mass = index_kernel(query.law, 0.0, split)
+        head = np.where(inside, mass, 1.0) if sign > 0.0 else np.where(inside, 1.0 - mass, 0.0)
+    return head, lo, hi, c_of
 
 
 # --- the fixed rule over s ---------------------------------------------------
@@ -310,18 +279,6 @@ def _mixed_df(query: RangeQuery, t) -> np.ndarray:
     return value
 
 
-def _pair(query: RangeQuery, t):
-    """(head, lo, hi, c) of the two-sided case at stretched t.  The
-    parent's lower tail type picks the pair integrand; `eta_limit` alone
-    decides which cases have one."""
-    lower, midrange = query._lower, query.statistic == "midrange"
-    if lower.kind == "frechet":
-        return _frechet_pair(t, midrange)
-    if lower.kind == "weibull":
-        return _weibull_pair(query.law, t, lower.alpha, query._eta, midrange)
-    return _gumbel_pair(t, query.params.m + 1.0, query._eta, midrange)
-
-
 def _cauchy_mpos_value(statistic: str, t):
     with np.errstate(divide="ignore", over="ignore"):
         if statistic == "range":
@@ -389,17 +346,16 @@ def statistic_normalization(
 
     Default convention: A_r = a, B_r = b - d for the range and
     A_v = a/2, B_v = (b+d)/2 for the midrange.  Per-case overrides follow
-    the published examples: pure power-tail cases center at 0, the
-    cauchy m > 0 case rescales by the dominant lower-side constant, and
-    the normal m=0, k=1 midrange uses A_v = a (`RangeQuery._stretch`).
+    the published examples: pareto centers at 0 (as cauchy's b = d = 0
+    already do), the cauchy m > 0 case rescales by the dominant
+    lower-side constant, and the normal m=0, k=1 midrange uses A_v = a
+    (`RangeQuery._stretch`).
     """
     fam, m = query.model.family, query.params.m
     a, b, c, d = consts.a, consts.b, consts.c, consts.d
     midrange = query.statistic == "midrange"
-    if fam == "cauchy":
-        if m > 0.0:
-            return (c / 2.0, 0.0) if midrange else (c, 0.0)
-        return (a / 2.0, 0.0) if midrange else (a, 0.0)
+    if fam == "cauchy" and m > 0.0:
+        return (c / 2.0, 0.0) if midrange else (c, 0.0)
     if fam == "pareto":
         return (a / 2.0, 0.0) if midrange else (a, 0.0)
     if midrange:

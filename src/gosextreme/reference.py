@@ -556,6 +556,8 @@ def _range_fixed_rule():
     # The two-sided ranges sum scipy/numpy ufuncs over fixed Gauss-Legendre
     # nodes; hold them to the adaptive route on a few cases of each pair
     # integrand, so that a numpy or scipy build whose ufuncs differ shows.
+    # Under the table law a weibull pair's head is a sum of segment masses.
+    table = IndexLaw.tabulated([(0.3, 0.0), (0.9, 0.2), (1.3, 0.6), (3.1, 1.0)])
     cases = [
         ("normal", "range", IndexLaw.degenerate(1.0), 0.0, 1.0, 0.5),
         ("logistic", "midrange", IndexLaw.unit_exponential(), 1.2, 1.3, 8.6),
@@ -563,6 +565,8 @@ def _range_fixed_rule():
         ("uniform(theta=1)", "range", IndexLaw.degenerate(2.0), 0.0, 1.0, -0.5),
         ("cauchy", "range", IndexLaw.tabulated([(0.5, 0.0), (1.5, 1.0)]), 0.0, 1.0, 2.0),
         ("cauchy", "midrange", IndexLaw.degenerate(1.0), 0.0, 1.0, -1.5),
+        ("uniform(theta=1)", "range", table, 0.0, 1.0, -0.5),
+        ("beta(alpha=4,beta=2)", "midrange", table, 1.0, 1.0, 0.3),
     ]
     worst = 0.0
     for spec, stat, law, m, k, t in cases:

@@ -681,6 +681,17 @@ class TestParserParity:
         assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
 
 
+class TestNegativeSimReps:
+    def test_exits_2_with_a_validation_failure(self, capsys, tmp_path):
+        # --sim-reps 0 means no overlay; below it is a bad count
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "example", "pareto-range", "--grid", "1:2:3",
+                               "--sim-reps", "-5", "--out", str(out))
+        assert code == 2
+        assert err == "validation failure: replications must be >= 1\n"
+        assert not out.exists()
+
+
 class TestRangeRepro:
     def test_logistic_midrange_far_right(self, capsys):
         # Once a QUADPACK miss that exited 2; 256-, 512- and 1024-node rules

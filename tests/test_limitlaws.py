@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gosextreme import goscore
 from gosextreme.distributions import norming_constants, parse_model
-from gosextreme.limitlaws import TailTransform, kappa, rho
+from gosextreme.limitlaws import TailTransform, kappa, rho, rho_inverse
 from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime
 from gosextreme.reference import (
     lower_marginal_limit,
@@ -49,6 +49,18 @@ class TestTransforms:
     def test_rho_frechet(self):
         assert rho(LOW_FRECHET2, -2.0) == pytest.approx(0.25)
         assert rho(LOW_FRECHET2, 0.5) == math.inf
+
+    @pytest.mark.parametrize("kind", ["frechet", "weibull", "gumbel"])
+    def test_rho_inverse_round_trip(self, kind):
+        s = np.array([-700.0, -123.4, -1.0, 0.0, 0.3, 45.6, 700.0])
+        for alpha in ((None,) if kind == "gumbel" else (1.0, 2.0, 4.0)):
+            lower = TailTransform(side=ExtremeSide.LOWER, kind=kind, alpha=alpha)
+            x = rho_inverse(lower, s)
+            assert np.all(np.diff(x) > 0.0)
+            np.testing.assert_allclose(rho(lower, x), np.exp(s), rtol=1e-15, atol=0.0)
+            assert rho(lower, rho_inverse(lower, 0.3)) == pytest.approx(math.exp(0.3), rel=1e-15)
+        with pytest.raises(ValueError):
+            rho_inverse(UP_GUMBEL, s)
 
     def test_kappa_monotone_rho_monotone(self):
         xs = np.linspace(-4.0, 4.0, 41)

@@ -434,7 +434,6 @@ class TestSamplerMatchesTheLoop:
     def test_gamma_table_edge(self, monkeypatch):
         """Blocks on either side of the table's reach, and one straddling it."""
         monkeypatch.setattr(montecarlo, "_BLOCK", 64)
-        monkeypatch.setattr(montecarlo, "_GAMMA_TABLE_MAX", 100)
         params = GosParams(m=0.4, k=2.0, n=300)
         args = (params, parse_model("normal"), IndexMode.parse("geometric"),
                 (_L, 1), (_U, 2), 40, 11)
@@ -530,9 +529,7 @@ class TestSamplerMemory:
     def test_memory_is_one_tile(self, monkeypatch):
         """Under a fixed nu the tile's buffers are the sampler's memory: ten
         times the sample size, or eight times the replications, cost at most
-        one tile more.  The gamma table, bounded on its own by
-        _GAMMA_TABLE_MAX, is held below both sample sizes here."""
-        monkeypatch.setattr(montecarlo, "_GAMMA_TABLE_MAX", 10**4)
+        one tile more."""
 
         def peak(n, replications):
             params = GosParams(m=0.0, k=1.0, n=n)
@@ -544,3 +541,12 @@ class TestSamplerMemory:
         small = peak(2 * 10**4, 64)
         assert abs(peak(2 * 10**5, 64) - small) <= tile
         assert abs(peak(2 * 10**4, 512) - small) <= tile
+
+
+@pytest.mark.parametrize("replications", [0, -5])
+def test_sampler_refuses_no_replications(replications):
+    """The range overlay reaches the sampler without a SimConfig."""
+    params = GosParams(m=0.0, k=1.0, n=20)
+    with pytest.raises(ValueError, match=r"replications must be >= 1"):
+        simulate_value_pairs(params, parse_model("logistic"), IndexMode.parse("fixed"),
+                             (_L, 1), (_U, 1), replications, 3)

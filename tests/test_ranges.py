@@ -449,3 +449,27 @@ def test_unsettled_point_raises_with_the_last_gap(monkeypatch):
     with pytest.raises(ranges.QuadratureError, match="order 128") as info:
         midrange_limit_df(q, -2.5)
     assert ranges.RANGE_ABS_TOL / 10.0 < info.value.achieved < 1.0
+
+
+# The segment masses of this table sum to 1 - 2^-53 at w = 0.
+UNEVEN_TABLE = IndexLaw.tabulated([(0.5, 0.0), (0.9, 0.1), (1.5, 1.0)])
+
+
+@pytest.mark.parametrize("spec,m,statistic,ts,head", [
+    ("uniform(theta=1)", 0.0, "range", (0.0, 0.5, 1e300, math.inf), 1.0),
+    ("beta(alpha=4,beta=2)", 1.0, "range", (0.0, 2.0), 1.0),
+    ("uniform(theta=1)", 0.0, "midrange", (0.0, -0.5, -1e300, -math.inf), 0.0),
+    ("beta(alpha=4,beta=2)", 1.0, "midrange", (0.0, -2.0), 0.0),
+    ("cauchy", 0.0, "range", (-math.inf, -1.5, 0.0, 1.5), 0.0),
+    ("cauchy", 0.0, "midrange", (-math.inf, -1.5, 0.0, 1.5), 0.0),
+])
+def test_heads_off_the_table_mass_are_exact(spec, m, statistic, ts, head):
+    """Where the pair's edge does not lie inside (a weibull factor open or
+    closed for every s) or the factor never opens (frechet), the pair's
+    head is exactly 1 or 0, not a table mass that rounds off it."""
+    from gosextreme.randomindex import index_kernel
+    from gosextreme.ranges import _pair
+
+    assert index_kernel(UNEVEN_TABLE, 0.0, 0.0) != 1.0
+    q = query(spec, m, 1.0, statistic, law=UNEVEN_TABLE)
+    assert _pair(q, np.array(ts))[0].tolist() == [head] * len(ts)

@@ -50,18 +50,24 @@ from .ranges import (
     range_limit_df,
     run_statistic_sim,
 )
-from .reference import (
-    joint_df_direct,
-    normal_midrange_integral,
-    normal_range_integral,
-    omega_ll,
-    omega_lu_product,
-    omega_uu,
-    sample_uniform_gos,
-)
 from .specfun import log_gamma, reg_inc_beta, reg_inc_gamma
 
 __version__ = "0.1.0"
+
+# The reference routes serve no verb but `selftest`, so the package loads
+# `reference` on first access to one of these names only.
+_REFERENCE_NAMES = frozenset({
+    "joint_df_direct", "normal_midrange_integral", "normal_range_integral", "omega_ll",
+    "omega_lu_product", "omega_uu", "sample_uniform_gos",
+})
+
+
+def __getattr__(name: str):
+    if name in _REFERENCE_NAMES:
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "DistributionModel", "ExtremeSide", "GosParams", "IndexLaw",

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ExtremeSide
+from .specfun import domain_error
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def _transform(transform: TailTransform, x, sign: float):
     image.  Values beyond the largest float are +inf."""
     u = sign * np.asarray(x, dtype=float)
     if np.isnan(u).any():
-        raise ValueError(f"tail transforms are undefined at NaN, got {x}")
+        raise domain_error("tail transforms are undefined at NaN", ~np.isnan(u), x=x)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if transform.kind == "frechet":
             value = np.where(u > 0.0, u ** -transform.alpha, np.inf)

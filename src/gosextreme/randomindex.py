@@ -54,12 +54,16 @@ and unit-exponential kernels are a few `gammaincc`/`betainc`/`exp` ufunc
 calls over the array, and both take Q(1, x) = e^-x in closed form.  Under
 the exponential law that gives N_H(j, w, 1, c) = w^j / (1+w+c)^(j+1), with
 no beta ratio, at every range integrand of ell = 1 and every shape-1 term
-of a mixture.  A tabulated law's kernel loops over the table's segments
-only, each a closed form whose branches are masks over the array.  Under
-c > 0 its gamma ratios are taken once per node of the table, for both
-segments that meet there; its small-w series runs each element only as
-far as that element's stop test needs, and is the first row alone where
-w = 0.  A float in gives a float out.
+of a mixture.  A tabulated law's kernel takes every node and segment of
+the table in whole-array calls, a fixed slice of elements at a time: each
+segment is a closed form whose branches are masks over (segment, element)
+pairs, each gamma ratio at a node is taken once for both segments that
+meet there, and each kind of ratio is one call over all nodes, so the
+number of special-function calls does not grow with the table.  Under
+c > 0 the ratios that depend on c alone are taken once per distinct c;
+the small-w series is one array over every (segment, element) pair that
+needs it, runs each pair only as far as its stop test needs, and is the
+first row alone where w = 0.  A float in gives a float out.
 """
 
 from __future__ import annotations
@@ -73,7 +77,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .params import ExtremeSide, GosParams, number_label
-from .specfun import clip_probability, reg_inc_beta, reg_inc_gamma, reg_inc_gamma_upper
+from .specfun import (clip_probability, domain_error, reg_inc_beta, reg_inc_gamma,
+                      reg_inc_gamma_upper)
 
 @dataclass(frozen=True)
 class IndexLaw:
@@ -113,6 +118,16 @@ class IndexLaw:
         """(density, z0, z1) of each segment of a tabulated law on which H rises."""
         return tuple(((h1 - h0) / (z1 - z0), z0, z1)
                      for (z0, h0), (z1, h1) in zip(self.grid, self.grid[1:]) if h1 > h0)
+
+    @cached_property
+    def _nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(z, lo, hi): the distinct ends of `pieces` in increasing order, and
+        the index into z of each piece's left and right end.  A node is the
+        left end of one piece at most and the right end of one at most."""
+        z = np.array(sorted({z for _, z0, z1 in self.pieces for z in (z0, z1)}))
+        lo, hi = np.searchsorted(z, [[z0 for _, z0, _ in self.pieces],
+                                     [z1 for _, _, z1 in self.pieces]])
+        return z, lo, hi
 
     def label(self) -> str:
         return self._spec.label(self)
@@ -262,8 +277,9 @@ def index_kernel(law: IndexLaw, j: float, w, shape: float = 1.0, c=0.0):
     the value is far below that (high j), it is roundoff of either sign.
     """
     w, c = np.asarray(w, dtype=float), np.asarray(c, dtype=float)
-    if not (j >= 0.0 and (w >= 0.0).all() and (c >= 0.0).all()):
-        raise ValueError(f"index_kernel needs j, w, c >= 0, got j={j}, w={w}, c={c}")
+    ok = (j >= 0.0) & (w >= 0.0) & (c >= 0.0)
+    if not ok.all():
+        raise domain_error("index_kernel needs j, w, c >= 0", ok, j=j, w=w, c=c)
     if law.kind == "tabulated" and j != int(j) and np.any(c > 0.0):
         raise ValueError(f"tabulated index_kernel needs an integer j when c > 0, got {j}")
     dead = np.isinf(w) | np.isinf(c)
@@ -315,26 +331,37 @@ def _unit_exponential_kernel(law: IndexLaw, j: float, w, shape: float, c):
 
 
 def _tabulated_kernel(law: IndexLaw, j: float, w, shape: float, c):
-    # Segment by segment, over all elements at once: each segment is a
-    # closed form whose branches are masks over the elements (the c > 0
-    # elements take every segment in one `_q_segments` call), and the
+    # Node-major, about _SLICE (segment, element) pairs at a time: each
+    # segment is a closed form whose branches are masks over the pairs,
+    # every gamma ratio at a node is taken once for both segments that meet
+    # there, and each kind of ratio is one call over all nodes.  The
     # segments are summed in table order, so an element's value does not
-    # depend on the others.
+    # depend on the others or on the slicing.
     w, c = np.broadcast_arrays(w, c)
     out_shape, w, c = w.shape, w.ravel(), c.ravel()
-    free = c == 0.0
-    w_free, w_q, c_q = w[free], w[~free], c[~free]
-    if w_q.size:
-        q_parts = _q_segments(int(j), w_q, shape, c_q, law.pieces)
     total = np.zeros(w.shape)
-    for piece, (slope, z0, z1) in enumerate(law.pieces):
-        part = np.empty(w.shape)
-        if w_free.size:
-            part[free] = _free_segment(j, w_free, z0, z1)
-        if w_q.size:
-            part[~free] = q_parts[piece]
-        total += slope * part
+    size = max(1, _SLICE // len(law.pieces))
+    for start in range(0, w.size, size):
+        at = slice(start, start + size)
+        free = c[at] == 0.0
+        if free.all():
+            part = _free_segments(j, w[at], law)
+        elif not free.any():
+            part = _q_segments(int(j), w[at], shape, c[at], law)
+        else:
+            part = np.empty((len(law.pieces), free.size))
+            part[:, free] = _free_segments(j, w[at][free], law)
+            part[:, ~free] = _q_segments(int(j), w[at][~free], shape, c[at][~free], law)
+        for (slope, _, _), row in zip(law.pieces, part):
+            total[at] += slope * row
     return total.reshape(out_shape)
+
+
+# (segment, element) pairs per slice of a tabulated kernel call: its
+# largest arrays hold (series row, segment, element), so memory stays fixed
+# however many elements a call brings (the range rule brings its order
+# times 64) and however long the table.
+_SLICE = 4096
 
 
 # --- the kinds: one record each (see "Kinds" in the module docstring) -------
@@ -453,127 +480,134 @@ _MODES = {  # (kind, t_kind) -> check, draw, law, random_nu, carries
 }
 
 
-def _free_segment(j: float, w, z0: float, z1: float):
-    """int_{z0}^{z1} (zw)^j e^(-zw) / Gamma(j+1) dz at each finite w (a 1-d array)."""
+def _free_segments(j: float, w, law: IndexLaw):
+    """int_{z0}^{z1} (zw)^j e^(-zw) / Gamma(j+1) dz over each piece (z0, z1)
+    of the table, one row each, at finite w (a 1-d array).  Gamma_{j+1}(zw)
+    is taken once at each node, upper where a piece that meets there is
+    past its mode and lower where one is near it."""
     a = j + 1.0
-    value = np.full(w.shape, z1 - z0 if j == 0.0 else 0.0)  # w = 0
+    z, lo, hi = law._nodes
+    z0, z1 = z[lo, None], z[hi, None]
+    value = np.empty((lo.size, w.size))
+    value[:] = z1 - z0 if j == 0.0 else 0.0  # w = 0
+    if not w.any():
+        return value
     with np.errstate(divide="ignore"):
         # Gamma_a(z1 w) would be subnormal (z1 w may round to 0): take
         # e^(-zw) as 1, which moves the value by less than e^-650 z1, and
         # the power in log space.
         tiny = (w > 0.0) & (a * np.log(z1 * w) < -650.0)
     if tiny.any():
-        shrink = -math.expm1(a * (math.log(z0) - math.log(z1))) if z0 > 0.0 else 1.0
-        value[tiny] = np.exp(j * np.log(w[tiny]) + a * math.log(z1) - math.lgamma(a + 1.0)) * shrink
+        piece, at = np.nonzero(tiny)
+        shrink = np.array([-math.expm1(a * (math.log(z0) - math.log(z1))) if z0 > 0.0 else 1.0
+                           for _, z0, z1 in law.pieces])
+        log_z1 = np.array([a * math.log(z1) for _, _, z1 in law.pieces])
+        value[tiny] = np.exp(j * np.log(w[at]) + log_z1[piece] - math.lgamma(a + 1.0)) * shrink[piece]
     past = z0 * w > a  # past the mode: difference the upper ratios, which stay accurate
-    if past.any():
-        at = w[past]
-        upper = reg_inc_gamma_upper(a, np.outer((z0, z1), at))
-        value[past] = (upper[0] - upper[1]) / at
     near = (w > 0.0) & ~tiny & ~past
-    if near.any():
-        at = w[near]
-        lower = reg_inc_gamma(a, np.outer((z1, z0), at))
-        value[near] = (lower[0] - lower[1]) / at
+    every_w = np.broadcast_to(w, past.shape)
+    for take, ratio, first, second in ((past, reg_inc_gamma_upper, lo, hi),
+                                       (near, reg_inc_gamma, hi, lo)):
+        if take.any():
+            need = _at_nodes(take, law)
+            ratios = np.zeros(need.shape)
+            ratios[need] = ratio(a, (z[:, None] * w)[need])
+            value[take] = (ratios[first][take] - ratios[second][take]) / every_w[take]
     return value
 
 
-def _q_segments(j: int, w, shape: float, c, pieces):
-    """int_{z0}^{z1} (zw)^j e^(-zw) / j! * Q(shape, zc) dz over each piece
-    (z0, z1), one row each, at finite w and c > 0 (1-d arrays).
+def _at_nodes(pairs, law: IndexLaw):
+    """The greatest value of the (piece, element) array `pairs` (bool or
+    int) at each (node, element), over the pieces that meet at the node."""
+    z, lo, hi = law._nodes
+    out = np.zeros((z.size, pairs.shape[1]), dtype=pairs.dtype)
+    out[lo] = pairs
+    out[hi] = np.maximum(out[hi], pairs)
+    return out
 
-    Two pieces that meet share their node: every gamma ratio at a node is
-    taken once, for the elements that either piece reads there.  The ratios
-    that depend on c alone (Q(shape, zc), the first row at w = 0 and the
-    node moments) are taken once per distinct c, as a product grid repeats
-    its c over many w."""
-    nodes = sorted({z for _, z0, z1 in pieces for z in (z0, z1)})
-    ends = [(nodes.index(z0), nodes.index(z1)) for _, z0, z1 in pieces]
-    lo, hi = np.array(ends).T
-    z = np.array(nodes)
-    c_set, c_at = np.unique(c, return_inverse=True)
+
+def _q_segments(j: int, w, shape: float, c, law: IndexLaw):
+    """int_{z0}^{z1} (zw)^j e^(-zw) / j! * Q(shape, zc) dz over each piece
+    (z0, z1) of the table, one row each, at finite w and c > 0 (1-d arrays).
+
+    Every gamma ratio at a node is taken once, for the elements that either
+    piece that meets there reads, and each kind of ratio is one call over
+    all nodes.  The ratios that depend on c alone (Q(shape, zc) and the node
+    moments) are taken once per distinct c, as a product grid repeats its c
+    over many w."""
+    z, lo, hi = law._nodes
+    c_set = np.unique(c)
+    c_at = np.searchsorted(c_set, c)
     q_set = reg_inc_gamma_upper(shape, np.outer(z, c_set))
-    q = q_set[:, c_at]
-    value = np.empty((len(pieces), w.size))
+    value = np.empty((lo.size, w.size))
     # Small w: the closed form would cancel to O((w z1)^(j+1)), so expand
     # e^(-zw) instead, sum_k coef_k moment_k with coef_k ~ (-u)^k / k! at
     # u = w z1 <= 1.  The powers of z are taken relative to z1, so none
     # overflows.  Each element stops at its first term below 1e-17 of its
     # running sum.  The moments fall with k and the sum keeps at least e^-u
     # of the first term, so that holds by the first k with u^k / k! <=
-    # 3e-18 (the 21st term at the latest): an element reads its rows up to
-    # there only.  At w = 0 the sum is its first row, coef_0 moment_0,
-    # which is taken here for every piece at once.
-    zero, live = w == 0.0, w > 0.0
+    # 3e-18 (the 21st term at the latest): a (piece, element) pair reads
+    # its rows up to there only, and at w = 0 the sum is its first row,
+    # coef_0 moment_0.  The moments at a node are taken on as many rows as
+    # any pair that reads the node with that c needs (rows past a pair's
+    # own do not reach its value).
+    zero = w == 0.0
+    if zero.all():  # a mixed marginal
+        reach = np.ones((c_set.size, z.size), dtype=int)
+    else:
+        u = z[hi, None] * w
+        big = u > 1.0
+        rows = np.where(big, 0, 2 + np.searchsorted(_SERIES_REACH, u))
+        rows[:, zero] = 1
+        reach = np.zeros((c_set.size, z.size), dtype=int)
+        np.maximum.at(reach, c_at, _at_nodes(rows, law).T)
+    if reach.any():
+        k = np.arange(float(reach.max()))
+        moments = q_set + _gamma_moment_ratio(shape, j + k + 1.0, np.outer(z, c_set),
+                                              k[:, None, None] < reach.T)
     if zero.any():
         p = j + 1.0
-        used, at = np.unique(c_at[zero], return_inverse=True)
-        m = (q_set[:, used] + _gamma_moment_ratio(shape, p, np.outer(z, c_set[used])))[:, at]
+        m = moments[0][:, c_at[zero]]
         z0, z1 = z[lo, None], z[hi, None]
         value[:, zero] = float(j == 0) * (z1 * (m[hi] - (z0 / z1) ** p * m[lo]) / p)
         if zero.all():
             return value
-        w, c, q = w[live], c[live], q[:, live]
-    u = np.array([w * z1 for _, _, z1 in pieces])
-    big = u > 1.0
-    rows = np.where(big, 0, 2 + np.searchsorted(_SERIES_REACH, u))
-    by_parts = np.zeros(q.shape, dtype=bool)  # the (node, element) pairs each form reads
-    node_rows = np.zeros(q.shape, dtype=int)
-    for (a, b), piece_big, piece_rows in zip(ends, big, rows):
-        by_parts[[a, b]] |= piece_big
-        node_rows[[a, b]] = np.maximum(node_rows[[a, b]], piece_rows)
-    ends_value = np.zeros(q.shape)
-    if by_parts.any():
-        z_at, w_at, c_at = (np.broadcast_to(v, q.shape)[by_parts] for v in (z[:, None], w, c))
-        ends_value[by_parts] = _segment_antiderivative(j, z_at, w_at, shape, c_at, q[by_parts])
-    part = np.empty(u.shape)
-    moments = {}  # node -> `_node_moments`, until the piece right of it is done
-    for piece, ((a, b), (_, z0, z1)) in enumerate(zip(ends, pieces)):
-        on = big[piece]
-        part[piece, on] = (ends_value[b, on] - ends_value[a, on]) / w[on]
-        on = ~on
-        if on.any():
-            for node in (a, b):
-                if node not in moments:
-                    moments[node] = _node_moments(j, shape, z[node], c, q[node], node_rows[node])
-            part[piece, on] = _small_w_series(j, u[piece, on], rows[piece, on], on,
-                                              moments[b], moments.pop(a), z0, z1)
-    value[:, live] = part
+    small = ~big
+    small[:, zero] = False
+    if small.any():
+        piece, at = np.nonzero(small)
+        value[small] = _small_w_series(j, u[small], rows[small], piece, c_at[at], moments, law)
+    if big.any():
+        by_parts = _at_nodes(big, law)  # the (node, element) pairs it reads
+        node, at = np.nonzero(by_parts)
+        ends_value = np.zeros(by_parts.shape)
+        ends_value[by_parts] = _segment_antiderivative(j, z[node], w[at], shape, c[at],
+                                                       q_set[node, c_at[at]])
+        value[big] = (ends_value[hi] - ends_value[lo])[big] / np.broadcast_to(w, big.shape)[big]
     return value
 
 
-def _node_moments(j: int, shape: float, z: float, c, q, rows):
-    """(elements, M) at one node z, on each element's first `rows` powers
-    p = j + 1, j + 2, ... (1-d arrays, q = Q(shape, zc)):
-    M = p z^-p int_0^z t^(p-1) Q(shape, tc) dt = q + `_gamma_moment_ratio` at zc.
-    M depends on c alone, so it is taken once per distinct c, on as many
-    powers as any element with that c needs (rows past an element's own
-    do not reach its value)."""
-    at = np.flatnonzero(rows)
-    c_set, first, back = np.unique(c[at], return_index=True, return_inverse=True)
-    reach = np.zeros(c_set.size, dtype=int)
-    np.maximum.at(reach, back, rows[at])
-    k = np.arange(float(reach.max()))[:, None]
-    m = q[at[first]] + _gamma_moment_ratio(shape, j + k + 1.0, z * c_set, k < reach)
-    return at, m[:, back]
-
-
-def _small_w_series(j: int, u, rows, on, right, left, z0: float, z1: float):
-    """The series of `_q_segments` over each element's rows at u = w z1 <= 1,
-    for the elements `on` picks, from the `_node_moments` M at both ends:
-    row k's moment is
+def _small_w_series(j: int, u, rows, piece, c_index, moments, law: IndexLaw):
+    """The series of `_q_segments` at u = w z1 <= 1, over (piece, element)
+    pairs (1-d arrays: u, the rows each pair reads, its piece and the index
+    of its element's c into the distinct c), from the node moments M
+    (row, node, distinct c), M = p z^-p int_0^z t^(p-1) Q(shape, tc) dt at
+    p = j + 1, j + 2, ...: row k's moment is
     int_{z0}^{z1} (z/z1)^(j+k) Q(shape, zc) dz = z1 [M(z1) - (z0/z1)^p M(z0)] / p."""
+    z, lo, hi = law._nodes
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(u == 0.0, float(j == 0), np.exp(j * np.log(u) - math.lgamma(j + 1.0)))
     k = np.arange(float(rows.max()))[:, None]
     p = j + k + 1.0
-    # a node's elements include the piece's; most often they are the same
-    m1, m0 = (m[:k.size] if at.size == u.size else m[:k.size, on[at]] for at, m in (right, left))
-    terms = np.empty((k.size, u.size))  # in place from here: (row, element) arrays are large
+    # (z0/z1)^p per piece as a float to a column of powers: numpy's power
+    # may round other operand layouts differently
+    powers = np.hstack([(z0 / z1) ** p for _, z0, z1 in law.pieces])
+    terms = np.empty((k.size, u.size))  # in place from here: (row, pair) arrays are large
     terms[0] = coef
     np.divide(-u, k[1:], out=terms[1:])
     np.multiply.accumulate(terms, out=terms)
-    terms *= z1 * (m1 - (z0 / z1) ** p * m0) / p
+    m1, m0 = (moments[:k.size, node[piece], c_index] for node in (hi, lo))
+    terms *= z[hi][piece] * (m1 - powers[:, piece] * m0) / p
     sums = np.add.accumulate(terms)  # in order, term by term
     bound = np.abs(sums)
     bound *= 1e-17
@@ -606,16 +640,15 @@ def _segment_antiderivative(j: int, z, w, shape: float, c, q):
     return total
 
 
-def _gamma_moment_ratio(shape: float, p, x, need=None):
-    """E[T^p; T <= x] / x^p for T ~ Gamma(shape), at powers p and x >= 0
-    that broadcast, on the pairs that the mask `need` picks (all by
-    default; 0 on the others), so that
+def _gamma_moment_ratio(shape: float, p, x, need):
+    """E[T^p; T <= x] / x^p for T ~ Gamma(shape), at each power of the 1-d
+    array p and each x >= 0, on the pairs that the mask `need` (a row per
+    power, each the shape of x) picks, and 0 on the others, so that
     int_0^z t^(p-1) Q(shape, tc) dt = z^p [Q(shape, zc) + this at x = zc] / p."""
-    a = shape + np.asarray(p)
-    log_norm = np.array([math.lgamma(v) - math.lgamma(shape) for v in a.ravel()]).reshape(a.shape)
-    if need is None:
-        need = np.ones(np.broadcast_shapes(a.shape, x.shape), dtype=bool)
-    a, p, x, log_norm = (np.broadcast_to(v, need.shape)[need] for v in (a, p, x, log_norm))
+    row, col = np.nonzero(need.reshape(p.size, -1))
+    a = shape + p
+    log_norm = np.array([math.lgamma(v) - math.lgamma(shape) for v in a])[row]
+    a, p, x = a[row], p[row], x.ravel()[col]
     tail = reg_inc_gamma(a, x)
     big = tail > 1e-260  # a normal float with digits to spare
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -273,9 +273,13 @@ def _mixed_df(query: RangeQuery, t) -> np.ndarray:
         # max side dominates; both statistics share the mixed max marginal
         upper = query.params.kappa_power(kappa(query._upper, t))
         return index_kernel(query.law, 0.0, 0.0, query.params.ell, upper)
-    value = np.empty_like(t)
-    for start in range(0, len(t), _CHUNK):
-        value[start:start + _CHUNK] = _pair_df(query, t[start:start + _CHUNK])
+    # A df is 1 at t = +inf and 0 at -inf; the rule would meet inf - inf
+    # in x(s, t) there, so infinite t take those values and skip it.
+    value = np.where(t > 0.0, 1.0, 0.0)
+    finite = np.flatnonzero(np.isfinite(t))
+    for start in range(0, finite.size, _CHUNK):
+        at = finite[start:start + _CHUNK]
+        value[at] = _pair_df(query, t[at])
     return value
 
 

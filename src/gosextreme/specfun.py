@@ -41,15 +41,17 @@ def reg_inc_gamma(r, x):
 
     Gamma_r(x) = (1/Gamma(r)) * integral_0^x t^(r-1) e^(-t) dt, r > 0, x >= 0.
     """
-    if not np.asarray((r > 0.0) & (x >= 0.0)).all():
-        raise ValueError(f"reg_inc_gamma requires r > 0 and x >= 0, got r={r}, x={x}")
+    ok = np.asarray((r > 0.0) & (x >= 0.0))
+    if not ok.all():
+        raise domain_error("reg_inc_gamma requires r > 0 and x >= 0", ok, r=r, x=x)
     return _sc.gammainc(r, x)
 
 
 def reg_inc_gamma_upper(r, x):
     """Complement 1 - Gamma_r(x), computed without cancellation for large x."""
-    if not np.asarray((r > 0.0) & (x >= 0.0)).all():
-        raise ValueError(f"reg_inc_gamma_upper requires r > 0 and x >= 0, got r={r}, x={x}")
+    ok = np.asarray((r > 0.0) & (x >= 0.0))
+    if not ok.all():
+        raise domain_error("reg_inc_gamma_upper requires r > 0 and x >= 0", ok, r=r, x=x)
     return _sc.gammaincc(r, x)
 
 
@@ -58,9 +60,23 @@ def reg_inc_beta(x, a, b):
 
     Satisfies I_x(a, b) = 1 - I_{1-x}(b, a); monotone nondecreasing in x.
     """
-    if not np.asarray((a > 0.0) & (b > 0.0) & (0.0 <= x) & (x <= 1.0)).all():
-        raise ValueError(f"reg_inc_beta requires a, b > 0 and x in [0, 1], got x={x}, a={a}, b={b}")
+    ok = np.asarray((a > 0.0) & (b > 0.0) & (0.0 <= x) & (x <= 1.0))
+    if not ok.all():
+        raise domain_error("reg_inc_beta requires a, b > 0 and x in [0, 1]", ok, x=x, a=a, b=b)
     return _sc.betainc(a, b, x)
+
+
+def domain_error(requirement: str, ok, **args) -> ValueError:
+    """The ValueError for a broken `requirement`: the arguments `args` (which
+    broadcast to the shape of the mask `ok`) at its first False element, and
+    how many elements are False when there are several, so that a large
+    array does not print in full."""
+    ok = np.asarray(ok)
+    bad = np.flatnonzero(~ok)
+    got = ", ".join(f"{name}={float(np.broadcast_to(value, ok.shape).flat[bad[0]])!r}"
+                    for name, value in args.items())
+    count = f" (the first of {bad.size} of {ok.size} elements)" if ok.size > 1 else ""
+    return ValueError(f"{requirement}, got {got}{count}")
 
 
 def clip_probability(p):

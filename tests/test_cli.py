@@ -485,6 +485,17 @@ class TestExtremeArguments:
         assert code == 0
         assert float(out.strip().splitlines()[-1].split(",")[1]) == want
 
+    @pytest.mark.parametrize("law", ["degenerate:1", "degenerate:1e300", "degenerate:1e-300",
+                                     "exponential"])
+    @pytest.mark.parametrize("at,want", [("inf", 1.0), ("-inf", 0.0)])
+    def test_infinite_t_is_the_df_limit(self, capsys, law, at, want):
+        # on the two-sided route the rule's x = t + y/eta met inf - inf at an
+        # infinite t under a law of extreme mean, and read 1 - 4e-14 elsewhere
+        for name in example_names():
+            code, out, err = run_cli(capsys, "example", name, f"--at={at}", "--law", law)
+            assert (code, err) == (0, ""), name
+            assert float(out.strip().splitlines()[-1].split(",")[1]) == want, name
+
 
 _NORMAL = parse_model("normal")
 _GOS5 = GosParams(m=0.0, k=1.0, n=5)

@@ -5,6 +5,7 @@ removes), written here with scipy alone, and mpmath where a value is
 known in closed form.  Plus property tests of the mixture dfs."""
 
 import math
+import tracemalloc
 import warnings
 import zlib
 
@@ -507,6 +508,107 @@ class TestTabulatedKernelMatchesTheFullSeries:
         c = np.linspace(0.05, 6.0, 40)
         index_kernel(law, float(j), 0.0, 0.7, c)
         assert 0 < sum(seen) <= 2 * len(law.pieces) * c.size
+
+
+def _free_segment_reference(j, w, z0, z1):
+    """The c = 0 segment one piece at a time, each taking the gamma ratios
+    at both of its ends (1-d w)."""
+    a = j + 1.0
+    value = np.full(w.shape, z1 - z0 if j == 0.0 else 0.0)  # w = 0
+    with np.errstate(divide="ignore"):
+        tiny = (w > 0.0) & (a * np.log(z1 * w) < -650.0)
+    if tiny.any():
+        shrink = -math.expm1(a * (math.log(z0) - math.log(z1))) if z0 > 0.0 else 1.0
+        value[tiny] = np.exp(j * np.log(w[tiny]) + a * math.log(z1) - math.lgamma(a + 1.0)) * shrink
+    past = z0 * w > a
+    if past.any():
+        at = w[past]
+        upper = reg_inc_gamma_upper(a, np.outer((z0, z1), at))
+        value[past] = (upper[0] - upper[1]) / at
+    near = (w > 0.0) & ~tiny & ~past
+    if near.any():
+        at = w[near]
+        lower = reg_inc_gamma(a, np.outer((z1, z0), at))
+        value[near] = (lower[0] - lower[1]) / at
+    return value
+
+
+LONG_TABLE = IndexLaw.tabulated([(0.25 * i, (i / 12) ** 2) for i in range(13)])
+
+
+class TestNodeMajorKernel:
+    """The tabulated kernel takes every node and piece of the table in
+    whole-array calls, _SLICE elements at a time; each value must keep the
+    bits of the piece-by-piece forms, at sizes where numpy's rounding of a
+    transcendental op can depend on its operands' layout."""
+
+    @pytest.mark.parametrize("j", [0, 1, 3])
+    def test_a_large_product_grid_keeps_its_bits(self, j):
+        rng = np.random.default_rng(2400 + j)
+        w = np.concatenate([[0.0, 5e-324], 10.0 ** rng.uniform(-14.0, 1.0, 198)])
+        c = np.concatenate([[1e-300, 1e6], 10.0 ** rng.uniform(-3.0, 3.0, 98)])
+        w_grid, c_grid = (v.ravel() for v in np.meshgrid(w, c))
+        assert w_grid.size >= 20_000 > randomindex._SLICE
+        for shape in (0.5, 1.0, 3.0):
+            want = _q_kernel_reference(TABLE, j, w_grid, shape, c_grid)
+            assert np.array_equal(index_kernel(TABLE, j, w_grid, shape, c_grid), want), shape
+
+    @pytest.mark.parametrize("law", [TABLE, TABLE_AT_ZERO, LONG_TABLE],
+                             ids=["table", "table-at-zero", "long"])
+    @pytest.mark.parametrize("j", [0, 1, 4, 0.5, 2.7])
+    def test_free_segments_keep_their_bits(self, law, j):
+        rng = np.random.default_rng(2410)
+        a = j + 1.0
+        # w = 0, the subnormal ratios (a ln(z1 w) < -650) and both sides of
+        # the switch between the lower and the upper ratios at z0 w = a
+        ws = [0.0, 5e-324, 1e-310]
+        for _, z0, z1 in law.pieces:
+            ws += [math.exp(-650.0 / a) / z1 * f for f in (0.99, 1.01)]
+            if z0 > 0.0:
+                ws += [a / z0 * f for f in (1.0 - 1e-12, 1.0 + 1e-12)]
+        w = rng.permutation(np.concatenate([ws, 10.0 ** rng.uniform(-8.0, 2.0, 3000)]))
+        got = randomindex._free_segments(j, w, law)
+        want = np.zeros(w.shape)
+        for row, (slope, z0, z1) in zip(got, law.pieces):
+            piece = _free_segment_reference(j, w, z0, z1)
+            assert np.array_equal(row, piece), (z0, z1)
+            want += slope * piece
+        assert np.array_equal(index_kernel(law, j, w), want)
+
+    def test_gamma_calls_do_not_grow_with_the_table(self, monkeypatch):
+        calls = []
+        for name in ("reg_inc_gamma", "reg_inc_gamma_upper"):
+            ratio = getattr(randomindex, name)
+            monkeypatch.setattr(randomindex, name,
+                                lambda a, x, ratio=ratio: calls.append(1) or ratio(a, x))
+        rng = np.random.default_rng(2420)
+        # w = 0, small and large w, c = 0 and c > 0 in one call
+        w = np.concatenate([[0.0] * 5, 10.0 ** rng.uniform(-6.0, 1.5, 200)])
+        c = np.where(rng.random(w.size) < 0.3, 0.0, rng.uniform(0.1, 5.0, w.size))
+        short = IndexLaw.tabulated([(0.3, 0.0), (0.9, 0.2), (1.3, 0.6), (3.1, 1.0)])
+        counts = []
+        for law in (short, LONG_TABLE):
+            calls.clear()
+            index_kernel(law, 2, w, 1.5, c)
+            counts.append(len(calls))
+        assert (len(short.pieces), len(LONG_TABLE.pieces)) == (3, 12)
+        assert counts[0] == counts[1] > 0
+
+    def test_memory_does_not_grow_with_the_table(self):
+        # small w runs the series on every (piece, element) pair
+        rng = np.random.default_rng(2430)
+        w, c = 10.0 ** rng.uniform(-4.0, -2.0, 1024), rng.uniform(0.1, 3.0, 1024)
+
+        def peak(pieces):
+            law = IndexLaw.tabulated([(0.01 * (i + 1), i / pieces) for i in range(pieces + 1)])
+            tracemalloc.start()
+            try:
+                index_kernel(law, 1, w, 2.0, c)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(100) <= peak(4) + 1e6
 
 
 class TestCollapsedMixtures:

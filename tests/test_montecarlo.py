@@ -432,7 +432,9 @@ class TestSamplerMatchesTheLoop:
                         assert np.array_equal(g, w), (mode, m, n, first, second)
 
     def test_gamma_table_edge(self, monkeypatch):
-        """Blocks on either side of the table's reach, and one straddling it."""
+        """64-position blocks under a geometric nu around 300: each replication
+        spans several blocks, and rows of different lengths start, and read
+        their targets, in different blocks."""
         monkeypatch.setattr(montecarlo, "_BLOCK", 64)
         params = GosParams(m=0.4, k=2.0, n=300)
         args = (params, parse_model("normal"), IndexMode.parse("geometric"),
@@ -526,7 +528,7 @@ class TestSamplerMemory:
 
         assert peak(2 * 10**6) <= peak(2 * 10**5) + 8 * montecarlo._BLOCK
 
-    def test_memory_is_one_tile(self, monkeypatch):
+    def test_memory_is_one_tile(self):
         """Under a fixed nu the tile's buffers are the sampler's memory: ten
         times the sample size, or eight times the replications, cost at most
         one tile more."""

@@ -67,6 +67,18 @@ def test_importing_the_cli_loads_no_quadpack():
     assert not _loads_quadpack("import gosextreme.cli")
 
 
+def test_importing_the_cli_loads_no_reference():
+    # only `selftest` reaches the reference routes; the package resolves
+    # their names on first access
+    code = ("import sys, gosextreme.cli; loaded = 'gosextreme.reference' in sys.modules\n"
+            "from gosextreme import omega_uu\n"
+            "print(loaded, omega_uu.__module__)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "gosextreme.reference"]
+
+
 def test_a_range_table_with_edge_points_loads_no_quadpack():
     # the uniform midrange's pair has an edge at each t > 0, where the
     # integrand goes like (s - edge)^ell with ell = 0.59

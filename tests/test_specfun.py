@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
+from gosextreme.limitlaws import TailTransform, kappa
+from gosextreme.params import ExtremeSide
+from gosextreme.randomindex import IndexLaw, index_kernel
 from gosextreme.specfun import (
     log_gamma,
     reg_inc_beta,
@@ -232,3 +235,22 @@ class TestMpmathOracle:
         for a, b, x in ((1000.0, 1000.0, 0.49), (2000.0, 3000.0, 0.41), (1500.0, 40.0, 0.975),
                         (2.0, 1e7, 1e-7)):
             assert abs(reg_inc_beta(x, a, b) - self.beta_ref(x, a, b)) <= 1e-10
+
+
+@pytest.mark.parametrize("call,first", [
+    (lambda x: reg_inc_gamma(1.5, x), "x=-2.5"),
+    (lambda x: reg_inc_gamma_upper(1.5, x), "x=-2.5"),
+    (lambda x: reg_inc_beta(x, 2.0, 3.0), "x=-2.5"),
+    (lambda x: kappa(TailTransform(ExtremeSide.UPPER, "gumbel"), np.where(x < 0.0, np.nan, x)),
+     "x=nan"),
+    (lambda x: index_kernel(IndexLaw.unit_exponential(), 1.0, x, 1.0, 0.3), "w=-2.5"),
+], ids=["reg_inc_gamma", "reg_inc_gamma_upper", "reg_inc_beta", "tail-transform",
+        "index_kernel"])
+def test_domain_errors_name_the_first_bad_element_only(call, first):
+    x = np.full(10_000, 0.5)
+    x[[1234, 5678]] = (-2.5, -7.0)
+    with pytest.raises(ValueError) as raised:
+        call(x)
+    message = str(raised.value)
+    assert first in message and "2 of 10000" in message
+    assert len(message) < 160, message

@@ -7,7 +7,9 @@ from .distributions import (
     DistributionModel,
     NoAttractionError,
     NormingConstants,
+    UnsupportedCaseError,
     cdf,
+    eta_limit,
     norming_constants,
     parse_model,
     quantile,
@@ -43,8 +45,6 @@ from .randomindex import (
 )
 from .ranges import (
     RangeQuery,
-    UnsupportedCaseError,
-    eta_limit,
     midrange_limit_df,
     normal_range_closed_form,
     range_limit_df,

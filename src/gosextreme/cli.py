@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionModel, parse_model
+from .distributions import FAMILY_NAMES, example_model, parse_model
 from .goscore import joint_lower_df, joint_upper_df, marginal_lower_df, marginal_upper_df
 from .limitlaws import TailTransform
 from .montecarlo import SimConfig, analytic_limit_df, run_bivariate_sim
@@ -304,10 +304,6 @@ def _run_simulate(args) -> int:
 
 
 _EXAMPLE_STATS = ("range", "midrange")
-_EXAMPLE_FAMILIES = (
-    "normal", "cauchy", "pareto", "uniform", "beta", "power",
-    "lognormal", "exponential", "rayleigh", "logistic", "laplace",
-)
 _DEFAULT_GRIDS = {
     "range": "-2:6:41",
     "midrange": "-4:4:41",
@@ -315,32 +311,17 @@ _DEFAULT_GRIDS = {
 
 
 def example_names() -> list[str]:
-    return sorted(f"{fam}-{stat}" for fam in _EXAMPLE_FAMILIES for stat in _EXAMPLE_STATS)
-
-
-def _example_model(family: str, args) -> DistributionModel:
-    if family in ("pareto", "exponential", "rayleigh"):
-        return DistributionModel(family, {"sigma": args.sigma})
-    if family == "uniform":
-        return DistributionModel("uniform", {"theta": args.theta})
-    if family == "beta":
-        beta_p = args.beta
-        alpha = args.alpha if args.alpha is not None else (args.m + 1.0) * beta_p
-        return DistributionModel("beta", {"alpha": alpha, "beta": beta_p})
-    if family == "power":
-        alpha = args.alpha if args.alpha is not None else args.m + 1.0
-        return DistributionModel("power", {"alpha": alpha})
-    return DistributionModel(family, {})
+    return sorted(f"{fam}-{stat}" for fam in FAMILY_NAMES for stat in _EXAMPLE_STATS)
 
 
 def _run_example(args) -> int:
     name = args.name.lower()
-    family, _, stat = name.rpartition("-")
-    if family not in _EXAMPLE_FAMILIES or stat not in _EXAMPLE_STATS:
+    if name not in example_names():
         raise UsageError(
             f"unknown example {args.name!r}; available: {', '.join(example_names())}"
         )
-    model = _example_model(family, args)
+    family, _, stat = name.rpartition("-")
+    model = example_model(family, args.m, vars(args))
     law = parse_law(args.law)
     n = args.sim_n if args.sim_n is not None else 500
     params = GosParams(m=args.m, k=args.k, n=n)

@@ -10,7 +10,13 @@ Families (spec string grammar in parentheses, case-insensitive):
 
 All cdf/quantile pairs are closed forms except the beta family and the
 normal/lognormal quantiles, which go through scipy.special.  Values
-accept floats or numpy arrays.
+accept floats or numpy arrays.  Parameters must be positive and finite.
+
+Every fact about a family is a field of its record in `_FAMILIES`, and no
+other module tells families apart: besides the functions above, the tail
+types and norming inverses or constants, the range scale ratio `eta_limit`
+(UnsupportedCaseError where no limit is published) and the published range
+conventions.
 """
 
 from __future__ import annotations
@@ -25,10 +31,15 @@ from scipy import special as sc
 
 from .limitlaws import TailTransform
 from .params import ExtremeSide, GosParams, number_label
+from .specfun import log_gamma
 
 
 class NoAttractionError(ValueError):
     """The requested family/side has no usable attraction setup here."""
+
+
+class UnsupportedCaseError(ValueError):
+    """No published limit form for this family/m/statistic combination."""
 
 
 @dataclass(frozen=True)
@@ -47,7 +58,6 @@ class NormingConstants:
 
 @dataclass(frozen=True)
 class _Family:
-    name: str
     param_names: tuple[str, ...]
     cdf: Callable
     sf: Callable  # survival 1 - F, cancellation-free in the upper tail
@@ -55,6 +65,7 @@ class _Family:
     support: Callable
     upper_tail: Callable
     lower_tail: Callable
+    eta: Callable  # (prm, m) -> `eta_limit`
     # Tail-accurate inverses used when building normalizing constants:
     # isf(u) = F^-1(1-u) for the frechet and gumbel upper tails (the normal
     # family has closed-form constants); upper_gap(u) = right_end - F^-1(1-u)
@@ -63,6 +74,9 @@ class _Family:
     isf: Callable | None = None
     upper_gap: Callable | None = None
     lower_gap: Callable | None = None
+    norming: Callable | None = None  # (model, params) -> constants, in place of the quantiles
+    centred: bool = False  # the published range examples centre the statistic at 0
+    midrange_stretch: Callable = lambda params: 1.0  # published midrange scale over a_n/2
 
 
 @dataclass(frozen=True)
@@ -86,12 +100,15 @@ class DistributionModel:
         for name, value in self.params.items():
             if not value > 0.0:
                 raise ValueError(f"{self.family} parameter {name} must be positive")
+            if value == math.inf:
+                raise ValueError(f"{self.family} parameter {name} must be finite, got inf")
 
-    def _spec(self) -> _Family:
+    @property
+    def record(self) -> _Family:
         return _FAMILIES[self.family]
 
     def support(self) -> tuple[float, float]:
-        return self._spec().support(self.params)
+        return self.record.support(self.params)
 
     def label(self) -> str:
         if not self.params:
@@ -102,12 +119,12 @@ class DistributionModel:
 
 def cdf(model: DistributionModel, x):
     """F(x); array-aware, clamped to [0, 1] by construction."""
-    return model._spec().cdf(model.params, x)
+    return model.record.cdf(model.params, x)
 
 
 def survival(model: DistributionModel, x):
     """1 - F(x) without upper-tail cancellation."""
-    return model._spec().sf(model.params, x)
+    return model.record.sf(model.params, x)
 
 
 def quantile(model: DistributionModel, p):
@@ -115,15 +132,29 @@ def quantile(model: DistributionModel, p):
     arr = np.asarray(p, dtype=float)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise ValueError("quantile requires probabilities strictly in (0, 1)")
-    return model._spec().quantile(model.params, p)
+    return model.record.quantile(model.params, p)
 
 
 def tail_transform(model: DistributionModel, side: ExtremeSide) -> TailTransform:
     """Attraction type (the kappa/rho transform) of the given side."""
-    spec = model._spec()
+    spec = model.record
     maker = spec.upper_tail if side == ExtremeSide.UPPER else spec.lower_tail
     kind, alpha = maker(model.params)
     return TailTransform(side=side, kind=kind, alpha=alpha)
+
+
+def eta_limit(model: DistributionModel, params: GosParams) -> float:
+    """lim a_n / c_n for the family at the given m (may be 0 or +inf)."""
+    return model.record.eta(model.params, params.m)
+
+
+def example_model(family: str, m: float, options: dict) -> DistributionModel:
+    """The family's model in the published range examples: each parameter is
+    the option of that name; alpha None is (m+1)*beta, beta = 1 for power."""
+    prm = {name: options[name] for name in _FAMILIES[family].param_names}
+    if prm.get("alpha", 0.0) is None:
+        prm["alpha"] = (m + 1.0) * prm.get("beta", 1.0)
+    return DistributionModel(family, prm)
 
 
 # ---------------------------------------------------------------------------
@@ -340,69 +371,121 @@ def _pareto_lower_gap(prm, p):
     return np.expm1(-np.log1p(-np.asarray(p, dtype=float)) / prm["sigma"])
 
 
+def _uniform_eta(_, m):
+    if m != 0.0:
+        raise UnsupportedCaseError("uniform range limits are available for m = 0 only")
+    return 1.0
+
+
+def _weibull_pair_eta(alpha: float, beta_p: float, m: float) -> float:
+    """eta of beta(alpha, beta), power(alpha) at beta = 1, where alpha = (m+1)*beta."""
+    if not math.isclose(alpha, (m + 1.0) * beta_p, rel_tol=1e-12):
+        raise UnsupportedCaseError("beta/power range limits require alpha = (m+1)*beta")
+    c = math.exp(log_gamma(alpha + beta_p) - log_gamma(alpha) - log_gamma(beta_p))
+    eta = (beta_p / c) ** (1.0 / beta_p) * ((m + 1.0) * c / alpha) ** (1.0 / alpha)
+    if eta == 0.0:  # eta = 0 selects the published cauchy forms in `ranges`
+        raise UnsupportedCaseError(f"beta/power eta underflows to 0 at alpha={alpha}, beta={beta_p}")
+    return eta
+
+
+def _beta_norming(model: DistributionModel, params: GosParams) -> NormingConstants:
+    alpha, beta_p = model.params["alpha"], model.params["beta"]
+    if not math.isclose(alpha, (params.m + 1.0) * beta_p, rel_tol=1e-12):
+        raise NoAttractionError(
+            "beta lower attraction is set up only for alpha = (m+1)*beta; "
+            f"got alpha={alpha}, beta={beta_p}, m={params.m}"
+        )
+    return _quantile_norming(model, params)
+
+
+def _normal_norming(_, params: GosParams) -> NormingConstants:
+    # Closed forms; the upper side uses the effective size N^{1/(m+1)},
+    # the lower side (m+1)*N because L_m compresses the lower tail.
+    def classic(n_eff: float) -> tuple[float, float]:
+        ln_n = math.log(n_eff)
+        root = math.sqrt(2.0 * ln_n)
+        a = 1.0 / root
+        b = root - (math.log(ln_n) + math.log(4.0 * math.pi)) / (2.0 * root)
+        return a, b
+
+    n_up = params.big_n ** (1.0 / (params.m + 1.0))
+    n_low = (params.m + 1.0) * params.big_n
+    a, b = classic(n_up)
+    c, d_pos = classic(n_low)
+    return NormingConstants(a=a, b=b, c=c, d=-d_pos)
+
+
 _INF = math.inf
 
-_FAMILIES: dict[str, _Family] = {
+_FAMILIES: dict[str, _Family] = {  # params, cdf, sf, quantile, support, tails, eta, ...
     "cauchy": _Family(
-        "cauchy", (), _cauchy_cdf, _cauchy_sf, _cauchy_q, lambda _: (-_INF, _INF),
+        (), _cauchy_cdf, _cauchy_sf, _cauchy_q, lambda _: (-_INF, _INF),
         lambda _: ("frechet", 1.0), lambda _: ("frechet", 1.0),
+        lambda _, m: 1.0 if m == 0.0 else 0.0 if m > 0.0 else _INF,
         isf=_cauchy_isf,
     ),
     "pareto": _Family(
-        "pareto", ("sigma",), _pareto_cdf, _pareto_sf, _pareto_q, lambda _: (1.0, _INF),
-        lambda prm: ("frechet", prm["sigma"]), lambda _: ("weibull", 1.0),
-        isf=_pareto_isf, lower_gap=_pareto_lower_gap,
+        ("sigma",), _pareto_cdf, _pareto_sf, _pareto_q, lambda _: (1.0, _INF),
+        lambda prm: ("frechet", prm["sigma"]), lambda _: ("weibull", 1.0), lambda *_: _INF,
+        isf=_pareto_isf, lower_gap=_pareto_lower_gap, centred=True,
     ),
     "uniform": _Family(
-        "uniform", ("theta",), _uniform_cdf, _uniform_sf, _uniform_q,
+        ("theta",), _uniform_cdf, _uniform_sf, _uniform_q,
         lambda prm: (-prm["theta"], prm["theta"]),
-        lambda _: ("weibull", 1.0), lambda _: ("weibull", 1.0),
+        lambda _: ("weibull", 1.0), lambda _: ("weibull", 1.0), _uniform_eta,
         upper_gap=_uniform_gap, lower_gap=_uniform_gap,
     ),
     "beta": _Family(
-        "beta", ("alpha", "beta"), _beta_cdf, _beta_sf, _beta_q, lambda _: (0.0, 1.0),
+        ("alpha", "beta"), _beta_cdf, _beta_sf, _beta_q, lambda _: (0.0, 1.0),
         lambda prm: ("weibull", prm["beta"]), lambda prm: ("weibull", prm["alpha"]),
-        upper_gap=_beta_upper_gap, lower_gap=_beta_q,
+        lambda prm, m: _weibull_pair_eta(prm["alpha"], prm["beta"], m),
+        upper_gap=_beta_upper_gap, lower_gap=_beta_q, norming=_beta_norming,
     ),
     "power": _Family(
-        "power", ("alpha",), _power_cdf, _power_sf, _power_q, lambda _: (0.0, 1.0),
+        ("alpha",), _power_cdf, _power_sf, _power_q, lambda _: (0.0, 1.0),
         lambda _: ("weibull", 1.0), lambda prm: ("weibull", prm["alpha"]),
+        lambda prm, m: _weibull_pair_eta(prm["alpha"], 1.0, m),
         upper_gap=_power_upper_gap, lower_gap=_power_q,
     ),
     "normal": _Family(
-        "normal", (), _normal_cdf, _mirror_sf(_normal_cdf), _normal_q,
+        (), _normal_cdf, _mirror_sf(_normal_cdf), _normal_q,
         lambda _: (-_INF, _INF),
-        lambda _: ("gumbel", None), lambda _: ("gumbel", None),
+        lambda _: ("gumbel", None), lambda _: ("gumbel", None), lambda _, m: math.sqrt(m + 1.0),
+        norming=_normal_norming,
+        midrange_stretch=lambda params: 2.0 if params.m == 0.0 and params.k == 1.0 else 1.0,
     ),
     "logistic": _Family(
-        "logistic", (), _logistic_cdf, _mirror_sf(_logistic_cdf), _logistic_q,
+        (), _logistic_cdf, _mirror_sf(_logistic_cdf), _logistic_q,
         lambda _: (-_INF, _INF),
-        lambda _: ("gumbel", None), lambda _: ("gumbel", None),
+        lambda _: ("gumbel", None), lambda _: ("gumbel", None), lambda *_: 1.0,
         isf=_mirror_isf(_logistic_q),
     ),
     "laplace": _Family(
-        "laplace", (), _laplace_cdf, _mirror_sf(_laplace_cdf), _laplace_q,
+        (), _laplace_cdf, _mirror_sf(_laplace_cdf), _laplace_q,
         lambda _: (-_INF, _INF),
-        lambda _: ("gumbel", None), lambda _: ("gumbel", None),
+        lambda _: ("gumbel", None), lambda _: ("gumbel", None), lambda *_: 1.0,
         isf=_mirror_isf(_laplace_q),
     ),
     "lognormal": _Family(
-        "lognormal", (), _lognormal_cdf, _lognormal_sf, _lognormal_q, lambda _: (0.0, _INF),
-        lambda _: ("gumbel", None), lambda _: ("gumbel", None),
+        (), _lognormal_cdf, _lognormal_sf, _lognormal_q, lambda _: (0.0, _INF),
+        lambda _: ("gumbel", None), lambda _: ("gumbel", None), lambda *_: _INF,
         isf=_lognormal_isf,
     ),
     "exponential": _Family(
-        "exponential", ("sigma",), _exponential_cdf, _exponential_sf, _exponential_q,
+        ("sigma",), _exponential_cdf, _exponential_sf, _exponential_q,
         lambda _: (0.0, _INF),
-        lambda _: ("gumbel", None), lambda _: ("weibull", 1.0),
+        lambda _: ("gumbel", None), lambda _: ("weibull", 1.0), lambda *_: _INF,
         isf=_exponential_isf, lower_gap=_exponential_q,
     ),
     "rayleigh": _Family(
-        "rayleigh", ("sigma",), _rayleigh_cdf, _rayleigh_sf, _rayleigh_q, lambda _: (0.0, _INF),
-        lambda _: ("gumbel", None), lambda _: ("weibull", 2.0),
+        ("sigma",), _rayleigh_cdf, _rayleigh_sf, _rayleigh_q, lambda _: (0.0, _INF),
+        lambda _: ("gumbel", None), lambda _: ("weibull", 2.0), lambda *_: _INF,
         isf=_rayleigh_isf, lower_gap=_rayleigh_q,
     ),
 }
+
+
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def valid_families() -> str:
@@ -452,7 +535,7 @@ def parse_model(text: str) -> DistributionModel:
 
 def _isf(model: DistributionModel, u: float) -> float:
     """F^{-1}(1 - u) from the tail probability u itself."""
-    return float(model._spec().isf(model.params, u))
+    return float(model.record.isf(model.params, u))
 
 
 def _lm_prob(mp1: float, p: float) -> float:
@@ -464,40 +547,29 @@ def norming_constants(model: DistributionModel, params: GosParams) -> NormingCon
     """Normalizing constants for both extremes at the model's tail types.
 
     Built so that N * Lbar_m(a x + b) -> kappa(x)^(m+1) on the upper side
-    and N * L_m(c x + d) -> rho(x) on the lower side, using the closed
-    form for the normal family and the quantile construction otherwise.
-    The gumbel-type scale uses the offset at tail mass u/e, which keeps
-    the (m+1)-powered convergence target; endpoint distances come from
-    the per-family gap forms so constants stay exact at large n.
+    and N * L_m(c x + d) -> rho(x) on the lower side, by the record's own
+    `norming` (normal, beta) or the quantile construction.  The gumbel-type
+    scale uses the offset at tail mass u/e, which keeps the (m+1)-powered
+    convergence target; endpoint distances come from the per-family gap
+    forms so constants stay exact at large n.
     """
     if params.n < 2:
         raise NoAttractionError("need n >= 2 for normalizing constants")
+    return (model.record.norming or _quantile_norming)(model, params)
+
+
+def _quantile_norming(model: DistributionModel, params: GosParams) -> NormingConstants:
     mp1 = params.m + 1.0
     big_n = params.big_n
-    spec = model._spec()
-
-    if model.family == "beta":
-        alpha, beta_p = model.params["alpha"], model.params["beta"]
-        if not math.isclose(alpha, mp1 * beta_p, rel_tol=1e-12):
-            raise NoAttractionError(
-                "beta lower attraction is set up only for alpha = (m+1)*beta; "
-                f"got alpha={alpha}, beta={beta_p}, m={params.m}"
-            )
-
-    if model.family == "normal":
-        return _normal_norming(params)
-
     lo, hi = model.support()
     u = big_n ** (-1.0 / mp1)  # tail mass with q_F(1-u) = G^{-1}(1 - 1/N)
     up = tail_transform(model, ExtremeSide.UPPER)
     if up.kind == "frechet":
         b = 0.0
         a = _isf(model, u)
-    elif up.kind == "weibull":
-        if not math.isfinite(hi):
-            raise NoAttractionError(f"{model.family} has no finite right endpoint")
+    elif up.kind == "weibull":  # every weibull side has a finite end
         b = hi
-        a = float(spec.upper_gap(model.params, u))
+        a = float(model.record.upper_gap(model.params, u))
     else:  # gumbel
         b = _isf(model, u)
         a = _isf(model, u / math.e) - b
@@ -509,28 +581,9 @@ def norming_constants(model: DistributionModel, params: GosParams) -> NormingCon
         d = 0.0
         c = -float(quantile(model, p1))
     elif low.kind == "weibull":
-        if not math.isfinite(lo):
-            raise NoAttractionError(f"{model.family} has no finite left endpoint")
         d = lo
-        c = float(spec.lower_gap(model.params, p1))
+        c = float(model.record.lower_gap(model.params, p1))
     else:  # gumbel
         d = float(quantile(model, p1))
         c = d - float(quantile(model, pe))
     return NormingConstants(a=a, b=b, c=c, d=d)
-
-
-def _normal_norming(params: GosParams) -> NormingConstants:
-    # Closed forms; the upper side uses the effective size N^{1/(m+1)},
-    # the lower side (m+1)*N because L_m compresses the lower tail.
-    def classic(n_eff: float) -> tuple[float, float]:
-        ln_n = math.log(n_eff)
-        root = math.sqrt(2.0 * ln_n)
-        a = 1.0 / root
-        b = root - (math.log(ln_n) + math.log(4.0 * math.pi)) / (2.0 * root)
-        return a, b
-
-    n_up = params.big_n ** (1.0 / (params.m + 1.0))
-    n_low = (params.m + 1.0) * params.big_n
-    a, b = classic(n_up)
-    c, d_pos = classic(n_low)
-    return NormingConstants(a=a, b=b, c=c, d=-d_pos)

@@ -21,6 +21,7 @@ them as written, the route the sums are checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ class TailTransform:
                 raise ValueError("gumbel transform takes no exponent")
         elif self.alpha is None or not self.alpha > 0.0:
             raise ValueError(f"{self.kind} transform requires alpha > 0")
+        elif self.alpha == math.inf:
+            raise ValueError(f"{self.kind} transform requires a finite alpha, got inf")
 
 
 def kappa(transform: TailTransform, x):

@@ -7,6 +7,7 @@ statistics are the special case m = 0, k = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,7 +31,7 @@ class ExtremeSide(str, Enum):
 class GosParams:
     """m-GOS model parameters (m, k, n) with the derived quantities.
 
-    ell = k/(m+1), N = ell + n - 1 (effective size) and
+    m and k are finite; ell = k/(m+1), N = ell + n - 1 (effective size) and
     R_r = ell + r - 1 (effective rank).  m and k may be non-integral,
     so ell, N and R_r are real numbers in general.
     """
@@ -44,6 +45,9 @@ class GosParams:
             raise ValueError(f"m must exceed -1, got {self.m}")
         if not self.k > 0.0:
             raise ValueError(f"k must be positive, got {self.k}")
+        for name, value in (("m", self.m), ("k", self.k)):
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got inf")
         if int(self.n) != self.n or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n}")
 

@@ -1,7 +1,7 @@
 """Limit distribution functions of the random generalized range and
 midrange (max minus min, and their midpoint, under random sample size).
 
-Each supported (family, m) case carries:
+Each (family, m) case with a published limit carries:
 
 * the conditional df of the statistic given the index scale z, built
   from the two one-sided conditional limits; the reported value is its
@@ -14,13 +14,13 @@ Each supported (family, m) case carries:
 * the normalization convention (A_r, B_r, A_v, B_v) the simulator must
   apply, expressed through the per-sample-size constants (a, b, c, d).
 
-When one side's scale dominates (eta = lim a_n/c_n equal to 0 or inf)
-the statistic collapses onto a single mixed marginal and range and
-midrange share one limit.  Unlisted (family, m, statistic) combinations
-raise UnsupportedCaseError rather than guessing a reduction.
+No code here tells families apart: eta = lim a_n/c_n (`eta_limit`, which
+raises UnsupportedCaseError where no limit is published) and the published
+conventions are fields of the family's record in `distributions`.  Range and
+midrange share the mixed max marginal as their limit where eta = inf.
 
-The cauchy family with m > 0 is special-cased to the published closed
-forms 1 - e^(-1/r) and e^(1/v); they are kept verbatim (and pinned by
+Only the cauchy family with m > 0 has eta = 0; it takes the published
+closed forms 1 - e^(-1/r) and e^(1/v), kept verbatim (and pinned by
 the acceptance checks) although they are decreasing in their argument,
 so this one case is excluded from the df-shape and simulation
 diagnostics.  It is only defined for the unit-exponential law.
@@ -44,12 +44,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from .distributions import DistributionModel, NormingConstants, norming_constants, tail_transform
+from .distributions import (DistributionModel, NormingConstants, UnsupportedCaseError, eta_limit,
+                            norming_constants, tail_transform)
 from .limitlaws import TailTransform, kappa, rho, rho_inverse
 from .montecarlo import SimulationReport, simulate_value_pairs, tally_report
 from .params import ExtremeSide, GosParams
 from .randomindex import IndexLaw, IndexMode, index_kernel
-from .specfun import clip_probability, log_gamma
+from .specfun import clip_probability
 
 # Absolute tolerance of each two-sided range value: the fixed rule's
 # two-order estimate, with the truncated mass, is held to a tenth of it.
@@ -62,10 +63,6 @@ class QuadratureError(ArithmeticError):
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved abs error estimate {achieved:.3e})")
         self.achieved = achieved
-
-
-class UnsupportedCaseError(ValueError):
-    """No published limit form for this family/m/statistic combination."""
 
 
 @dataclass(frozen=True)
@@ -96,14 +93,11 @@ class RangeQuery:
     def _stretch(self) -> float:
         """How much wider this query's statistic scale is than the default.
 
-        The published normal m = 0, k = 1 midrange is normalized by a_n
-        rather than a_n/2, so its limit df at t is the general one at 2t.
+        A midrange the family publishes at scale s * a_n/2 has, as its
+        limit df at t, the general one at s t.
         """
-        published = (
-            self.model.family == "normal" and self.statistic == "midrange"
-            and self.params.m == 0.0 and self.params.k == 1.0
-        )
-        return 2.0 if published else 1.0
+        stretch = self.model.record.midrange_stretch
+        return stretch(self.params) if self.statistic == "midrange" else 1.0
 
     @cached_property
     def _s_extent(self) -> tuple[float, float]:
@@ -112,42 +106,6 @@ class RangeQuery:
         int (1 - e^(-zW)) dH(z) <= W E[z], and above it int e^(-zW) dH(z),
         the Laplace transform of H."""
         return math.log(_TAIL_MASS / self.law.mean()), math.log(self.law.laplace_bound(_TAIL_MASS))
-
-
-def _beta_normalizer(alpha: float, beta_p: float) -> float:
-    return math.exp(log_gamma(alpha + beta_p) - log_gamma(alpha) - log_gamma(beta_p))
-
-
-def eta_limit(model: DistributionModel, params: GosParams) -> float:
-    """lim a_n / c_n for the family at the given m (may be 0 or +inf)."""
-    m = params.m
-    fam = model.family
-    if fam == "cauchy":
-        if m == 0.0:
-            return 1.0
-        return 0.0 if m > 0.0 else math.inf
-    if fam in ("pareto", "lognormal", "exponential", "rayleigh"):
-        return math.inf
-    if fam == "uniform":
-        if m == 0.0:
-            return 1.0
-        raise UnsupportedCaseError("uniform range limits are available for m = 0 only")
-    if fam in ("beta", "power"):
-        if fam == "beta":
-            alpha, beta_p = model.params["alpha"], model.params["beta"]
-        else:
-            alpha, beta_p = model.params["alpha"], 1.0
-        if not math.isclose(alpha, (m + 1.0) * beta_p, rel_tol=1e-12):
-            raise UnsupportedCaseError(
-                "beta/power range limits require alpha = (m+1)*beta"
-            )
-        c = _beta_normalizer(alpha, beta_p)
-        return (beta_p / c) ** (1.0 / beta_p) * ((m + 1.0) * c / alpha) ** (1.0 / alpha)
-    if fam == "normal":
-        return math.sqrt(m + 1.0)
-    if fam in ("logistic", "laplace"):
-        return 1.0
-    raise UnsupportedCaseError(f"no range limit implemented for family {fam!r}")
 
 
 # --- mixed conditional dfs ------------------------------------------------
@@ -311,7 +269,7 @@ def _limit_df(query: RangeQuery, t):
     grid = np.asarray(t, dtype=float)
     if np.isnan(grid).any():
         raise ValueError("range and midrange limits are undefined at NaN")
-    if query.model.family == "cauchy" and query.params.m > 0.0:
+    if query._eta == 0.0:  # cauchy with m > 0
         if query.law != IndexLaw.unit_exponential():
             raise UnsupportedCaseError(
                 "the cauchy m > 0 forms are published for the geometric "
@@ -349,20 +307,18 @@ def statistic_normalization(
     """(A, B) so that the simulator tallies (statistic - B) / A.
 
     Default convention: A_r = a, B_r = b - d for the range and
-    A_v = a/2, B_v = (b+d)/2 for the midrange.  Per-case overrides follow
-    the published examples: pareto centers at 0 (as cauchy's b = d = 0
-    already do), the cauchy m > 0 case rescales by the dominant
-    lower-side constant, and the normal m=0, k=1 midrange uses A_v = a
-    (`RangeQuery._stretch`).
+    A_v = a/2, B_v = (b+d)/2 for the midrange.  The family's record
+    adjusts it for the published examples: a centred family (pareto)
+    centres at 0, as cauchy's b = d = 0 already do, and the midrange
+    scale takes its stretch (`RangeQuery._stretch`).  Where the lower
+    side dominates (eta = 0) its constant c, centred at 0, replaces a.
     """
-    fam, m = query.model.family, query.params.m
-    a, b, c, d = consts.a, consts.b, consts.c, consts.d
-    midrange = query.statistic == "midrange"
-    if fam == "cauchy" and m > 0.0:
-        return (c / 2.0, 0.0) if midrange else (c, 0.0)
-    if fam == "pareto":
-        return (a / 2.0, 0.0) if midrange else (a, 0.0)
-    if midrange:
+    a, b, d = consts.a, consts.b, consts.d
+    if query._eta == 0.0:
+        a, b, d = consts.c, 0.0, 0.0
+    elif query.model.record.centred:
+        b = d = 0.0
+    if query.statistic == "midrange":
         return a / 2.0 * query._stretch, (b + d) / 2.0
     return a, b - d
 

@@ -564,6 +564,35 @@ class TestNonFiniteIndexParameters:
         assert not out.exists()
 
 
+class TestNonFiniteModelParameters:
+    """An infinite family parameter, m, k or tail exponent is refused when the
+    model, parameters or transform is built, before any table is computed."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["exact", "--dist", "pareto(sigma=inf)", "--n", "10", "--marginal", "upper",
+          "--grid", "1:2:3"], "pareto parameter sigma must be finite, got inf"),
+        (["example", "pareto-range", "--sigma", "inf", "--at", "1"],
+         "pareto parameter sigma must be finite, got inf"),
+        (["example", "uniform-range", "--theta", "inf", "--at", "0.5"],
+         "uniform parameter theta must be finite, got inf"),
+        (["limit", "--regime", "uu", "--r", "2", "--s", "1", "--upper-tail", "gumbel",
+          "--k", "inf", "--x-grid", "1", "--y-grid", "2"], "k must be finite, got inf"),
+        (["limit", "--regime", "lu", "--r", "1", "--s", "1", "--upper-tail", "weibull:inf",
+          "--lower-tail", "gumbel", "--x-grid=-0.5", "--y-grid=-0.5"],
+         "weibull transform requires a finite alpha, got inf"),
+        (["exact", "--dist", "normal", "--m", "inf", "--n", "10", "--marginal", "upper",
+          "--grid", "1:2:3"], "m must be finite, got inf"),
+        (["example", "logistic-midrange", "--m", "inf", "--at", "1"], "m must be finite, got inf"),
+    ], ids=["exact-sigma", "example-sigma", "example-theta", "limit-k", "limit-alpha",
+            "exact-m", "example-m"])
+    def test_exits_2_with_a_validation_failure(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert err == f"validation failure: {message}\n"
+        assert not out.exists()
+
+
 class TestBadNumericFlag:
     """parse_number is the argparse type of these flags: a malformed value is
     a usage error (exit 1, no traceback), not an uncaught exception."""

@@ -16,7 +16,7 @@ from gosextreme.distributions import (
     tail_transform,
     valid_families,
 )
-from gosextreme.limitlaws import kappa, rho
+from gosextreme.limitlaws import TailTransform, kappa, rho
 from gosextreme.params import ExtremeSide, GosParams
 
 ALL_SPECS = [
@@ -57,6 +57,24 @@ class TestParsing:
     def test_nonpositive_parameter(self):
         with pytest.raises(ValueError):
             parse_model("pareto(sigma=0)")
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: parse_model("pareto(sigma=inf)"), "pareto parameter sigma must be finite, got inf"),
+        (lambda: DistributionModel("uniform", {"theta": math.inf}),
+         "uniform parameter theta must be finite, got inf"),
+        (lambda: parse_model("beta(alpha=2,beta=inf)"), "beta parameter beta must be finite, got inf"),
+        (lambda: parse_model("pareto(sigma=-inf)"), "pareto parameter sigma must be positive"),
+        (lambda: GosParams(m=math.inf, k=1.0, n=5), "m must be finite, got inf"),
+        (lambda: GosParams(m=0.0, k=math.inf, n=5), "k must be finite, got inf"),
+        (lambda: TailTransform(ExtremeSide.UPPER, "weibull", math.inf),
+         "weibull transform requires a finite alpha, got inf"),
+        (lambda: TailTransform(ExtremeSide.LOWER, "frechet", math.inf),
+         "frechet transform requires a finite alpha, got inf"),
+    ], ids=["pareto-sigma", "uniform-theta", "beta-beta", "pareto-minus-inf", "gos-m", "gos-k",
+            "weibull-alpha", "frechet-alpha"])
+    def test_non_finite_parameter_is_rejected_when_built(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
     def test_label_roundtrip(self):
         model = parse_model("beta(alpha=2,beta=3)")

@@ -63,6 +63,12 @@ class TestEtaLimit:
         with pytest.raises(UnsupportedCaseError):
             eta_limit(parse_model("beta(alpha=2,beta=3)"), GosParams(m=0.0, k=1.0, n=5))
 
+    def test_power_eta_underflow_is_unsupported(self):
+        """eta = 0 selects the published cauchy forms, so a beta/power eta that
+        rounds to 0 (alpha^(1/alpha) / alpha at alpha = 0.001) is refused."""
+        with pytest.raises(UnsupportedCaseError, match="underflows to 0"):
+            eta_limit(parse_model("power(alpha=0.001)"), GosParams(m=-0.999, k=1.0, n=5))
+
     @pytest.mark.parametrize("spec,m,k", [
         ("cauchy", 0.0, 1.0),
         ("normal", 1.0, 1.0),
@@ -340,14 +346,12 @@ class TestCrossModuleConsistency:
 def _example_queries(law, k=1.0):
     """Every (family, m, statistic) the `example` verb serves under `law`,
     with its default parameters at k, for m in {-0.5, 0, 1.2}."""
-    from argparse import Namespace
+    from gosextreme.distributions import FAMILY_NAMES, example_model
 
-    from gosextreme.cli import _EXAMPLE_FAMILIES, _example_model
-
-    for family in _EXAMPLE_FAMILIES:
+    for family in FAMILY_NAMES:
         for m in (-0.5, 0.0, 1.2):
-            args = Namespace(m=m, k=k, sigma=1.0, theta=1.0, alpha=None, beta=2.0)
-            model = _example_model(family, args)
+            options = {"sigma": 1.0, "theta": 1.0, "alpha": None, "beta": 2.0}
+            model = example_model(family, m, options)
             params = GosParams(m=m, k=k, n=500)
             try:
                 eta_limit(model, params)

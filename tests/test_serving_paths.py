@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from gosextreme.cli import _EXAMPLE_FAMILIES, main
-from gosextreme.distributions import parse_model
+from gosextreme.cli import main
+from gosextreme.distributions import FAMILY_NAMES, parse_model
 from gosextreme.goscore import joint_lower_df, joint_upper_df, marginal_upper_df
 from gosextreme.limitlaws import TailTransform
 from gosextreme.montecarlo import analytic_limit_df
@@ -140,7 +140,7 @@ def _example_values(capsys, argv):
 
 
 @pytest.mark.parametrize("statistic", ["range", "midrange"])
-@pytest.mark.parametrize("family", _EXAMPLE_FAMILIES)
+@pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_example_tables_under_the_fixed_size_law(capsys, family, statistic):
     values = _example_values(capsys, ["example", f"{family}-{statistic}", "--law", "degenerate:1"])
     assert len(values) == 41 and all(0.0 <= v <= 1.0 for v in values)

@@ -74,7 +74,7 @@ class _Family:
     isf: Callable | None = None
     upper_gap: Callable | None = None
     lower_gap: Callable | None = None
-    norming: Callable | None = None  # (model, params) -> constants, in place of the quantiles
+    norming: Callable | None = None  # (model, params) -> (a, b, c, d), in place of the quantiles
     centred: bool = False  # the published range examples centre the statistic at 0
     midrange_stretch: Callable = lambda params: 1.0  # published midrange scale over a_n/2
 
@@ -388,7 +388,7 @@ def _weibull_pair_eta(alpha: float, beta_p: float, m: float) -> float:
     return eta
 
 
-def _beta_norming(model: DistributionModel, params: GosParams) -> NormingConstants:
+def _beta_norming(model: DistributionModel, params: GosParams) -> tuple[float, ...]:
     alpha, beta_p = model.params["alpha"], model.params["beta"]
     if not math.isclose(alpha, (params.m + 1.0) * beta_p, rel_tol=1e-12):
         raise NoAttractionError(
@@ -398,7 +398,7 @@ def _beta_norming(model: DistributionModel, params: GosParams) -> NormingConstan
     return _quantile_norming(model, params)
 
 
-def _normal_norming(_, params: GosParams) -> NormingConstants:
+def _normal_norming(_, params: GosParams) -> tuple[float, ...]:
     # Closed forms; the upper side uses the effective size N^{1/(m+1)},
     # the lower side (m+1)*N because L_m compresses the lower tail.
     def classic(n_eff: float) -> tuple[float, float]:
@@ -412,7 +412,7 @@ def _normal_norming(_, params: GosParams) -> NormingConstants:
     n_low = (params.m + 1.0) * params.big_n
     a, b = classic(n_up)
     c, d_pos = classic(n_low)
-    return NormingConstants(a=a, b=b, c=c, d=-d_pos)
+    return a, b, c, -d_pos
 
 
 _INF = math.inf
@@ -551,14 +551,22 @@ def norming_constants(model: DistributionModel, params: GosParams) -> NormingCon
     `norming` (normal, beta) or the quantile construction.  The gumbel-type
     scale uses the offset at tail mass u/e, which keeps the (m+1)-powered
     convergence target; endpoint distances come from the per-family gap
-    forms so constants stay exact at large n.
+    forms so constants stay exact at large n.  Constants that come out
+    infinite, NaN or with a scale <= 0 (an extreme m sends the tail masses
+    to 0 or 1) raise ArithmeticError.
     """
     if params.n < 2:
         raise NoAttractionError("need n >= 2 for normalizing constants")
-    return (model.record.norming or _quantile_norming)(model, params)
+    with np.errstate(all="ignore"):  # what goes wrong shows in the constants
+        a, b, c, d = (model.record.norming or _quantile_norming)(model, params)
+    if not (0.0 < a < math.inf and 0.0 < c < math.inf and math.isfinite(b) and math.isfinite(d)):
+        raise ArithmeticError(f"normalizing constants (a, b, c, d) = ({a:.6g}, {b:.6g}, {c:.6g}, "
+                              f"{d:.6g}) are not finite with positive scales at m={params.m}, "
+                              f"k={params.k}, n={params.n}")
+    return NormingConstants(a=a, b=b, c=c, d=d)
 
 
-def _quantile_norming(model: DistributionModel, params: GosParams) -> NormingConstants:
+def _quantile_norming(model: DistributionModel, params: GosParams) -> tuple[float, ...]:
     mp1 = params.m + 1.0
     big_n = params.big_n
     lo, hi = model.support()
@@ -586,4 +594,4 @@ def _quantile_norming(model: DistributionModel, params: GosParams) -> NormingCon
     else:  # gumbel
         d = float(quantile(model, p1))
         c = d - float(quantile(model, pe))
-    return NormingConstants(a=a, b=b, c=c, d=d)
+    return a, b, c, d

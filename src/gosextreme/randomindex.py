@@ -306,7 +306,10 @@ def _degenerate_kernel(law: IndexLaw, j: float, w, shape: float, c):
         return weight
     # Q(1, x) = e^-x: the range integrands at ell = 1 take this at each
     # node, and the exponential costs a fraction of the incomplete ratio.
-    return weight * (np.exp(-point * c) if shape == 1.0 else reg_inc_gamma_upper(shape, point * c))
+    # A product past the largest float is inf, where Q is 0.
+    with np.errstate(over="ignore"):
+        zc = point * c
+    return weight * (np.exp(-zc) if shape == 1.0 else reg_inc_gamma_upper(shape, zc))
 
 
 def _unit_exponential_kernel(law: IndexLaw, j: float, w, shape: float, c):
@@ -693,7 +696,7 @@ def mixture_uu(
     # each kernel costs nothing, and x = 0, where every ratio vanishes.
     joint = k1 > k2
     value = index_kernel(law, 0.0, 0.0, rs, np.maximum(k1, k2))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = np.where(joint, 1.0 - k2 / k1, 0.0)
     for i in range(r - s):
         value = value + index_kernel(law, rs + i, np.where(joint, k1, 0.0)) * reg_inc_beta(

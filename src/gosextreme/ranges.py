@@ -31,8 +31,8 @@ The two-sided integral is int N_H(1, e^s, ell, c(s, t)) ds over s = ln w,
 w = rho(y) at the normalized minimum y, with the max factor
 c = kappa(x)^(m+1) read off the tail transforms at x(s, t) =
 t +- rho_inverse(e^s)/eta ("mixed conditional dfs" below).  It is taken
-by one fixed Gauss-Legendre rule with no adaptive fallback (see "the
-fixed rule over s").
+by nested Clenshaw-Curtis levels in a sinh-mapped variable, with no
+adaptive fallback (see "the nested rule over v").
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .distributions import (DistributionModel, NormingConstants, UnsupportedCaseError, eta_limit,
                             norming_constants, tail_transform)
@@ -52,8 +51,8 @@ from .params import ExtremeSide, GosParams
 from .randomindex import IndexLaw, IndexMode, index_kernel
 from .specfun import clip_probability
 
-# Absolute tolerance of each two-sided range value: the fixed rule's
-# two-order estimate, with the truncated mass, is held to a tenth of it.
+# Absolute tolerance of each two-sided range value: the nested rule's
+# two-level estimate, with the truncated mass, is held to a tenth of it.
 RANGE_ABS_TOL = 1e-9
 
 
@@ -105,7 +104,12 @@ class RangeQuery:
         mass below s_lo and above s_hi.  The weight's mass below ln W is
         int (1 - e^(-zW)) dH(z) <= W E[z], and above it int e^(-zW) dH(z),
         the Laplace transform of H."""
-        return math.log(_TAIL_MASS / self.law.mean()), math.log(self.law.laplace_bound(_TAIL_MASS))
+        return math.log(_TAIL_MASS) + self._centre, math.log(self.law.laplace_bound(_TAIL_MASS))
+
+    @cached_property
+    def _centre(self) -> float:
+        """-ln E[z], where the index weight over s = ln w has its mass."""
+        return -math.log(self.law.mean())
 
 
 # --- mixed conditional dfs ------------------------------------------------
@@ -151,41 +155,61 @@ def _pair(query: RangeQuery, t):
     return head, lo, hi, c_of
 
 
-# --- the fixed rule over s ---------------------------------------------------
-# Every point of a grid is integrated on Gauss-Legendre nodes over its own
-# s-interval, truncated where the index weight has at most _TAIL_MASS left
-# beyond each end, and graded toward the pair's edge if the interval ends
-# there.  Orders double along _ORDERS; a point is done once the two latest
-# orders agree within a tenth of RANGE_ABS_TOL, counting the truncated
-# mass, and a point that none settles raises QuadratureError.  Each point's
-# sums are taken in a fixed pairwise order over its own nodes only, so its
-# value does not depend on the grid around it; the grid is taken _CHUNK
-# points at a time, so memory does not grow with its length.
+# --- the nested rule over v --------------------------------------------------
+# Every point of a grid is integrated over its own s-interval, truncated where
+# the index weight has at most _TAIL_MASS left beyond each end, in the
+# variable v of s = centre + sinh(v), with ds = cosh(v) dv and centre =
+# -ln E[z] (`RangeQuery._centre`): the weight's mass lies within a few units
+# of the centre, where the map puts the nodes densest, and its tails thin out
+# doubly exponentially in v.  If the interval ends at the pair's edge, nodes
+# are graded toward it in v.  The rule is Clenshaw-Curtis on the N + 1 nodes
+# cos(k pi/N), whose levels N along _ORDERS are nested: the first kernel call
+# yields the sums at N/2 and N = _ORDERS[0], and each later level evaluates
+# only the N/2 nodes it adds.  A point is done once two successive levels
+# agree within a tenth of RANGE_ABS_TOL, counting the truncated mass, and a
+# point that none settles raises QuadratureError.  Each point's sums are
+# taken in a fixed pairwise order over its own nodes only, so its value does
+# not depend on the grid around it; the grid is taken _CHUNK points at a
+# time, so memory does not grow with its length.
 
-_ORDERS = (64, 128, 256, 512, 1024)
+_ORDERS = (128, 256, 512, 1024)
 _CHUNK = 64
 _TAIL_MASS = 1e-14
+_LOG_W_MAX = math.log(np.finfo(float).max)
 
 
 @lru_cache(maxsize=None)
-def _legendre(order: int) -> tuple[np.ndarray, ...]:
-    """Columns of Gauss-Legendre nodes x, weights w, and graded y^2 and y w, y = (1 + x)/2."""
-    nodes, weights = roots_legendre(order)
-    y = (1.0 + nodes) / 2.0
-    return nodes[:, None], weights[:, None], (y * y)[:, None], (y * weights)[:, None]
+def _clenshaw_curtis(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the nodes x_k = cos(k pi/order), k = 0..order, and their
+    Clenshaw-Curtis weights, for an even order."""
+    theta = np.pi * np.arange(order + 1) / order
+    j = np.arange(1, order // 2 + 1)
+    b = np.where(j == order // 2, 1.0, 2.0) / (4.0 * j * j - 1.0)
+    weights = (1.0 - b @ np.cos(2.0 * np.outer(j, theta))) * (2.0 / order)
+    weights[[0, -1]] /= 2.0
+    return np.cos(theta)[:, None], weights[:, None]
 
 
-def _gauss_legendre(query: RangeQuery, c_of, rule, order: int):
-    """The order-point rule for each point of `rule` (see `_pair_df`)."""
-    nodes, weights, graded_nodes, graded_weights = _legendre(order)
+def _level_sum(values: np.ndarray, order: int) -> np.ndarray:
+    """The level-`order` rule over integrand values at its order + 1 nodes,
+    summed pairwise in the same order for every point."""
+    terms = values * _clenshaw_curtis(order)[1]
+    first, terms = terms[0], terms[1:]
+    while len(terms) > 1:
+        terms = terms[: len(terms) // 2] + terms[len(terms) // 2:]
+    return first + terms[0]
+
+
+def _integrand(query: RangeQuery, c_of, rule, x):
+    """The integrand over x in [-1, 1] at the node column x for each point of
+    `rule` (see `_pair_df`)."""
     origin, scale, graded, t = rule
-    s = origin + scale * np.where(graded, graded_nodes, nodes)  # (order, points)
+    y = (1.0 + x) / 2.0
+    v = origin + scale * np.where(graded, y * y, x)
+    s = query._centre + np.sinh(v)  # (nodes, points)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         kernel = index_kernel(query.law, 1.0, np.exp(s), query.params.ell, c_of(s, t))
-    terms = kernel * np.where(graded, graded_weights, weights)
-    while len(terms) > 1:  # pairwise, in the same order for every point
-        terms = terms[: len(terms) // 2] + terms[len(terms) // 2:]
-    return np.abs(scale) * terms[0]
+    return kernel * np.cosh(v) * np.abs(scale) * np.where(graded, y, 1.0)
 
 
 def _pair_df(query: RangeQuery, t) -> np.ndarray:
@@ -195,25 +219,36 @@ def _pair_df(query: RangeQuery, t) -> np.ndarray:
     value = head.astype(float)
     todo = np.flatnonzero(np.maximum(lo, s_lo) < np.minimum(hi, s_hi))
     lo, hi = lo[todo], hi[todo]
-    a, b = np.maximum(lo, s_lo), np.minimum(hi, s_hi)
+    if np.any(np.minimum(hi, s_hi) > _LOG_W_MAX):  # the law's bound W is inf
+        raise OverflowError("the index law's weight reaches past w = 1.8e308, the largest "
+                            "float, where the range rule cannot take it")
+    a = np.arcsinh(np.maximum(lo, s_lo) - query._centre)
+    b = np.arcsinh(np.minimum(hi, s_hi) - query._centre)
     cut = _TAIL_MASS * ((lo < s_lo).astype(float) + (hi > s_hi))
     # A pair's own end inside the truncated interval is its edge, where the
     # integrand goes like (s - edge)^(alpha ell): nodes are graded toward it by
-    # s = edge + L y^2 (y in [0, 1]), and elsewhere s = (a + half) + half x.
+    # v = edge + L y^2 (y = (1 + x)/2 in [0, 1]), and elsewhere
+    # v = (a + half) + half x.
     at_lo, at_hi, half = lo > s_lo, hi < s_hi, (b - a) / 2.0
     origin = np.where(at_hi, b, np.where(at_lo, a, a + half))
     scale = np.where(at_hi, a - b, np.where(at_lo, b - a, half))
     rule = (origin, scale, at_lo | at_hi, t[todo])
-    low = _gauss_legendre(query, c_of, rule, _ORDERS[0])
-    for order in _ORDERS[1:]:
-        if not todo.size:
-            break
-        high = _gauss_legendre(query, c_of, rule, order)
+    order = _ORDERS[0]
+    values = _integrand(query, c_of, rule, _clenshaw_curtis(order)[0])
+    low, high = _level_sum(values[::2], order // 2), _level_sum(values, order)
+    for order in (*_ORDERS[1:], None):
         gap = np.abs(high - low) + cut
         done = gap <= RANGE_ABS_TOL / 10.0
         value[todo[done]] += high[done]
-        todo, low, gap, cut = todo[~done], high[~done], gap[~done], cut[~done]
-        rule = tuple(part[~done] for part in rule)
+        keep = ~done
+        todo, gap, cut, high, values = todo[keep], gap[keep], cut[keep], high[keep], values[:, keep]
+        rule = tuple(part[keep] for part in rule)
+        if not todo.size or order is None:
+            break
+        grown = np.empty((order + 1, todo.size))
+        grown[::2] = values
+        grown[1::2] = _integrand(query, c_of, rule, _clenshaw_curtis(order)[0][1::2])
+        values, low, high = grown, high, _level_sum(grown, order)
     if todo.size:
         raise QuadratureError(f"the range rule left {todo.size} point(s) unsettled at order "
                               f"{_ORDERS[-1]}", float(gap.max()))

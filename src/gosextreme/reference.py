@@ -257,9 +257,10 @@ def normal_midrange_integral(v: float) -> float:
 
 def adaptive_pair_df(query: ranges.RangeQuery, t: float) -> float:
     """A two-sided case's df at one t by the adaptive `integrate` over the
-    fixed rule's truncated s-interval, in the rule's graded variable where
-    that interval ends at the pair's edge: the reference route that the
-    `range-fixed-rule` check and the tests hold the rule to."""
+    range rule's truncated s-interval, graded toward the pair's edge by
+    s = edge + L y^2 where that interval ends there: the reference route
+    that the `range-fixed-rule` check and the tests hold the nested rule
+    (`ranges._pair_df`, which grades in its sinh-mapped variable) to."""
     if math.isinf(query._eta):
         raise ValueError("single-sided cases take no quadrature")
     t = np.array([t * query._stretch])
@@ -276,7 +277,7 @@ def adaptive_pair_df(query: ranges.RangeQuery, t: float) -> float:
     if hi[0] < s_hi or lo[0] > s_lo:
         # The pair's own end lies inside, where the integrand goes like
         # (s - edge)^(alpha ell): QUADPACK's error estimate misses that layer
-        # in s, so take s = edge + L y^2 over y in [0, 1], as the fixed rule does.
+        # in s, so take s = edge + L y^2 over y in [0, 1].
         edge, span = (b, a - b) if hi[0] < s_hi else (a, b - a)
         integral = integrate(lambda y: integrand(edge + span * y * y) * 2.0 * y * abs(span),
                              0.0, 1.0, tol)
@@ -553,7 +554,7 @@ def _ranges_coincide():
 
 @_check("range-fixed-rule")
 def _range_fixed_rule():
-    # The two-sided ranges sum scipy/numpy ufuncs over fixed Gauss-Legendre
+    # The two-sided ranges sum scipy/numpy ufuncs over nested Clenshaw-Curtis
     # nodes; hold them to the adaptive route on a few cases of each pair
     # integrand, so that a numpy or scipy build whose ufuncs differ shows.
     # Under the table law a weibull pair's head is a sum of segment masses.

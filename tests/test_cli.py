@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -593,6 +594,64 @@ class TestNonFiniteModelParameters:
         assert not out.exists()
 
 
+# Half this table's mass lies within 1e-300 of z = 0.
+_NEAR_ZERO_TABLE = "z,H\n0,0\n1e-300,0.5\n2,1\n"
+
+
+class TestEdgeSweepReproducers:
+    """Valid inputs whose values no float can carry end as a numerical
+    failure, and overflows whose limit is the right value pass quietly (the
+    suite raises every RuntimeWarning as an error)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["uniform-midrange", "--m", "0", "--k", "1e300", "--at=-0.999999"],
+        ["power-midrange", "--m", "0.5", "--k", "1e-300", "--at=2.5"],
+    ], ids=["uniform-midrange", "power-midrange"])
+    def test_weight_past_the_largest_float(self, capsys, tmp_path, argv):
+        # the index weight over s = ln w keeps mass beyond w = 1.8e308
+        law = tmp_path / "h.csv"
+        law.write_text(_NEAR_ZERO_TABLE)
+        code, out, err = run_cli(capsys, "example", *argv, "--law", f"table:{law}")
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical failure: the index law's weight reaches past w = 1.8e308")
+
+    @pytest.mark.parametrize("argv", [
+        ["--m", "1e300", "--k", "1.3", "--n", "50", "--regime", "uu", "--r", "3", "--s", "2",
+         "--index", "dependent:uniform:0.5:1.5", "--x-grid=1e-8:0:1", "--y-grid=1e-8:0:1"],
+        ["--m", "-0.999999", "--k", "0.5", "--n", "5", "--regime", "lu", "--r", "1", "--s", "2",
+         "--index", "geometric", "--x-grid=0:1:2", "--y-grid=0:1:2"],
+    ], ids=["m-1e300", "m-near-minus-1"])
+    def test_norming_constants_out_of_range(self, capsys, argv):
+        # the upper tail mass u = N^(-1/(m+1)) rounds to 1 or 0
+        code, out, err = run_cli(capsys, "simulate", "--dist", "logistic", *argv, "--reps", "50")
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical failure: normalizing constants (a, b, c, d) = ")
+
+    def test_degenerate_law_product_past_the_largest_float(self, capsys):
+        # eta = inf: the df is Q(ell, z kappa(t)^(m+1)) at z = 1e300, kappa(t) = 1/t
+        code, out, err = run_cli(capsys, "example", "pareto-range", "--m", "1e-8", "--k", "0.5",
+                                 "--law", "degenerate:1e300", "--at=1e-300")
+        assert (code, err) == (0, "")
+        m = mpmath.mpf("1e-8")
+        want = mpmath.gammainc(mpmath.mpf("0.5") / (m + 1), mpmath.mpf("1e300")
+                               * mpmath.mpf("1e300") ** (m + 1), regularized=True)
+        assert float(out.strip().splitlines()[-1].split(",")[1]) == float(want)
+
+    def test_upper_upper_ratio_on_the_branch_not_taken(self, capsys):
+        from gosextreme.reference import omega_uu
+
+        code, out, err = run_cli(
+            capsys, "limit", "--regime", "uu", "--m", "1e-8", "--k", "0.5", "--r", "2", "--s", "1",
+            "--upper-tail", "frechet:1", "--lower-tail", "weibull:1e300",
+            "--x-grid=1e-300:1e300:3", "--y-grid=1e-300:1e300:3")
+        assert (code, err) == (0, "")
+        params = GosParams(m=1e-8, k=0.5, n=2)
+        up = TailTransform(ExtremeSide.UPPER, "frechet", 1.0)
+        rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[-9:]]
+        assert [value for _, _, value in rows] == [
+            omega_uu(params, 2, 1, kappa(up, x), kappa(up, y)) for x, y, _ in rows]
+
+
 class TestBadNumericFlag:
     """parse_number is the argparse type of these flags: a malformed value is
     a usage error (exit 1, no traceback), not an uncaught exception."""
@@ -850,11 +909,11 @@ _TABLE_RANGE_CSV_BYTES = """\
 # name=normal-range
 # verb=example
 t,analytic
-0,0.232607102351339
-1,0.40720268758451
-2,0.598940233147005
-3,0.761267980520228
-4,0.872116347165877
+0,0.232607102351344
+1,0.407202687584517
+2,0.598940233147015
+3,0.76126798052024
+4,0.872116347165891
 """
 
 

@@ -8,6 +8,7 @@ from gosextreme import goscore
 from gosextreme.distributions import (
     DistributionModel,
     NoAttractionError,
+    NormingConstants,
     cdf,
     norming_constants,
     parse_model,
@@ -216,6 +217,16 @@ class TestNormingConstants:
         assert consts.a == pytest.approx(
             params.big_n ** (1.0 / (sigma * (m + 1.0))), rel=1e-12
         )
+
+    @pytest.mark.parametrize("m", [1e300, -0.999999])
+    def test_unrepresentable_constants_are_arithmetic_errors(self, m):
+        # valid inputs: the upper tail mass u = N^(-1/(m+1)) rounds to 1 or 0
+        with pytest.raises(ArithmeticError, match="normalizing constants"):
+            norming_constants(parse_model("logistic"), GosParams(m=m, k=1.3, n=50))
+
+    def test_constants_built_directly_keep_their_value_error(self):
+        with pytest.raises(ValueError, match="scale constants must be positive"):
+            NormingConstants(a=-1.0, b=0.0, c=1.0, d=0.0)
 
     def test_beta_requires_constraint(self):
         with pytest.raises(NoAttractionError):

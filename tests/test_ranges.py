@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from gosextreme.distributions import norming_constants, parse_model
+from gosextreme.distributions import NormingConstants, norming_constants, parse_model
 from gosextreme.montecarlo import IndexMode
 from gosextreme.params import GosParams
 from gosextreme.randomindex import IndexLaw
@@ -15,6 +16,7 @@ from gosextreme.ranges import (
     normal_range_closed_form,
     range_limit_df,
     run_statistic_sim,
+    statistic_normalization,
 )
 from gosextreme.reference import normal_midrange_integral, normal_range_integral
 
@@ -453,6 +455,80 @@ def test_unsettled_point_raises_with_the_last_gap(monkeypatch):
     with pytest.raises(ranges.QuadratureError, match="order 128") as info:
         midrange_limit_df(q, -2.5)
     assert ranges.RANGE_ABS_TOL / 10.0 < info.value.achieved < 1.0
+
+
+# The table law of `test_cli.TestTableLawCsv`, and one with a node at z = 0.
+CSV_TABLE = ((0.3, 0.0), (0.8, 0.25), (1.4, 0.5), (2.1, 0.8), (3.0, 1.0))
+ZERO_NODE_TABLE = IndexLaw.tabulated([(0.0, 0.0), (0.7, 0.3), (2.0, 1.0)])
+
+
+class TestRangeRuleOracles:
+    @pytest.mark.parametrize("law", [IndexLaw.degenerate(1.0), EXP_LAW,
+                                     IndexLaw.tabulated(CSV_TABLE), ZERO_NODE_TABLE],
+                             ids=lambda law: law.label())
+    def test_normal_midrange_is_logistic_under_any_law(self, law):
+        # The max and the min shift by the same ln z given the index scale z,
+        # which cancels from their sum: the midrange is logistic in 2t.
+        t = np.linspace(-8.0, 8.0, 161)
+        values = midrange_limit_df(query("normal", 0.0, 1.0, "midrange", law=law), t)
+        assert np.max(np.abs(values - 1.0 / (1.0 + np.exp(-2.0 * t)))) <= 1e-10
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 2.0, 3.0, 4.0])
+    def test_table_law_normal_range_against_mpmath(self, t):
+        # Given z the normal range is a Gumbel difference with df z q K1(z q),
+        # q = 2 e^(-t/2); the table's density is its slope on each piece, and
+        # int z q K1(z q) dz = A(zq)/q with A(x) = int_0^x K0 - x K0(x), where
+        # int_0^x K0 = (pi x/2) [K0(x) L_-1(x) + K1(x) L_0(x)] (A&S 11.1.8).
+        def antiderivative(x):
+            k0 = mpmath.besselk(0, x)
+            return (mpmath.pi * x / 2 * (k0 * mpmath.struvel(-1, x)
+                                         + mpmath.besselk(1, x) * mpmath.struvel(0, x)) - x * k0)
+
+        with mpmath.workdps(40):
+            q = 2 * mpmath.exp(-mpmath.mpf(t) / 2)
+            want = float(mpmath.fsum(
+                (mpmath.mpf(h1) - h0) / (mpmath.mpf(z1) - z0)
+                * (antiderivative(z1 * q) - antiderivative(z0 * q)) / q
+                for (z0, h0), (z1, h1) in zip(CSV_TABLE, CSV_TABLE[1:])))
+        q = query("normal", 0.0, 1.0, "range", law=IndexLaw.tabulated(CSV_TABLE))
+        assert abs(range_limit_df(q, t) - want) <= 1e-15
+
+
+class TestRangeRuleCost:
+    """On the `example` verb's default 41-point grid under the exponential
+    law the nested levels reuse every kernel value they take."""
+
+    @staticmethod
+    def _kernel_calls(monkeypatch, name):
+        from gosextreme import ranges
+        from gosextreme.cli import main
+
+        sizes = []
+        kernel = ranges.index_kernel
+
+        def counting(law, j, w, *args):
+            sizes.append(np.size(w))
+            return kernel(law, j, w, *args)
+
+        monkeypatch.setattr(ranges, "index_kernel", counting)
+        assert main(["example", name]) == 0
+        return sizes
+
+    def test_normal_range(self, monkeypatch):
+        sizes = self._kernel_calls(monkeypatch, "normal-range")
+        assert len(sizes) <= 2
+        assert sum(sizes) < 10_000
+
+    def test_logistic_midrange(self, monkeypatch):
+        assert len(self._kernel_calls(monkeypatch, "logistic-midrange")) == 1
+
+
+def test_cauchy_m_positive_normalization_takes_the_lower_scale():
+    # eta = 0: the lower side's scale c, centred at 0, replaces a
+    consts = NormingConstants(a=2.0, b=3.0, c=5.0, d=7.0)
+    got = [statistic_normalization(query("cauchy", 0.5, 1.0, statistic), consts)
+           for statistic in ("range", "midrange")]
+    assert got == [(5.0, 0.0), (2.5, 0.0)]
 
 
 # The segment masses of this table sum to 1 - 2^-53 at w = 0.

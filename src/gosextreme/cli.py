@@ -246,10 +246,10 @@ def _run_exact(args) -> int:
 
 def _xy_table(args, config: dict, evaluate) -> int:
     """Write the table of `evaluate` over every (x, y) of the two grids,
-    taken in one call on the flattened grid."""
+    taken in one call with x as a column and y as a row."""
     xs, ys = parse_grid(args.x_grid), parse_grid(args.y_grid)
-    values = evaluate(np.repeat(xs, len(ys)), np.tile(ys, len(xs)))
-    table = Table(["x", "y", "value"], [values.tolist()], config, grid=(xs, ys))
+    values = evaluate(np.array(xs)[:, None], np.array(ys)[None, :])
+    table = Table(["x", "y", "value"], [values.ravel().tolist()], config, grid=(xs, ys))
     _write(emit(table, args.format), args.out)
     return 0
 

@@ -269,7 +269,8 @@ def _exponential_q(prm, p):
 def _rayleigh_cdf(prm, x):
     x = np.asarray(x, dtype=float)
     s2 = 2.0 * prm["sigma"] ** 2
-    return np.where(x >= 0.0, -np.expm1(-np.square(np.maximum(x, 0.0)) / s2), 0.0)
+    with np.errstate(over="ignore"):  # x^2 past the largest float is inf, where F is 1
+        return np.where(x >= 0.0, -np.expm1(-np.square(np.maximum(x, 0.0)) / s2), 0.0)
 
 
 def _rayleigh_q(prm, p):
@@ -323,7 +324,8 @@ def _exponential_sf(prm, x):
 def _rayleigh_sf(prm, x):
     x = np.asarray(x, dtype=float)
     s2 = 2.0 * prm["sigma"] ** 2
-    return np.where(x >= 0.0, np.exp(-np.square(np.maximum(x, 0.0)) / s2), 1.0)
+    with np.errstate(over="ignore"):  # x^2 past the largest float is inf, where 1 - F is 0
+        return np.where(x >= 0.0, np.exp(-np.square(np.maximum(x, 0.0)) / s2), 1.0)
 
 
 

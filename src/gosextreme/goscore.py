@@ -17,9 +17,10 @@ uniform m-GOS, V_r > V_s, the product representation gives
 each joint df is P(V_r > p, V_s > q) at p = Lbar_m(x), q = Lbar_m(y).
 
 The transforms, the marginals and both joints take floats or numpy
-arrays (x and y broadcast), so a whole table is one call: each branch of
-a closed form is a mask over the points, and every beta ratio is one
-ufunc call over the grid.  A float in gives a float out.
+arrays (x and y broadcast), so a whole table is one call, and every beta
+ratio one ufunc call: on a grid's axes (x a column, y a row) those in p
+alone run once per x value, and only those in q/p over the points.  A
+float in gives a float out.
 """
 
 from __future__ import annotations
@@ -82,23 +83,22 @@ def _dirichlet_upper(a: float, n0: int, b: float, p, q, pc, qc, marginal):
     """P(V_r > p, V_s > q) where q < p, for (V_s, V_r - V_s, 1 - V_r) ~
     Dirichlet(a, n0, b), integer n0 >= 1, and `marginal` elsewhere (x >= y);
     pc = 1 - p and qc = 1 - q carry the digits near p = 1.  The arguments
-    are arrays of one shape, or floats, which give a float.
+    are floats, which give a float, or arrays that broadcast (p with pc,
+    q with qc and `marginal`).
 
     Either V_s > p, or V_s = g in (q, p] and V_r - V_s covers p - g (a
     negative-binomial sum); integrating over g and collecting equal powers
     (Vandermonde) leaves S_0 + sum_{j<n0} (S_{j+1} - S_j) I_{1-q/p}(j+1, a)
     with the beta tails S_j = 1 - I_p(a+j, n0+b-j), S_n0 = P(V_r > p),
     taken as I_{1-p}(n0+b-j, a+j) from p = 1/2 up.  Beta ratios keep the
-    terms accurate where log-gamma prefactors would not.  Points of the
-    marginal branch enter the sum at p = 1, q = 0, where it is 0 at no cost.
+    terms accurate where log-gamma prefactors would not.  The tails are
+    taken in p's shape; points of the marginal branch take 1 - q/p = 0.
     """
     joint = p > q
-    p, q = np.where(joint, p, 1.0), np.where(joint, q, 0.0)
-    pc, qc = np.where(joint, pc, 0.0), np.where(joint, qc, 1.0)
     low = p < 0.5
     gap = np.maximum(qc - pc, 0.0)  # p - q
-    with np.errstate(divide="ignore", invalid="ignore"):  # of the branch not taken
-        x = np.where(low, 1.0 - q / p, gap / (q + gap))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # of the branch not taken
+        x = np.where(joint, np.where(low, 1.0 - q / p, gap / (q + gap)), 0.0)
     at, tails = np.where(low, p, pc), []
     for j in range(n0 + 1):
         ratio = reg_inc_beta(at, np.where(low, a + j, n0 + b - j), np.where(low, n0 + b - j, a + j))

@@ -352,9 +352,10 @@ def analytic_limit_df(
     y,
 ):
     """Random-index limit df of the rank pair at (x, y), under the upper
-    and lower tail transforms its regime uses (the other may be None).
-    x and y are floats or arrays that broadcast, so a whole grid takes
-    one call.  A degenerate law gives the fixed-size limit."""
+    and lower tail transforms its regime uses (the other may be None), at
+    floats or arrays that broadcast: on a grid's axes (a column and a row)
+    each transform runs once per grid value.  A degenerate law gives the
+    fixed-size limit."""
     if pair.regime == Regime.UPPER_UPPER:
         return mixture_uu(params, pair.r, pair.s, kappa(up, x), kappa(up, y), law)
     if pair.regime == Regime.LOWER_LOWER:

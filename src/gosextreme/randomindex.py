@@ -51,7 +51,11 @@ The range and midrange limits (`ranges`) use the same kernel.
 The kernel and the mixtures take floats or numpy arrays of transform
 values (w and c broadcast), so a whole grid is one call: the degenerate
 and unit-exponential kernels are a few `gammaincc`/`betainc`/`exp` ufunc
-calls over the array, and both take Q(1, x) = e^-x in closed form.  Under
+calls over the array, and both take Q(1, x) = e^-x in closed form.  On a
+grid's axes (x a column, y a row) a mixture takes each kernel on the axis
+it reads (uu's two Q(R_s, .) in one call over both axes); lu's kernels
+read both, and under a point mass each is a weight in rho1 times a
+Q(R_s, .) taken once per kappa2.  Under
 the exponential law that gives N_H(j, w, 1, c) = w^j / (1+w+c)^(j+1), with
 no beta ratio, at every range integrand of ell = 1 and every shape-1 term
 of a mixture.  A tabulated law's kernel takes every node and segment of
@@ -284,9 +288,10 @@ def index_kernel(law: IndexLaw, j: float, w, shape: float = 1.0, c=0.0):
         raise ValueError(f"tabulated index_kernel needs an integer j when c > 0, got {j}")
     dead = np.isinf(w) | np.isinf(c)
     masked = dead.any()
-    if masked:  # the kernels see 0 in place of an infinite w or c
-        w, c = np.where(dead, 0.0, w), np.where(dead, 0.0, c)
-    value = _LAWS[law.kind].kernel(law, j, w, float(shape), c)
+    if masked:  # the kernels see 0 in place of an infinite w or c, each in its own shape
+        w, c = np.where(np.isinf(w), 0.0, w), np.where(np.isinf(c), 0.0, c)
+    with np.errstate(over="ignore"):  # a product past the largest float is inf, its limit
+        value = _LAWS[law.kind].kernel(law, j, w, float(shape), c)
     if masked or np.shape(value) != dead.shape:  # a c = 0 kernel may drop c's shape
         value = np.where(dead, 0.0, value)
     return value if np.ndim(value) else float(value)
@@ -295,6 +300,8 @@ def index_kernel(law: IndexLaw, j: float, w, shape: float = 1.0, c=0.0):
 def _degenerate_kernel(law: IndexLaw, j: float, w, shape: float, c):
     point = law.c
     x = point * w
+    if point > 1.0:  # x may pass the largest float; from 1e300 on every weight is 0
+        x = np.minimum(x, 1e300)
     if j == 0.0:
         weight = np.exp(-x)
     elif j == 1.0:
@@ -306,9 +313,7 @@ def _degenerate_kernel(law: IndexLaw, j: float, w, shape: float, c):
         return weight
     # Q(1, x) = e^-x: the range integrands at ell = 1 take this at each
     # node, and the exponential costs a fraction of the incomplete ratio.
-    # A product past the largest float is inf, where Q is 0.
-    with np.errstate(over="ignore"):
-        zc = point * c
+    zc = point * c  # inf past the largest float, where Q is 0
     return weight * (np.exp(-zc) if shape == 1.0 else reg_inc_gamma_upper(shape, zc))
 
 
@@ -495,18 +500,19 @@ def _free_segments(j: float, w, law: IndexLaw):
     value[:] = z1 - z0 if j == 0.0 else 0.0  # w = 0
     if not w.any():
         return value
+    zw = z[:, None] * w
     with np.errstate(divide="ignore"):
         # Gamma_a(z1 w) would be subnormal (z1 w may round to 0): take
         # e^(-zw) as 1, which moves the value by less than e^-650 z1, and
         # the power in log space.
-        tiny = (w > 0.0) & (a * np.log(z1 * w) < -650.0)
+        tiny = (w > 0.0) & (a * np.log(zw[hi]) < -650.0)
     if tiny.any():
         piece, at = np.nonzero(tiny)
         shrink = np.array([-math.expm1(a * (math.log(z0) - math.log(z1))) if z0 > 0.0 else 1.0
                            for _, z0, z1 in law.pieces])
         log_z1 = np.array([a * math.log(z1) for _, _, z1 in law.pieces])
         value[tiny] = np.exp(j * np.log(w[at]) + log_z1[piece] - math.lgamma(a + 1.0)) * shrink[piece]
-    past = z0 * w > a  # past the mode: difference the upper ratios, which stay accurate
+    past = zw[lo] > a  # past the mode: difference the upper ratios, which stay accurate
     near = (w > 0.0) & ~tiny & ~past
     every_w = np.broadcast_to(w, past.shape)
     for take, ratio, first, second in ((past, reg_inc_gamma_upper, lo, hi),
@@ -514,7 +520,7 @@ def _free_segments(j: float, w, law: IndexLaw):
         if take.any():
             need = _at_nodes(take, law)
             ratios = np.zeros(need.shape)
-            ratios[need] = ratio(a, (z[:, None] * w)[need])
+            ratios[need] = ratio(a, zw[need])
             value[take] = (ratios[first][take] - ratios[second][take]) / every_w[take]
     return value
 
@@ -541,7 +547,8 @@ def _q_segments(j: int, w, shape: float, c, law: IndexLaw):
     z, lo, hi = law._nodes
     c_set = np.unique(c)
     c_at = np.searchsorted(c_set, c)
-    q_set = reg_inc_gamma_upper(shape, np.outer(z, c_set))
+    zc, u = np.outer(z, c_set), z[hi, None] * w
+    q_set = reg_inc_gamma_upper(shape, zc)
     value = np.empty((lo.size, w.size))
     # Small w: the closed form would cancel to O((w z1)^(j+1)), so expand
     # e^(-zw) instead, sum_k coef_k moment_k with coef_k ~ (-u)^k / k! at
@@ -558,7 +565,6 @@ def _q_segments(j: int, w, shape: float, c, law: IndexLaw):
     if zero.all():  # a mixed marginal
         reach = np.ones((c_set.size, z.size), dtype=int)
     else:
-        u = z[hi, None] * w
         big = u > 1.0
         rows = np.where(big, 0, 2 + np.searchsorted(_SERIES_REACH, u))
         rows[:, zero] = 1
@@ -566,8 +572,7 @@ def _q_segments(j: int, w, shape: float, c, law: IndexLaw):
         np.maximum.at(reach, c_at, _at_nodes(rows, law).T)
     if reach.any():
         k = np.arange(float(reach.max()))
-        moments = q_set + _gamma_moment_ratio(shape, j + k + 1.0, np.outer(z, c_set),
-                                              k[:, None, None] < reach.T)
+        moments = q_set + _gamma_moment_ratio(shape, j + k + 1.0, zc, k[:, None, None] < reach.T)
     if zero.any():
         p = j + 1.0
         m = moments[0][:, c_at[zero]]
@@ -629,16 +634,19 @@ def _segment_antiderivative(j: int, z, w, shape: float, c, q):
     """w * int_0^z (tw)^j e^(-tw) / j! * Q(shape, tc) dt at w, c > 0, given
     q = Q(shape, zc) (1-d arrays, pair by pair), by parts against the
     Poisson sum of Gamma_{j+1}: the weights C_i are negative-binomial.  The
-    j + 1 terms are one array, subtracted in order."""
-    x = z * c
-    total = reg_inc_gamma(j + 1.0, z * w) * q + reg_inc_gamma(shape, x)
+    j + 1 terms are one array, subtracted in order.  Where c + w passes the
+    largest float, the weights read c and w at half scale."""
+    total = reg_inc_gamma(j + 1.0, z * w) * q + reg_inc_gamma(shape, z * c)
+    scale = np.where(np.isinf(c + w), 0.5, 1.0)
+    c, w = scale * c, scale * w
+    reach = z * (c + w) / scale
     log_sum = np.log(c + w)
     log_front = shape * (np.log(c) - log_sum) - math.lgamma(shape)
     log_ratio = np.log(w) - log_sum
     i = np.arange(j + 1.0)[:, None]
     log_gammas = np.array([[math.lgamma(shape + k) - math.lgamma(k + 1.0)] for k in range(j + 1)])
     weight = np.exp(log_front + i * log_ratio + log_gammas)
-    for term in weight * reg_inc_gamma(shape + i, z * (c + w)):
+    for term in weight * reg_inc_gamma(shape + i, reach):
         total = total - term
     return total
 
@@ -674,14 +682,7 @@ def _gamma_moment_ratio(shape: float, p, x, need):
     return out
 
 
-def mixture_uu(
-    params: GosParams,
-    r: int,
-    s: int,
-    kappa1,
-    kappa2,
-    law: IndexLaw,
-):
+def mixture_uu(params: GosParams, r: int, s: int, kappa1, kappa2, law: IndexLaw):
     """Random-index upper-upper limit at transform values (kappa1, kappa2),
     floats or arrays that broadcast."""
     k1, k2 = params.kappa_power(kappa1), params.kappa_power(kappa2)
@@ -692,15 +693,16 @@ def mixture_uu(
     # marginal at k2.  Elsewhere G_r = G_s + D with D ~ Gamma(r - s):
     # either G_s > k1 already, or G_s lies in (k2, k1] and D covers the
     # rest, which at G_s = k1 t splits by the Poisson sum of D's tail into
-    # beta ratios in t.  Collapsed points take k1 = 0 in those terms, where
-    # each kernel costs nothing, and x = 0, where every ratio vanishes.
+    # beta ratios in t.  Q(R_s, .) at max(k1, k2) is read off one call over
+    # both, and collapsed points take x = 0, where every ratio vanishes.
     joint = k1 > k2
-    value = index_kernel(law, 0.0, 0.0, rs, np.maximum(k1, k2))
+    k1, k2 = np.asarray(k1), np.asarray(k2)
+    q = index_kernel(law, 0.0, 0.0, rs, np.concatenate([k1.ravel(), k2.ravel()]))
+    value = np.where(joint, q[:k1.size].reshape(k1.shape), q[k1.size:].reshape(k2.shape))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = np.where(joint, 1.0 - k2 / k1, 0.0)
     for i in range(r - s):
-        value = value + index_kernel(law, rs + i, np.where(joint, k1, 0.0)) * reg_inc_beta(
-            x, i + 1, rs)
+        value = value + index_kernel(law, rs + i, k1) * reg_inc_beta(x, i + 1, rs)
     return clip_probability(value)
 
 
@@ -709,21 +711,14 @@ def mixture_ll(r: int, s: int, rho1, rho2, law: IndexLaw):
     floats or arrays that broadcast."""
     if not r < s:
         raise ValueError(f"lower-lower requires r < s, got r={r}, s={s}")
-    # Where rho1 >= rho2 (x >= y) the deeper coordinate is inactive.  Each
-    # kernel below is taken at 0 on the points of the other branch, where
-    # it costs nothing, and collapsed points take x = 0, where every ratio
-    # vanishes.
+    # Where rho1 >= rho2 (x >= y) the deeper coordinate is inactive, and
+    # collapsed points take x = 0, where every ratio vanishes.
     collapsed = rho1 >= rho2
-    value = np.where(
-        collapsed,
-        _mixed_lower(s, np.where(collapsed, rho2, 0.0), law),
-        _mixed_lower(r, np.where(collapsed, 0.0, rho1), law),
-    )
-    live_rho2 = np.where(collapsed, 0.0, rho2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    value = np.where(collapsed, _mixed_lower(s, rho2, law), _mixed_lower(r, rho1, law))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = np.where(collapsed, 0.0, np.divide(rho1, rho2))
     for j in range(s - r):
-        value = value - index_kernel(law, r + j, live_rho2) * reg_inc_beta(x, r, j + 1)
+        value = value - index_kernel(law, r + j, rho2) * reg_inc_beta(x, r, j + 1)
     return clip_probability(value if value.ndim else float(value))
 
 
@@ -747,14 +742,7 @@ def _mixed_lower(r: int, rho, law: IndexLaw):
     return clip_probability(1.0 - index_kernel(law, 0.0, 0.0, float(r), rho))
 
 
-def mixture_lu(
-    params: GosParams,
-    r: int,
-    s: int,
-    rho1,
-    kappa2,
-    law: IndexLaw,
-):
+def mixture_lu(params: GosParams, r: int, s: int, rho1, kappa2, law: IndexLaw):
     """Random-index lower-upper limit
     int Gamma_r(z rho1) [1 - Gamma_{R_s}(z kappa2^(m+1))] dH(z), at floats
     or arrays that broadcast.

@@ -930,6 +930,163 @@ class TestTableLawCsv:
         assert out.read_text() == want
 
 
+# Tables over 3 x 4 grids, written when `_xy_table` took each on the
+# flattened grid: each holds points on both sides of x = y, and a swap of
+# the x and y order changes the bytes.
+_XY_CSV = {
+    "limit-uu": (["limit", "--regime", "uu", "--r", "3", "--s", "1", "--m", "0.5", "--k", "1.3",
+                  "--upper-tail", "gumbel", "--x-grid=-1:2:3", "--y-grid=-0.5:2:4"],
+                 """\
+# format=csv
+# k=1.3
+# lower_tail=
+# m=0.5
+# r=3
+# regime=uu
+# s=1
+# upper_tail=gumbel
+# verb=limit
+# x_grid=-1:2:3
+# y_grid=-0.5:2:4
+x,y,value
+-1,-0.5,0.0541869638353698
+-1,0.333333333333333,0.116616515902183
+-1,1.16666666666667,0.142632733989491
+-1,2,0.151912126740974
+0.5,-0.5,0.0948855348718419
+0.5,0.333333333333333,0.477261948202558
+0.5,1.16666666666667,0.783517766201137
+0.5,2,0.913205108381452
+2,-0.5,0.0948855348718419
+2,0.333333333333333,0.477261948202558
+2,1.16666666666667,0.786809368905924
+2,2,0.923658298589991
+"""),
+    "limit-ll": (["limit", "--regime", "ll", "--r", "1", "--s", "3", "--m", "0.5", "--k", "1.3",
+                  "--lower-tail", "weibull:2", "--x-grid=0.1:1.5:3", "--y-grid=0.2:2:4"],
+                 """\
+# format=csv
+# k=1.3
+# lower_tail=weibull:2
+# m=0.5
+# r=1
+# regime=ll
+# s=3
+# upper_tail=
+# verb=limit
+# x_grid=0.1:1.5:3
+# y_grid=0.2:2:4
+x,y,value
+0.1,0.2,5.99555560545667e-06
+0.1,0.8,0.00132893511772816
+0.1,1.4,0.00578779991261512
+0.1,2,0.00903530008833973
+0.8,0.2,1.03517302619816e-05
+0.8,0.8,0.0272509361253839
+0.8,1.4,0.234713187968754
+0.8,2,0.417848574357415
+1.5,0.2,1.03517302619816e-05
+1.5,0.8,0.027250936125384
+1.5,1.4,0.312498219168563
+1.5,2,0.734911298876984
+"""),
+    "limit-lu": (["limit", "--regime", "lu", "--r", "2", "--s", "1", "--m", "0.5", "--k", "1.3",
+                  "--lower-tail", "frechet:1.5", "--upper-tail", "weibull:2",
+                  "--x-grid=-3:-0.5:3", "--y-grid=-2:0.5:4"],
+                 """\
+# format=csv
+# k=1.3
+# lower_tail=frechet:1.5
+# m=0.5
+# r=2
+# regime=lu
+# s=1
+# upper_tail=weibull:2
+# verb=limit
+# x_grid=-3:-0.5:3
+# y_grid=-2:0.5:4
+x,y,value
+-3,-2,3.72288068246356e-06
+-3,-1.16666666666667,0.00269897191614438
+-3,-0.333333333333333,0.0153366561330428
+-3,0.5,0.0163056010124635
+-1.75,-2,1.60555807929664e-05
+-1.75,-1.16666666666667,0.0116397933089083
+-1.75,-0.333333333333333,0.0661420396302005
+-1.75,0.5,0.0703207856396416
+-0.5,-2,0.000176654612867415
+-0.5,-1.16666666666667,0.128069062549436
+-0.5,-0.333333333333333,0.727740500689513
+-0.5,0.5,0.773717956633833
+"""),
+    "exact-uu": (["exact", "--dist", "logistic", "--n", "30", "--m", "0.5", "--k", "1.3",
+                  "--regime", "uu", "--r", "3", "--s", "1", "--x-grid=0:3:3", "--y-grid=-1:4:4"],
+                 """\
+# dist=logistic
+# format=csv
+# k=1.3
+# m=0.5
+# n=30
+# r=3
+# regime=uu
+# s=1
+# verb=exact
+# x_grid=0:3:3
+# y_grid=-1:4:4
+x,y,value
+0,-1,1.01537204642001e-13
+0,0.666666666666667,4.8187634463229e-05
+0,2.33333333333333,0.000203873623011732
+0,4,0.000242700314833777
+1.5,-1,1.01537204642001e-13
+1.5,0.666666666666667,0.000957190541704844
+1.5,2.33333333333333,0.301404222551242
+1.5,4,0.51563709990716
+3,-1,1.01537204642001e-13
+3,0.666666666666667,0.000957190541704844
+3,2.33333333333333,0.386688000695978
+3,4,0.893676923407997
+"""),
+    "exact-ll": (["exact", "--dist", "logistic", "--n", "30", "--m", "0.5", "--k", "1.3",
+                  "--regime", "ll", "--r", "1", "--s", "3", "--x-grid=-4:-1:3", "--y-grid=-4:1:4"],
+                 """\
+# dist=logistic
+# format=csv
+# k=1.3
+# m=0.5
+# n=30
+# r=1
+# regime=ll
+# s=3
+# verb=exact
+# x_grid=-4:-1:3
+# y_grid=-4:1:4
+x,y,value
+-4,-4,0.0453626421538103
+-4,-2.33333333333333,0.485754154904519
+-4,-0.666666666666667,0.556525970276983
+-4,1,0.556526295881168
+-2.5,-4,0.0453626421538103
+-2.5,-2.33333333333333,0.761885357185226
+-2.5,-0.666666666666667,0.970818429853338
+-2.5,1,0.970819660355042
+-1,-4,0.0453626421538103
+-1,-2.33333333333333,0.762535256261003
+-1,-0.666666666666667,0.99999634102181
+-1,1,0.999999196367371
+"""),
+}
+
+
+class TestXyTableCsv:
+    @pytest.mark.parametrize("name", sorted(_XY_CSV))
+    def test_bytes_unchanged(self, tmp_path, name):
+        argv, want = _XY_CSV[name]
+        out = tmp_path / "table.csv"
+        assert main([*argv, "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_text() == want
+
+
 class TestClosedStdout:
     def test_exits_141_without_a_message(self):
         import os

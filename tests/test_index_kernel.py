@@ -611,6 +611,45 @@ class TestNodeMajorKernel:
         assert peak(100) <= peak(4) + 1e6
 
 
+class TestProductsPastTheLargestFloat:
+    """Finite w and c whose products with z, or whose sum, pass the largest
+    float: each is taken at its limit, inf, where a gamma ratio is 0 or 1,
+    with no warning (the suite raises every RuntimeWarning as an error)."""
+
+    NEAR_ZERO = IndexLaw.tabulated([(0.0, 0.0), (1e-300, 0.5), (2.0, 1.0)])
+
+    def test_tabulated_kernel_against_mpmath(self):
+        w, shape, c = 9.35e307, 6.67e-301, 1.145e308
+        got = index_kernel(self.NEAR_ZERO, 1.0, [w], shape, [c])[0]
+        # The first piece at t = z w; Q(R, x) = R E1(x) to O(R^2) at this R.
+        # The second piece starts at z w = 9e7, where e^-zw underflows.
+        with mpmath.workdps(30):
+            big_w, big_c, big_r = mpmath.mpf(w), mpmath.mpf(c), mpmath.mpf(shape)
+            want = mpmath.quad(lambda t: t * mpmath.exp(-t) * big_r * mpmath.e1(t * big_c / big_w),
+                               [0, 1, 10, 100, 1000])
+            want *= mpmath.mpf(0.5) / mpmath.mpf("1e-300") / big_w
+        assert 0.0 <= got <= 1.0
+        assert got == pytest.approx(float(want), abs=1e-16)
+
+    @pytest.mark.parametrize("law", [NEAR_ZERO, TABLE, IndexLaw.degenerate(1e300),
+                                     IndexLaw.unit_exponential()],
+                             ids=["near-zero", "table", "degenerate", "exponential"])
+    @pytest.mark.parametrize("j", [0.0, 1.0, 3.0])
+    def test_values_stay_probabilities(self, law, j):
+        w = np.array([0.0, 1.0, 1e300, 9.35e307, 1.7e308])
+        c = np.array([0.0, 1.0, 1.145e308, 1.7e308])
+        for shape in (1.0, 2.5):
+            value = index_kernel(law, j, w[:, None], shape, c[None, :])
+            assert value.shape == (5, 4)
+            assert np.all((-1e-16 <= value) & (value <= 1.0)), (shape, value)
+
+    def test_point_mass_weight_past_the_largest_float_is_zero(self):
+        # z w = 1e300 w: every Poisson weight e^-zw (zw)^j / j! is 0 from w = 1 on
+        law = IndexLaw.degenerate(1e300)
+        for j in (0.0, 1.0, 2.5):
+            assert np.all(index_kernel(law, j, [1.0, 1e10, 1.7e308], 2.5, 1.0) == 0.0)
+
+
 class TestCollapsedMixtures:
     """Every mixture against the nested integral int Omega(z .) dH(z)."""
 

@@ -7,7 +7,9 @@ without a fallback: at an edge point they match a 30-digit mpmath
 integral.  QUADPACK serves only the routes of `reference`, and neither
 importing the CLI nor serving a range table loads it.  Range, exact and mixture values do not
 depend on the grid around them, and a long range grid is taken in chunks of
-fixed size."""
+fixed size.  An xy table taken on its grid's axes keeps the bits of the
+flattened grid, takes a gamma ratio of one coordinate once per grid value,
+and makes as many index-kernel calls as a single point."""
 
 import os
 import subprocess
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from gosextreme import randomindex
 from gosextreme.cli import main
 from gosextreme.distributions import FAMILY_NAMES, parse_model
 from gosextreme.goscore import joint_lower_df, joint_upper_df, marginal_upper_df
@@ -257,20 +260,30 @@ def test_example_range_under_a_tabulated_law(capsys, tmp_path):
 _LOGISTIC = parse_model("logistic")
 _GUMBEL = TailTransform(side=ExtremeSide.UPPER, kind="gumbel")
 _WEIBULL = TailTransform(side=ExtremeSide.LOWER, kind="weibull", alpha=2.0)
+# (pair, x scale, y scale) of each regime's mixture case
+_REGIME_CASES = {
+    "uu": (RankPair(r=3, s=1, regime=Regime.UPPER_UPPER), 1.0, 1.0),
+    "ll": (RankPair(r=1, s=3, regime=Regime.LOWER_LOWER), 0.25, 0.25),
+    "lu": (RankPair(r=2, s=1, regime=Regime.LOWER_UPPER), 0.25, 1.0),
+}
+
+
+def _mixture_case(law, regime):
+    pair, x_scale, y_scale = _REGIME_CASES[regime]
+    return lambda x, y: analytic_limit_df(PARAMS, pair, _GUMBEL, _WEIBULL, law, x * x_scale,
+                                          y * y_scale)
+
+
+# every law kind (the point mass 1 of the `limit` verb, the geometric-size
+# law, a table) in every regime, and both exact joints
 _GRID_CASES = {
     "exact-marginal": lambda x, y: marginal_upper_df(PARAMS, _LOGISTIC, 2, x),
     "exact-uu": lambda x, y: joint_upper_df(
         PARAMS, _LOGISTIC, RankPair(r=3, s=1, regime=Regime.UPPER_UPPER), x, y),
     "exact-ll": lambda x, y: joint_lower_df(PARAMS, _LOGISTIC, 1, 3, -x, -y),
-    "mix-table-uu": lambda x, y: analytic_limit_df(
-        PARAMS, RankPair(r=3, s=1, regime=Regime.UPPER_UPPER), _GUMBEL, None, LAWS[2],
-        x, y),
-    "mix-table-ll": lambda x, y: analytic_limit_df(
-        PARAMS, RankPair(r=1, s=3, regime=Regime.LOWER_LOWER), None, _WEIBULL, LAWS[2],
-        x / 4.0, y / 4.0),
-    "mix-table-lu": lambda x, y: analytic_limit_df(
-        PARAMS, RankPair(r=2, s=1, regime=Regime.LOWER_UPPER), _GUMBEL, _WEIBULL, LAWS[2],
-        x / 4.0, y),
+    **{f"{prefix}-{regime}": _mixture_case(law, regime)
+       for prefix, law in (("limit", LAWS[0]), ("mix-exp", LAWS[1]), ("mix-table", LAWS[2]))
+       for regime in _REGIME_CASES},
 }
 
 
@@ -286,3 +299,39 @@ def test_table_value_does_not_depend_on_its_grid(name):
     for i in range(len(x)):
         assert evaluate(float(x[i]), float(y[i])) == values[i]
         assert evaluate(x[i:i + 1], y[i:i + 1])[0] == values[i]
+    # on the grid's axes, x as a column and y as a row, as the CLI takes a
+    # table, and on a y axis of another length
+    ys = np.linspace(-1.5, 5.5, 7)
+    for axis, flat in ((xs, values), (ys, evaluate(np.repeat(xs, 7), np.tile(ys, 9)))):
+        on_axes = evaluate(xs[:, None], axis[None, :])
+        assert np.array_equal(np.broadcast_to(on_axes, (9, axis.size)).ravel(), flat)
+
+
+def test_limit_lu_takes_its_gamma_ratios_on_the_axes(monkeypatch, capsys):
+    # under the point mass the lower-upper kernel is weight(rho) times
+    # Q(R_s, kappa^(m+1)): one Q per y value for each of its two kernels
+    sizes, ratio = [], randomindex.reg_inc_gamma_upper
+    monkeypatch.setattr(randomindex, "reg_inc_gamma_upper",
+                        lambda r, x: sizes.append(np.size(x)) or ratio(r, x))
+    assert main(["limit", "--regime", "lu", "--r", "1", "--s", "1", "--lower-tail", "weibull:2",
+                 "--upper-tail", "gumbel", "--m", "0.5", "--k", "1.3", "--x-grid=0.05:3:41",
+                 "--y-grid=-2:4:41"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 12 + 41 * 41
+    assert 0 < sum(sizes) <= 2 * 41
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.label())
+def test_mixture_kernel_calls_per_grid(monkeypatch, law):
+    # a tabulated kernel call costs about the same at any size, so a grid
+    # takes as many calls as a point: 1 + (r - s) in uu, 2 + (s - r) in ll
+    # and 1 + r in lu
+    calls, kernel = [], randomindex.index_kernel
+    monkeypatch.setattr(randomindex, "index_kernel",
+                        lambda *args: calls.append(args) or kernel(*args))
+    x, y = np.linspace(0.2, 3.0, 5)[:, None], np.linspace(0.5, 4.0, 6)[None, :]
+    for mixture, want in ((lambda: mixture_uu(PARAMS, 3, 1, x, y, law), 3),
+                          (lambda: mixture_ll(1, 3, x, y, law), 4),
+                          (lambda: mixture_lu(PARAMS, 2, 1, x, y, law), 3)):
+        calls.clear()
+        assert mixture().shape == (5, 6)
+        assert len(calls) == want

@@ -17,8 +17,7 @@ from .distributions import (
     tail_transform,
 )
 from .goscore import (
-    joint_lower_df,
-    joint_upper_df,
+    joint_df,
     lbar,
     lm,
     marginal_lower_df,
@@ -73,10 +72,9 @@ __all__ = [
     "DistributionModel", "ExtremeSide", "GosParams", "IndexLaw",
     "IndexMode", "NoAttractionError", "NormingConstants", "RangeQuery",
     "RankPair", "Regime", "SimConfig", "SimulationReport", "TailTransform",
-    "UnsupportedCaseError", "cdf", "eta_limit", "h_cdf", "joint_df_direct",
-    "joint_lower_df", "joint_upper_df", "kappa", "ks_distance", "lbar", "lm",
-    "load_tabulated_csv", "log_gamma", "marginal_lower_df",
-    "marginal_upper_df", "midrange_limit_df", "mixture_ll", "mixture_lu",
+    "UnsupportedCaseError", "cdf", "eta_limit", "h_cdf", "joint_df", "joint_df_direct",
+    "kappa", "ks_distance", "lbar", "lm", "load_tabulated_csv", "log_gamma",
+    "marginal_lower_df", "marginal_upper_df", "midrange_limit_df", "mixture_ll", "mixture_lu",
     "mixture_marginal", "mixture_uu", "norming_constants",
     "normal_range_closed_form", "omega_ll", "omega_lu_product", "omega_uu",
     "parse_model", "quantile", "range_limit_df", "reg_inc_beta",

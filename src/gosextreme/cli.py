@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import FAMILY_NAMES, example_model, parse_model
-from .goscore import joint_lower_df, joint_upper_df, marginal_lower_df, marginal_upper_df
+from .goscore import joint_df, marginal_lower_df, marginal_upper_df
 from .limitlaws import TailTransform
 from .montecarlo import SimConfig, analytic_limit_df, run_bivariate_sim
 from .params import ExtremeSide, GosParams, RankPair, Regime
@@ -233,15 +233,12 @@ def _run_exact(args) -> int:
         return 0
     if args.regime is None:
         raise UsageError("exact needs either --marginal/--rank or --regime/--r/--s")
+    pair = RankPair(r=args.r, s=args.s, regime=_REGIMES[args.regime])
     config.update({
         "regime": args.regime, "r": args.r, "s": args.s,
         "x_grid": args.x_grid, "y_grid": args.y_grid,
     })
-    if args.regime == "uu":
-        return _xy_table(args, config, lambda x, y: joint_upper_df(
-            params, model, RankPair(r=args.r, s=args.s, regime=Regime.UPPER_UPPER), x, y))
-    return _xy_table(args, config,
-                     lambda x, y: joint_lower_df(params, model, args.r, args.s, x, y))
+    return _xy_table(args, config, lambda x, y: joint_df(params, model, pair, x, y))
 
 
 def _xy_table(args, config: dict, evaluate) -> int:

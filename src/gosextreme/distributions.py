@@ -535,11 +535,6 @@ def parse_model(text: str) -> DistributionModel:
 # Normalizing constants
 
 
-def _isf(model: DistributionModel, u: float) -> float:
-    """F^{-1}(1 - u) from the tail probability u itself."""
-    return float(model.record.isf(model.params, u))
-
-
 def _lm_prob(mp1: float, p: float) -> float:
     """Probability level of F matching level p of G = L_m; small-p safe."""
     return -math.expm1(math.log1p(-p) / mp1)
@@ -569,31 +564,31 @@ def norming_constants(model: DistributionModel, params: GosParams) -> NormingCon
 
 
 def _quantile_norming(model: DistributionModel, params: GosParams) -> tuple[float, ...]:
+    """(a, b, c, d) by one rule: the maximum's constants from the upper side
+    of F, the minimum's as those of the maximum of -X, whose centre is -d."""
     mp1 = params.m + 1.0
     big_n = params.big_n
     lo, hi = model.support()
+    rec, prm = model.record, model.params
     u = big_n ** (-1.0 / mp1)  # tail mass with q_F(1-u) = G^{-1}(1 - 1/N)
-    up = tail_transform(model, ExtremeSide.UPPER)
-    if up.kind == "frechet":
-        b = 0.0
-        a = _isf(model, u)
-    elif up.kind == "weibull":  # every weibull side has a finite end
-        b = hi
-        a = float(model.record.upper_gap(model.params, u))
-    else:  # gumbel
-        b = _isf(model, u)
-        a = _isf(model, u / math.e) - b
+    a, b = _norming_side(tail_transform(model, ExtremeSide.UPPER).kind,
+                         lambda v: float(rec.isf(prm, v)), lambda v: float(rec.upper_gap(prm, v)),
+                         hi, u, u / math.e)
+    c, centre = _norming_side(tail_transform(model, ExtremeSide.LOWER).kind,
+                              lambda p: -float(quantile(model, p)),
+                              lambda p: float(rec.lower_gap(prm, p)), -lo,
+                              _lm_prob(mp1, 1.0 / big_n), _lm_prob(mp1, 1.0 / (math.e * big_n)))
+    return a, b, c, 0.0 - centre  # keeps a frechet minimum's d at +0.0, as -centre would not
 
-    low = tail_transform(model, ExtremeSide.LOWER)
-    p1 = _lm_prob(mp1, 1.0 / big_n)
-    pe = _lm_prob(mp1, 1.0 / (math.e * big_n))
-    if low.kind == "frechet":
-        d = 0.0
-        c = -float(quantile(model, p1))
-    elif low.kind == "weibull":
-        d = lo
-        c = float(model.record.lower_gap(model.params, p1))
-    else:  # gumbel
-        d = float(quantile(model, p1))
-        c = d - float(quantile(model, pe))
-    return a, b, c, d
+
+def _norming_side(kind: str, tail_q: Callable, gap: Callable, end: float, level: float,
+                  level_e: float) -> tuple[float, float]:
+    """(scale, centre) of the maximum of a variable whose upper-tail quantile
+    at mass v is tail_q(v), by the tail's kind; a weibull tail ends at `end`,
+    gap(v) = end - tail_q(v) away.  The gumbel scale is taken at level_e."""
+    if kind == "frechet":
+        return tail_q(level), 0.0
+    if kind == "weibull":  # every weibull side has a finite end
+        return gap(level), end
+    centre = tail_q(level)
+    return tail_q(level_e) - centre, centre

@@ -1,22 +1,15 @@
 """Exact finite-sample distribution functions of m-GOS extremes.
 
-Two index conventions coexist and are kept strictly separate:
+Ranks count as `RankPair` sets out: from the top (r = 1 is the maximum)
+for the upper marginal and an upper-upper pair, from the bottom for the
+lower marginal and a lower-lower pair; r_top = n - r_bottom + 1.
 
-* bottom ranks 1 <= r < s <= n, used by `joint_lower_df`, by the
-  defining double integral (`reference.joint_df_direct`) and by the
-  lower marginals;
-* top ranks with s < r (r = 1 is the maximum, larger r lies deeper),
-  used by `joint_upper_df` and the upper marginals.
-
-They are linked by r_top = n - r_bottom + 1; the translation is covered
-by tests rather than hidden behind one signature.
-
-Both joints are finite sums.  For V = (1 - U)^(m+1) of two ranks of the
+The joints are finite sums.  For V = (1 - U)^(m+1) of two ranks of the
 uniform m-GOS, V_r > V_s, the product representation gives
 (V_s, V_r - V_s, 1 - V_r) ~ Dirichlet(a, n0, b) with an integer n0, and
 each joint df is P(V_r > p, V_s > q) at p = Lbar_m(x), q = Lbar_m(y).
 
-The transforms, the marginals and both joints take floats or numpy
+The transforms, the marginals and the joints take floats or numpy
 arrays (x and y broadcast), so a whole table is one call, and every beta
 ratio one ufunc call: on a grid's axes (x a column, y a row) those in p
 alone run once per x value, and only those in q/p over the points.  A
@@ -110,35 +103,25 @@ def _dirichlet_upper(a: float, n0: int, b: float, p, q, pc, qc, marginal):
     return value if value.ndim else float(value)
 
 
-def joint_upper_df(params: GosParams, model: DistributionModel, pair: RankPair, x, y):
-    """P(r-th from top < x, s-th from top < y), s < r, at floats or at
-    arrays that broadcast.
+def joint_df(params: GosParams, model: DistributionModel, pair: RankPair, x, y):
+    """P(X < x, Y < y) for the extremes X, Y that `pair` names (ranks as in
+    `RankPair`), at floats or at arrays that broadcast.
 
-    Where x >= y the joint collapses onto the shallower marginal at y;
-    where x < y it is the Dirichlet sum of the module docstring with
-    a = R_s, n0 = r - s, b = n - r + 1.
+    Where x >= y the joint collapses onto y's marginal at y, as in
+    `reference.joint_df_direct`; elsewhere it is the Dirichlet sum of the
+    module docstring, with a = R_s, n0 = r - s, b = n - r + 1 for an
+    upper-upper pair and a = N - s + 1, n0 = s - r, b = r for a lower-lower
+    one.  A lower-upper pair has no exact joint yet (ValueError).
     """
-    if pair.regime != Regime.UPPER_UPPER:
-        raise ValueError(f"expected an upper-upper rank pair, got {pair.regime}")
+    if pair.regime == Regime.LOWER_UPPER:
+        raise ValueError(f"no exact joint df for the {pair.regime.value} regime")
     pair.validate_against(params.n)
     r, s = pair.r, pair.s
     p, q = lbar(params, model, x), lbar(params, model, y)
-    # top ranks sit at small p, where 1 - p loses nothing
-    return _dirichlet_upper(params.rank_weight(s), r - s, params.n - r + 1.0, p, q, 1.0 - p,
-                            1.0 - q, marginal_upper_df(params, model, s, y))
-
-
-def joint_lower_df(params: GosParams, model: DistributionModel, r: int, s: int, x, y):
-    """P(r-th from bottom < x, s-th from bottom < y), 1 <= r < s <= n, at
-    floats or at arrays that broadcast.
-
-    Where x >= y it reduces to the s-th lower marginal at y, as in
-    `reference.joint_df_direct`; elsewhere the Dirichlet sum of the module
-    docstring with a = N - s + 1, n0 = s - r, b = r.
-    """
-    if not 1 <= r < s <= params.n:
-        raise ValueError(f"need 1 <= r < s <= n, got r={r}, s={s}, n={params.n}")
-    p, q = lbar(params, model, x), lbar(params, model, y)
-    # bottom ranks sit at p near 1, so 1 - p is taken as L_m
-    return _dirichlet_upper(params.big_n - s + 1.0, s - r, float(r), p, q, lm(params, model, x),
-                            lm(params, model, y), marginal_lower_df(params, model, s, y))
+    if pair.regime == Regime.UPPER_UPPER:  # top ranks sit at small p, where 1 - p loses nothing
+        shapes = params.rank_weight(s), r - s, params.n - r + 1.0
+        pc, qc, marginal = 1.0 - p, 1.0 - q, marginal_upper_df
+    else:  # bottom ranks sit at p near 1, so 1 - p is taken as L_m
+        shapes = params.big_n - s + 1.0, s - r, float(r)
+        pc, qc, marginal = lm(params, model, x), lm(params, model, y), marginal_lower_df
+    return _dirichlet_upper(*shapes, p, q, pc, qc, marginal(params, model, s, y))

@@ -31,9 +31,9 @@ class ExtremeSide(str, Enum):
 class GosParams:
     """m-GOS model parameters (m, k, n) with the derived quantities.
 
-    m and k are finite; ell = k/(m+1), N = ell + n - 1 (effective size) and
-    R_r = ell + r - 1 (effective rank).  m and k may be non-integral,
-    so ell, N and R_r are real numbers in general.
+    m and k are finite, and so is ell = k/(m+1) > 0; N = ell + n - 1
+    (effective size) and R_r = ell + r - 1 (effective rank).  m and k may
+    be non-integral, so ell, N and R_r are real numbers in general.
     """
 
     m: float
@@ -48,6 +48,9 @@ class GosParams:
         for name, value in (("m", self.m), ("k", self.k)):
             if value == math.inf:
                 raise ValueError(f"{name} must be finite, got inf")
+        if not 0.0 < self.ell < math.inf:
+            raise ValueError(f"ell = k/(m+1) must be positive and finite, got ell={self.ell} "
+                             f"at m={self.m}, k={self.k}")
         if int(self.n) != self.n or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n}")
 

@@ -172,9 +172,10 @@ def joint_df_direct(params: GosParams, model: DistributionModel, r: int, s: int,
     """P(r-th from bottom < x, s-th from bottom < y) by the defining
     double integral over (F(x'), F(y')) space; 1 <= r < s <= n.
 
-    Serves as the independent exactness oracle for `goscore.joint_lower_df`,
-    and for `joint_upper_df` after the top/bottom index translation.  x > y
-    reduces to the s-th lower marginal at y (df ordering), as they do.
+    Serves as the independent exactness oracle for `goscore.joint_df` at
+    lower-lower pairs, and at upper-upper pairs after the top/bottom index
+    translation.  x > y reduces to the s-th lower marginal at y (df
+    ordering), as `joint_df` does.
 
     Its 1e-8 target holds for small n only, since the 1e-13 floor of both
     tolerances is scaled by `const` ~ N^s: on logistic configurations it
@@ -397,16 +398,17 @@ def _goscore_exact():
     # n = 5 only: the direct route meets its 1e-8 target at small n alone
     # (see joint_df_direct), so it cannot vouch for the sums at large n.
     uni = parse_model("power(alpha=1)")
-    pair = RankPair(r=2, s=1, regime=Regime.UPPER_UPPER)
+    # the same two ranks of n = 5, counted from the top and from the bottom
+    pairs = (RankPair(r=2, s=1, regime=Regime.UPPER_UPPER),
+             RankPair(r=4, s=5, regime=Regime.LOWER_LOWER))
     worst = 0.0
     for m, k in [(0.0, 1.0), (1.0, 2.0), (-0.5, 1.0)]:
         params = GosParams(m=m, k=k, n=5)
         for x in (0.3, 0.6):
             for y in (0.5, 0.9):
                 b = joint_df_direct(params, uni, 4, 5, x, y)
-                for a in (goscore.joint_upper_df(params, uni, pair, x, y),
-                          goscore.joint_lower_df(params, uni, 4, 5, x, y)):
-                    worst = max(worst, abs(a - b))
+                for pair in pairs:
+                    worst = max(worst, abs(goscore.joint_df(params, uni, pair, x, y) - b))
     return worst <= 1e-7, f"max |Dirichlet sum - direct| = {worst:.2e}"
 
 
@@ -421,10 +423,10 @@ def _goscore_rect():
         x1, x2 = sorted(rng.uniform(0.05, 0.95, 2))
         y1, y2 = sorted(rng.uniform(0.05, 0.95, 2))
         val = (
-            goscore.joint_upper_df(params, uni, pair, x2, y2)
-            - goscore.joint_upper_df(params, uni, pair, x1, y2)
-            - goscore.joint_upper_df(params, uni, pair, x2, y1)
-            + goscore.joint_upper_df(params, uni, pair, x1, y1)
+            goscore.joint_df(params, uni, pair, x2, y2)
+            - goscore.joint_df(params, uni, pair, x1, y2)
+            - goscore.joint_df(params, uni, pair, x2, y1)
+            + goscore.joint_df(params, uni, pair, x1, y1)
         )
         worst = min(worst, val)
     return worst >= -1e-9, f"most negative rectangle mass {worst:.2e}"

@@ -129,7 +129,7 @@ def test_criterion_5_exactness_oracle(capsys):
     for n in (4, 5, 6):
         params = GosParams(m=0.0, k=1.0, n=n)
         for x, y in itertools.product(xs, ys):
-            upper = goscore.joint_upper_df(params, uni, pair, x, y)
+            upper = goscore.joint_df(params, uni, pair, x, y)
             direct = reference.joint_df_direct(params, uni, n - 1, n, x, y)
             if x <= y:
                 oracle = multinomial(n, n - 1, n, x, y)

@@ -19,8 +19,7 @@ from gosextreme.cli import (
 )
 from gosextreme.distributions import parse_model
 from gosextreme.goscore import (
-    joint_lower_df,
-    joint_upper_df,
+    joint_df,
     marginal_lower_df,
     marginal_upper_df,
 )
@@ -525,9 +524,10 @@ class TestNanRejected:
             lambda _: rho(TailTransform(ExtremeSide.LOWER, "gumbel"), math.nan),
             lambda _: marginal_upper_df(_GOS5, _NORMAL, 1, math.nan),
             lambda _: marginal_lower_df(_GOS5, _NORMAL, 1, math.nan),
-            lambda _: joint_upper_df(_GOS5, _NORMAL, RankPair(2, 1, Regime.UPPER_UPPER),
-                                     math.nan, 1.0),
-            lambda _: joint_lower_df(_GOS5, _NORMAL, 1, 2, math.nan, 1.0),
+            lambda _: joint_df(_GOS5, _NORMAL, RankPair(2, 1, Regime.UPPER_UPPER),
+                               math.nan, 1.0),
+            lambda _: joint_df(_GOS5, _NORMAL, RankPair(1, 2, Regime.LOWER_LOWER),
+                               math.nan, 1.0),
         ],
         ids=[
             "cli-exact-grid", "parse_number", "parse_number-negated",
@@ -600,8 +600,9 @@ _NEAR_ZERO_TABLE = "z,H\n0,0\n1e-300,0.5\n2,1\n"
 
 class TestEdgeSweepReproducers:
     """Valid inputs whose values no float can carry end as a numerical
-    failure, and overflows whose limit is the right value pass quietly (the
-    suite raises every RuntimeWarning as an error)."""
+    failure, m and k whose ratio ell no float can carry are refused, and
+    overflows whose limit is the right value pass quietly (the suite raises
+    every RuntimeWarning as an error)."""
 
     @pytest.mark.parametrize("argv", [
         ["uniform-midrange", "--m", "0", "--k", "1e300", "--at=-0.999999"],
@@ -626,6 +627,19 @@ class TestEdgeSweepReproducers:
         code, out, err = run_cli(capsys, "simulate", "--dist", "logistic", *argv, "--reps", "50")
         assert (code, out) == (2, "")
         assert err.startswith("numerical failure: normalizing constants (a, b, c, d) = ")
+
+    @pytest.mark.parametrize("argv", [
+        ["limit", "--regime", "uu", "--r", "2", "--s", "1", "--m", "-0.999999999", "--k", "1e300",
+         "--upper-tail", "gumbel", "--x-grid=0:1:2", "--y-grid=0:1:2"],
+        ["exact", "--dist", "logistic", "--n", "5", "--regime", "uu", "--r", "2", "--s", "1",
+         "--m", "1e300", "--k", "1e-300", "--x-grid=0:0:1", "--y-grid=1:1:1"],
+    ], ids=["ell-inf", "ell-zero"])
+    def test_ell_out_of_range(self, capsys, argv):
+        # valid m and k whose ratio ell = k/(m+1) no float carries
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("validation failure: ell = k/(m+1) must be positive and finite")
+        assert f"at m={float(argv[argv.index('--m') + 1])}, k=" in err
 
     def test_degenerate_law_product_past_the_largest_float(self, capsys):
         # eta = inf: the df is Q(ell, z kappa(t)^(m+1)) at z = 1e300, kappa(t) = 1/t

@@ -7,6 +7,8 @@ import pytest
 from gosextreme import goscore
 from gosextreme.distributions import (
     DistributionModel,
+    _lm_prob,
+    _quantile_norming,
     NoAttractionError,
     NormingConstants,
     cdf,
@@ -306,3 +308,58 @@ class TestNormingConstants:
                 # like N^2 eps, which caps the observable agreement
                 tol = max(1e-11, params.big_n**2 * 5e-17)
                 assert got == pytest.approx((-x) ** (params.m + 1.0), abs=tol)
+
+
+def _quantile_norming_reference(model, params):
+    """The quantile construction written out once per side: a frechet,
+    weibull and gumbel branch set for the maximum, another for the minimum."""
+    mp1 = params.m + 1.0
+    big_n = params.big_n
+    lo, hi = model.support()
+    u = big_n ** (-1.0 / mp1)
+    up = tail_transform(model, ExtremeSide.UPPER)
+    if up.kind == "frechet":
+        b = 0.0
+        a = float(model.record.isf(model.params, u))
+    elif up.kind == "weibull":
+        b = hi
+        a = float(model.record.upper_gap(model.params, u))
+    else:
+        b = float(model.record.isf(model.params, u))
+        a = float(model.record.isf(model.params, u / math.e)) - b
+
+    low = tail_transform(model, ExtremeSide.LOWER)
+    p1 = _lm_prob(mp1, 1.0 / big_n)
+    pe = _lm_prob(mp1, 1.0 / (math.e * big_n))
+    if low.kind == "frechet":
+        d = 0.0
+        c = -float(quantile(model, p1))
+    elif low.kind == "weibull":
+        d = lo
+        c = float(model.record.lower_gap(model.params, p1))
+    else:
+        d = float(quantile(model, p1))
+        c = d - float(quantile(model, pe))
+    return a, b, c, d
+
+
+def _outcome(rule, model, params):
+    with np.errstate(all="ignore"):  # as `norming_constants` calls the rule
+        try:
+            return rule(model, params)
+        except Exception as exc:  # the class and message are the outcome
+            return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_one_rule_for_both_sides_keeps_the_constants(spec):
+    """Both sides of the quantile construction run through one rule (the
+    minimum's as the maximum of -X) and give the constants, or the error, of
+    the sides written out one by one (a zero d compares equal to -0.0)."""
+    model = parse_model(spec)
+    for m in (-0.5, 0.0, 0.5, 1.0, 3.0):
+        for k in (0.3, 1.0, 1.3, 2.0):
+            for n in (2, 5, 50, 500, 5000, 10**7):
+                params = GosParams(m=m, k=k, n=n)
+                want = _outcome(_quantile_norming_reference, model, params)
+                assert _outcome(_quantile_norming, model, params) == want, (m, k, n)

@@ -1,6 +1,7 @@
 """Edge sweep over the three xy verbs (`exact --regime`, `limit`, `mix`):
-argvs drawn from the family, tail-kind and index-law records, with grid
-ends at 0, +-1, 0.5, +-1e300 and 1e-300.  Every run ends with exit code
+argvs drawn from the family, tail-kind and index-law records, with m as
+far out as 1e300 and -0.999999999, k from 1e-300 to 1e300, and grid ends
+at 0, +-1, 0.5, +-1e300 and 1e-300.  Every run ends with exit code
 0, 1 or 2 and no traceback, raises no RuntimeWarning, and prints only
 dfs in [0, 1].  A grid is taken on its two axes, so a coordinate value
 reaches every kernel of its axis whichever branch its points take."""
@@ -70,8 +71,8 @@ def _argv(draw, table_paths):
     r, s = {"uu": (high, low), "ll": (low, high)}.get(
         regime, (draw(st.integers(1, 2)), draw(st.integers(1, 2))))
     argv = [verb, "--regime", regime, "--r", str(r), "--s", str(s),
-            "--m", draw(st.sampled_from(["-0.5", "0", "0.5", "2"])),
-            "--k", draw(st.sampled_from(["0.5", "1", "3"])),
+            "--m", draw(st.sampled_from(["-0.5", "0", "0.5", "2", "1e300", "-0.999999999"])),
+            "--k", draw(st.sampled_from(["0.5", "1", "3", "1e-300", "1e300"])),
             f"--x-grid={draw(_grid())}", f"--y-grid={draw(_grid())}"]
     if verb == "exact":
         family = draw(st.sampled_from(FAMILY_NAMES))

@@ -3,7 +3,7 @@
 The independent oracles: binomial sums for single marginals and the
 multinomial double sum for ordinary order statistics (m = 0, k = 1);
 `joint_df_direct` (the defining double integral) cross-checks the
-Dirichlet sums of `joint_upper_df` and `joint_lower_df` for non-integer
+Dirichlet sums of `joint_df` for both served regimes at non-integer
 (m, k).
 """
 
@@ -127,36 +127,37 @@ class TestMarginals:
 
 
 PAIR21 = RankPair(r=2, s=1, regime=Regime.UPPER_UPPER)
+PAIR45 = RankPair(r=4, s=5, regime=Regime.LOWER_LOWER)
 
 
 class TestJointUpper:
     def test_spec_point(self):
         params = GosParams(m=0.0, k=1.0, n=5)
-        got = goscore.joint_upper_df(params, UNIFORM01, PAIR21, 0.7, 0.9)
+        got = goscore.joint_df(params, UNIFORM01, PAIR21, 0.7, 0.9)
         assert got == pytest.approx(0.7**5 + 5 * 0.7**4 * 0.2, abs=1e-12)
 
     def test_marginal_consistency_y_at_endpoint(self):
         params = GosParams(m=0.4, k=1.5, n=6)
-        got = goscore.joint_upper_df(params, UNIFORM01, PAIR21, 0.6, 1.0)
+        got = goscore.joint_df(params, UNIFORM01, PAIR21, 0.6, 1.0)
         want = goscore.marginal_upper_df(params, UNIFORM01, 2, 0.6)
         assert got == pytest.approx(want, abs=1e-11)
 
     def test_diagonal_reduces_to_shallow_marginal(self):
         params = GosParams(m=-0.3, k=2.0, n=5)
         for x in (0.3, 0.7):
-            got = goscore.joint_upper_df(params, UNIFORM01, PAIR21, x, x)
+            got = goscore.joint_df(params, UNIFORM01, PAIR21, x, x)
             want = goscore.marginal_upper_df(params, UNIFORM01, 1, x)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_diagonal_branch_continuity(self):
         params = GosParams(m=0.0, k=1.0, n=5)
-        below = goscore.joint_upper_df(params, UNIFORM01, PAIR21, 0.8 - 1e-11, 0.8)
-        at = goscore.joint_upper_df(params, UNIFORM01, PAIR21, 0.8, 0.8)
+        below = goscore.joint_df(params, UNIFORM01, PAIR21, 0.8 - 1e-11, 0.8)
+        at = goscore.joint_df(params, UNIFORM01, PAIR21, 0.8, 0.8)
         assert below == pytest.approx(at, abs=1e-9)
 
     def test_x_above_y_collapses(self):
         params = GosParams(m=0.0, k=1.0, n=5)
-        got = goscore.joint_upper_df(params, UNIFORM01, PAIR21, 0.9, 0.4)
+        got = goscore.joint_df(params, UNIFORM01, PAIR21, 0.9, 0.4)
         want = goscore.marginal_upper_df(params, UNIFORM01, 1, 0.4)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -164,19 +165,19 @@ class TestJointUpper:
         with pytest.raises(ValueError):
             RankPair(r=1, s=2, regime=Regime.UPPER_UPPER)
         params = GosParams(m=0.0, k=1.0, n=5)
-        ll_pair = RankPair(r=1, s=2, regime=Regime.LOWER_LOWER)
-        with pytest.raises(ValueError):
-            goscore.joint_upper_df(params, UNIFORM01, ll_pair, 0.3, 0.5)
+        lu_pair = RankPair(r=1, s=1, regime=Regime.LOWER_UPPER)
+        with pytest.raises(ValueError, match="lower_upper"):
+            goscore.joint_df(params, UNIFORM01, lu_pair, 0.3, 0.5)
 
     def test_monotone_and_bounded(self):
         params = GosParams(m=0.5, k=2.0, n=6)
         xs = np.linspace(0.05, 0.95, 10)
         for y in (0.3, 0.8):
-            vals = [goscore.joint_upper_df(params, UNIFORM01, PAIR21, x, y) for x in xs]
+            vals = [goscore.joint_df(params, UNIFORM01, PAIR21, x, y) for x in xs]
             assert all(0.0 <= v <= 1.0 for v in vals)
             assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
         for x in (0.3, 0.8):
-            vals = [goscore.joint_upper_df(params, UNIFORM01, PAIR21, x, y) for y in xs]
+            vals = [goscore.joint_df(params, UNIFORM01, PAIR21, x, y) for y in xs]
             assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
 
     def test_rectangle_inequality(self):
@@ -186,10 +187,10 @@ class TestJointUpper:
             x1, x2 = sorted(rng.uniform(0.02, 0.98, 2))
             y1, y2 = sorted(rng.uniform(0.02, 0.98, 2))
             mass = (
-                goscore.joint_upper_df(params, UNIFORM01, PAIR21, x2, y2)
-                - goscore.joint_upper_df(params, UNIFORM01, PAIR21, x1, y2)
-                - goscore.joint_upper_df(params, UNIFORM01, PAIR21, x2, y1)
-                + goscore.joint_upper_df(params, UNIFORM01, PAIR21, x1, y1)
+                goscore.joint_df(params, UNIFORM01, PAIR21, x2, y2)
+                - goscore.joint_df(params, UNIFORM01, PAIR21, x1, y2)
+                - goscore.joint_df(params, UNIFORM01, PAIR21, x2, y1)
+                + goscore.joint_df(params, UNIFORM01, PAIR21, x1, y1)
             )
             assert mass >= -1e-9
 
@@ -243,9 +244,10 @@ class TestRepresentationAgreement:
         worst = 0.0
         for n in (4, 5, 6):
             params = GosParams(m=m, k=k, n=n)
+            ll_pair = RankPair(r=n - 1, s=n, regime=Regime.LOWER_LOWER)
             for x, y in itertools.product((0.2, 0.45, 0.7, 0.9), (0.3, 0.55, 0.8, 0.95)):
-                upper = goscore.joint_upper_df(params, UNIFORM01, PAIR21, x, y)
-                lower = goscore.joint_lower_df(params, UNIFORM01, n - 1, n, x, y)
+                upper = goscore.joint_df(params, UNIFORM01, PAIR21, x, y)
+                lower = goscore.joint_df(params, UNIFORM01, ll_pair, x, y)
                 direct = reference.joint_df_direct(params, UNIFORM01, n - 1, n, x, y)
                 worst = max(worst, abs(upper - direct), abs(lower - direct))
         assert worst <= 1e-10
@@ -255,7 +257,7 @@ class TestRepresentationAgreement:
         for n in (5, 6):
             params = GosParams(m=-0.5, k=2.0, n=n)
             for x, y in itertools.product((0.3, 0.6), (0.5, 0.85)):
-                upper = goscore.joint_upper_df(params, UNIFORM01, pair, x, y)
+                upper = goscore.joint_df(params, UNIFORM01, pair, x, y)
                 direct = reference.joint_df_direct(params, UNIFORM01, n - 2, n - 1, x, y)
                 assert upper == pytest.approx(direct, abs=1e-7)
 
@@ -265,13 +267,13 @@ class TestRepresentationAgreement:
             if x > y:
                 continue
             want = multinomial_joint(5, 4, 5, x, y)
-            assert goscore.joint_upper_df(params, UNIFORM01, PAIR21, x, y) == pytest.approx(
+            assert goscore.joint_df(params, UNIFORM01, PAIR21, x, y) == pytest.approx(
                 want, abs=1e-9
             )
             assert reference.joint_df_direct(params, UNIFORM01, 4, 5, x, y) == pytest.approx(
                 want, abs=1e-9
             )
-            assert goscore.joint_lower_df(params, UNIFORM01, 4, 5, x, y) == pytest.approx(
+            assert goscore.joint_df(params, UNIFORM01, PAIR45, x, y) == pytest.approx(
                 want, abs=1e-12
             )
 
@@ -284,7 +286,7 @@ SATURATED_POINT = (0.41345085073880516, 2.6595056568013526, 500, 2, 5,
 
 
 class TestDirichletSums:
-    """The finite sums behind `joint_upper_df` and `joint_lower_df`."""
+    """The finite sums behind `joint_df`."""
 
     @pytest.mark.parametrize("n", [5, 12, 50])
     def test_against_double_integral(self, n):
@@ -297,11 +299,12 @@ class TestDirichletSums:
             s = r + int(rng.integers(1, min(n - r, 4) + 1))
             x, y = (float(v) for v in rng.uniform(-3.0, 4.0, 2))
             direct = reference.joint_df_direct(params, model, r, s, x, y)
-            assert goscore.joint_lower_df(params, model, r, s, x, y) == pytest.approx(
+            ll_pair = RankPair(r=r, s=s, regime=Regime.LOWER_LOWER)
+            assert goscore.joint_df(params, model, ll_pair, x, y) == pytest.approx(
                 direct, abs=1e-10)
             # the same event in top ranks: bottom r is top n - r + 1, the deeper one
             pair = RankPair(r=n - r + 1, s=n - s + 1, regime=Regime.UPPER_UPPER)
-            assert goscore.joint_upper_df(params, model, pair, x, y) == pytest.approx(
+            assert goscore.joint_df(params, model, pair, x, y) == pytest.approx(
                 direct, abs=1e-10)
 
     def test_multinomial_oracle(self):
@@ -313,10 +316,10 @@ class TestDirichletSums:
             fx, fy = sorted(float(v) for v in rng.uniform(0.02, 0.98, 2))
             want = multinomial_joint(n, r, s, fx, fy)
             params = GosParams(m=0.0, k=1.0, n=n)
-            got = goscore.joint_lower_df(params, UNIFORM01, r, s, fx, fy)
+            got = goscore.joint_df(params, UNIFORM01, RankPair(r, s, Regime.LOWER_LOWER), fx, fy)
             assert got == pytest.approx(want, abs=1e-12)
             pair = RankPair(r=n - r + 1, s=n - s + 1, regime=Regime.UPPER_UPPER)
-            got = goscore.joint_upper_df(params, UNIFORM01, pair, fx, fy)
+            got = goscore.joint_df(params, UNIFORM01, pair, fx, fy)
             assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("n", [50, 500, 2000])
@@ -335,14 +338,14 @@ class TestDirichletSums:
             x, y = low + dx, low + dy
             fr = goscore.marginal_lower_df(params, model, r, x)
             fs = goscore.marginal_lower_df(params, model, s, y)
-            got = goscore.joint_lower_df(params, model, r, s, x, y)
+            got = goscore.joint_df(params, model, RankPair(r, s, Regime.LOWER_LOWER), x, y)
             assert max(0.0, fr + fs - 1.0) - 1e-13 <= got <= min(fr, fs) + 1e-13
             up = math.log(params.big_n) / (params.m + 1.0)
             x, y = up - dx, up - dy
             pair = RankPair(r=s, s=r, regime=Regime.UPPER_UPPER)
             fr = goscore.marginal_upper_df(params, model, s, x)
             fs = goscore.marginal_upper_df(params, model, r, y)
-            got = goscore.joint_upper_df(params, model, pair, x, y)
+            got = goscore.joint_df(params, model, pair, x, y)
             assert max(0.0, fr + fs - 1.0) - 1e-13 <= got <= min(fr, fs) + 1e-13
 
     def test_saturated_marginals_give_one(self):
@@ -351,7 +354,8 @@ class TestDirichletSums:
         model = parse_model("logistic")
         assert goscore.marginal_lower_df(params, model, r, x) == 1.0
         assert goscore.marginal_lower_df(params, model, s, y) == 1.0
-        assert goscore.joint_lower_df(params, model, r, s, x, y) == pytest.approx(1.0, abs=1e-13)
+        got = goscore.joint_df(params, model, RankPair(r, s, Regime.LOWER_LOWER), x, y)
+        assert got == pytest.approx(1.0, abs=1e-13)
 
 
 class TestLargeSampleSandwich:
@@ -389,7 +393,7 @@ def test_joint_upper_df_is_bivariate_df(m, k, x, y, dx, dy):
     pair = RankPair(r=3, s=1, regime=Regime.UPPER_UPPER)
 
     def F(a, b):
-        return goscore.joint_upper_df(params, model, pair, a, b)
+        return goscore.joint_df(params, model, pair, a, b)
 
     lo, hi_x, hi_y, hi = F(x, y), F(x + dx, y), F(x, y + dy), F(x + dx, y + dy)
     tol = 1e-12
@@ -407,7 +411,7 @@ def test_joint_lower_df_is_bivariate_df(m, k, x, y, dx, dy):
     model = parse_model("logistic")
 
     def F(a, b):
-        return goscore.joint_lower_df(params, model, 1, 3, a, b)
+        return goscore.joint_df(params, model, RankPair(1, 3, Regime.LOWER_LOWER), a, b)
 
     lo, hi_x, hi_y, hi = F(x, y), F(x + dx, y), F(x, y + dy), F(x + dx, y + dy)
     tol = 1e-12

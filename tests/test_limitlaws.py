@@ -234,7 +234,7 @@ class TestLimitOfExactDfs:
         sup = 0.0
         for x in np.linspace(-2.0, 3.0, 6):
             for y in np.linspace(-2.0, 3.0, 6):
-                exact = goscore.joint_upper_df(
+                exact = goscore.joint_df(
                     params, model, pair, consts.a * x + consts.b, consts.a * y + consts.b
                 )
                 lim = omega_uu(params, 2, 1, kappa(UP_GUMBEL, x), kappa(UP_GUMBEL, y))

@@ -25,7 +25,7 @@ import scipy.integrate
 from gosextreme import randomindex
 from gosextreme.cli import main
 from gosextreme.distributions import FAMILY_NAMES, parse_model
-from gosextreme.goscore import joint_lower_df, joint_upper_df, marginal_upper_df
+from gosextreme.goscore import joint_df, marginal_upper_df
 from gosextreme.limitlaws import TailTransform
 from gosextreme.montecarlo import analytic_limit_df
 from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime
@@ -82,6 +82,12 @@ def test_importing_the_cli_loads_no_reference():
     assert done.stdout.split() == ["False", "gosextreme.reference"]
 
 
+def test_every_exported_name_resolves():
+    import gosextreme
+
+    assert [name for name in gosextreme.__all__ if not hasattr(gosextreme, name)] == []
+
+
 def test_a_range_table_with_edge_points_loads_no_quadpack():
     # the uniform midrange's pair has an edge at each t > 0, where the
     # integrand goes like (s - edge)^ell with ell = 0.59
@@ -104,8 +110,8 @@ def test_mixtures(law):
 def test_exact_joints():
     model = parse_model("logistic")
     pair = RankPair(r=3, s=1, regime=Regime.UPPER_UPPER)
-    assert 0.0 < joint_upper_df(PARAMS, model, pair, 3.0, 4.0) < 1.0
-    assert 0.0 < joint_lower_df(PARAMS, model, 1, 3, -4.0, -3.0) < 1.0
+    assert 0.0 < joint_df(PARAMS, model, pair, 3.0, 4.0) < 1.0
+    assert 0.0 < joint_df(PARAMS, model, RankPair(1, 3, Regime.LOWER_LOWER), -4.0, -3.0) < 1.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -278,9 +284,10 @@ def _mixture_case(law, regime):
 # law, a table) in every regime, and both exact joints
 _GRID_CASES = {
     "exact-marginal": lambda x, y: marginal_upper_df(PARAMS, _LOGISTIC, 2, x),
-    "exact-uu": lambda x, y: joint_upper_df(
+    "exact-uu": lambda x, y: joint_df(
         PARAMS, _LOGISTIC, RankPair(r=3, s=1, regime=Regime.UPPER_UPPER), x, y),
-    "exact-ll": lambda x, y: joint_lower_df(PARAMS, _LOGISTIC, 1, 3, -x, -y),
+    "exact-ll": lambda x, y: joint_df(
+        PARAMS, _LOGISTIC, RankPair(r=1, s=3, regime=Regime.LOWER_LOWER), -x, -y),
     **{f"{prefix}-{regime}": _mixture_case(law, regime)
        for prefix, law in (("limit", LAWS[0]), ("mix-exp", LAWS[1]), ("mix-table", LAWS[2]))
        for regime in _REGIME_CASES},

@@ -37,10 +37,8 @@ from .randomindex import (
     IndexMode,
     h_cdf,
     load_tabulated_csv,
-    mixture_ll,
-    mixture_lu,
+    mixture_df,
     mixture_marginal,
-    mixture_uu,
 )
 from .ranges import (
     RangeQuery,
@@ -74,8 +72,8 @@ __all__ = [
     "RankPair", "Regime", "SimConfig", "SimulationReport", "TailTransform",
     "UnsupportedCaseError", "cdf", "eta_limit", "h_cdf", "joint_df", "joint_df_direct",
     "kappa", "ks_distance", "lbar", "lm", "load_tabulated_csv", "log_gamma",
-    "marginal_lower_df", "marginal_upper_df", "midrange_limit_df", "mixture_ll", "mixture_lu",
-    "mixture_marginal", "mixture_uu", "norming_constants",
+    "marginal_lower_df", "marginal_upper_df", "midrange_limit_df", "mixture_df",
+    "mixture_marginal", "norming_constants",
     "normal_range_closed_form", "omega_ll", "omega_lu_product", "omega_uu",
     "parse_model", "quantile", "range_limit_df", "reg_inc_beta",
     "normal_midrange_integral", "normal_range_integral",

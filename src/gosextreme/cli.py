@@ -255,13 +255,11 @@ def _run_limit_like(args, law: IndexLaw | None) -> int:
     params = _gos_params(args)
     up = parse_transform(args.upper_tail, ExtremeSide.UPPER) if args.upper_tail else None
     low = parse_transform(args.lower_tail, ExtremeSide.LOWER) if args.lower_tail else None
-    need_up = args.regime in ("uu", "lu")
-    need_low = args.regime in ("ll", "lu")
-    if need_up and up is None:
-        raise UsageError(f"regime {args.regime} needs --upper-tail")
-    if need_low and low is None:
-        raise UsageError(f"regime {args.regime} needs --lower-tail")
-    pair = RankPair(r=args.r, s=args.s, regime=_REGIMES[args.regime])
+    regime = _REGIMES[args.regime]
+    for side, tail in ((ExtremeSide.UPPER, up), (ExtremeSide.LOWER, low)):
+        if side in regime.sides and tail is None:
+            raise UsageError(f"regime {args.regime} needs --{side.value}-tail")
+    pair = RankPair(r=args.r, s=args.s, regime=regime)
     config = {
         "verb": "mix" if law is not None else "limit",
         "regime": args.regime, "m": args.m, "k": args.k, "r": args.r, "s": args.s,

@@ -405,12 +405,17 @@ def _normal_norming(_, params: GosParams) -> tuple[float, ...]:
     # the lower side (m+1)*N because L_m compresses the lower tail.
     def classic(n_eff: float) -> tuple[float, float]:
         ln_n = math.log(n_eff)
+        if not ln_n > 0.0:  # an effective size that rounds to 1 or below has no constants
+            return math.nan, math.nan
         root = math.sqrt(2.0 * ln_n)
         a = 1.0 / root
         b = root - (math.log(ln_n) + math.log(4.0 * math.pi)) / (2.0 * root)
         return a, b
 
-    n_up = params.big_n ** (1.0 / (params.m + 1.0))
+    try:
+        n_up = params.big_n ** (1.0 / (params.m + 1.0))
+    except OverflowError:
+        n_up = math.inf
     n_low = (params.m + 1.0) * params.big_n
     a, b = classic(n_up)
     c, d_pos = classic(n_low)
@@ -537,7 +542,7 @@ def parse_model(text: str) -> DistributionModel:
 
 def _lm_prob(mp1: float, p: float) -> float:
     """Probability level of F matching level p of G = L_m; small-p safe."""
-    return -math.expm1(math.log1p(-p) / mp1)
+    return -math.expm1(math.log1p(-p) / mp1) if p < 1.0 else 1.0
 
 
 def norming_constants(model: DistributionModel, params: GosParams) -> NormingConstants:
@@ -575,7 +580,7 @@ def _quantile_norming(model: DistributionModel, params: GosParams) -> tuple[floa
                          lambda v: float(rec.isf(prm, v)), lambda v: float(rec.upper_gap(prm, v)),
                          hi, u, u / math.e)
     c, centre = _norming_side(tail_transform(model, ExtremeSide.LOWER).kind,
-                              lambda p: -float(quantile(model, p)),
+                              lambda p: -float(rec.quantile(prm, p)),
                               lambda p: float(rec.lower_gap(prm, p)), -lo,
                               _lm_prob(mp1, 1.0 / big_n), _lm_prob(mp1, 1.0 / (math.e * big_n)))
     return a, b, c, 0.0 - centre  # keeps a frechet minimum's d at +0.0, as -centre would not

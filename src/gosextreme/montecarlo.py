@@ -53,8 +53,8 @@ import numpy as np
 
 from .distributions import DistributionModel, norming_constants, quantile, tail_transform
 from .limitlaws import TailTransform, kappa, rho
-from .params import ExtremeSide, GosParams, RankPair, Regime
-from .randomindex import IndexLaw, IndexMode, _draw_index, mixture_ll, mixture_lu, mixture_uu
+from .params import ExtremeSide, GosParams, RankPair
+from .randomindex import IndexLaw, IndexMode, _draw_index, mixture_df
 
 _ONE_BELOW = float(np.nextafter(1.0, 0.0))
 _TINY = 5e-324
@@ -131,8 +131,6 @@ def sample_random_index(mode: IndexMode, n: int, rng: np.random.Generator, floor
     return nu
 
 
-_SideRank = tuple[ExtremeSide, int]
-
 # Positions per block: a replication draws its uniforms _BLOCK at a time.
 _BLOCK = 1024
 # Replications per tile: the rows whose running sums advance together.  A
@@ -190,10 +188,10 @@ class _TileSampler:
     row-wise `cumsum` of the block's prefix.
     """
 
-    def __init__(self, params, mode, first, second, seed, tile):
+    def __init__(self, params, mode, pair, seed, tile):
         self._n, self._mode = params.n, mode
-        self._sides = (first, second)
-        self._floor = max(first[1], second[1]) + 1
+        self._pair = pair
+        self._floor = pair.max_rank + 1
         self._carries = mode.carries
         self._streams = _Streams(seed, tile)
         self._k, self._step = params.k, params.m + 1.0
@@ -205,13 +203,13 @@ class _TileSampler:
         that reaches the top; then every nu is drawn here once, and sorting
         by length gives each tile rows of about equal length.  Otherwise
         replication 0's length is every replication's."""
-        upper = any(side == ExtremeSide.UPPER for side, _ in self._sides)
+        upper = ExtremeSide.UPPER in self._pair.regime.sides
         draws = range(replications) if self._mode.random_nu and upper else range(1)
         nus = np.fromiter((
             _draw_index(self._mode, self._n, self._streams.start(i), self._floor)[0]
             for i in draws
         ), dtype=np.int64, count=len(draws))
-        stops = np.maximum(*(_position(side_rank, nus) for side_rank in self._sides)) + 1
+        stops = np.maximum(*_positions(self._pair, nus)) + 1
         size = self._tile * min(_BLOCK, int(stops.max()))
         self._flat = (np.empty(size), np.empty(size))
         if len(draws) < replications:
@@ -230,7 +228,7 @@ class _TileSampler:
             rngs.append(rng)
             if carry is not None:
                 carries[slot] = carry
-        at = [_position(side_rank, nus) for side_rank in self._sides]
+        at = _positions(self._pair, nus)
         stop = np.maximum(*at) + 1
         width = int(stop.max())
         pad = width - stop
@@ -302,20 +300,17 @@ def simulate_value_pairs(
     params: GosParams,
     model: DistributionModel,
     mode: IndexMode,
-    first: _SideRank,
-    second: _SideRank,
+    pair: RankPair,
     replications: int,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (unnormalized) extreme pairs, one row per replication.
-
-    Each coordinate is (side, rank): rank from the bottom for LOWER,
-    from the top for UPPER.
+    """Raw (unnormalized) values of the pair's two extremes, one per
+    replication each: r and s count from the ends `pair.regime.sides` names.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
     tile = min(_TILE, replications)
-    sampler = _TileSampler(params, mode, first, second, seed, tile)
+    sampler = _TileSampler(params, mode, pair, seed, tile)
     sum_first = np.empty(replications)
     sum_second = np.empty(replications)
     order = sampler.plan(replications)
@@ -329,17 +324,10 @@ def simulate_value_pairs(
     return x_first, x_second
 
 
-def _position(side_rank: _SideRank, nu: np.ndarray) -> np.ndarray:
-    side, rank = side_rank
-    return np.full_like(nu, rank - 1) if side == ExtremeSide.LOWER else nu - rank
-
-
-def _regime_sides(pair: RankPair) -> tuple[_SideRank, _SideRank]:
-    if pair.regime == Regime.UPPER_UPPER:
-        return (ExtremeSide.UPPER, pair.r), (ExtremeSide.UPPER, pair.s)
-    if pair.regime == Regime.LOWER_LOWER:
-        return (ExtremeSide.LOWER, pair.r), (ExtremeSide.LOWER, pair.s)
-    return (ExtremeSide.LOWER, pair.r), (ExtremeSide.UPPER, pair.s)
+def _positions(pair: RankPair, nu: np.ndarray) -> list[np.ndarray]:
+    """The 0-based positions of r and s in samples of sizes nu."""
+    return [np.full_like(nu, rank - 1) if side == ExtremeSide.LOWER else nu - rank
+            for side, rank in zip(pair.regime.sides, (pair.r, pair.s))]
 
 
 def analytic_limit_df(
@@ -356,11 +344,9 @@ def analytic_limit_df(
     floats or arrays that broadcast: on a grid's axes (a column and a row)
     each transform runs once per grid value.  A degenerate law gives the
     fixed-size limit."""
-    if pair.regime == Regime.UPPER_UPPER:
-        return mixture_uu(params, pair.r, pair.s, kappa(up, x), kappa(up, y), law)
-    if pair.regime == Regime.LOWER_LOWER:
-        return mixture_ll(pair.r, pair.s, rho(low, x), rho(low, y), law)
-    return mixture_lu(params, pair.r, pair.s, rho(low, x), kappa(up, y), law)
+    values = (kappa(up, v) if side == ExtremeSide.UPPER else rho(low, v)
+              for side, v in zip(pair.regime.sides, (x, y)))
+    return mixture_df(params, pair, law, *values)
 
 
 def run_bivariate_sim(config: SimConfig) -> SimulationReport:
@@ -371,14 +357,13 @@ def run_bivariate_sim(config: SimConfig) -> SimulationReport:
     is deterministic for a given config (including the seed).
     """
     params, model, pair = config.params, config.model, config.ranks
-    first, second = _regime_sides(pair)
+    first, second = pair.regime.sides
     consts = norming_constants(model, params)
     raw1, raw2 = simulate_value_pairs(
-        params, model, config.index_mode, first, second,
-        config.replications, config.seed,
+        params, model, config.index_mode, pair, config.replications, config.seed,
     )
-    z1 = _normalize(raw1, first[0], consts)
-    z2 = _normalize(raw2, second[0], consts)
+    z1 = _normalize(raw1, first, consts)
+    z2 = _normalize(raw2, second, consts)
 
     law = config.index_mode.implied_law()
     up = tail_transform(model, ExtremeSide.UPPER)

@@ -14,6 +14,11 @@ from enum import Enum
 import numpy as np
 
 
+class ExtremeSide(str, Enum):
+    UPPER = "upper"
+    LOWER = "lower"
+
+
 class Regime(str, Enum):
     """Which tail each member of a bivariate extreme pair comes from."""
 
@@ -21,10 +26,15 @@ class Regime(str, Enum):
     LOWER_LOWER = "lower_lower"
     LOWER_UPPER = "lower_upper"
 
+    @property
+    def sides(self) -> tuple[ExtremeSide, ExtremeSide]:
+        """The ends that r and s count from, in that order: the one map from
+        a regime to its tails."""
+        return _REGIME_SIDES[self]
 
-class ExtremeSide(str, Enum):
-    UPPER = "upper"
-    LOWER = "lower"
+
+# Each value reads `<r's end>_<s's end>`.
+_REGIME_SIDES = {regime: tuple(map(ExtremeSide, regime.value.split("_"))) for regime in Regime}
 
 
 @dataclass(frozen=True)

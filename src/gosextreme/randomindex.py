@@ -80,7 +80,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .params import ExtremeSide, GosParams, number_label
+from .params import ExtremeSide, GosParams, RankPair, Regime, number_label
 from .specfun import (clip_probability, domain_error, reg_inc_beta, reg_inc_gamma,
                       reg_inc_gamma_upper)
 
@@ -682,44 +682,51 @@ def _gamma_moment_ratio(shape: float, p, x, need):
     return out
 
 
-def mixture_uu(params: GosParams, r: int, s: int, kappa1, kappa2, law: IndexLaw):
-    """Random-index upper-upper limit at transform values (kappa1, kappa2),
-    floats or arrays that broadcast."""
-    k1, k2 = params.kappa_power(kappa1), params.kappa_power(kappa2)
-    if not s < r:
-        raise ValueError(f"upper-upper requires s < r, got r={r}, s={s}")
-    rs = params.rank_weight(s)
-    # Where k1 <= k2 (x >= y) the joint collapses onto the shallower
-    # marginal at k2.  Elsewhere G_r = G_s + D with D ~ Gamma(r - s):
-    # either G_s > k1 already, or G_s lies in (k2, k1] and D covers the
-    # rest, which at G_s = k1 t splits by the Poisson sum of D's tail into
-    # beta ratios in t.  Q(R_s, .) at max(k1, k2) is read off one call over
-    # both, and collapsed points take x = 0, where every ratio vanishes.
-    joint = k1 > k2
-    k1, k2 = np.asarray(k1), np.asarray(k2)
-    q = index_kernel(law, 0.0, 0.0, rs, np.concatenate([k1.ravel(), k2.ravel()]))
-    value = np.where(joint, q[:k1.size].reshape(k1.shape), q[k1.size:].reshape(k2.shape))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = np.where(joint, 1.0 - k2 / k1, 0.0)
-    for i in range(r - s):
-        value = value + index_kernel(law, rs + i, k1) * reg_inc_beta(x, i + 1, rs)
+def mixture_df(params: GosParams, pair: RankPair, law: IndexLaw, a, b):
+    """Random-index limit df of the rank pair at transform values (a, b),
+    floats or arrays that broadcast: each is kappa at an upper end and rho
+    at a lower one, by `pair.regime.sides`.
+
+    Lower-upper is int Gamma_r(z a) [1 - Gamma_{R_s}(z b^(m+1))] dH(z).
+    Both factors share one index scale z: the sample size couples the
+    minimum and the maximum, so under a non-degenerate law it is not the
+    product of the two mixed marginals (a degenerate law reduces it to
+    `omega_lu_product`).  With the Poisson sum
+    Gamma_r(x) = 1 - sum_{j<r} x^j e^-x / j! it is a finite sum of kernels."""
+    r, s = pair.r, pair.s
+    if pair.regime == Regime.UPPER_UPPER:
+        k1, k2 = params.kappa_power(a), params.kappa_power(b)
+        rs = params.rank_weight(s)
+        # Where k1 <= k2 (x >= y) the joint collapses onto the shallower
+        # marginal at k2.  Elsewhere G_r = G_s + D with D ~ Gamma(r - s):
+        # either G_s > k1 already, or G_s lies in (k2, k1] and D covers the
+        # rest, which at G_s = k1 t splits by the Poisson sum of D's tail into
+        # beta ratios in t.  Q(R_s, .) at max(k1, k2) is read off one call over
+        # both, and collapsed points take x = 0, where every ratio vanishes.
+        joint = k1 > k2
+        k1, k2 = np.asarray(k1), np.asarray(k2)
+        q = index_kernel(law, 0.0, 0.0, rs, np.concatenate([k1.ravel(), k2.ravel()]))
+        value = np.where(joint, q[:k1.size].reshape(k1.shape), q[k1.size:].reshape(k2.shape))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x = np.where(joint, 1.0 - k2 / k1, 0.0)
+        for i in range(r - s):
+            value = value + index_kernel(law, rs + i, k1) * reg_inc_beta(x, i + 1, rs)
+        return clip_probability(value)
+    if pair.regime == Regime.LOWER_LOWER:
+        # Where a >= b (x >= y) the deeper coordinate is inactive, and
+        # collapsed points take x = 0, where every ratio vanishes.
+        collapsed = a >= b
+        value = np.where(collapsed, _mixed_lower(s, b, law), _mixed_lower(r, a, law))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x = np.where(collapsed, 0.0, np.divide(a, b))
+        for j in range(s - r):
+            value = value - index_kernel(law, r + j, b) * reg_inc_beta(x, r, j + 1)
+        return clip_probability(value if value.ndim else float(value))
+    k2 = params.kappa_power(b)
+    shape = params.rank_weight(s)
+    value = index_kernel(law, 0.0, 0.0, shape, k2)
+    value = value - sum(index_kernel(law, float(j), a, shape, k2) for j in range(r))
     return clip_probability(value)
-
-
-def mixture_ll(r: int, s: int, rho1, rho2, law: IndexLaw):
-    """Random-index lower-lower limit at transform values (rho1, rho2),
-    floats or arrays that broadcast."""
-    if not r < s:
-        raise ValueError(f"lower-lower requires r < s, got r={r}, s={s}")
-    # Where rho1 >= rho2 (x >= y) the deeper coordinate is inactive, and
-    # collapsed points take x = 0, where every ratio vanishes.
-    collapsed = rho1 >= rho2
-    value = np.where(collapsed, _mixed_lower(s, rho2, law), _mixed_lower(r, rho1, law))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = np.where(collapsed, 0.0, np.divide(rho1, rho2))
-    for j in range(s - r):
-        value = value - index_kernel(law, r + j, rho2) * reg_inc_beta(x, r, j + 1)
-    return clip_probability(value if value.ndim else float(value))
 
 
 def mixture_marginal(
@@ -740,22 +747,3 @@ def mixture_marginal(
 
 def _mixed_lower(r: int, rho, law: IndexLaw):
     return clip_probability(1.0 - index_kernel(law, 0.0, 0.0, float(r), rho))
-
-
-def mixture_lu(params: GosParams, r: int, s: int, rho1, kappa2, law: IndexLaw):
-    """Random-index lower-upper limit
-    int Gamma_r(z rho1) [1 - Gamma_{R_s}(z kappa2^(m+1))] dH(z), at floats
-    or arrays that broadcast.
-
-    Both factors share one index scale z: the sample size couples the
-    minimum and the maximum, so under a non-degenerate law this is not
-    the product of the two mixed marginals.  A degenerate law reduces it
-    to `omega_lu_product`.  With the Poisson sum
-    Gamma_r(x) = 1 - sum_{j<r} x^j e^-x / j! it is a finite sum of kernels."""
-    if r < 1 or s < 1:
-        raise ValueError("ranks must be >= 1")
-    k2 = params.kappa_power(kappa2)
-    shape = params.rank_weight(s)
-    value = index_kernel(law, 0.0, 0.0, shape, k2)
-    value = value - sum(index_kernel(law, float(j), rho1, shape, k2) for j in range(r))
-    return clip_probability(value)

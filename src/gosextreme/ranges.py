@@ -47,7 +47,7 @@ from .distributions import (DistributionModel, NormingConstants, UnsupportedCase
                             norming_constants, tail_transform)
 from .limitlaws import TailTransform, kappa, rho, rho_inverse
 from .montecarlo import SimulationReport, simulate_value_pairs, tally_report
-from .params import ExtremeSide, GosParams
+from .params import ExtremeSide, GosParams, RankPair, Regime
 from .randomindex import IndexLaw, IndexMode, index_kernel
 from .specfun import clip_probability
 
@@ -372,9 +372,7 @@ def run_statistic_sim(
     params, model = query.params, query.model
     consts = norming_constants(model, params)
     mins, maxs = simulate_value_pairs(
-        params, model, mode,
-        (ExtremeSide.LOWER, 1), (ExtremeSide.UPPER, 1),
-        replications, seed,
+        params, model, mode, RankPair(1, 1, Regime.LOWER_UPPER), replications, seed,
     )
     scale, center = statistic_normalization(query, consts)
     if query.statistic == "range":

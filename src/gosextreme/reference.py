@@ -60,7 +60,7 @@ from .distributions import (
 from .limitlaws import kappa
 from .montecarlo import IndexMode, SimConfig, _column_sums, _Streams, run_bivariate_sim
 from .params import ExtremeSide, GosParams, RankPair, Regime
-from .randomindex import IndexLaw, index_kernel, mixture_ll, mixture_lu, mixture_marginal, mixture_uu
+from .randomindex import IndexLaw, index_kernel, mixture_df, mixture_marginal
 from .specfun import clip_probability, log_gamma, reg_inc_beta, reg_inc_gamma, reg_inc_gamma_upper
 
 OMEGA_ABS_TOL = 1e-10
@@ -463,12 +463,15 @@ def _mix_degenerate():
         r = s + int(rng.integers(1, 3))
         k1 = float(rng.uniform(0.1, 3.0))
         k2 = float(rng.uniform(0.0, k1))
-        worst = max(worst, abs(
-            mixture_uu(params, r, s, k1, k2, deg) - omega_uu(params, r, s, k1, k2)))
         rho1 = float(rng.uniform(0.1, 2.0))
         rho2 = rho1 + float(rng.uniform(0.0, 2.0))
-        worst = max(worst, abs(
-            mixture_ll(s, r, rho1, rho2, deg) - omega_ll(s, r, rho1, rho2)))
+        for pair, a, b, want in (
+            (RankPair(r, s, Regime.UPPER_UPPER), k1, k2, omega_uu(params, r, s, k1, k2)),
+            (RankPair(s, r, Regime.LOWER_LOWER), rho1, rho2, omega_ll(s, r, rho1, rho2)),
+            (RankPair(s, r, Regime.LOWER_UPPER), rho1, k1,
+             omega_lu_product(params, s, r, rho1, k1)),
+        ):
+            worst = max(worst, abs(mixture_df(params, pair, deg, a, b) - want))
     return worst <= 1e-10, f"max degenerate-law defect {worst:.2e}"
 
 
@@ -480,7 +483,8 @@ def _mix_closed():
     for x in (-1.0, 0.0, 2.0):
         got = mixture_marginal(ExtremeSide.UPPER, params, 1, math.exp(-x), law)
         worst = max(worst, abs(got - 1.0 / (1.0 + math.exp(-x))))
-    worst = max(worst, abs(mixture_lu(params, 1, 1, 1.0, 1.0, law) - 1.0 / 6.0))
+    lu = RankPair(1, 1, Regime.LOWER_UPPER)
+    worst = max(worst, abs(mixture_df(params, lu, law, 1.0, 1.0) - 1.0 / 6.0))
     return worst <= 1e-8, f"max closed-form defect {worst:.2e}"
 
 

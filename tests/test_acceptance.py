@@ -13,7 +13,7 @@ from gosextreme.cli import main as cli_main
 from gosextreme.distributions import parse_model
 from gosextreme.montecarlo import IndexMode, SimConfig, run_bivariate_sim
 from gosextreme.params import GosParams, RankPair, Regime
-from gosextreme.randomindex import IndexLaw, mixture_ll, mixture_lu, mixture_uu
+from gosextreme.randomindex import IndexLaw, mixture_df
 from gosextreme.ranges import (
     RangeQuery,
     midrange_limit_df,
@@ -90,17 +90,19 @@ def test_criterion_4_degenerate_reduction(capsys):
         kap1 = float(rng.uniform(0.2, 3.0))
         kap2 = float(rng.uniform(0.0, kap1))
         worst = max(worst, abs(
-            mixture_uu(params, r, s, kap1, kap2, deg) - omega_uu(params, r, s, kap1, kap2)
+            mixture_df(params, RankPair(r, s, Regime.UPPER_UPPER), deg, kap1, kap2)
+            - omega_uu(params, r, s, kap1, kap2)
         ))
         r2 = int(rng.integers(1, 3))
         s2 = r2 + int(rng.integers(1, 3))
         rho1 = float(rng.uniform(0.1, 2.0))
         rho2 = rho1 + float(rng.uniform(0.0, 2.0))
         worst = max(worst, abs(
-            mixture_ll(r2, s2, rho1, rho2, deg) - omega_ll(r2, s2, rho1, rho2)
+            mixture_df(params, RankPair(r2, s2, Regime.LOWER_LOWER), deg, rho1, rho2)
+            - omega_ll(r2, s2, rho1, rho2)
         ))
         worst = max(worst, abs(
-            mixture_lu(params, r2, s, rho1, kap1, deg)
+            mixture_df(params, RankPair(r2, s, Regime.LOWER_UPPER), deg, rho1, kap1)
             - omega_lu_product(params, r2, s, rho1, kap1)
         ))
     assert worst <= 1e-10

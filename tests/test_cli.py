@@ -629,6 +629,23 @@ class TestEdgeSweepReproducers:
         assert err.startswith("numerical failure: normalizing constants (a, b, c, d) = ")
 
     @pytest.mark.parametrize("argv", [
+        ["simulate", "--dist", "normal", "--regime", "uu", "--r", "2", "--s", "1", "--m", "1e300",
+         "--k", "1e300", "--n", "50", "--reps", "7", "--x-grid=0:1:2"],
+        ["simulate", "--dist", "normal", "--regime", "uu", "--r", "3", "--s", "1",
+         "--m", "-0.999999999", "--k", "1", "--n", "50", "--reps", "7", "--x-grid=0:1:2"],
+        ["example", "lognormal-range", "--m", "-0.999999999", "--k", "1e-300",
+         "--law", "degenerate:2.5", "--at=0.5", "--sim-n", "50", "--sim-reps", "1"],
+        ["simulate", "--dist", "cauchy", "--regime", "lu", "--r", "1", "--s", "1",
+         "--m", "-0.999999999", "--k", "1e-300", "--n", "2", "--reps", "7", "--x-grid=0:1:2"],
+    ], ids=["normal-size-one", "normal-size-overflow", "lognormal-level-one", "cauchy-level-one"])
+    def test_norming_constants_of_every_family(self, capsys, argv):
+        # an effective size that rounds to 1 or overflows, and a tail level
+        # that rounds to 1, end in the documented error, not a bare one
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical failure: normalizing constants (a, b, c, d) = ")
+
+    @pytest.mark.parametrize("argv", [
         ["limit", "--regime", "uu", "--r", "2", "--s", "1", "--m", "-0.999999999", "--k", "1e300",
          "--upper-tail", "gumbel", "--x-grid=0:1:2", "--y-grid=0:1:2"],
         ["exact", "--dist", "logistic", "--n", "5", "--regime", "uu", "--r", "2", "--s", "1",

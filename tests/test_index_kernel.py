@@ -19,15 +19,13 @@ from scipy import special
 
 from gosextreme import randomindex
 from gosextreme.distributions import parse_model
-from gosextreme.params import ExtremeSide, GosParams
+from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime
 from gosextreme.randomindex import (
     IndexLaw,
     clip_probability,
     index_kernel,
-    mixture_ll,
-    mixture_lu,
+    mixture_df,
     mixture_marginal,
-    mixture_uu,
 )
 from gosextreme.ranges import RangeQuery, eta_limit, midrange_limit_df, range_limit_df
 from gosextreme.reference import (
@@ -53,6 +51,7 @@ DEGENERATE = [IndexLaw.degenerate(c) for c in (1e-3, 1.0, 1e3)]
 TOL = 1e-9
 # The upper-upper mixture is a finite sum of kernels, held to its oracle more tightly.
 SUM_TOL = 1e-10
+LL_PARAMS = GosParams(m=0.0, k=1.0, n=50)  # the lower-lower mixture reads no m or k
 
 
 def _quad(f, lo, hi, eps):
@@ -167,7 +166,8 @@ class TestKernel:
             for w in (1e-300, 1e-200):  # N(1, w) ~ w E[z] must itself be a normal float
                 assert index_kernel(law, 1, w) / w == pytest.approx(mean, rel=1e-12, abs=0.0)
             params = GosParams(m=0.0, k=1.0, n=50)
-            assert mixture_lu(params, 2, 1, 5e-324, 0.0, law) == pytest.approx(0.0, abs=1e-13)
+            got = mixture_df(params, RankPair(2, 1, Regime.LOWER_UPPER), law, 5e-324, 0.0)
+            assert got == pytest.approx(0.0, abs=1e-13)
 
 
 def _exponential_shape_one_oracle(j, w, c):
@@ -664,7 +664,8 @@ class TestCollapsedMixtures:
             kap1 = float(rng.uniform(0.2, 3.0))
             kap2 = float(rng.uniform(0.0, 1.2 * kap1))
             want = mix_over_z(lambda z: uu_slice(rr, rs, z * kap1**mp1, z * kap2**mp1), law)
-            assert mixture_uu(params, r, s, kap1, kap2, law) == pytest.approx(want, abs=SUM_TOL)
+            got = mixture_df(params, RankPair(r, s, Regime.UPPER_UPPER), law, kap1, kap2)
+            assert got == pytest.approx(want, abs=SUM_TOL)
 
     @pytest.mark.parametrize("name", sorted(LAWS))
     def test_ll(self, name):
@@ -675,7 +676,8 @@ class TestCollapsedMixtures:
             rho1 = float(rng.uniform(0.05, 3.0))
             rho2 = rho1 * float(rng.uniform(0.8, 4.0))
             want = mix_over_z(lambda z: ll_slice(r, s, z * rho1, z * rho2), law)
-            assert mixture_ll(r, s, rho1, rho2, law) == pytest.approx(want, abs=TOL)
+            got = mixture_df(LL_PARAMS, RankPair(r, s, Regime.LOWER_LOWER), law, rho1, rho2)
+            assert got == pytest.approx(want, abs=TOL)
 
     @pytest.mark.parametrize("name", sorted(LAWS))
     def test_lu_and_marginals(self, name):
@@ -687,7 +689,8 @@ class TestCollapsedMixtures:
             rho, kap = float(rng.uniform(0.0, 4.0)), float(rng.uniform(0.05, 3.0))
             want = mix_over_z(
                 lambda z: special.gammainc(r, z * rho) * upper_q(rs, z * kap**mp1), law)
-            assert mixture_lu(params, r, s, rho, kap, law) == pytest.approx(want, abs=TOL)
+            got = mixture_df(params, RankPair(r, s, Regime.LOWER_UPPER), law, rho, kap)
+            assert got == pytest.approx(want, abs=TOL)
             want = mix_over_z(lambda z: upper_q(rs, z * kap**mp1), law)
             got = mixture_marginal(ExtremeSide.UPPER, params, s, kap, law)
             assert got == pytest.approx(want, abs=TOL)
@@ -703,7 +706,8 @@ class TestCollapsedMixtures:
         rr, rs, mp1 = params.rank_weight(3), params.rank_weight(1), 1.3
         for kap1, kap2 in ((1.1, 0.6), (0.05, 0.01)):
             want = mix_over_z(lambda z: uu_slice(rr, rs, z * kap1**mp1, z * kap2**mp1), law)
-            assert mixture_uu(params, 3, 1, kap1, kap2, law) == pytest.approx(want, abs=SUM_TOL)
+            got = mixture_df(params, RankPair(3, 1, Regime.UPPER_UPPER), law, kap1, kap2)
+            assert got == pytest.approx(want, abs=SUM_TOL)
 
     @pytest.mark.parametrize("name", ["degenerate", "exponential", "table", "table-at-zero"])
     def test_high_ranks(self, name):
@@ -713,13 +717,14 @@ class TestCollapsedMixtures:
         for s, kap1, kap2 in ((1, 0.05, 0.01), (1, 60.0, 20.0), (150, 70.0, 60.0)):
             rs = params.rank_weight(s)
             want = mix_over_z(lambda z: uu_slice(rr, rs, z * kap1**mp1, z * kap2**mp1), law)
-            assert mixture_uu(params, 200, s, kap1, kap2, law) == pytest.approx(
-                want, abs=SUM_TOL)
+            got = mixture_df(params, RankPair(200, s, Regime.UPPER_UPPER), law, kap1, kap2)
+            assert got == pytest.approx(want, abs=SUM_TOL)
         for s, rho, kap in ((3, 100.0, 0.5), (3, 150.0, 0.05), (120, 120.0, 0.9)):
             rs = params.rank_weight(s)
             want = mix_over_z(
                 lambda z: special.gammainc(200, z * rho) * upper_q(rs, z * kap**mp1), law)
-            assert mixture_lu(params, 200, s, rho, kap, law) == pytest.approx(want, abs=TOL)
+            got = mixture_df(params, RankPair(200, s, Regime.LOWER_UPPER), law, rho, kap)
+            assert got == pytest.approx(want, abs=TOL)
 
     def test_uu_limit_sum_matches_the_reference_quadrature(self):
         # the `limit` verb's upper-upper values against omega_uu, over deeper pairs
@@ -730,7 +735,7 @@ class TestCollapsedMixtures:
             r = s + int(rng.integers(1, 7))
             v1 = float(rng.uniform(0.05, 4.0))
             v2 = float(rng.uniform(0.0, 1.2 * v1))
-            got = mixture_uu(params, r, s, v1, v2, law)
+            got = mixture_df(params, RankPair(r, s, Regime.UPPER_UPPER), law, v1, v2)
             assert got == pytest.approx(omega_uu(params, r, s, v1, v2), abs=SUM_TOL)
 
     @pytest.mark.parametrize("law", DEGENERATE, ids=lambda law: law.label())
@@ -746,15 +751,16 @@ class TestCollapsedMixtures:
             r = s + int(rng.integers(1, 3))
             v1 = float(rng.uniform(0.2, 3.0))
             v2 = float(rng.uniform(0.0, 1.2 * v1))
-            got = mixture_uu(params, r, s, v1 / scale, v2 / scale, law)
+            uu = RankPair(r, s, Regime.UPPER_UPPER)
+            got = mixture_df(params, uu, law, v1 / scale, v2 / scale)
             assert got == pytest.approx(omega_uu(params, r, s, v1, v2), abs=1e-10)
             lr = int(rng.integers(1, 4))
             ls = lr + int(rng.integers(1, 4))
             rho1 = float(rng.uniform(0.05, 3.0))
             rho2 = rho1 * float(rng.uniform(0.8, 4.0))
-            got = mixture_ll(lr, ls, rho1 / c, rho2 / c, law)
+            got = mixture_df(params, RankPair(lr, ls, Regime.LOWER_LOWER), law, rho1 / c, rho2 / c)
             assert got == pytest.approx(omega_ll(lr, ls, rho1, rho2), abs=1e-10)
-            got = mixture_lu(params, lr, s, rho1 / c, v1 / scale, law)
+            got = mixture_df(params, RankPair(lr, s, Regime.LOWER_UPPER), law, rho1 / c, v1 / scale)
             assert got == pytest.approx(omega_lu_product(params, lr, s, rho1, v1), abs=1e-10)
             got = mixture_marginal(ExtremeSide.UPPER, params, s, v1 / scale, law)
             assert got == pytest.approx(upper_marginal_limit(params, s, v1), abs=1e-10)
@@ -867,7 +873,7 @@ def test_uu_is_bivariate_df(law, m, k, a, b, da, db):
     params = GosParams(m=m, k=k, n=50)
 
     def F(k1, k2):
-        return mixture_uu(params, 2, 1, k1, k2, law)
+        return mixture_df(params, RankPair(2, 1, Regime.UPPER_UPPER), law, k1, k2)
 
     hi, lo_x, lo_y, lo = F(a, b), F(a + da, b), F(a, b + db), F(a + da, b + db)
     for v in (hi, lo_x, lo_y, lo):
@@ -880,7 +886,7 @@ def test_uu_is_bivariate_df(law, m, k, a, b, da, db):
 @given(law=law_strategy, a=transform, b=transform, da=transform, db=transform)
 def test_ll_is_bivariate_df(law, a, b, da, db):
     def F(r1, r2):
-        return mixture_ll(1, 3, r1, r2, law)
+        return mixture_df(LL_PARAMS, RankPair(1, 3, Regime.LOWER_LOWER), law, r1, r2)
 
     lo, hi_x, hi_y, hi = F(a, b), F(a + da, b), F(a, b + db), F(a + da, b + db)
     for v in (lo, hi_x, hi_y, hi):
@@ -897,7 +903,7 @@ def test_lu_is_bivariate_df(law, m, k, rho, kap, drho, dkap):
     params = GosParams(m=m, k=k, n=50)
 
     def F(r1, k2):
-        return mixture_lu(params, 2, 1, r1, k2, law)
+        return mixture_df(params, RankPair(2, 1, Regime.LOWER_UPPER), law, r1, k2)
 
     lo, hi_x, hi_y, hi = F(rho, kap + dkap), F(rho + drho, kap + dkap), F(rho, kap), \
         F(rho + drho, kap)

@@ -395,10 +395,18 @@ def _loop_reference(params, model, mode, first, second, replications, seed):
     )
 
 
+def _sample(params, model, mode, first, second, replications, seed):
+    """`simulate_value_pairs` at the RankPair whose regime counts r and s
+    from the ends of the two (side, rank) coordinates."""
+    regime = next(g for g in Regime if g.sides == (first[0], second[0]))
+    pair = RankPair(first[1], second[1], regime)
+    return simulate_value_pairs(params, model, mode, pair, replications, seed)
+
+
 _L, _U = ExtremeSide.LOWER, ExtremeSide.UPPER
 _ORACLE_PAIRS = [
     ((_U, 2), (_U, 1)), ((_U, 3), (_U, 2)),
-    ((_L, 1), (_L, 2)), ((_L, 3), (_L, 1)),
+    ((_L, 1), (_L, 2)), ((_L, 1), (_L, 3)),
     ((_L, 1), (_U, 1)), ((_L, 3), (_U, 2)), ((_L, 2), (_U, 3)),
 ]
 _ORACLE_MODES = [
@@ -426,7 +434,7 @@ class TestSamplerMatchesTheLoop:
                     if max(first[1], second[1]) > n:
                         continue
                     args = (params, model, index, first, second, 12, 2024 + n)
-                    got = simulate_value_pairs(*args)
+                    got = _sample(*args)
                     want = _loop_reference(*args)
                     for g, w in zip(got, want):
                         assert np.array_equal(g, w), (mode, m, n, first, second)
@@ -439,7 +447,7 @@ class TestSamplerMatchesTheLoop:
         params = GosParams(m=0.4, k=2.0, n=300)
         args = (params, parse_model("normal"), IndexMode.parse("geometric"),
                 (_L, 1), (_U, 2), 40, 11)
-        for g, w in zip(simulate_value_pairs(*args), _loop_reference(*args)):
+        for g, w in zip(_sample(*args), _loop_reference(*args)):
             assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("mode", _ORACLE_MODES)
@@ -459,7 +467,7 @@ class TestSamplerMatchesTheLoop:
                 if max(first[1], second[1]) > n:
                     continue
                 args = (params, model, index, first, second, 13, 77 + n)
-                for g, w in zip(simulate_value_pairs(*args), _loop_reference(*args)):
+                for g, w in zip(_sample(*args), _loop_reference(*args)):
                     assert np.array_equal(g, w), (mode, n, first, second)
 
     @pytest.mark.parametrize("block", [50, 51])
@@ -475,7 +483,7 @@ class TestSamplerMatchesTheLoop:
             assert _draw_index(index, 100, rng, 3)[0] == 101
         for first, second in (((_U, 2), (_U, 1)), ((_L, 1), (_U, 1))):
             args = (params, parse_model("logistic"), index, first, second, 9, 5)
-            for g, w in zip(simulate_value_pairs(*args), _loop_reference(*args)):
+            for g, w in zip(_sample(*args), _loop_reference(*args)):
                 assert np.array_equal(g, w), (block, first, second)
 
     def test_streams_are_jumped_streams(self):
@@ -510,7 +518,7 @@ class TestSamplerMemory:
         neither time nor memory."""
         params = GosParams(m=0.0, k=1.0, n=10**9)
         args = (params, parse_model("logistic"), IndexMode.parse("geometric"),
-                (_L, 1), (_L, 2), 20, 3)
+                RankPair(1, 2, Regime.LOWER_LOWER), 20, 3)
         t0 = time.perf_counter()
         peak = _traced_peak(lambda: simulate_value_pairs(*args))
         assert time.perf_counter() - t0 < 0.5
@@ -524,7 +532,7 @@ class TestSamplerMemory:
             params = GosParams(m=0.0, k=1.0, n=n)
             return _traced_peak(lambda: simulate_value_pairs(
                 params, parse_model("logistic"), IndexMode.parse("fixed"),
-                (_U, 2), (_U, 1), 1, 5))
+                RankPair(2, 1, Regime.UPPER_UPPER), 1, 5))
 
         assert peak(2 * 10**6) <= peak(2 * 10**5) + 8 * montecarlo._BLOCK
 
@@ -537,7 +545,7 @@ class TestSamplerMemory:
             params = GosParams(m=0.0, k=1.0, n=n)
             return _traced_peak(lambda: simulate_value_pairs(
                 params, parse_model("logistic"), IndexMode.parse("fixed"),
-                (_U, 2), (_U, 1), replications, 5))
+                RankPair(2, 1, Regime.UPPER_UPPER), replications, 5))
 
         tile = 8 * montecarlo._TILE * montecarlo._BLOCK
         small = peak(2 * 10**4, 64)
@@ -551,4 +559,4 @@ def test_sampler_refuses_no_replications(replications):
     params = GosParams(m=0.0, k=1.0, n=20)
     with pytest.raises(ValueError, match=r"replications must be >= 1"):
         simulate_value_pairs(params, parse_model("logistic"), IndexMode.parse("fixed"),
-                             (_L, 1), (_U, 1), replications, 3)
+                             RankPair(1, 1, Regime.LOWER_UPPER), replications, 3)

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from gosextreme.params import ExtremeSide, GosParams
+from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime
 from gosextreme.randomindex import (
     IndexLaw,
     h_cdf,
     load_tabulated_csv,
-    mixture_ll,
-    mixture_lu,
+    mixture_df,
     mixture_marginal,
-    mixture_uu,
 )
 from gosextreme.reference import omega_ll, omega_lu_product, omega_uu
 
@@ -99,17 +97,19 @@ class TestDegenerateReduction:
             k1 = float(rng.uniform(0.2, 3.0))
             k2 = float(rng.uniform(0.0, k1))
             worst = max(worst, abs(
-                mixture_uu(params, r, s, k1, k2, DEG1) - omega_uu(params, r, s, k1, k2)
+                mixture_df(params, RankPair(r, s, Regime.UPPER_UPPER), DEG1, k1, k2)
+                - omega_uu(params, r, s, k1, k2)
             ))
             r2 = int(rng.integers(1, 3))
             s2 = r2 + int(rng.integers(1, 3))
             rho1 = float(rng.uniform(0.1, 2.0))
             rho2 = rho1 + float(rng.uniform(0.0, 2.0))
             worst = max(worst, abs(
-                mixture_ll(r2, s2, rho1, rho2, DEG1) - omega_ll(r2, s2, rho1, rho2)
+                mixture_df(params, RankPair(r2, s2, Regime.LOWER_LOWER), DEG1, rho1, rho2)
+                - omega_ll(r2, s2, rho1, rho2)
             ))
             worst = max(worst, abs(
-                mixture_lu(params, r2, s, rho1, k1, DEG1)
+                mixture_df(params, RankPair(r2, s, Regime.LOWER_UPPER), DEG1, rho1, k1)
                 - omega_lu_product(params, r2, s, rho1, k1)
             ))
         assert worst <= 1e-10
@@ -125,7 +125,7 @@ class TestClosedForms:
     def test_uu_marginal_slice_geometric(self):
         params = GosParams(m=0.0, k=1.0, n=100)
         for kval in (0.3, 1.0, 2.0):
-            got = mixture_uu(params, 2, 1, kval, 0.0, EXP_LAW)
+            got = mixture_df(params, RankPair(2, 1, Regime.UPPER_UPPER), EXP_LAW, kval, 0.0)
             # R_r = 2 slice: int (1 - Gamma_2(z kappa)) e^-z dz has closed form
             want = 1.0 / (1.0 + kval) + kval / (1.0 + kval) ** 2
             assert got == pytest.approx(want, abs=1e-8)
@@ -149,22 +149,25 @@ class TestClosedForms:
         assert got == pytest.approx(0.5, abs=1e-8)
 
     def test_ll_saturated_slice(self):
-        got = mixture_ll(1, 40, 1.0, math.inf, EXP_LAW)
+        params = GosParams(m=0.0, k=1.0, n=100)
+        got = mixture_df(params, RankPair(1, 40, Regime.LOWER_LOWER), EXP_LAW, 1.0, math.inf)
         assert got == pytest.approx(0.5, abs=1e-8)
 
     def test_ll_zero_first_coordinate(self):
+        params = GosParams(m=0.0, k=1.0, n=100)
         for law in (EXP_LAW, DEG1, IndexLaw.tabulated([(0.5, 0.0), (1.5, 1.0)])):
-            assert mixture_ll(1, 2, 0.0, 1.0, law) == pytest.approx(0.0, abs=1e-12)
+            pair = RankPair(1, 2, Regime.LOWER_LOWER)
+            assert mixture_df(params, pair, law, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_lu_quarter(self):
         # one shared z: int (1 - e^-z) e^-z e^-z dz = 1/2 - 1/3 = 1/6
         params = GosParams(m=0.0, k=1.0, n=100)
-        got = mixture_lu(params, 1, 1, 1.0, 1.0, EXP_LAW)
+        got = mixture_df(params, RankPair(1, 1, Regime.LOWER_UPPER), EXP_LAW, 1.0, 1.0)
         assert got == pytest.approx(1.0 / 6.0, abs=1e-8)
 
     def test_lu_first_factor_saturates(self):
         params = GosParams(m=0.0, k=1.0, n=100)
-        got = mixture_lu(params, 1, 1, math.inf, 1.0, EXP_LAW)
+        got = mixture_df(params, RankPair(1, 1, Regime.LOWER_UPPER), EXP_LAW, math.inf, 1.0)
         want = mixture_marginal(ExtremeSide.UPPER, params, 1, 1.0, EXP_LAW)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -183,7 +186,7 @@ class TestMixtureProperties:
         params = GosParams(m=0.7, k=1.3, n=12)
         for law in (EXP_LAW, IndexLaw.tabulated([(0.5, 0.0), (1.5, 1.0)])):
             for k1 in (0.4, 1.1):
-                got = mixture_uu(params, 3, 1, k1, 0.0, law)
+                got = mixture_df(params, RankPair(3, 1, Regime.UPPER_UPPER), law, k1, 0.0)
                 want = mixture_marginal(ExtremeSide.UPPER, params, 3, k1, law)
                 assert got == pytest.approx(want, abs=1e-8)
 
@@ -191,19 +194,19 @@ class TestMixtureProperties:
         params = GosParams(m=0.0, k=1.0, n=60)
         for law in (EXP_LAW, IndexLaw.tabulated([(0.5, 0.0), (1.5, 1.0)])):
             for rho1 in (0.4, 1.1):
-                got = mixture_ll(1, 50, rho1, math.inf, law)
+                got = mixture_df(params, RankPair(1, 50, Regime.LOWER_LOWER), law, rho1, math.inf)
                 want = mixture_marginal(ExtremeSide.LOWER, params, 1, rho1, law)
                 assert got == pytest.approx(want, abs=1e-8)
 
     def test_uu_mixture_is_df(self):
         params = GosParams(m=0.0, k=1.0, n=12)
         kgrid = [0.0, 0.2, 0.5, 1.0, 2.0, 4.5, math.inf]  # decreasing in x
-        vals = {}
+        vals, pair = {}, RankPair(2, 1, Regime.UPPER_UPPER)
         for k1 in kgrid:
             for k2 in kgrid:
                 if k2 > k1:  # x <= y means kappa1 >= kappa2
                     continue
-                vals[(k1, k2)] = mixture_uu(params, 2, 1, k1, k2, EXP_LAW)
+                vals[(k1, k2)] = mixture_df(params, pair, EXP_LAW, k1, k2)
         # monotone: smaller kappa (larger x) gives larger df value
         for k2 in kgrid[:-1]:
             seq = [vals[(k1, k2)] for k1 in kgrid if k1 >= k2]

@@ -31,10 +31,8 @@ from gosextreme.montecarlo import analytic_limit_df
 from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime
 from gosextreme.randomindex import (
     IndexLaw,
-    mixture_ll,
-    mixture_lu,
+    mixture_df,
     mixture_marginal,
-    mixture_uu,
 )
 from gosextreme.ranges import RANGE_ABS_TOL, RangeQuery, _limit_df, range_limit_df
 
@@ -98,9 +96,9 @@ def test_a_range_table_with_edge_points_loads_no_quadpack():
 @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.label())
 def test_mixtures(law):
     values = [
-        mixture_uu(PARAMS, 3, 1, 1.2, 0.7, law),
-        mixture_ll(1, 3, 0.6, 1.4, law),
-        mixture_lu(PARAMS, 2, 1, 0.8, 1.1, law),
+        mixture_df(PARAMS, RankPair(3, 1, Regime.UPPER_UPPER), law, 1.2, 0.7),
+        mixture_df(PARAMS, RankPair(1, 3, Regime.LOWER_LOWER), law, 0.6, 1.4),
+        mixture_df(PARAMS, RankPair(2, 1, Regime.LOWER_UPPER), law, 0.8, 1.1),
         mixture_marginal(ExtremeSide.UPPER, PARAMS, 2, 0.9, law),
         mixture_marginal(ExtremeSide.LOWER, PARAMS, 2, 0.9, law),
     ]
@@ -336,9 +334,9 @@ def test_mixture_kernel_calls_per_grid(monkeypatch, law):
     monkeypatch.setattr(randomindex, "index_kernel",
                         lambda *args: calls.append(args) or kernel(*args))
     x, y = np.linspace(0.2, 3.0, 5)[:, None], np.linspace(0.5, 4.0, 6)[None, :]
-    for mixture, want in ((lambda: mixture_uu(PARAMS, 3, 1, x, y, law), 3),
-                          (lambda: mixture_ll(1, 3, x, y, law), 4),
-                          (lambda: mixture_lu(PARAMS, 2, 1, x, y, law), 3)):
+    for pair, want in ((RankPair(3, 1, Regime.UPPER_UPPER), 3),
+                       (RankPair(1, 3, Regime.LOWER_LOWER), 4),
+                       (RankPair(2, 1, Regime.LOWER_UPPER), 3)):
         calls.clear()
-        assert mixture().shape == (5, 6)
+        assert mixture_df(PARAMS, pair, law, x, y).shape == (5, 6)
         assert len(calls) == want

@@ -36,46 +36,11 @@ from .distributions import FAMILY_NAMES, example_model, parse_model
 from .goscore import joint_df, marginal_lower_df, marginal_upper_df
 from .limitlaws import TailTransform
 from .montecarlo import SimConfig, analytic_limit_df, run_bivariate_sim
-from .params import ExtremeSide, GosParams, RankPair, Regime
-from .randomindex import IndexLaw, IndexMode, load_tabulated_csv, realizing_mode
+from .params import ExtremeSide, GosParams, RankPair, Regime, UsageError, parse_number, usage_line
+from .randomindex import IndexLaw, IndexMode, realizing_mode
 from .ranges import RangeQuery, midrange_limit_df, range_limit_df, run_statistic_sim
 
 OUTPUT_DIR_ENV = "GOSEXTREME_OUTDIR"
-
-_CONSTANTS = {
-    "pi": math.pi,
-    "e": math.e,
-    "ln2": math.log(2.0),
-    "ln4": math.log(4.0),
-    "inf": math.inf,
-}
-
-
-class UsageError(ValueError):
-    """Malformed command line; exit 1.  A ValueError, so that argparse
-    turns one raised by a `type=` converter into its own usage error."""
-
-
-def parse_number(text: str) -> float:
-    """Float literal or symbolic constant (pi, e, ln2, ln4, inf), negatable."""
-    word = text.strip().lower()
-    sign = 1.0
-    if word.startswith("-"):
-        sign, word = -1.0, word[1:]
-    elif word.startswith("+"):
-        word = word[1:]
-    if word in _CONSTANTS:
-        return sign * _CONSTANTS[word]
-    try:
-        value = float(word)
-    except ValueError as exc:
-        raise UsageError(
-            f"cannot parse number {text!r}; symbolic constants: {sorted(_CONSTANTS)}"
-        ) from exc
-    if math.isnan(value):
-        raise ValueError(f"{text!r} is not a number; NaN is not a valid argument")
-    return sign * value
-
 
 def parse_grid(text: str) -> list[float]:
     """`min:max:count` (count optional), or a single value."""
@@ -96,39 +61,6 @@ def parse_grid(text: str) -> list[float]:
     if math.isinf(lo) or math.isinf(hi):
         raise UsageError(f"grid spec {text!r} spaces {count} points over an infinite range")
     return np.linspace(lo, hi, count).tolist()
-
-
-def parse_transform(text: str, side: ExtremeSide) -> TailTransform:
-    parts = text.strip().lower().split(":")
-    kind = parts[0]
-    if kind == "gumbel":
-        if len(parts) != 1:
-            raise UsageError("gumbel takes no exponent")
-        return TailTransform(side=side, kind="gumbel")
-    if kind in ("frechet", "weibull") and len(parts) == 2:
-        return TailTransform(side=side, kind=kind, alpha=parse_number(parts[1]))
-    raise UsageError(
-        f"cannot parse tail transform {text!r}; expected frechet:a, weibull:a or gumbel"
-    )
-
-
-def parse_law(text: str) -> IndexLaw:
-    parts = text.strip().split(":", 1)
-    head = parts[0].lower()
-    if head in ("exponential", "unit_exponential", "exp"):
-        return IndexLaw.unit_exponential()
-    if head == "degenerate":
-        if len(parts) != 2:
-            raise UsageError("degenerate law needs a point: degenerate:<c>")
-        return IndexLaw.degenerate(parse_number(parts[1]))
-    if head == "table":
-        if len(parts) != 2:
-            raise UsageError("tabulated law needs a file: table:<path.csv>")
-        return load_tabulated_csv(parts[1])
-    raise UsageError(
-        f"cannot parse index law {text!r}; expected degenerate:<c>, exponential "
-        "or table:<path.csv>"
-    )
 
 
 @dataclass
@@ -202,6 +134,7 @@ def _write(text: str, out: str | None) -> None:
         handle.write(text)
 
 
+_FIXED_SIZE = IndexLaw.degenerate(1.0)  # the `limit` verb's law, realized by simulate's default
 _REGIMES = {"uu": Regime.UPPER_UPPER, "ll": Regime.LOWER_LOWER, "lu": Regime.LOWER_UPPER}
 
 
@@ -253,8 +186,8 @@ def _xy_table(args, config: dict, evaluate) -> int:
 
 def _run_limit_like(args, law: IndexLaw | None) -> int:
     params = _gos_params(args)
-    up = parse_transform(args.upper_tail, ExtremeSide.UPPER) if args.upper_tail else None
-    low = parse_transform(args.lower_tail, ExtremeSide.LOWER) if args.lower_tail else None
+    up = TailTransform.parse(args.upper_tail, ExtremeSide.UPPER) if args.upper_tail else None
+    low = TailTransform.parse(args.lower_tail, ExtremeSide.LOWER) if args.lower_tail else None
     regime = _REGIMES[args.regime]
     for side, tail in ((ExtremeSide.UPPER, up), (ExtremeSide.LOWER, low)):
         if side in regime.sides and tail is None:
@@ -269,7 +202,7 @@ def _run_limit_like(args, law: IndexLaw | None) -> int:
     if law is not None:
         config["H"] = law.label()
     else:
-        law = IndexLaw.degenerate(1.0)  # the fixed-size limit
+        law = _FIXED_SIZE
     return _xy_table(args, config,
                      lambda x, y: analytic_limit_df(params, pair, up, low, law, x, y))
 
@@ -317,7 +250,7 @@ def _run_example(args) -> int:
         )
     family, _, stat = name.rpartition("-")
     model = example_model(family, args.m, vars(args))
-    law = parse_law(args.law)
+    law = IndexLaw.parse(args.law)
     n = args.sim_n if args.sim_n is not None else 500
     params = GosParams(m=args.m, k=args.k, n=n)
     query = RangeQuery(model=model, params=params, law=law, statistic=stat)
@@ -392,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and then kept for the process."""
     parser = _Parser(prog="gosextreme", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
+    laws, tails = usage_line(IndexLaw.spellings()), usage_line(TailTransform.spellings())
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("exact", help="finite-sample df tables")
@@ -414,16 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
         _add_gos(p, with_n=False)
         p.add_argument("--r", type=int, required=True)
         p.add_argument("--s", type=int, required=True)
-        p.add_argument("--upper-tail", dest="upper_tail", default=None,
-                       help="frechet:a | weibull:a | gumbel")
-        p.add_argument("--lower-tail", dest="lower_tail", default=None)
+        p.add_argument("--upper-tail", dest="upper_tail", default=None, help=tails)
+        p.add_argument("--lower-tail", dest="lower_tail", default=None, help=tails)
         p.add_argument("--x-grid", dest="x_grid", default="-3:3:11")
         p.add_argument("--y-grid", dest="y_grid", default="-3:3:11")
         if verb == "mix":
-            p.add_argument("--H", dest="law", required=True,
-                           help="degenerate:<c> | exponential | table:<path.csv>")
+            p.add_argument("--H", dest="law", required=True, help=laws)
         _add_common_output(p)
-        p.set_defaults(run=(lambda a: _run_limit_like(a, parse_law(a.law)))
+        p.set_defaults(run=(lambda a: _run_limit_like(a, IndexLaw.parse(a.law)))
                        if verb == "mix" else (lambda a: _run_limit_like(a, None)))
 
     p = sub.add_parser("simulate", help="Monte Carlo vs the analytic limit")
@@ -432,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=("uu", "ll", "lu"), required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--index", default="fixed",
-                   help="fixed | geometric | dependent:const:<c> | dependent:uniform:<a>:<b>")
+    p.add_argument("--index", default=realizing_mode(_FIXED_SIZE).label(),
+                   help=usage_line(IndexMode.spellings()))
     p.add_argument("--reps", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--x-grid", dest="x_grid", required=True)
@@ -444,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="published range/midrange reproductions")
     p.add_argument("name", help=", ".join(example_names()))
     _add_gos(p, with_n=False)
-    p.add_argument("--law", default="exponential")
+    p.add_argument("--law", default=IndexLaw.unit_exponential().label(), help=laws)
     p.add_argument("--at", default=None, help="evaluate at a single point")
     p.add_argument("--grid", default=None)
     p.add_argument("--sigma", type=parse_number, default=1.0)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import special as sc
 
 from .limitlaws import TailTransform
-from .params import ExtremeSide, GosParams, number_label
+from .params import ExtremeSide, GosParams, number_label, parse_number
 from .specfun import log_gamma
 
 
@@ -509,7 +509,7 @@ _SPEC_RE = re.compile(r"^\s*([a-zA-Z_]+)\s*(?:\(\s*(.*?)\s*\))?\s*$")
 
 
 def parse_model(text: str) -> DistributionModel:
-    """Parse the CLI grammar name(p1=..., p2=...), case-insensitive."""
+    """Parse the CLI grammar name(p1=..., p2=...), case-insensitive; values by `parse_number`."""
     match = _SPEC_RE.match(text)
     if not match:
         raise ValueError(
@@ -530,7 +530,7 @@ def parse_model(text: str) -> DistributionModel:
                 )
             key, value = piece.split("=", 1)
             try:
-                params[key.strip().lower()] = float(value)
+                params[key.strip().lower()] = parse_number(value)
             except ValueError as exc:
                 raise ValueError(f"bad numeric value in {piece!r}") from exc
     return DistributionModel(family=name, params=params)

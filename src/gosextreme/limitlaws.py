@@ -26,20 +26,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ExtremeSide
+from .params import ExtremeSide, parse_number, read_spec
 from .specfun import domain_error
+
+
+_TAILS = {"frechet": ("frechet:<a>",), "weibull": ("weibull:<a>",), "gumbel": ("gumbel",)}
 
 
 @dataclass(frozen=True)
 class TailTransform:
-    """One side's attraction type: kind in {frechet, weibull, gumbel}."""
+    """One side's attraction type: a kind of `_TAILS` (kind -> its CLI spellings)."""
 
     side: ExtremeSide
     kind: str
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("frechet", "weibull", "gumbel"):
+        if self.kind not in _TAILS:
             raise ValueError(f"unknown tail kind {self.kind!r}")
         if self.kind == "gumbel":
             if self.alpha is not None:
@@ -48,6 +51,15 @@ class TailTransform:
             raise ValueError(f"{self.kind} transform requires alpha > 0")
         elif self.alpha == math.inf:
             raise ValueError(f"{self.kind} transform requires a finite alpha, got inf")
+
+    @staticmethod
+    def spellings() -> dict[str, tuple[str, ...]]:
+        return _TAILS
+
+    @staticmethod
+    def parse(text: str, side: ExtremeSide) -> "TailTransform":
+        kind, args = read_spec(text, _TAILS, "tail transform")
+        return TailTransform(side, kind, *map(parse_number, args))
 
 
 def kappa(transform: TailTransform, x):

@@ -1,4 +1,4 @@
-"""Shared value objects: model parameters, rank pairs and tail-side markers.
+"""Shared value objects (model parameters, rank pairs, tail sides) and the CLI spec reader.
 
 The sample model is the m-GOS subclass of generalized order statistics,
 i.e. gamma_j = k + (n - j)*(m + 1) with m > -1 and k > 0.  Ordinary order
@@ -133,3 +133,45 @@ def number_label(value: float) -> str:
     its repr, so that a label parses back to the value it names."""
     short = f"{value:g}"
     return short if float(short) == value else repr(float(value))
+
+
+_CONSTANTS = {"pi": math.pi, "e": math.e, "ln2": math.log(2.0), "ln4": math.log(4.0),
+              "inf": math.inf}
+
+
+class UsageError(ValueError):
+    """Malformed command line; exit 1.  A ValueError, so that argparse
+    turns one raised by a `type=` converter into its own usage error."""
+
+
+def parse_number(text: str) -> float:
+    """Float literal or symbolic constant (pi, e, ln2, ln4, inf), negatable."""
+    word = text.strip().lower()
+    sign = -1.0 if word.startswith("-") else 1.0
+    word = word[1:] if word.startswith(("-", "+")) else word
+    try:
+        value = _CONSTANTS[word] if word in _CONSTANTS else float(word)
+    except ValueError as exc:
+        raise UsageError(f"cannot parse number {text!r}; "
+                         f"symbolic constants: {sorted(_CONSTANTS)}") from exc
+    if math.isnan(value):
+        raise ValueError(f"{text!r} is not a number; NaN is not a valid argument")
+    return sign * value
+
+
+def read_spec(text: str, kinds: dict, what: str) -> tuple:
+    """(key, <arg> texts) of the spelling in `kinds` (key -> `word[:word...][:<arg>...]`s)
+    that `text` matches, words in any case; the last slot keeps any colons.  Else UsageError."""
+    for key, spellings in kinds.items():
+        for spelling in spellings:
+            slots = spelling.split(":")
+            parts = text.strip().split(":", len(slots) - 1)
+            if len(parts) == len(slots) and all(
+                    slot[0] == "<" or slot == part.lower() for slot, part in zip(slots, parts)):
+                return key, [part for slot, part in zip(slots, parts) if slot[0] == "<"]
+    raise UsageError(f"cannot parse {what} {text!r}; expected {usage_line(kinds)}")
+
+
+def usage_line(kinds: dict) -> str:
+    """The first spelling of each kind, as a help text lists them."""
+    return " | ".join(spellings[0] for spellings in kinds.values())

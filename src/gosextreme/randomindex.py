@@ -13,12 +13,13 @@ module, and no other module tells the kinds apart.  The laws (`_LAWS`)
 are degenerate(c), unit_exponential (the geometric-size limit
 H(z) = 1 - e^-z), and tabulated piecewise-linear dfs loaded from
 two-column CSV files (header row, strictly increasing z >= 0, H
-nondecreasing in [0, 1] with a zero first value); each record holds the
-check of the law's own fields, its label, H, its kernel, its mean, a
-Laplace-transform bound and the mode that realizes it.  The modes
-(`_MODES`: fixed, geometric, dependent:const, dependent:uniform) each
-hold the check of the T-spec, the draw of nu, the implied law, and
-whether nu is random and the draw's uniform carried into the sample.
+nondecreasing in [0, 1] with a zero first value); each record holds its
+CLI spellings and their reader, the check of the law's own fields, its
+label, H, its kernel, its mean, a Laplace-transform bound and the mode
+that realizes it.  The modes (`_MODES`: fixed, geometric, dependent:const,
+dependent:uniform) each hold their spellings, the check of the T-spec,
+the draw of nu, the implied law, and whether nu is random and the draw's
+uniform carried into the sample.
 
 Evaluation.  The integral over z is never taken numerically.  Each law
 supplies one kernel in closed form (`index_kernel`),
@@ -80,7 +81,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .params import ExtremeSide, GosParams, RankPair, Regime, number_label
+from .params import (ExtremeSide, GosParams, RankPair, Regime, number_label, parse_number,
+                     read_spec)
 from .specfun import (clip_probability, domain_error, reg_inc_beta, reg_inc_gamma,
                       reg_inc_gamma_upper)
 
@@ -116,6 +118,15 @@ class IndexLaw:
     @staticmethod
     def tabulated(points: Sequence[tuple[float, float]]) -> "IndexLaw":
         return IndexLaw(kind="tabulated", grid=tuple((float(z), float(h)) for z, h in points))
+
+    @staticmethod
+    def spellings() -> dict[str, tuple[str, ...]]:  # for `params.read_spec`
+        return {kind: spec.usages for kind, spec in _LAWS.items()}
+
+    @staticmethod
+    def parse(text: str) -> "IndexLaw":
+        kind, args = read_spec(text, IndexLaw.spellings(), "index law")
+        return _LAWS[kind].read(*args)
 
     @cached_property
     def pieces(self) -> tuple[tuple[float, float, float], ...]:
@@ -156,10 +167,8 @@ class IndexMode:
 
     def __post_init__(self):
         if (self.kind, self.t_kind) not in _MODES:
-            if (self.kind, None) in _MODES:
-                raise ValueError(f"{self.kind} mode takes no T-spec")
-            raise ValueError("dependent mode needs T-spec const:c or uniform:a:b"
-                             if self.kind == "dependent" else f"unknown index mode {self.kind!r}")
+            raise ValueError(f"{self.kind} mode takes no T-spec" if (self.kind, None) in _MODES
+                             else f"unknown index mode {self.kind!r} with T-spec {self.t_kind!r}")
         self._spec.check(self)
 
     @property
@@ -167,22 +176,13 @@ class IndexMode:
         return _MODES[self.kind, self.t_kind]
 
     @staticmethod
+    def spellings() -> dict[tuple[str, str | None], tuple[str, ...]]:  # every <arg> a number
+        return {key: spec.usages for key, spec in _MODES.items()}
+
+    @staticmethod
     def parse(text: str) -> "IndexMode":
-        parts = text.strip().lower().split(":")
-        if parts[0] == "geometric_mean_n":
-            parts[0] = "geometric"
-        if parts[0] in ("fixed", "geometric") and len(parts) == 1:
-            return IndexMode(kind=parts[0])
-        if parts[0] == "dependent" and len(parts) >= 2:
-            return IndexMode(
-                kind="dependent",
-                t_kind=parts[1],
-                t_args=tuple(float(v) for v in parts[2:]),
-            )
-        raise ValueError(
-            f"cannot parse index mode {text!r}; expected fixed, geometric, "
-            "dependent:const:<c> or dependent:uniform:<a>:<b>"
-        )
+        (kind, t_kind), args = read_spec(text, IndexMode.spellings(), "index mode")
+        return IndexMode(kind, t_kind, tuple(map(parse_number, args)))
 
     def label(self) -> str:
         head = (self.kind,) if self.t_kind is None else (self.kind, self.t_kind)
@@ -255,9 +255,16 @@ def realizing_mode(law: IndexLaw) -> IndexMode | None:
 
 def _draw_index(mode: IndexMode, n: int, rng: np.random.Generator,
                 floor: int) -> tuple[int, float | None]:
-    """Returns (nu, carried_uniform); the carried uniform, when present,
-    must be reused as a GOS factor of the same replication."""
-    return _MODES[mode.kind, mode.t_kind].draw(mode, n, rng, floor)
+    """Returns (nu, carried_uniform); the carried uniform, when present, is a
+    GOS factor of the same replication.  A nu past int64 is a ValueError."""
+    try:
+        nu, carried = _MODES[mode.kind, mode.t_kind].draw(mode, n, rng, floor)
+    except OverflowError:  # n T rounds to inf, which ceil cannot take
+        nu = math.inf
+    if nu > 2**63 - 1:
+        raise ValueError(f"index mode {mode.label()} at n = {n} draws nu = {nu:.6g}, "
+                         "past the largest sample size 2**63 - 1")
+    return nu, carried
 
 
 def index_kernel(law: IndexLaw, j: float, w, shape: float = 1.0, c=0.0):
@@ -377,6 +384,8 @@ _SLICE = 4096
 
 @dataclass(frozen=True)
 class _LawKind:
+    usages: tuple[str, ...]  # its CLI spellings, the one help lists first
+    read: Callable[..., IndexLaw]  # the law from the texts in a spelling's <arg> slots
     fields: tuple[str, ...]  # the IndexLaw fields it takes; the others stay None
     check: Callable[[IndexLaw], None]  # raises ValueError on a bad value of those
     label: Callable[[IndexLaw], str]
@@ -389,6 +398,7 @@ class _LawKind:
 
 @dataclass(frozen=True)
 class _ModeKind:
+    usages: tuple[str, ...]  # its CLI spellings, the one help lists first
     check: Callable[[IndexMode], None]  # raises ValueError on bad T-spec values
     draw: Callable  # (mode, n, rng, floor) -> `_draw_index`
     law: Callable[[IndexMode], IndexLaw]  # `IndexMode.implied_law`
@@ -421,19 +431,22 @@ def _tabulated_laplace_bound(law: IndexLaw, mass: float) -> float:
     return d / mass
 
 
-_LAWS = {  # fields, check, label, cdf, kernel, mean, laplace_bound, mode
+_LAWS = {  # usages, read, fields, check, label, cdf, kernel, mean, laplace_bound, mode
     "degenerate": _LawKind(
+        ("degenerate:<c>",), lambda c: IndexLaw.degenerate(parse_number(c)),
         ("c",), _check_point, lambda law: f"degenerate:{number_label(law.c)}",
         lambda law, z: 1.0 if z >= law.c else 0.0, _degenerate_kernel, lambda law: law.c,
         lambda law, mass: math.log(1.0 / mass) / law.c,
         lambda law: (IndexMode("fixed") if law.c == 1.0
                      else IndexMode("dependent", "const", (law.c,)))),
     "unit_exponential": _LawKind(
+        ("exponential", "unit_exponential", "exp"), IndexLaw.unit_exponential,
         (), lambda law: None, lambda law: "unit_exponential",
         lambda law, z: -math.expm1(-z), _unit_exponential_kernel, lambda law: 1.0,
         lambda law, mass: 1.0 / mass,  # the transform is 1/(1 + W)
         lambda law: IndexMode("geometric")),
     "tabulated": _LawKind(
+        ("table:<path.csv>",), load_tabulated_csv,
         ("grid",), lambda law: _validate_table(law.grid),
         lambda law: f"tabulated[{len(law.grid)}]", _tabulated_cdf, _tabulated_kernel,
         lambda law: sum(slope * (z1 * z1 - z0 * z0) / 2.0 for slope, z0, z1 in law.pieces),
@@ -469,20 +482,20 @@ def _draw_uniform(mode: IndexMode, n: int, rng: np.random.Generator, floor: int)
     return max(math.ceil(n * t), floor), u0
 
 
-_MODES = {  # (kind, t_kind) -> check, draw, law, random_nu, carries
+_MODES = {  # (kind, t_kind) -> usages, check, draw, law, random_nu, carries
     ("fixed", None): _ModeKind(
-        _check_no_t_spec, lambda mode, n, rng, floor: (n, None),
+        ("fixed",), _check_no_t_spec, lambda mode, n, rng, floor: (n, None),
         lambda mode: IndexLaw.degenerate(1.0), random_nu=False, carries=False),
     ("geometric", None): _ModeKind(  # success probability 1/n, support 1, 2, ...
-        _check_no_t_spec,
+        ("geometric", "geometric_mean_n"), _check_no_t_spec,
         lambda mode, n, rng, floor: (max(int(rng.geometric(1.0 / n)), floor), None),
         lambda mode: IndexLaw.unit_exponential(), random_nu=True, carries=False),
     ("dependent", "const"): _ModeKind(
-        _check_const,
+        ("dependent:const:<c>",), _check_const,
         lambda mode, n, rng, floor: (max(math.ceil(n * mode.t_args[0]), floor), None),
         lambda mode: IndexLaw.degenerate(mode.t_args[0]), random_nu=False, carries=False),
     ("dependent", "uniform"): _ModeKind(
-        _check_uniform, _draw_uniform,
+        ("dependent:uniform:<a>:<b>",), _check_uniform, _draw_uniform,
         lambda mode: IndexLaw.tabulated([(mode.t_args[0], 0.0), (mode.t_args[1], 1.0)]),
         random_nu=True, carries=True),
 }

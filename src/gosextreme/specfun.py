@@ -15,7 +15,8 @@ for a float and for every element of an array:
   (r <= 0 or x < 0 for the gamma ratios, a, b <= 0 or x outside [0, 1]
   for the beta ratio);
 * x = +inf is first-class: Gamma_r(+inf) = 1 and 1 - Gamma_r(+inf) = 0;
-* every evaluator returns through `clip_probability`.
+* each ratio returns the scipy ufunc's value as it is, unclipped; the dfs
+  built from the ratios clip their sums through `clip_probability`.
 """
 
 from __future__ import annotations

@@ -6,17 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gosextreme.cli import (
-    Table,
-    UsageError,
-    emit,
-    example_names,
-    main,
-    parse_grid,
-    parse_law,
-    parse_number,
-    parse_transform,
-)
+from gosextreme.cli import Table, emit, example_names, main, parse_grid
 from gosextreme.distributions import parse_model
 from gosextreme.goscore import (
     joint_df,
@@ -24,8 +14,10 @@ from gosextreme.goscore import (
     marginal_upper_df,
 )
 from gosextreme.limitlaws import TailTransform, kappa, rho
-from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime
+from gosextreme.params import ExtremeSide, GosParams, RankPair, Regime, UsageError, parse_number
 from gosextreme.randomindex import IndexLaw, realizing_mode as _mode_for_law
+
+parse_law, parse_transform = IndexLaw.parse, TailTransform.parse
 
 
 def run_cli(capsys, *argv):
@@ -394,6 +386,90 @@ class TestSpecAliases:
         assert IndexMode.parse("geometric_mean_n").kind == "geometric"
 
 
+_SIMULATE = ["simulate", "--dist", "logistic", "--n", "20", "--regime", "uu", "--r", "2",
+             "--s", "1", "--reps", "5", "--x-grid", "0"]
+
+
+class TestSpellings:
+    """--H, --law, --index and the tails are read by one spec reader, and
+    every number in them and in --dist by `parse_number`."""
+
+    @pytest.mark.parametrize("spec", ["bogus", "fixed:3", "dependent", "dependent:bogus:1",
+                                      "dependent:uniform:0.5", "GEOMETRIC:2"])
+    def test_malformed_index_is_a_usage_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, *_SIMULATE, "--index", spec)
+        assert (code, out) == (1, "")
+        assert err == (f"error: cannot parse index mode {spec!r}; expected fixed | geometric | "
+                       "dependent:const:<c> | dependent:uniform:<a>:<b>\n")
+
+    @pytest.mark.parametrize("spec", ["dependent:const:abc", "dependent:uniform:0.5:1:2"])
+    def test_index_non_number_is_a_usage_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, *_SIMULATE, "--index", spec)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot parse number ")
+
+    def test_index_value_the_record_refuses_keeps_its_exit(self, capsys):
+        code, _, err = run_cli(capsys, *_SIMULATE, "--index", "dependent:uniform:1.5:0.5")
+        assert (code, err) == (2, "validation failure: dependent uniform T-spec needs 0 < a < b\n")
+
+    @pytest.mark.parametrize("spec,label", [
+        ("dependent:const:pi", f"dependent:const:{math.pi!r}"),
+        ("Dependent:Uniform:ln2:E", f"dependent:uniform:{math.log(2.0)!r}:{math.e!r}"),
+    ])
+    def test_index_takes_symbolic_constants(self, capsys, spec, label):
+        code, out, _ = run_cli(capsys, *_SIMULATE, "--index", spec)
+        assert code == 0
+        assert json.loads(out)["config"]["index_mode"] == label
+
+    def test_dist_takes_symbolic_constants(self, capsys):
+        code, out, _ = run_cli(capsys, *_SIMULATE[:2], "pareto(sigma=pi)", *_SIMULATE[3:])
+        assert code == 0
+        assert json.loads(out)["config"]["model"] == f"pareto(sigma={math.pi!r})"
+        assert parse_model("beta(alpha=LN4, beta= e)").params == {"alpha": math.log(4.0),
+                                                                   "beta": math.e}
+
+    @pytest.mark.parametrize("value", ["abc", "nan"])
+    def test_dist_non_number_keeps_its_exit(self, capsys, value):
+        code, _, err = run_cli(capsys, *_SIMULATE[:2], f"pareto(sigma={value})", *_SIMULATE[3:])
+        assert (code, err) == (2, f"validation failure: bad numeric value in 'sigma={value}'\n")
+
+    @pytest.mark.parametrize("flag,spec,message", [
+        ("--H", "degenerate", "index law 'degenerate'"),
+        ("--H", "exponential:1", "index law 'exponential:1'"),
+        ("--upper-tail", "gumbel:1", "tail transform 'gumbel:1'"),
+        ("--upper-tail", "frechet", "tail transform 'frechet'"),
+    ])
+    def test_malformed_law_and_tail_are_usage_errors(self, capsys, flag, spec, message):
+        argv = ["mix", "--regime", "uu", "--r", "2", "--s", "1", "--upper-tail", "frechet:1",
+                "--H", "exponential", "--x-grid", "1", "--y-grid", "2", flag, spec]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot parse {message}; expected ")
+
+    def test_table_path_keeps_its_colons_and_case(self, tmp_path):
+        folder = tmp_path / "Laws:A"
+        folder.mkdir()
+        (folder / "H.csv").write_text("z,H\n0.5,0\n1.5,1\n")
+        assert parse_law(f"TABLE:{folder / 'H.csv'}") == IndexLaw.tabulated(
+            [(0.5, 0.0), (1.5, 1.0)])
+
+    @pytest.mark.parametrize("verb,kinds", [
+        ("mix", ["law", "tail"]), ("example", ["law"]), ("simulate", ["mode"]),
+        ("limit", ["tail"]),
+    ])
+    def test_help_names_the_first_spelling_of_every_kind(self, capsys, verb, kinds):
+        from gosextreme.randomindex import IndexMode
+
+        records = {"law": IndexLaw.spellings(), "mode": IndexMode.spellings(),
+                   "tail": TailTransform.spellings()}
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        out = capsys.readouterr().out
+        for kind in kinds:
+            for spellings in records[kind].values():
+                assert spellings[0] in out, (verb, spellings[0])
+
+
 class TestExactLowerLower:
     def test_joint_ll_table(self, capsys):
         code, out, _ = run_cli(
@@ -657,6 +733,27 @@ class TestEdgeSweepReproducers:
         assert (code, out) == (2, "")
         assert err.startswith("validation failure: ell = k/(m+1) must be positive and finite")
         assert f"at m={float(argv[argv.index('--m') + 1])}, k=" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--dist", "logistic", "--regime", "uu", "--r", "2", "--s", "1", "--n", "50",
+          "--reps", "5", "--index", "dependent:const:1e300", "--x-grid=0:1:2"],
+         "index mode dependent:const:1e+300 at n = 50 draws nu = 5e+301"),
+        (["simulate", "--dist", "logistic", "--regime", "ll", "--r", "1", "--s", "2", "--n", "50",
+          "--reps", "5", "--index", "dependent:uniform:0.5:1e300", "--x-grid=0:1:2"],
+         "index mode dependent:uniform:0.5:1e+300 at n = 50 draws nu = "),
+        (["example", "exponential-midrange", "--m", "0.5", "--k", "1e300", "--law",
+          "degenerate:1e300", "--sim-n", "50", "--sim-reps", "16", "--grid=1e-300:1:2"],
+         "index mode dependent:const:1e+300 at n = 50 draws nu = 5e+301"),
+        (["simulate", "--dist", "logistic", "--regime", "uu", "--r", "2", "--s", "1", "--n", "50",
+          "--reps", "5", "--index", "dependent:const:1e308", "--x-grid=0:1:2"],
+         "index mode dependent:const:1e+308 at n = 50 draws nu = inf"),
+    ], ids=["const", "uniform", "example", "n-times-c-overflows"])
+    def test_sample_size_past_int64(self, capsys, argv, message):
+        # no sample holds nu past 2**63 - 1: the input is refused, not a numerical failure
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"validation failure: {message}")
+        assert err.endswith(", past the largest sample size 2**63 - 1\n")
 
     def test_degenerate_law_product_past_the_largest_float(self, capsys):
         # eta = inf: the df is Q(ell, z kappa(t)^(m+1)) at z = 1e300, kappa(t) = 1/t

@@ -5,14 +5,16 @@ regime and every example, with m as far out as 1e300 and -0.999999999, k
 from 1e-300 to 1e300, and grid ends at 0, +-1, 0.5, +-1e300 and 1e-300,
 in CSV and in JSON.  Every run ends with exit code 0, 1 or 2 and no
 traceback, raises no RuntimeWarning, prints only dfs and standard errors
-in [0, 1], and prints no NaN.  A grid is taken on its two axes, so a
-coordinate value reaches every kernel of its axis whichever branch its
-points take."""
+in [0, 1], and prints no NaN.  No drawn argv holds a NaN, so a NaN made
+inside a computation must end as a numerical failure: no validation
+failure names one.  A grid is taken on its two axes, so a coordinate value
+reaches every kernel of its axis whichever branch its points take."""
 
 import contextlib
 import io
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -195,6 +197,8 @@ def _check(argv):
         assert err.startswith(("error: ", "validation failure: ", "numerical failure: ")), (
             argv, err)
         assert "Traceback" not in err, (argv, err)
+        assert not (err.startswith("validation failure: ")
+                    and re.search(r"\bnan\b", err, re.IGNORECASE)), (argv, err)
         return
     for value in _probabilities(out, argv[argv.index("--format") + 1]):
         assert not math.isnan(value) and 0.0 <= value <= 1.0, (argv, value)

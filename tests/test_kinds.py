@@ -1,6 +1,7 @@
 """The index-law and sampler-mode kinds: each is defined in `randomindex`
-alone, takes exactly its own fields, and rejects non-finite parameters
-when it is built."""
+alone, with its CLI spellings, takes exactly its own fields, and rejects
+non-finite parameters when it is built.  The CLI reads every law, mode and
+tail spelling through the kind's own `parse`, so it compares none."""
 
 import ast
 import math
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gosextreme.limitlaws import TailTransform
 from gosextreme.montecarlo import sample_random_index
 from gosextreme.randomindex import IndexLaw, IndexMode
 
@@ -46,6 +48,66 @@ def test_the_walker_sees_each_form_of_kind_comparison():
     for code in ('tail.kind == "frechet"', 'model.family == "uniform"',
                  'IndexLaw.degenerate(1.0) == law', 'kind == "dependent"'):
         assert not _kind_comparisons(ast.parse(code)), code
+
+
+def _words(kinds) -> set[str]:
+    """The words of the spellings in `kinds` (its <arg> slots left out) and its
+    keys' kind names."""
+    words = set()
+    for key, spellings in kinds.items():
+        words |= {key} if isinstance(key, str) else {k for k in key if k is not None}
+        words |= {w for spelling in spellings for w in spelling.split(":") if w[0] != "<"}
+    return words
+
+
+LAW_AND_MODE_WORDS = _words(IndexLaw.spellings()) | _words(IndexMode.spellings())
+TAIL_WORDS = _words(TailTransform.spellings())
+
+
+def _spelling_comparisons(tree: ast.AST, words: set[str]) -> list[int]:
+    """Lines where any value is compared with one of `words` (alone or in a
+    tuple, list or set), whatever the other side is."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        items = []
+        for side in [node.left, *node.comparators]:
+            items += side.elts if isinstance(side, (ast.Tuple, ast.List, ast.Set)) else [side]
+        if any(isinstance(i, ast.Constant) and i.value in words for i in items):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_spelling_walker_sees_each_form():
+    assert {"degenerate", "exponential", "exp", "table", "geometric_mean_n", "const",
+            "tabulated", "unit_exponential"} <= LAW_AND_MODE_WORDS
+    assert TAIL_WORDS == {"frechet", "weibull", "gumbel"}
+    for code in ('head == "degenerate"', 'head in ("exponential", "unit_exponential", "exp")',
+                 '"table" != parts[0]', 'parts[0] == "geometric_mean_n"',
+                 'parts[1] in {"const", "uniform"}', 'law.kind == "tabulated"'):
+        assert _spelling_comparisons(ast.parse(code), LAW_AND_MODE_WORDS), code
+    for code in ('kind == "gumbel"', 'kind in ("frechet", "weibull")', 'tail.kind != "weibull"'):
+        assert _spelling_comparisons(ast.parse(code), TAIL_WORDS), code
+    for code in ('verb == "mix"', 'fmt in ("csv", "json")', 'IndexLaw.parse("exponential")',
+                 'stat == "range"', 'head == "<c>"'):
+        assert not _spelling_comparisons(ast.parse(code), LAW_AND_MODE_WORDS | TAIL_WORDS), code
+
+
+def test_no_module_but_randomindex_compares_a_law_or_mode_spelling():
+    found = {
+        path.name: lines
+        for path in sorted(SOURCES.glob("*.py")) if path.name != "randomindex.py"
+        if (lines := _spelling_comparisons(ast.parse(path.read_text(), str(path)),
+                                           LAW_AND_MODE_WORDS))
+    }
+    assert not found, f"law or mode spellings compared outside randomindex: {found}"
+
+
+def test_cli_compares_no_tail_spelling():
+    path = SOURCES / "cli.py"
+    lines = _spelling_comparisons(ast.parse(path.read_text(), str(path)), TAIL_WORDS)
+    assert not lines, f"tail spellings compared in cli: {lines}"
 
 
 def test_only_randomindex_compares_law_or_mode_kinds():

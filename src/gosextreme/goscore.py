@@ -35,11 +35,17 @@ def lm(params: GosParams, model: DistributionModel, x):
 def lbar(params: GosParams, model: DistributionModel, x):
     """Survival transform 1 - L_m(x) = (1 - F(x))^(m+1), evaluated from
     the closed-form survival function so deep upper tails keep relative
-    accuracy.  Every df of this module takes its points through here."""
+    accuracy.  Every df of this module takes its points through here.
+    Where S = 1 - F rounds to 1, log S is taken as log1p(-F), which keeps
+    a positive F: at a huge m it still sends the value to 0."""
     if np.isnan(x).any():
         raise ValueError("df is undefined at NaN")
     with np.errstate(divide="ignore"):  # a zero survival gives log 0 = -inf and 0
-        value = np.exp((params.m + 1.0) * np.log(survival(model, x)))
+        log_s = np.asarray(np.log(survival(model, x)))
+    top = log_s == 0.0
+    if top.any():
+        log_s[top] = np.log1p(-cdf(model, np.broadcast_to(x, top.shape)[top]))
+    value = np.exp((params.m + 1.0) * log_s)
     return value if value.ndim else float(value)
 
 

@@ -7,8 +7,8 @@ Sampling uses the product representation of uniform m-GOS:
 with W_j independent standard uniforms, pushed through the parent
 quantile.  Replications draw from independent Philox streams (stream i
 is `Philox(key=seed).jumped(i)`), so the tally is reproducible bit for
-bit regardless of how replications would be partitioned across workers;
-the reduction is integer counting and therefore associative.  Philox is
+bit however the replications are split across workers; the reduction is
+integer counting and therefore associative.  Philox is
 counter-based and a jump adds 1 to word 2 of its counter, so a bit
 generator re-keyed to counter [0, 0, i, 0] with an empty buffer is
 exactly stream i.
@@ -28,8 +28,20 @@ that reaches the top of the sample draws about nu, in time linear in
 nu.  Under a random nu the lengths of such a pair's sums differ, so
 every nu is drawn once ahead and the tiles take the replications in
 order of length.  Beyond its results, a call's memory is one tile (two
-buffers of _TILE x _BLOCK values, and one block's gammas), whatever nu
-or the number of replications.
+buffers of _TILE x _BLOCK values, and one block's gammas) per process,
+whatever nu or the number of replications.
+
+A call splits its replications into W contiguous slices, W the CPUs the
+process may run on, capped so that each slice carries _FORK_WORK
+positions (replications times the positions each reads).  The caller
+sums slice 0; each other slice is summed in a child started by
+`os.fork`, which draws and sorts its own nu, sends its two arrays of
+sums back through a pipe and ends in `os._exit`.  Each value depends on
+its own stream alone, so the bytes do not depend on W.  A child's
+exception is raised in the caller, the lowest slice's first, as the
+serial call raises it; no child outlives the call.  Where `os.fork` or
+`os.sched_getaffinity` is missing, the caller runs other threads, or the
+work is small, one process sums every slice.
 
 Random-size modes are `randomindex.IndexMode`, whose records
 (`randomindex._MODES`) draw nu.  Under ``dependent:uniform`` the uniform
@@ -46,8 +58,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -136,6 +152,13 @@ _BLOCK = 1024
 # Replications per tile: the rows whose running sums advance together.  A
 # tile's two buffers hold _TILE x _BLOCK values each, whatever nu is.
 _TILE = 64
+# Positions (replications x positions read) that each worker's slice must
+# carry; a call with less than twice this runs in one process.  On a shared
+# 2-core x86 box (Python 3.11, an ~80 MB caller), a split in two against
+# one process, 25 alternated calls per size, won 0-5 calls at 0.5M
+# positions (medians 0.58-0.94x), 11-15 at 1M, 20 at 1.5M and 14-25 at 2M
+# (1.04-1.31x): each fork costs ~5-10 ms, most of it copy-on-write faults.
+_FORK_WORK = 1_000_000
 
 
 class _Streams:
@@ -197,24 +220,24 @@ class _TileSampler:
         self._k, self._step = params.k, params.m + 1.0
         self._tile = tile
 
-    def plan(self, replications: int) -> np.ndarray:
-        """The replications in tile order, with the tile's buffers sized for
-        the longest sum.  Lengths differ only under a random nu and a pair
-        that reaches the top; then every nu is drawn here once, and sorting
-        by length gives each tile rows of about equal length.  Otherwise
-        replication 0's length is every replication's."""
+    def plan(self, replications: np.ndarray) -> np.ndarray:
+        """The replications (stream indices) in tile order, with the tile's
+        buffers sized for the longest sum.  Lengths differ only under a
+        random nu and a pair that reaches the top; then every nu is drawn
+        here once, and sorting by length gives each tile rows of about equal
+        length.  Otherwise the first replication's length is every one's."""
         upper = ExtremeSide.UPPER in self._pair.regime.sides
-        draws = range(replications) if self._mode.random_nu and upper else range(1)
+        draws = replications if self._mode.random_nu and upper else replications[:1]
         nus = np.fromiter((
             _draw_index(self._mode, self._n, self._streams.start(i), self._floor)[0]
-            for i in draws
+            for i in draws.tolist()
         ), dtype=np.int64, count=len(draws))
         stops = np.maximum(*_positions(self._pair, nus)) + 1
         size = self._tile * min(_BLOCK, int(stops.max()))
         self._flat = (np.empty(size), np.empty(size))
-        if len(draws) < replications:
-            return np.arange(replications)
-        return np.argsort(stops, kind="stable")
+        if len(draws) < len(replications):
+            return replications
+        return replications[np.argsort(stops, kind="stable")]
 
     def sums(self, replications: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The prefix sums at the pair's two positions for one tile."""
@@ -296,6 +319,91 @@ class _TileSampler:
         return values
 
 
+def _slices(params: GosParams, pair: RankPair, replications: int) -> list[tuple[int, int]]:
+    """Contiguous [lo, hi) slices of the replications, one per worker: as
+    many as the CPUs this process may run on, while each slice carries
+    _FORK_WORK positions.  The work is replications times the positions a
+    replication reads, nu (taken at n) for a pair that reaches the top and
+    max(r, s) otherwise.  One slice where os.fork or os.sched_getaffinity
+    is missing, or where the caller runs other threads, which a fork would
+    leave behind, holding whatever locks they held."""
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if not can_fork or threading.active_count() > 1:
+        return [(0, replications)]
+    reads = params.n if ExtremeSide.UPPER in pair.regime.sides else pair.max_rank
+    workers = max(1, min(len(os.sched_getaffinity(0)), replications,
+                         replications * reads // _FORK_WORK))
+    return [(replications * w // workers, replications * (w + 1) // workers)
+            for w in range(workers)]
+
+
+def _run_slices(run: Callable[[int, int], None], slices: list[tuple[int, int]],
+                sums: tuple[np.ndarray, ...]) -> None:
+    """`run(lo, hi)` fills replications lo..hi-1 of each array in `sums`;
+    this calls it on the first slice here and on each other slice in a
+    forked child, whose entries come back through a pipe.  An exception of
+    the lowest slice that raised is raised here, as a serial call would
+    raise it, and no child outlives the call."""
+    children = []  # (lo, hi, pid, read end of its pipe)
+    try:
+        for lo, hi in slices[1:]:
+            children.append((lo, hi, *_fork_slice(run, lo, hi, sums)))
+        run(*slices[0])
+        for lo, hi, _, pipe in children:
+            _receive(pipe, lo, hi, sums)
+    except BaseException:
+        for _, _, pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, _, pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _fork_slice(run: Callable[[int, int], None], lo: int, hi: int,
+                sums: tuple[np.ndarray, ...]) -> tuple[int, BinaryIO]:
+    """A child that runs slice [lo, hi) and writes b"\\0" and its entries of
+    each array, or b"\\1" and the pickled exception it raised; it always
+    ends in os._exit.  Returns its pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                try:
+                    run(lo, hi)
+                except Exception as exc:
+                    pipe.write(b"\1" + pickle.dumps(exc))
+                else:
+                    pipe.write(b"\0")
+                    for values in sums:
+                        pipe.write(values[lo:hi])
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _receive(pipe: BinaryIO, lo: int, hi: int, sums: tuple[np.ndarray, ...]) -> None:
+    """Read a `_fork_slice` child's entries into `sums`, or raise its
+    exception."""
+    status = pipe.read(1)
+    if status == b"\1":
+        raise pickle.loads(pipe.read())
+    for values in sums:
+        part = values[lo:hi]
+        if status != b"\0" or pipe.readinto(part) != part.nbytes:
+            raise ChildProcessError(
+                f"the worker of replications {lo}..{hi - 1} ended without its result")
+
+
 def simulate_value_pairs(
     params: GosParams,
     model: DistributionModel,
@@ -309,14 +417,17 @@ def simulate_value_pairs(
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    tile = min(_TILE, replications)
-    sampler = _TileSampler(params, mode, pair, seed, tile)
-    sum_first = np.empty(replications)
-    sum_second = np.empty(replications)
-    order = sampler.plan(replications)
-    for lo in range(0, replications, tile):
-        rows = order[lo:lo + tile]
-        sum_first[rows], sum_second[rows] = sampler.sums(rows)
+    sum_first, sum_second = sums = np.empty(replications), np.empty(replications)
+
+    def run(lo: int, hi: int) -> None:  # replications lo..hi-1 into their entries of `sums`
+        tile = min(_TILE, hi - lo)
+        sampler = _TileSampler(params, mode, pair, seed, tile)
+        order = sampler.plan(np.arange(lo, hi))
+        for at in range(0, hi - lo, tile):
+            rows = order[at:at + tile]
+            sum_first[rows], sum_second[rows] = sampler.sums(rows)
+
+    _run_slices(run, _slices(params, pair, replications), sums)
     clip = np.clip
     u_first, u_second = -np.expm1(sum_first), -np.expm1(sum_second)
     x_first = np.asarray(quantile(model, clip(u_first, _TINY, _ONE_BELOW)), dtype=float)

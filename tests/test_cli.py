@@ -755,6 +755,16 @@ class TestEdgeSweepReproducers:
         assert err.startswith(f"validation failure: {message}")
         assert err.endswith(", past the largest sample size 2**63 - 1\n")
 
+    def test_survival_that_rounds_to_one_at_a_huge_m(self, capsys):
+        # S = 1 - F rounds to 1 at x = 1e-300 (F = 1e-150), yet Lbar_m = (1 - F)^(m+1)
+        # is exp(-1e150) = 0 at m = 1e300: both lower extremes lie below x and y
+        code, out, err = run_cli(
+            capsys, "exact", "--regime", "ll", "--r", "1", "--s", "2", "--m", "1e300", "--k", "1",
+            "--x-grid=1e-300:0.5:1", "--y-grid=0.5:0.5:1", "--dist", "power(alpha=0.5)",
+            "--n", "50")
+        assert (code, err) == (0, "")
+        assert out.strip().splitlines()[-1] == "1e-300,0.5,1"
+
     def test_degenerate_law_product_past_the_largest_float(self, capsys):
         # eta = inf: the df is Q(ell, z kappa(t)^(m+1)) at z = 1e300, kappa(t) = 1/t
         code, out, err = run_cli(capsys, "example", "pareto-range", "--m", "1e-8", "--k", "0.5",

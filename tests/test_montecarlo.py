@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -416,6 +420,13 @@ _ORACLE_MODES = [
 ]
 
 
+def _force_workers(monkeypatch, workers):
+    """Split every call into `workers` slices: that many CPUs, and no work
+    too small to fork for."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(montecarlo, "_FORK_WORK", 1)
+
+
 class TestSamplerMatchesTheLoop:
     """`simulate_value_pairs` draws only what each pair reads, in blocks,
     from one re-keyed bit generator; every value must equal the loop's."""
@@ -423,6 +434,8 @@ class TestSamplerMatchesTheLoop:
     @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("mode", _ORACLE_MODES)
     def test_bit_for_bit(self, mode, block, monkeypatch):
+        """Twelve replications, in one process and split across two and
+        three (slices of four to six, each planned and tiled on its own)."""
         if block is not None:
             monkeypatch.setattr(montecarlo, "_BLOCK", block)
         model = parse_model("logistic")
@@ -434,10 +447,11 @@ class TestSamplerMatchesTheLoop:
                     if max(first[1], second[1]) > n:
                         continue
                     args = (params, model, index, first, second, 12, 2024 + n)
-                    got = _sample(*args)
                     want = _loop_reference(*args)
-                    for g, w in zip(got, want):
-                        assert np.array_equal(g, w), (mode, m, n, first, second)
+                    for workers in (1, 2, 3):
+                        _force_workers(monkeypatch, workers)
+                        for g, w in zip(_sample(*args), want):
+                            assert np.array_equal(g, w), (mode, m, n, first, second, workers)
 
     def test_gamma_table_edge(self, monkeypatch):
         """64-position blocks under a geometric nu around 300: each replication
@@ -454,9 +468,10 @@ class TestSamplerMatchesTheLoop:
     def test_tiles_split_bit_for_bit(self, mode, monkeypatch):
         """Thirteen replications in tiles of four, the last tile one row, and
         64-position blocks, past pairwise summation's 8-element cutoff, so
-        that a block with one row left must take the cumsum route.  Under a
-        random nu at n = 60 the rows of a tile differ in length; at n = 3
-        the lower position of ((L, 3), (U, 2)) lies above the upper one."""
+        that a block with one row left must take the cumsum route (split
+        three ways, in the last slice, of five).  Under a random nu at n = 60
+        the rows of a tile differ in length; at n = 3 the lower position of
+        ((L, 3), (U, 2)) lies above the upper one."""
         monkeypatch.setattr(montecarlo, "_TILE", 4)
         monkeypatch.setattr(montecarlo, "_BLOCK", 64)
         model = parse_model("logistic")
@@ -467,8 +482,11 @@ class TestSamplerMatchesTheLoop:
                 if max(first[1], second[1]) > n:
                     continue
                 args = (params, model, index, first, second, 13, 77 + n)
-                for g, w in zip(_sample(*args), _loop_reference(*args)):
-                    assert np.array_equal(g, w), (mode, n, first, second)
+                want = _loop_reference(*args)
+                for workers in (1, 2, 3):
+                    _force_workers(monkeypatch, workers)
+                    for g, w in zip(_sample(*args), want):
+                        assert np.array_equal(g, w), (mode, n, first, second, workers)
 
     @pytest.mark.parametrize("block", [50, 51])
     def test_carry_on_a_block_edge(self, block, monkeypatch):
@@ -503,6 +521,103 @@ class TestSamplerMatchesTheLoop:
                                       want.integers(0, 10, 5, dtype=np.uint32))
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedSlices:
+    """A split call raises what the serial call raises and leaves no child."""
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_error_is_the_serial_one(self, seed, monkeypatch):
+        """Some replications draw nu past 2**63 - 1: under seed 1 the first
+        is replication 29 (a child's slice), under seed 3 replication 0 (the
+        parent's), so both routes of the error are taken."""
+        args = (GosParams(m=0.0, k=1.0, n=50), parse_model("logistic"),
+                IndexMode.parse("dependent:uniform:1:2e17"),
+                RankPair(1, 2, Regime.LOWER_LOWER), 50, seed)
+        messages = []
+        for workers in (1, 2, 3):
+            _force_workers(monkeypatch, workers)
+            with pytest.raises(ValueError, match=r"past the largest sample size") as caught:
+                simulate_value_pairs(*args)
+            messages.append(str(caught.value))
+            _no_child_left()
+        assert messages[1:] == messages[:1] * 2
+
+    def test_children_are_reaped(self, monkeypatch):
+        _force_workers(monkeypatch, 2)
+        simulate_value_pairs(GosParams(m=0.0, k=1.0, n=40), parse_model("logistic"),
+                             IndexMode.parse("geometric"), RankPair(2, 1, Regime.UPPER_UPPER),
+                             20, 9)
+        _no_child_left()
+
+    def test_no_fork_beside_other_threads(self, monkeypatch):
+        """A fork would copy the caller's locks but not its other threads, so
+        a caller that runs threads sums every slice itself."""
+        _force_workers(monkeypatch, 2)
+
+        def no_fork():
+            raise AssertionError("forked beside a running thread")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait, args=(60,))
+        waiter.start()
+        try:
+            args = (GosParams(m=0.0, k=1.0, n=40), parse_model("logistic"),
+                    IndexMode.parse("geometric"), (_U, 2), (_U, 1), 20, 9)
+            for g, w in zip(_sample(*args), _loop_reference(*args)):
+                assert np.array_equal(g, w)
+        finally:
+            done.set()
+            waiter.join(10)
+        assert not waiter.is_alive()
+
+    def test_lowest_slice_error_wins(self):
+        def run(lo, hi):
+            if lo:
+                raise (KeyError if lo == 4 else ValueError)(f"slice at {lo}")
+
+        sums = (np.zeros(12),)
+        with pytest.raises(KeyError, match="slice at 4"):
+            montecarlo._run_slices(run, [(0, 4), (4, 8), (8, 12)], sums)
+        _no_child_left()
+
+    def test_parent_error_kills_the_children(self):
+        """The parent's own slice raises while its children would run for a
+        minute: they are killed and reaped, and the call returns at once."""
+        def run(lo, hi):
+            if lo:
+                time.sleep(60)
+            raise ArithmeticError("parent slice")
+
+        t0 = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="parent slice"):
+            montecarlo._run_slices(run, [(0, 1), (1, 2), (2, 3)], (np.zeros(3),))
+        assert time.perf_counter() - t0 < 10
+        _no_child_left()
+
+    def test_a_child_that_dies_is_an_error(self):
+        def run(lo, hi):
+            if lo:
+                os._exit(3)
+
+        with pytest.raises(ChildProcessError, match=r"replications 2\.\.3 ended without"):
+            montecarlo._run_slices(run, [(0, 2), (2, 4)], (np.zeros(4),))
+        _no_child_left()
+
+    def test_values_come_back(self):
+        def run(lo, hi):
+            first[lo:hi], second[lo:hi] = np.arange(lo, hi), -np.arange(lo, hi)
+
+        first, second = np.zeros(10), np.zeros(10)
+        montecarlo._run_slices(run, [(0, 3), (3, 7), (7, 10)], (first, second))
+        assert np.array_equal(first, np.arange(10)) and np.array_equal(second, -np.arange(10))
+        _no_child_left()
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -513,6 +628,13 @@ def _traced_peak(fn):
 
 
 class TestSamplerMemory:
+    """tracemalloc sees one process, so these calls stay in it; the last
+    test measures the children of a split call."""
+
+    @pytest.fixture(autouse=True)
+    def _serial(self, monkeypatch):
+        _force_workers(monkeypatch, 1)
+
     def test_lower_pair_ignores_nu(self):
         """A lower-lower pair draws max(r, s) uniforms, so nu ~ 1e9 costs
         neither time nor memory."""
@@ -551,6 +673,33 @@ class TestSamplerMemory:
         small = peak(2 * 10**4, 64)
         assert abs(peak(2 * 10**5, 64) - small) <= tile
         assert abs(peak(2 * 10**4, 512) - small) <= tile
+
+
+    def test_children_memory_is_one_tile(self):
+        """In a fresh interpreter, a call split in two at ten times the sample
+        size raises its children's peak RSS by at most a few MB."""
+        code = """if True:
+            import os, resource
+            from gosextreme import montecarlo
+            from gosextreme.distributions import parse_model
+            from gosextreme.params import GosParams, RankPair, Regime
+            from gosextreme.randomindex import IndexMode
+            os.sched_getaffinity = lambda pid: {0, 1}
+            montecarlo._FORK_WORK = 1
+            for n in (2 * 10**5, 2 * 10**6):
+                montecarlo.simulate_value_pairs(
+                    GosParams(m=0.0, k=1.0, n=n), parse_model("logistic"),
+                    IndexMode.parse("fixed"), RankPair(2, 1, Regime.UPPER_UPPER), 4, 5)
+                print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+            """
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        small, large = (int(line) for line in out.split())  # KB
+        assert small > 0
+        assert large - small <= 4096
 
 
 @pytest.mark.parametrize("replications", [0, -5])

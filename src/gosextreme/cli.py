@@ -38,7 +38,7 @@ from .limitlaws import TailTransform
 from .montecarlo import SimConfig, analytic_limit_df, run_bivariate_sim
 from .params import ExtremeSide, GosParams, RankPair, Regime, UsageError, parse_number, usage_line
 from .randomindex import IndexLaw, IndexMode, realizing_mode
-from .ranges import RangeQuery, midrange_limit_df, range_limit_df, run_statistic_sim
+from .ranges import STATISTICS, RangeQuery, limit_df, run_statistic_sim
 
 OUTPUT_DIR_ENV = "GOSEXTREME_OUTDIR"
 
@@ -231,15 +231,8 @@ def _run_simulate(args) -> int:
     return 0
 
 
-_EXAMPLE_STATS = ("range", "midrange")
-_DEFAULT_GRIDS = {
-    "range": "-2:6:41",
-    "midrange": "-4:4:41",
-}
-
-
 def example_names() -> list[str]:
-    return sorted(f"{fam}-{stat}" for fam in FAMILY_NAMES for stat in _EXAMPLE_STATS)
+    return sorted(f"{fam}-{stat}" for fam in FAMILY_NAMES for stat in STATISTICS)
 
 
 def _run_example(args) -> int:
@@ -254,13 +247,12 @@ def _run_example(args) -> int:
     n = args.sim_n if args.sim_n is not None else 500
     params = GosParams(m=args.m, k=args.k, n=n)
     query = RangeQuery(model=model, params=params, law=law, statistic=stat)
-    evaluate = range_limit_df if stat == "range" else midrange_limit_df
 
     if args.at is not None:
         grid = [parse_number(args.at)]
         grid_label = args.at
     else:
-        grid_label = args.grid or _DEFAULT_GRIDS[stat]
+        grid_label = args.grid or STATISTICS[stat].grid
         grid = parse_grid(grid_label)
 
     config = {
@@ -269,7 +261,7 @@ def _run_example(args) -> int:
         "format": args.format,
     }
     columns = ["t", "analytic"]
-    analytic = evaluate(query, np.array(grid))
+    analytic = limit_df(query, np.array(grid))
     data = [grid, analytic.tolist()]
 
     if args.sim_reps:
@@ -428,7 +420,9 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         # the reader is gone (`| head`): no message, a quiet flush at exit, 128 + SIGPIPE
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except (ValueError, OSError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

@@ -569,31 +569,17 @@ def norming_constants(model: DistributionModel, params: GosParams) -> NormingCon
 
 
 def _quantile_norming(model: DistributionModel, params: GosParams) -> tuple[float, ...]:
-    """(a, b, c, d) by one rule: the maximum's constants from the upper side
-    of F, the minimum's as those of the maximum of -X, whose centre is -d."""
+    """(a, b, c, d) by each side's tail rule (`limitlaws._TailKind.norming`): the
+    maximum's constants from the upper side of F, the minimum's as those of
+    the maximum of -X, whose centre is -d."""
     mp1 = params.m + 1.0
     big_n = params.big_n
     lo, hi = model.support()
     rec, prm = model.record, model.params
     u = big_n ** (-1.0 / mp1)  # tail mass with q_F(1-u) = G^{-1}(1 - 1/N)
-    a, b = _norming_side(tail_transform(model, ExtremeSide.UPPER).kind,
-                         lambda v: float(rec.isf(prm, v)), lambda v: float(rec.upper_gap(prm, v)),
-                         hi, u, u / math.e)
-    c, centre = _norming_side(tail_transform(model, ExtremeSide.LOWER).kind,
-                              lambda p: -float(rec.quantile(prm, p)),
-                              lambda p: float(rec.lower_gap(prm, p)), -lo,
-                              _lm_prob(mp1, 1.0 / big_n), _lm_prob(mp1, 1.0 / (math.e * big_n)))
+    a, b = tail_transform(model, ExtremeSide.UPPER).record.norming(
+        lambda v: float(rec.isf(prm, v)), lambda v: float(rec.upper_gap(prm, v)), hi, u, u / math.e)
+    c, centre = tail_transform(model, ExtremeSide.LOWER).record.norming(
+        lambda p: -float(rec.quantile(prm, p)), lambda p: float(rec.lower_gap(prm, p)), -lo,
+        _lm_prob(mp1, 1.0 / big_n), _lm_prob(mp1, 1.0 / (math.e * big_n)))
     return a, b, c, 0.0 - centre  # keeps a frechet minimum's d at +0.0, as -centre would not
-
-
-def _norming_side(kind: str, tail_q: Callable, gap: Callable, end: float, level: float,
-                  level_e: float) -> tuple[float, float]:
-    """(scale, centre) of the maximum of a variable whose upper-tail quantile
-    at mass v is tail_q(v), by the tail's kind; a weibull tail ends at `end`,
-    gap(v) = end - tail_q(v) away.  The gumbel scale is taken at level_e."""
-    if kind == "frechet":
-        return tail_q(level), 0.0
-    if kind == "weibull":  # every weibull side has a finite end
-        return gap(level), end
-    centre = tail_q(level)
-    return tail_q(level_e) - centre, centre

@@ -14,6 +14,12 @@ Note the published domain annotations for the upper Frechet/Weibull pair
 are swapped relative to these (with them the limit expressions fail to
 be distribution functions); the standard domains above are used.
 
+Each kind is one record in `_TAILS`, a transform's `record`: its CLI
+spellings, whether it takes an exponent, its transform and `rho_inverse`,
+whether the transform ends at x = 0 (frechet, weibull) and is open (0) or
+closed (+inf) past that edge, and its quantile norming rule.  No other
+module compares a kind's name.
+
 The limit families these arguments enter are served as finite sums by
 `randomindex` (the `limit` verb is its point mass 1); `reference` keeps
 them as written, the route the sums are checked against.
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,12 +37,9 @@ from .params import ExtremeSide, parse_number, read_spec
 from .specfun import domain_error
 
 
-_TAILS = {"frechet": ("frechet:<a>",), "weibull": ("weibull:<a>",), "gumbel": ("gumbel",)}
-
-
 @dataclass(frozen=True)
 class TailTransform:
-    """One side's attraction type: a kind of `_TAILS` (kind -> its CLI spellings)."""
+    """One side's attraction type: a kind of `_TAILS`."""
 
     side: ExtremeSide
     kind: str
@@ -44,21 +48,25 @@ class TailTransform:
     def __post_init__(self):
         if self.kind not in _TAILS:
             raise ValueError(f"unknown tail kind {self.kind!r}")
-        if self.kind == "gumbel":
+        if not self.record.takes_alpha:
             if self.alpha is not None:
-                raise ValueError("gumbel transform takes no exponent")
+                raise ValueError(f"{self.kind} transform takes no exponent")
         elif self.alpha is None or not self.alpha > 0.0:
             raise ValueError(f"{self.kind} transform requires alpha > 0")
         elif self.alpha == math.inf:
             raise ValueError(f"{self.kind} transform requires a finite alpha, got inf")
 
+    @property
+    def record(self) -> _TailKind:
+        return _TAILS[self.kind]
+
     @staticmethod
-    def spellings() -> dict[str, tuple[str, ...]]:
-        return _TAILS
+    def spellings() -> dict[str, tuple[str, ...]]:  # for `params.read_spec`
+        return {kind: spec.usages for kind, spec in _TAILS.items()}
 
     @staticmethod
     def parse(text: str, side: ExtremeSide) -> "TailTransform":
-        kind, args = read_spec(text, _TAILS, "tail transform")
+        kind, args = read_spec(text, TailTransform.spellings(), "tail transform")
         return TailTransform(side, kind, *map(parse_number, args))
 
 
@@ -84,11 +92,7 @@ def rho_inverse(transform: TailTransform, s):
     it maps the real line onto the x where rho is positive and finite."""
     if transform.side != ExtremeSide.LOWER:
         raise ValueError("rho_inverse expects a lower-side transform")
-    if transform.kind == "frechet":
-        return -np.exp(-s / transform.alpha)
-    if transform.kind == "weibull":
-        return np.exp(s / transform.alpha)
-    return s
+    return transform.record.inverse(s, transform.alpha)
 
 
 def _transform(transform: TailTransform, x, sign: float):
@@ -98,10 +102,42 @@ def _transform(transform: TailTransform, x, sign: float):
     if np.isnan(u).any():
         raise domain_error("tail transforms are undefined at NaN", ~np.isnan(u), x=x)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if transform.kind == "frechet":
-            value = np.where(u > 0.0, u ** -transform.alpha, np.inf)
-        elif transform.kind == "weibull":
-            value = np.where(u <= 0.0, (-u) ** transform.alpha, 0.0)
-        else:
-            value = np.exp(-u)
+        value = transform.record.form(u, transform.alpha)
     return value if value.ndim else float(value)
+
+
+# --- the kinds: one record each -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class _TailKind:
+    usages: tuple[str, ...]  # its CLI spellings
+    form: Callable  # (u, alpha) -> the upper-side transform at u, in [0, +inf]
+    inverse: Callable  # (s, alpha) -> `rho_inverse`
+    # (tail_q, gap, end, level, level_e) -> (scale, centre) of the maximum of a
+    # variable whose upper-tail quantile at mass v is tail_q(v); a weibull tail
+    # ends at `end`, gap(v) = end - tail_q(v) away.  The gumbel scale is taken
+    # at level_e.
+    norming: Callable
+    ends: bool = True  # the transform ends at x = 0 (`ranges._pair`'s edge)
+    opens: bool = False  # past that end it is 0 (open), not +inf (closed)
+    takes_alpha: bool = True
+
+
+def _gumbel_norming(tail_q, gap, end, level, level_e) -> tuple[float, float]:
+    centre = tail_q(level)
+    return tail_q(level_e) - centre, centre
+
+
+_TAILS = {  # usages, form, inverse, norming, then the flags that differ
+    "frechet": _TailKind(
+        ("frechet:<a>",), lambda u, a: np.where(u > 0.0, u ** -a, np.inf),
+        lambda s, a: -np.exp(-s / a), lambda tail_q, gap, end, level, _: (tail_q(level), 0.0)),
+    "weibull": _TailKind(
+        ("weibull:<a>",), lambda u, a: np.where(u <= 0.0, (-u) ** a, 0.0),
+        lambda s, a: np.exp(s / a), lambda tail_q, gap, end, level, _: (gap(level), end),
+        opens=True),
+    "gumbel": _TailKind(
+        ("gumbel",), lambda u, _: np.exp(-u), lambda s, _: s, _gumbel_norming,
+        ends=False, takes_alpha=False),
+}

@@ -62,7 +62,7 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
@@ -120,16 +120,7 @@ class SimulationReport:
     seed: int
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "grid": [list(g) if isinstance(g, tuple) else g for g in self.grid],
-            "empirical": list(self.empirical),
-            "analytic": list(self.analytic),
-            "standard_errors": list(self.standard_errors),
-            "sup_distance": self.sup_distance,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def ks_distance(empirical: Sequence[float], analytic: Sequence[float]) -> float:

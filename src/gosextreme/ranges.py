@@ -19,6 +19,11 @@ raises UnsupportedCaseError where no limit is published) and the published
 conventions are fields of the family's record in `distributions`.  Range and
 midrange share the mixed max marginal as their limit where eta = inf.
 
+Each statistic is one record in `STATISTICS`: how the min and max combine,
+the sign of y in x(y, t), its (A, B) convention and midrange stretch, its
+published eta = 0 form and the `example` verb's default grid.  No other
+module compares a statistic's name.
+
 Only the cauchy family with m > 0 has eta = 0; it takes the published
 closed forms 1 - e^(-1/r) and e^(1/v), kept verbatim (and pinned by
 the acceptance checks) although they are decreasing in their argument,
@@ -40,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -65,15 +71,41 @@ class QuadratureError(ArithmeticError):
 
 
 @dataclass(frozen=True)
+class Statistic:
+    """A statistic of the sample's min and max: (max - sign * min) * weight.
+    The simulator tallies (statistic - B) / A at A = a * weight * stretch and
+    B = (b - sign * d) * weight (`statistic_normalization`), which at the
+    normalized max x and min y is (x - sign * y/eta) / stretch (`_pair`)."""
+
+    sign: float
+    weight: float
+    stretched: bool  # the family's `midrange_stretch` widens its scale
+    grid: str  # the `example` verb's default grid
+    cauchy: Callable  # the published eta = 0 df at an array of t
+
+
+STATISTICS = {
+    "range": Statistic(sign=1.0, weight=1.0, stretched=False, grid="-2:6:41",
+                       cauchy=lambda t: np.where(t > 0.0, -np.expm1(-1.0 / t), 0.0)),
+    "midrange": Statistic(sign=-1.0, weight=0.5, stretched=True, grid="-4:4:41",
+                          cauchy=lambda t: np.where(t < 0.0, np.exp(1.0 / t), 1.0)),
+}
+
+
+@dataclass(frozen=True)
 class RangeQuery:
     model: DistributionModel
     params: GosParams
     law: IndexLaw
-    statistic: str  # "range" | "midrange"
+    statistic: str  # a name in `STATISTICS`
 
     def __post_init__(self):
-        if self.statistic not in ("range", "midrange"):
-            raise ValueError(f"statistic must be range or midrange, got {self.statistic}")
+        if self.statistic not in STATISTICS:
+            raise ValueError(f"statistic must be {' or '.join(STATISTICS)}, got {self.statistic}")
+
+    @property
+    def _stat(self) -> Statistic:
+        return STATISTICS[self.statistic]
 
     # Resolved once per query, on first use (an unsupported case raises there).
     @cached_property
@@ -95,8 +127,7 @@ class RangeQuery:
         A midrange the family publishes at scale s * a_n/2 has, as its
         limit df at t, the general one at s t.
         """
-        stretch = self.model.record.midrange_stretch
-        return stretch(self.params) if self.statistic == "midrange" else 1.0
+        return self.model.record.midrange_stretch(self.params) if self._stat.stretched else 1.0
 
     @cached_property
     def _s_extent(self) -> tuple[float, float]:
@@ -133,20 +164,20 @@ def _pair(query: RangeQuery, t):
     """(head, lo, hi, c) of the two-sided case at stretched t; `eta_limit`
     alone decides which cases have one."""
     lower, upper, eta = query._lower, query._upper, query._eta
-    sign = 1.0 if query.statistic == "range" else -1.0
+    sign = query._stat.sign
 
     def c_of(s, t):
         return query.params.kappa_power(kappa(upper, t + sign * rho_inverse(lower, s) / eta))
 
     head, unbounded = np.zeros_like(t), np.full_like(t, np.inf)
-    if upper.kind == "gumbel":
+    if not upper.record.ends:
         return head, -unbounded, unbounded, c_of
     split = rho(lower, -sign * eta * t)
     with np.errstate(divide="ignore"):
         edge = np.log(split)
     # x rises with s for the range and falls for the midrange, so past the
     # edge lies above it for a weibull range and a frechet midrange.
-    opens = upper.kind == "weibull"
+    opens = upper.record.opens
     lo, hi = (-unbounded, edge) if opens == (sign > 0.0) else (edge, unbounded)
     if opens:
         inside = sign * t < 0.0  # else open (range) or closed (midrange) for every s
@@ -276,11 +307,10 @@ def _mixed_df(query: RangeQuery, t) -> np.ndarray:
     return value
 
 
-def _cauchy_mpos_value(statistic: str, t):
-    with np.errstate(divide="ignore", over="ignore"):
-        if statistic == "range":
-            return np.where(t > 0.0, -np.expm1(-1.0 / t), 0.0)
-        return np.where(t < 0.0, np.exp(1.0 / t), 1.0)
+def limit_df(query: RangeQuery, t):
+    """P(normalized statistic <= t) in the query's index limit, for the
+    statistic it names, at a float or over an array of t."""
+    return _limit_df(query, t)
 
 
 def range_limit_df(query: RangeQuery, t):
@@ -310,7 +340,8 @@ def _limit_df(query: RangeQuery, t):
                 "the cauchy m > 0 forms are published for the geometric "
                 "(unit-exponential) index law only"
             )
-        value = _cauchy_mpos_value(query.statistic, grid)
+        with np.errstate(divide="ignore", over="ignore"):
+            value = query._stat.cauchy(grid)
     else:
         value = clip_probability(_mixed_df(query, grid.ravel()).reshape(grid.shape))
     return value if value.ndim else float(value)
@@ -341,7 +372,7 @@ def statistic_normalization(
 ) -> tuple[float, float]:
     """(A, B) so that the simulator tallies (statistic - B) / A.
 
-    Default convention: A_r = a, B_r = b - d for the range and
+    By the statistic's record: A_r = a, B_r = b - d for the range and
     A_v = a/2, B_v = (b+d)/2 for the midrange.  The family's record
     adjusts it for the published examples: a centred family (pareto)
     centres at 0, as cauchy's b = d = 0 already do, and the midrange
@@ -353,9 +384,8 @@ def statistic_normalization(
         a, b, d = consts.c, 0.0, 0.0
     elif query.model.record.centred:
         b = d = 0.0
-    if query.statistic == "midrange":
-        return a / 2.0 * query._stretch, (b + d) / 2.0
-    return a, b - d
+    stat = query._stat
+    return a * stat.weight * query._stretch, (b - stat.sign * d) * stat.weight
 
 
 def run_statistic_sim(
@@ -375,10 +405,7 @@ def run_statistic_sim(
         params, model, mode, RankPair(1, 1, Regime.LOWER_UPPER), replications, seed,
     )
     scale, center = statistic_normalization(query, consts)
-    if query.statistic == "range":
-        values = (maxs - mins - center) / scale
-    else:
-        values = ((maxs + mins) / 2.0 - center) / scale
+    values = ((maxs - query._stat.sign * mins) * query._stat.weight - center) / scale
 
     grid = tuple(float(g) for g in grid)
     if analytic is None:

@@ -985,6 +985,86 @@ x,y,empirical,analytic,standard_error
 """
 
 
+# The JSON report, `simulate`'s default format, of the same run; its bytes
+# were recorded before the report's payload came from `dataclasses.asdict`.
+_SIMULATE_JSON_BYTES = """\
+{
+  "analytic": [
+    0.18841064371073046,
+    0.27206161380896277,
+    0.22733832499580423,
+    0.6147381411169264,
+    0.22733832499580423,
+    0.78181830698365
+  ],
+  "config": {
+    "grid_size": 6,
+    "index_mode": "geometric",
+    "k": 1.0,
+    "m": 0.5,
+    "model": "logistic",
+    "n": 40,
+    "r": 2,
+    "regime": "upper_upper",
+    "replications": 300,
+    "s": 1,
+    "seed": 11
+  },
+  "empirical": [
+    0.18,
+    0.27666666666666667,
+    0.20666666666666667,
+    0.6166666666666667,
+    0.20666666666666667,
+    0.8133333333333334
+  ],
+  "grid": [
+    [
+      -1.0,
+      -0.5
+    ],
+    [
+      -1.0,
+      1.5
+    ],
+    [
+      0.0,
+      -0.5
+    ],
+    [
+      0.0,
+      1.5
+    ],
+    [
+      1.0,
+      -0.5
+    ],
+    [
+      1.0,
+      1.5
+    ]
+  ],
+  "seed": 11,
+  "standard_errors": [
+    0.022181073012818835,
+    0.02582777718027771,
+    0.023377735530168836,
+    0.028070677992577286,
+    0.023377735530168836,
+    0.0224960901952778
+  ],
+  "sup_distance": 0.031515026349683395
+}"""
+
+
+class TestSimulateJson:
+    def test_bytes_unchanged(self, tmp_path):
+        out = tmp_path / "sim.json"
+        argv = _SIMULATE_CSV[:_SIMULATE_CSV.index("--format")]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == _SIMULATE_JSON_BYTES
+
+
 class TestSimulateCsv:
     def test_header_and_row_count(self, capsys):
         code, out, _ = run_cli(capsys, *_SIMULATE_CSV)
@@ -1226,6 +1306,8 @@ class TestXyTableCsv:
 
 
 class TestClosedStdout:
+    ARGV = ["exact", "--dist", "logistic", "--n", "5", "--marginal", "upper"]
+
     def test_exits_141_without_a_message(self):
         import os
         import subprocess
@@ -1233,10 +1315,30 @@ class TestClosedStdout:
 
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         env.pop("PYTHONUNBUFFERED", None)  # the small table stays in the buffer
-        argv = ["exact", "--dist", "logistic", "--n", "5", "--marginal", "upper"]
-        proc = subprocess.Popen([sys.executable, "-m", "gosextreme.cli", *argv], env=env,
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        proc.stdout.close()  # the reader is gone before the table is written
-        err = proc.stderr.read()
-        assert proc.wait() == 141
+        with subprocess.Popen([sys.executable, "-m", "gosextreme.cli", *self.ARGV], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()  # the reader is gone before the table is written
+            err = proc.stderr.read()
+        assert proc.returncode == 141
         assert err == b""
+
+    def test_an_in_process_exit_leaves_no_descriptor_open(self, monkeypatch):
+        import os
+        import sys
+
+        opened, os_open = [], os.open
+
+        def recording(*args, **kwargs):
+            opened.append(os_open(*args, **kwargs))
+            return opened[-1]
+
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stdout, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            patch.setattr(os, "open", recording)
+            assert main(self.ARGV) == 141
+        assert opened, "the broken pipe was not redirected to the null device"
+        for fd in opened:
+            with pytest.raises(OSError):
+                os.fstat(fd)

@@ -1,7 +1,9 @@
 """The index-law and sampler-mode kinds: each is defined in `randomindex`
 alone, with its CLI spellings, takes exactly its own fields, and rejects
 non-finite parameters when it is built.  The CLI reads every law, mode and
-tail spelling through the kind's own `parse`, so it compares none."""
+tail spelling through the kind's own `parse`.  Each name has one owner that
+alone compares it: `randomindex` a law or mode spelling, `limitlaws` a tail
+kind and `ranges` a statistic; every other module reads their records."""
 
 import ast
 import math
@@ -13,6 +15,7 @@ import pytest
 from gosextreme.limitlaws import TailTransform
 from gosextreme.montecarlo import sample_random_index
 from gosextreme.randomindex import IndexLaw, IndexMode
+from gosextreme.ranges import STATISTICS
 
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "gosextreme"
 KIND_STRINGS = {
@@ -62,6 +65,7 @@ def _words(kinds) -> set[str]:
 
 LAW_AND_MODE_WORDS = _words(IndexLaw.spellings()) | _words(IndexMode.spellings())
 TAIL_WORDS = _words(TailTransform.spellings())
+STATISTIC_WORDS = set(STATISTICS)
 
 
 def _spelling_comparisons(tree: ast.AST, words: set[str]) -> list[int]:
@@ -89,25 +93,36 @@ def test_the_spelling_walker_sees_each_form():
         assert _spelling_comparisons(ast.parse(code), LAW_AND_MODE_WORDS), code
     for code in ('kind == "gumbel"', 'kind in ("frechet", "weibull")', 'tail.kind != "weibull"'):
         assert _spelling_comparisons(ast.parse(code), TAIL_WORDS), code
+    assert STATISTIC_WORDS == {"range", "midrange"}
+    for code in ('stat == "range"', 'query.statistic != "midrange"',
+                 'statistic not in ("range", "midrange")'):
+        assert _spelling_comparisons(ast.parse(code), STATISTIC_WORDS), code
+    for code in ('len(grid) == 2', 'name == "ranges"', 'STATISTICS == table'):
+        assert not _spelling_comparisons(ast.parse(code), STATISTIC_WORDS), code
     for code in ('verb == "mix"', 'fmt in ("csv", "json")', 'IndexLaw.parse("exponential")',
                  'stat == "range"', 'head == "<c>"'):
         assert not _spelling_comparisons(ast.parse(code), LAW_AND_MODE_WORDS | TAIL_WORDS), code
 
 
+def _compared_outside(owner: str, words: set[str]) -> dict[str, list[int]]:
+    """The lines, by module, where a module other than `owner` compares one of `words`."""
+    return {path.name: lines for path in sorted(SOURCES.glob("*.py")) if path.name != owner
+            if (lines := _spelling_comparisons(ast.parse(path.read_text(), str(path)), words))}
+
+
 def test_no_module_but_randomindex_compares_a_law_or_mode_spelling():
-    found = {
-        path.name: lines
-        for path in sorted(SOURCES.glob("*.py")) if path.name != "randomindex.py"
-        if (lines := _spelling_comparisons(ast.parse(path.read_text(), str(path)),
-                                           LAW_AND_MODE_WORDS))
-    }
+    found = _compared_outside("randomindex.py", LAW_AND_MODE_WORDS)
     assert not found, f"law or mode spellings compared outside randomindex: {found}"
 
 
-def test_cli_compares_no_tail_spelling():
-    path = SOURCES / "cli.py"
-    lines = _spelling_comparisons(ast.parse(path.read_text(), str(path)), TAIL_WORDS)
-    assert not lines, f"tail spellings compared in cli: {lines}"
+def test_no_module_but_limitlaws_compares_a_tail_kind():
+    found = _compared_outside("limitlaws.py", TAIL_WORDS)
+    assert not found, f"tail kinds compared outside limitlaws: {found}"
+
+
+def test_no_module_but_ranges_compares_a_statistic():
+    found = _compared_outside("ranges.py", STATISTIC_WORDS)
+    assert not found, f"statistic names compared outside ranges: {found}"
 
 
 def test_only_randomindex_compares_law_or_mode_kinds():

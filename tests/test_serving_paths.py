@@ -1,15 +1,15 @@
 """No adaptive quadrature on a serving path: with scipy's QUADPACK entry
 point made to raise, every mixture under every law kind, both exact joints,
 the `limit` and `exact` verbs, and the `example` range and midrange tables
-still evaluate.  The two-sided ranges take a fixed Gauss-Legendre rule over
-the whole grid, graded toward the pair's edge, and settle every point
-without a fallback: at an edge point they match a 30-digit mpmath
+still evaluate.  The two-sided ranges take nested Clenshaw-Curtis levels in
+a sinh-mapped variable, graded toward the pair's edge, and settle every
+point without a fallback: at an edge point they match a 30-digit mpmath
 integral.  QUADPACK serves only the routes of `reference`, and neither
-importing the CLI nor serving a range table loads it.  Range, exact and mixture values do not
-depend on the grid around them, and a long range grid is taken in chunks of
-fixed size.  An xy table taken on its grid's axes keeps the bits of the
-flattened grid, takes a gamma ratio of one coordinate once per grid value,
-and makes as many index-kernel calls as a single point."""
+importing the CLI nor serving a range table loads it.  Range, exact and
+mixture values do not depend on the grid around them, and a long range grid
+is taken in chunks of fixed size.  An xy table taken on its grid's axes
+keeps the bits of the flattened grid, takes a gamma ratio of one coordinate
+once per grid value, and makes as many index-kernel calls as a single point."""
 
 import os
 import subprocess

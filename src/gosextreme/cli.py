@@ -138,13 +138,6 @@ _FIXED_SIZE = IndexLaw.degenerate(1.0)  # the `limit` verb's law, realized by si
 _REGIMES = {"uu": Regime.UPPER_UPPER, "ll": Regime.LOWER_LOWER, "lu": Regime.LOWER_UPPER}
 
 
-def _gos_params(args) -> GosParams:
-    n = getattr(args, "n", None)
-    if n is None:
-        n = max(args.r, args.s) + 1
-    return GosParams(m=args.m, k=args.k, n=n)
-
-
 # --- verb runners -----------------------------------------------------------
 
 
@@ -185,7 +178,8 @@ def _xy_table(args, config: dict, evaluate) -> int:
 
 
 def _run_limit_like(args, law: IndexLaw | None) -> int:
-    params = _gos_params(args)
+    # a limit reads no n; the least one that holds both ranks validates them
+    params = GosParams(m=args.m, k=args.k, n=max(args.r, args.s) + 1)
     up = TailTransform.parse(args.upper_tail, ExtremeSide.UPPER) if args.upper_tail else None
     low = TailTransform.parse(args.lower_tail, ExtremeSide.LOWER) if args.lower_tail else None
     regime = _REGIMES[args.regime]
@@ -290,14 +284,10 @@ def _run_selftest(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-class _UsageExit(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         self.print_usage(sys.stderr)
-        raise _UsageExit(message)
+        raise UsageError(message)
 
 
 def _add_common_output(p):
@@ -407,10 +397,6 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-    except _UsageExit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

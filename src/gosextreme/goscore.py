@@ -4,10 +4,13 @@ Ranks count as `RankPair` sets out: from the top (r = 1 is the maximum)
 for the upper marginal and an upper-upper pair, from the bottom for the
 lower marginal and a lower-lower pair; r_top = n - r_bottom + 1.
 
-The joints are finite sums.  For V = (1 - U)^(m+1) of two ranks of the
-uniform m-GOS, V_r > V_s, the product representation gives
+Every df is a tail of a Dirichlet split.  For V = (1 - U)^(m+1) of two
+ranks of the uniform m-GOS, V_r > V_s, the product representation gives
 (V_s, V_r - V_s, 1 - V_r) ~ Dirichlet(a, n0, b) with an integer n0, and
-each joint df is P(V_r > p, V_s > q) at p = Lbar_m(x), q = Lbar_m(y).
+each joint df is P(V_r > p, V_s > q) at p = Lbar_m(x), q = Lbar_m(y), a
+finite sum of beta tails.  A marginal is the split's two-part case, the
+tail P(V > p) of one beta variable, and one routed tail, `_beta_tail`,
+serves every exact df.
 
 The transforms, the marginals and the joints take floats or numpy
 arrays (x and y broadcast), so a whole table is one call, and every beta
@@ -49,63 +52,62 @@ def lbar(params: GosParams, model: DistributionModel, x):
     return value if value.ndim else float(value)
 
 
-def _check_rank(params: GosParams, r: int) -> None:
-    if not 1 <= r <= params.n:
-        raise ValueError(f"rank {r} out of range 1..{params.n}")
-
-
 def marginal_lower_df(params: GosParams, model: DistributionModel, r: int, x):
-    """df of the r-th m-GOS from the bottom: I_{L_m(x)}(r, N - r + 1)."""
-    _check_rank(params, r)
-    return _beta_ratio_df(params, model, x, float(r), params.big_n - r + 1.0)
+    """df of the r-th m-GOS from the bottom: P(V > Lbar_m(x)) for
+    V ~ Beta(N - r + 1, r)."""
+    return _marginal(params, model, r, x, params.big_n - r + 1.0, float(r))
 
 
 def marginal_upper_df(params: GosParams, model: DistributionModel, r: int, x):
-    """df of the r-th m-GOS from the top: I_{L_m(x)}(N - R_r + 1, R_r)."""
-    _check_rank(params, r)
-    rr = params.rank_weight(r)
-    return _beta_ratio_df(params, model, x, params.big_n - rr + 1.0, rr)
+    """df of the r-th m-GOS from the top: P(V_r > Lbar_m(x)) for
+    V_r ~ Beta(R_r, n - r + 1)."""
+    return _marginal(params, model, r, x, params.rank_weight(r), params.n - r + 1.0)
 
 
-def _beta_ratio_df(params: GosParams, model: DistributionModel, x, a: float, b: float):
-    """I_{L_m(x)}(a, b), routed through whichever of L_m(x) and its
-    complement carries the accurate tail: 1 - I_{1-L_m(x)}(b, a) where
-    that complement is below 1/2."""
-    lmx, lbx = lm(params, model, x), lbar(params, model, x)
-    tail = lbx < 0.5
-    ratio = reg_inc_beta(np.where(tail, lbx, lmx), np.where(tail, b, a), np.where(tail, a, b))
-    value = np.where(tail, 1.0 - ratio, ratio)
+def _marginal(params: GosParams, model: DistributionModel, r: int, x, a: float, b: float):
+    """P(V > Lbar_m(x)) for V ~ Beta(a, b), its complement taken as L_m(x)."""
+    if not 1 <= r <= params.n:
+        raise ValueError(f"rank {r} out of range 1..{params.n}")
+    value = clip_probability(_beta_tail(a, b, lbar(params, model, x), lm(params, model, x)))
     return value if value.ndim else float(value)
 
 
-def _dirichlet_upper(a: float, n0: int, b: float, p, q, pc, qc, marginal):
-    """P(V_r > p, V_s > q) where q < p, for (V_s, V_r - V_s, 1 - V_r) ~
-    Dirichlet(a, n0, b), integer n0 >= 1, and `marginal` elsewhere (x >= y);
-    pc = 1 - p and qc = 1 - q carry the digits near p = 1.  The arguments
-    are floats, which give a float, or arrays that broadcast (p with pc,
-    q with qc and `marginal`).
+def _beta_tail(a, b, p, pc):
+    """P(V > p) for V ~ Beta(a, b), with pc = 1 - p: 1 - I_p(a, b) below
+    p = 1/2 and I_pc(b, a) from there up, so that the ratio taken is the
+    one whose argument carries its digits.  Arrays broadcast."""
+    low = p < 0.5
+    ratio = reg_inc_beta(np.where(low, p, pc), np.where(low, a, b), np.where(low, b, a))
+    return np.where(low, 1.0 - ratio, ratio)
 
-    Either V_s > p, or V_s = g in (q, p] and V_r - V_s covers p - g (a
-    negative-binomial sum); integrating over g and collecting equal powers
-    (Vandermonde) leaves S_0 + sum_{j<n0} (S_{j+1} - S_j) I_{1-q/p}(j+1, a)
-    with the beta tails S_j = 1 - I_p(a+j, n0+b-j), S_n0 = P(V_r > p),
-    taken as I_{1-p}(n0+b-j, a+j) from p = 1/2 up.  Beta ratios keep the
-    terms accurate where log-gamma prefactors would not.  The tails are
-    taken in p's shape; points of the marginal branch take 1 - q/p = 0.
+
+def _dirichlet_upper(a: float, n0: int, b: float, p, q, pc, qc, qm):
+    """P(V_r > p, V_s > q) for (V_s, V_r - V_s, 1 - V_r) ~ Dirichlet(a,
+    n0, b), integer n0 >= 1; pc = 1 - p and qc = 1 - q carry the digits
+    near p = 1.  Where q >= p (x >= y) the event is V_s > q alone, the
+    split's two-part case V_s ~ Beta(a, n0 + b), whose tail takes
+    1 - q as qm = L_m(y), as the marginals do.  The arguments are floats,
+    which give a float, or arrays that broadcast (p with pc, q with qc
+    and qm).
+
+    Where q < p, either V_s > p, or V_s = g in (q, p] and V_r - V_s covers
+    p - g (a negative-binomial sum); integrating over g and collecting
+    equal powers (Vandermonde) leaves
+    S_0 + sum_{j<n0} (S_{j+1} - S_j) I_{1-q/p}(j+1, a) with the beta tails
+    S_j = P(Beta(a+j, n0+b-j) > p), S_n0 = P(V_r > p).  Beta ratios keep
+    the terms accurate where log-gamma prefactors would not.  The tails
+    are taken in p's shape; points of the marginal branch take 1 - q/p = 0.
     """
     joint = p > q
-    low = p < 0.5
     gap = np.maximum(qc - pc, 0.0)  # p - q
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # of the branch not taken
-        x = np.where(joint, np.where(low, 1.0 - q / p, gap / (q + gap)), 0.0)
-    at, tails = np.where(low, p, pc), []
-    for j in range(n0 + 1):
-        ratio = reg_inc_beta(at, np.where(low, a + j, n0 + b - j), np.where(low, n0 + b - j, a + j))
-        tails.append(np.where(low, 1.0 - ratio, ratio))
+        x = np.where(joint, np.where(p < 0.5, 1.0 - q / p, gap / (q + gap)), 0.0)
+    tails = [_beta_tail(a + j, n0 + b - j, p, pc) for j in range(n0 + 1)]
     value = tails[0]
     for j in range(n0):
         value = value + (tails[j + 1] - tails[j]) * reg_inc_beta(x, j + 1, a)
-    value = np.where(joint, clip_probability(np.where(pc <= 0.0, 0.0, value)), marginal)
+    value = np.where(joint, clip_probability(np.where(pc <= 0.0, 0.0, value)),
+                     clip_probability(_beta_tail(a, n0 + b, q, qm)))
     return value if value.ndim else float(value)
 
 
@@ -123,11 +125,11 @@ def joint_df(params: GosParams, model: DistributionModel, pair: RankPair, x, y):
         raise ValueError(f"no exact joint df for the {pair.regime.value} regime")
     pair.validate_against(params.n)
     r, s = pair.r, pair.s
-    p, q = lbar(params, model, x), lbar(params, model, y)
+    p, q, qm = lbar(params, model, x), lbar(params, model, y), lm(params, model, y)
     if pair.regime == Regime.UPPER_UPPER:  # top ranks sit at small p, where 1 - p loses nothing
         shapes = params.rank_weight(s), r - s, params.n - r + 1.0
-        pc, qc, marginal = 1.0 - p, 1.0 - q, marginal_upper_df
+        pc, qc = 1.0 - p, 1.0 - q
     else:  # bottom ranks sit at p near 1, so 1 - p is taken as L_m
         shapes = params.big_n - s + 1.0, s - r, float(r)
-        pc, qc, marginal = lm(params, model, x), lm(params, model, y), marginal_lower_df
-    return _dirichlet_upper(*shapes, p, q, pc, qc, marginal(params, model, s, y))
+        pc, qc = lm(params, model, x), qm
+    return _dirichlet_upper(*shapes, p, q, pc, qc, qm)

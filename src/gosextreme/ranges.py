@@ -291,7 +291,7 @@ def _pair_df(query: RangeQuery, t) -> np.ndarray:
 
 def _mixed_df(query: RangeQuery, t) -> np.ndarray:
     """int P_z(statistic <= t) dH(z) over an array of t, for every case
-    `_limit_df` does not serve in closed form."""
+    `limit_df` does not serve in closed form."""
     t = t * query._stretch
     if math.isinf(query._eta):
         # max side dominates; both statistics share the mixed max marginal
@@ -307,18 +307,12 @@ def _mixed_df(query: RangeQuery, t) -> np.ndarray:
     return value
 
 
-def limit_df(query: RangeQuery, t):
-    """P(normalized statistic <= t) in the query's index limit, for the
-    statistic it names, at a float or over an array of t."""
-    return _limit_df(query, t)
-
-
 def range_limit_df(query: RangeQuery, t):
     """P(normalized generalized range <= t) in the query's index limit, at
     a float or over an array of t."""
     if query.statistic != "range":
         raise ValueError("query.statistic must be 'range'")
-    return _limit_df(query, t)
+    return limit_df(query, t)
 
 
 def midrange_limit_df(query: RangeQuery, v):
@@ -326,11 +320,12 @@ def midrange_limit_df(query: RangeQuery, v):
     at a float or over an array of v."""
     if query.statistic != "midrange":
         raise ValueError("query.statistic must be 'midrange'")
-    return _limit_df(query, v)
+    return limit_df(query, v)
 
 
-def _limit_df(query: RangeQuery, t):
-    """The query's limit df over a whole grid of t (a float gives a float)."""
+def limit_df(query: RangeQuery, t):
+    """P(normalized statistic <= t) in the query's index limit, for the
+    statistic it names, over a whole grid of t (a float gives a float)."""
     grid = np.asarray(t, dtype=float)
     if np.isnan(grid).any():
         raise ValueError("range and midrange limits are undefined at NaN")
@@ -409,7 +404,7 @@ def run_statistic_sim(
 
     grid = tuple(float(g) for g in grid)
     if analytic is None:
-        analytic = _limit_df(query, np.array(grid))
+        analytic = limit_df(query, np.array(grid))
     config = {
         "m": params.m, "k": params.k, "n": params.n,
         "model": model.label(), "statistic": query.statistic,

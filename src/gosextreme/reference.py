@@ -579,7 +579,7 @@ def _range_fixed_rule():
     for spec, stat, law, m, k, t in cases:
         query = ranges.RangeQuery(model=parse_model(spec), params=GosParams(m=m, k=k, n=50),
                                   law=law, statistic=stat)
-        worst = max(worst, abs(ranges._limit_df(query, t) - adaptive_pair_df(query, t)))
+        worst = max(worst, abs(ranges.limit_df(query, t) - adaptive_pair_df(query, t)))
     return worst <= ranges.RANGE_ABS_TOL, f"max fixed-rule vs adaptive gap {worst:.2e}"
 
 

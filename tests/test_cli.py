@@ -180,16 +180,18 @@ class TestVerbs:
         assert len(lines) == 6
 
     def test_example_overlay_takes_the_limit_once(self, capsys, monkeypatch):
-        from gosextreme import ranges
+        from gosextreme import cli, ranges
 
         sizes = []
-        limit_df = ranges._limit_df
+        limit_df = ranges.limit_df
 
         def counted(query, t):
             sizes.append(np.size(t))
             return limit_df(query, t)
 
-        monkeypatch.setattr(ranges, "_limit_df", counted)
+        # the verb's own call and the overlay's, were it to take the limit again
+        monkeypatch.setattr(cli, "limit_df", counted)
+        monkeypatch.setattr(ranges, "limit_df", counted)
         code, _, _ = run_cli(
             capsys, "example", "logistic-midrange", "--grid=-2:2:5",
             "--sim-n", "50", "--sim-reps", "20", "--sim-seed", "3",
@@ -755,6 +757,28 @@ class TestEdgeSweepReproducers:
         assert err.startswith(f"validation failure: {message}")
         assert err.endswith(", past the largest sample size 2**63 - 1\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["--marginal", "upper", "--rank", "1", "--grid=-37.5"],
+        ["--regime", "uu", "--r", "2", "--s", "1", "--x-grid=-30", "--y-grid=-37.5"],
+    ], ids=["marginal", "joint-at-x-above-y"])
+    def test_upper_shape_past_the_float_integers(self, capsys, argv):
+        # at ell = 1e17 the shape N - R_r + 1 rounds to 1; the exact one is
+        # n - r + 1 = 5, and the value I_{L}(5, 1e17) (80-digit mpmath)
+        code, out, err = run_cli(capsys, "exact", "--dist", "logistic", "--m", "0",
+                                 "--k", "1e17", "--n", "5", *argv)
+        assert (code, err) == (0, "")
+        value = float(out.strip().splitlines()[-1].split(",")[-1])
+        assert abs(value - 0.58975216288896600628) <= 1e-12
+
+    def test_beta_ratio_that_scipy_cannot_take(self, capsys):
+        # the marginal branch's I_{1.6e-301}(5, 2e300) comes back NaN from scipy
+        code, out, err = run_cli(
+            capsys, "exact", "--regime", "uu", "--r", "2", "--s", "1", "--m", "-0.5",
+            "--k", "1e300", "--x-grid=0:0:1", "--y-grid=-1e300:0:1", "--dist", "cauchy",
+            "--n", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical failure: ")
+
     def test_survival_that_rounds_to_one_at_a_huge_m(self, capsys):
         # S = 1 - F rounds to 1 at x = 1e-300 (F = 1e-150), yet Lbar_m = (1 - F)^(m+1)
         # is exp(-1e150) = 0 at m = 1e300: both lower extremes lie below x and y
@@ -896,12 +920,12 @@ class TestParserParity:
     def test_same_exit_and_output_as_the_whole_parser(self, capsys, argv):
         import sys
 
-        from gosextreme.cli import _UsageExit, build_parser
+        from gosextreme.cli import build_parser
 
         def whole():
             try:
                 build_parser().parse_args(argv)
-            except _UsageExit as exc:
+            except UsageError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
             return "parsed"

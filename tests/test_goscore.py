@@ -10,6 +10,7 @@ Dirichlet sums of `joint_df` for both served regimes at non-integer
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,20 @@ class TestMarginals:
             assert abs(low - binomial_marginal(n, r, f)) <= 1e-12
             up = goscore.marginal_upper_df(params, UNIFORM01, r, f)
             assert abs(up - binomial_marginal(n, n - r + 1, f)) <= 1e-12
+
+    @pytest.mark.parametrize("ell", [1e17, 1e50])
+    def test_upper_oracle_past_the_float_integers(self, ell):
+        # N - R_r + 1, which is n - r + 1 in exact arithmetic, drops n's digits
+        # in floats once ell passes 2^53; the upper marginal is
+        # I_{L_m(x)}(n - r + 1, R_r), with L_m(x) ~ 1/ell here
+        params, logistic = GosParams(m=0.0, k=ell, n=5), parse_model("logistic")
+        with mpmath.workdps(60):
+            for r, shift in itertools.product((1, 3, 5), (-1.0, 0.0, 1.5)):
+                x = shift - math.log(ell)
+                lm = 1 / (1 + mpmath.exp(-mpmath.mpf(x)))  # F, as m = 0
+                want = mpmath.betainc(6 - r, mpmath.mpf(ell) + r - 1, 0, lm, regularized=True)
+                got = goscore.marginal_upper_df(params, logistic, r, x)
+                assert got == pytest.approx(float(want), rel=1e-13), (r, x)
 
     def test_rank_out_of_range(self):
         params = GosParams(m=0.0, k=1.0, n=4)

@@ -419,7 +419,7 @@ class TestExtremeTSweep:
 
     @pytest.mark.parametrize("law", SWEEP_LAWS[1:], ids=lambda law: law.label())
     def test_fixed_rule_matches_the_adaptive_route(self, law):
-        from gosextreme.ranges import RANGE_ABS_TOL, _limit_df
+        from gosextreme.ranges import RANGE_ABS_TOL, limit_df
         from gosextreme.reference import adaptive_pair_df
 
         worst = 0.0
@@ -427,7 +427,7 @@ class TestExtremeTSweep:
             if math.isinf(q._eta) or q.params.m != 0.0:
                 continue
             for t in (-2.5, 0.5, 3.0):
-                worst = max(worst, abs(_limit_df(q, t) - adaptive_pair_df(q, t)))
+                worst = max(worst, abs(limit_df(q, t) - adaptive_pair_df(q, t)))
         assert worst <= RANGE_ABS_TOL
 
     @pytest.mark.parametrize("statistic,t", [("midrange", -2.5), ("range", 4.5)])

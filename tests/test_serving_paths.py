@@ -34,7 +34,7 @@ from gosextreme.randomindex import (
     mixture_df,
     mixture_marginal,
 )
-from gosextreme.ranges import RANGE_ABS_TOL, RangeQuery, _limit_df, range_limit_df
+from gosextreme.ranges import RANGE_ABS_TOL, RangeQuery, limit_df, range_limit_df
 
 LAWS = [
     IndexLaw.degenerate(1.0),
@@ -172,11 +172,11 @@ def test_range_value_does_not_depend_on_its_grid(law, spec, statistic):
     query = RangeQuery(model=parse_model(spec), params=GosParams(m=0.0, k=1.0, n=50),
                        law=law, statistic=statistic)
     grid = np.linspace(-3.0, 5.0, 150)  # three chunks, the last one short
-    values = _limit_df(query, grid)
+    values = limit_df(query, grid)
     for shift in (1, 63, 64, 100):
-        assert np.array_equal(_limit_df(query, np.roll(grid, shift)), np.roll(values, shift))
+        assert np.array_equal(limit_df(query, np.roll(grid, shift)), np.roll(values, shift))
     for i in (0, 63, 64, 77, 149):
-        assert _limit_df(query, float(grid[i])) == values[i]
+        assert limit_df(query, float(grid[i])) == values[i]
 
 
 def _cauchy_pair_oracle(t: float, midrange: bool, z: str, ell: str) -> float:

@@ -9,8 +9,12 @@ ranks of the uniform m-GOS, V_r > V_s, the product representation gives
 (V_s, V_r - V_s, 1 - V_r) ~ Dirichlet(a, n0, b) with an integer n0, and
 each joint df is P(V_r > p, V_s > q) at p = Lbar_m(x), q = Lbar_m(y), a
 finite sum of beta tails.  A marginal is the split's two-part case, the
-tail P(V > p) of one beta variable, and one routed tail, `_beta_tail`,
-serves every exact df.
+tail P(V > p) of one beta variable, and one routed tail,
+`specfun.beta_tail`, serves every exact df.  Each complement 1 - p is
+taken as L_m(x), which keeps its digits where p rounds toward 1, and the
+order of two points is read where their digits are: p > q below
+p = 1/2, L_m(y) > L_m(x) from there up, so that x < y stays a joint
+where Lbar_m(x) and Lbar_m(y) round to the same float.
 
 The transforms, the marginals and the joints take floats or numpy
 arrays (x and y broadcast), so a whole table is one call, and every beta
@@ -25,7 +29,7 @@ import numpy as np
 
 from .distributions import DistributionModel, cdf, survival
 from .params import GosParams, RankPair, Regime
-from .specfun import clip_probability, reg_inc_beta
+from .specfun import beta_tail, clip_probability, reg_inc_beta
 
 
 def lm(params: GosParams, model: DistributionModel, x):
@@ -68,27 +72,18 @@ def _marginal(params: GosParams, model: DistributionModel, r: int, x, a: float, 
     """P(V > Lbar_m(x)) for V ~ Beta(a, b), its complement taken as L_m(x)."""
     if not 1 <= r <= params.n:
         raise ValueError(f"rank {r} out of range 1..{params.n}")
-    value = clip_probability(_beta_tail(a, b, lbar(params, model, x), lm(params, model, x)))
+    value = clip_probability(beta_tail(a, b, lbar(params, model, x), lm(params, model, x)))
     return value if value.ndim else float(value)
 
 
-def _beta_tail(a, b, p, pc):
-    """P(V > p) for V ~ Beta(a, b), with pc = 1 - p: 1 - I_p(a, b) below
-    p = 1/2 and I_pc(b, a) from there up, so that the ratio taken is the
-    one whose argument carries its digits.  Arrays broadcast."""
-    low = p < 0.5
-    ratio = reg_inc_beta(np.where(low, p, pc), np.where(low, a, b), np.where(low, b, a))
-    return np.where(low, 1.0 - ratio, ratio)
-
-
-def _dirichlet_upper(a: float, n0: int, b: float, p, q, pc, qc, qm):
+def _dirichlet_upper(a: float, n0: int, b: float, p, q, pc, qc):
     """P(V_r > p, V_s > q) for (V_s, V_r - V_s, 1 - V_r) ~ Dirichlet(a,
-    n0, b), integer n0 >= 1; pc = 1 - p and qc = 1 - q carry the digits
-    near p = 1.  Where q >= p (x >= y) the event is V_s > q alone, the
-    split's two-part case V_s ~ Beta(a, n0 + b), whose tail takes
-    1 - q as qm = L_m(y), as the marginals do.  The arguments are floats,
-    which give a float, or arrays that broadcast (p with pc, q with qc
-    and qm).
+    n0, b), integer n0 >= 1; pc = 1 - p and qc = 1 - q, taken as L_m,
+    carry the digits near p = 1.  The order of the two points is read
+    where its digits are, p > q below p = 1/2 and qc > pc from there up.
+    Where q >= p (x >= y) the event is V_s > q alone, the split's two-part
+    case V_s ~ Beta(a, n0 + b).  The arguments are floats, which give a
+    float, or arrays that broadcast (p with pc, q with qc).
 
     Where q < p, either V_s > p, or V_s = g in (q, p] and V_r - V_s covers
     p - g (a negative-binomial sum); integrating over g and collecting
@@ -98,16 +93,17 @@ def _dirichlet_upper(a: float, n0: int, b: float, p, q, pc, qc, qm):
     the terms accurate where log-gamma prefactors would not.  The tails
     are taken in p's shape; points of the marginal branch take 1 - q/p = 0.
     """
-    joint = p > q
+    low = p < 0.5
+    joint = np.where(low, p > q, qc > pc)
     gap = np.maximum(qc - pc, 0.0)  # p - q
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # of the branch not taken
-        x = np.where(joint, np.where(p < 0.5, 1.0 - q / p, gap / (q + gap)), 0.0)
-    tails = [_beta_tail(a + j, n0 + b - j, p, pc) for j in range(n0 + 1)]
+        x = np.where(joint, np.where(low, 1.0 - q / p, gap / (q + gap)), 0.0)
+    tails = [beta_tail(a + j, n0 + b - j, p, pc) for j in range(n0 + 1)]
     value = tails[0]
     for j in range(n0):
         value = value + (tails[j + 1] - tails[j]) * reg_inc_beta(x, j + 1, a)
     value = np.where(joint, clip_probability(np.where(pc <= 0.0, 0.0, value)),
-                     clip_probability(_beta_tail(a, n0 + b, q, qm)))
+                     clip_probability(beta_tail(a, n0 + b, q, qc)))
     return value if value.ndim else float(value)
 
 
@@ -125,11 +121,9 @@ def joint_df(params: GosParams, model: DistributionModel, pair: RankPair, x, y):
         raise ValueError(f"no exact joint df for the {pair.regime.value} regime")
     pair.validate_against(params.n)
     r, s = pair.r, pair.s
-    p, q, qm = lbar(params, model, x), lbar(params, model, y), lm(params, model, y)
-    if pair.regime == Regime.UPPER_UPPER:  # top ranks sit at small p, where 1 - p loses nothing
+    if pair.regime == Regime.UPPER_UPPER:
         shapes = params.rank_weight(s), r - s, params.n - r + 1.0
-        pc, qc = 1.0 - p, 1.0 - q
-    else:  # bottom ranks sit at p near 1, so 1 - p is taken as L_m
+    else:
         shapes = params.big_n - s + 1.0, s - r, float(r)
-        pc, qc = lm(params, model, x), qm
-    return _dirichlet_upper(*shapes, p, q, pc, qc, qm)
+    return _dirichlet_upper(*shapes, lbar(params, model, x), lbar(params, model, y),
+                            lm(params, model, x), lm(params, model, y))

@@ -37,9 +37,10 @@ positions (replications times the positions each reads).  The caller
 sums slice 0; each other slice is summed in a child started by
 `os.fork`, which draws and sorts its own nu, sends its two arrays of
 sums back through a pipe and ends in `os._exit`.  Each value depends on
-its own stream alone, so the bytes do not depend on W.  A child's
-exception is raised in the caller, the lowest slice's first, as the
-serial call raises it; no child outlives the call.  Where `os.fork` or
+its own stream alone, so the bytes do not depend on W.  A slice whose
+child sends less than its sums (it raised, or it died) is summed by the
+caller, in slice order, so an error is the one the serial call raises;
+no child outlives the call.  Where `os.fork` or
 `os.sched_getaffinity` is missing, the caller runs other threads, or the
 work is small, one process sums every slice.
 
@@ -59,7 +60,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import pickle
 import signal
 import threading
 from dataclasses import asdict, dataclass
@@ -191,14 +191,16 @@ class _TileSampler:
     up to _TILE replications at a time.
 
     A tile's rows are right-aligned: row b starts `pad` columns in, so
-    every row ends at the tile's last column and column c carries gamma
-    index `top - c`.  Columns before a row's start hold zeros, which add
-    nothing to its sum.  Each block of columns is drawn row by row, each
-    row from its own open stream, then taken through `log` and the divide
-    in whole-tile calls and copied position-major, where `_column_sums`
-    advances every row's running total at once.  A position that sits in
-    the same column for every row is read there; one that does not (the
-    lower rank of a lower-upper pair under a random nu) is read off a
+    every row ends at the tile's last column, at the deeper of its two
+    positions, and column c carries gamma index `top - c`.  Columns before
+    a row's start hold zeros, which add nothing to its sum.  Each block of
+    columns is drawn row by row, each row from its own open stream, then
+    taken through `log` and the divide in whole-tile calls and copied
+    position-major, where `_column_sums` advances every row's running
+    total at once.  The deeper position's sum is the row's final total.
+    The shallower one is read mid-way: where its column is the same for
+    every row, the block's column sums split there; where it is not (the
+    lower rank of a lower-upper pair under a random nu), it is read off a
     row-wise `cumsum` of the block's prefix.
     """
 
@@ -251,18 +253,13 @@ class _TileSampler:
         # Column c divides by k + (top - c)(m + 1), as `sample_uniform_gos`
         # takes gamma_j; top is one for the tile if its rows' agree.
         top = tops[0] if tops.min() == tops.max() else tops[:, None]
-        cols = [pad + a for a in at]
-        marks = {}  # column -> the targets every row reads there
-        scattered = {}  # block start -> (target, the rows it holds that target for)
-        for target, col in enumerate(cols):
-            if col.min() == col.max():
-                marks.setdefault(int(col[0]), []).append(target)
-                continue
-            blocks = col // _BLOCK
-            for b in np.unique(blocks).tolist():
-                scattered.setdefault(b * _BLOCK, []).append((target, np.flatnonzero(blocks == b)))
+        # Every row ends at the last column, at its deeper position, whose
+        # sum is the row's final total; only the shallower one, at column
+        # `mid`, is read mid-way.
+        mid = pad + np.minimum(*at)
+        split = int(mid[0]) if mid.min() == mid.max() else -1
         slot_cols = pad + (nus - 1) // 2
-        values = (np.empty(count), np.empty(count))
+        shallow = np.empty(count)
         total = np.zeros(count)
         for lo in range(0, width, _BLOCK):
             hi = min(lo + _BLOCK, width)
@@ -284,30 +281,27 @@ class _TileSampler:
             np.log(block, out=block)
             first = top if top.ndim == 0 else top[idle:]
             np.divide(block, self._k + (first - lo - np.arange(hi - lo)) * self._step, out=block)
-            # A scattered target: each row's running total, then its terms
-            # from its start in this block (zeros before it add nothing).
-            for target, rows in scattered.get(lo, ()):
+            rows = np.flatnonzero((mid >= lo) & (mid < hi))
+            if split < 0 and rows.size:
+                # `mid` differs by row: each row's running total, then its
+                # terms from its start in this block (zeros before it add nothing).
                 begin = np.maximum(pad[rows] - lo, 0)
-                span = cols[target][rows] - lo - begin
+                span = mid[rows] - lo - begin
                 reach = np.minimum(begin[:, None] + np.arange(span.max() + 1), hi - lo - 1)
                 prefix = block[(rows - idle)[:, None], reach]
                 prefix[:, 0] += total[rows]
                 np.cumsum(prefix, axis=1, out=prefix)
-                values[target][rows] = prefix[np.arange(rows.size), span]
-            # Position-major, the running totals advance a segment at a time,
-            # each segment ending at a marked column or the block's last, and
-            # each starting from the row that holds the sum so far.
+                shallow[rows] = prefix[np.arange(rows.size), span]
+            # Position-major, the running totals advance from the row that
+            # holds the sum so far, in two segments where `split` falls here.
             np.copyto(by_position, block.T)
             by_position[0] += total[idle:]
-            begin = 0
-            for mark in sorted({c - lo for c in marks if lo <= c < hi} | {hi - lo - 1}):
-                running = _column_sums(by_position[begin:mark + 1])
-                for target in marks.get(mark + lo, ()):
-                    values[target][:] = running
-                by_position[mark] = running
-                begin = mark
-            total[idle:] = running
-        return values
+            if lo <= split < hi:
+                shallow[:] = by_position[split - lo] = _column_sums(by_position[:split - lo + 1])
+                by_position = by_position[split - lo:]
+            total[idle:] = _column_sums(by_position)
+        deep_first = at[0] >= at[1]
+        return np.where(deep_first, total, shallow), np.where(deep_first, shallow, total)
 
 
 def _slices(params: GosParams, pair: RankPair, replications: int) -> list[tuple[int, int]]:
@@ -332,16 +326,18 @@ def _run_slices(run: Callable[[int, int], None], slices: list[tuple[int, int]],
                 sums: tuple[np.ndarray, ...]) -> None:
     """`run(lo, hi)` fills replications lo..hi-1 of each array in `sums`;
     this calls it on the first slice here and on each other slice in a
-    forked child, whose entries come back through a pipe.  An exception of
-    the lowest slice that raised is raised here, as a serial call would
-    raise it, and no child outlives the call."""
+    forked child, whose entries come back through a pipe.  A slice whose
+    child sent less than its entries (it raised, or it died) is run here
+    after the slices before it, so an error is the one the serial call
+    raises, the lowest slice's first.  No child outlives the call."""
     children = []  # (lo, hi, pid, read end of its pipe)
     try:
         for lo, hi in slices[1:]:
             children.append((lo, hi, *_fork_slice(run, lo, hi, sums)))
         run(*slices[0])
         for lo, hi, _, pipe in children:
-            _receive(pipe, lo, hi, sums)
+            if not all(pipe.readinto(v[lo:hi]) == v[lo:hi].nbytes for v in sums):
+                run(lo, hi)
     except BaseException:
         for _, _, pid, _ in children:
             os.kill(pid, signal.SIGKILL)
@@ -354,9 +350,9 @@ def _run_slices(run: Callable[[int, int], None], slices: list[tuple[int, int]],
 
 def _fork_slice(run: Callable[[int, int], None], lo: int, hi: int,
                 sums: tuple[np.ndarray, ...]) -> tuple[int, BinaryIO]:
-    """A child that runs slice [lo, hi) and writes b"\\0" and its entries of
-    each array, or b"\\1" and the pickled exception it raised; it always
-    ends in os._exit.  Returns its pid and the pipe's read end."""
+    """A child that runs slice [lo, hi) and writes its entries of each
+    array, or nothing past an exception; it always ends in os._exit.
+    Returns its pid and the pipe's read end."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -368,31 +364,13 @@ def _fork_slice(run: Callable[[int, int], None], lo: int, hi: int,
         try:
             os.close(read)
             with open(write, "wb") as pipe:
-                try:
-                    run(lo, hi)
-                except Exception as exc:
-                    pipe.write(b"\1" + pickle.dumps(exc))
-                else:
-                    pipe.write(b"\0")
-                    for values in sums:
-                        pipe.write(values[lo:hi])
+                run(lo, hi)
+                for values in sums:
+                    pipe.write(values[lo:hi])
         finally:
             os._exit(0)
     os.close(write)
     return pid, open(read, "rb")
-
-
-def _receive(pipe: BinaryIO, lo: int, hi: int, sums: tuple[np.ndarray, ...]) -> None:
-    """Read a `_fork_slice` child's entries into `sums`, or raise its
-    exception."""
-    status = pipe.read(1)
-    if status == b"\1":
-        raise pickle.loads(pipe.read())
-    for values in sums:
-        part = values[lo:hi]
-        if status != b"\0" or pipe.readinto(part) != part.nbytes:
-            raise ChildProcessError(
-                f"the worker of replications {lo}..{hi - 1} ended without its result")
 
 
 def simulate_value_pairs(

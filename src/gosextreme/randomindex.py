@@ -83,7 +83,7 @@ import numpy as np
 
 from .params import (ExtremeSide, GosParams, RankPair, Regime, number_label, parse_number,
                      read_spec)
-from .specfun import (clip_probability, domain_error, reg_inc_beta, reg_inc_gamma,
+from .specfun import (beta_tail, clip_probability, domain_error, reg_inc_beta, reg_inc_gamma,
                       reg_inc_gamma_upper)
 
 @dataclass(frozen=True)
@@ -331,18 +331,13 @@ def _unit_exponential_kernel(law: IndexLaw, j: float, w, shape: float, c):
         t = 1.0 + w + c
         return (w / t) ** j / t
     # z ~ Gamma(j+1) and the Gamma(R) variate behind Q meet in a beta
-    # ratio I_x(j+1, R), x = (1+w)/(1+w+c); near x = 1 it is taken
-    # through its complement, since 1 - x is exact only as c/(1+w+c).
+    # ratio I_x(j+1, R), x = (1+w)/(1+w+c), the tail of Beta(R, j+1) past
+    # 1 - x, which is exact only as c/(1+w+c).
     front = (w / (1.0 + w)) ** j / (1.0 + w)
     if not c.any():
         return front
-    near = c < 1.0 + w
-    ratio = reg_inc_beta(
-        np.where(near, c, 1.0 + w) / (1.0 + w + c),
-        np.where(near, shape, j + 1.0),
-        np.where(near, j + 1.0, shape),
-    )
-    return front * np.where(near, 1.0 - ratio, ratio)
+    t = 1.0 + w + c
+    return front * beta_tail(shape, j + 1.0, c / t, (1.0 + w) / t)
 
 
 def _tabulated_kernel(law: IndexLaw, j: float, w, shape: float, c):

@@ -6,7 +6,9 @@ ratios.  They are thin wrappers over scipy's Cephes kernels
 `gammainc`, `gammaincc` and `betainc`: each wrapper is one validated
 `scipy.special` ufunc call, on Python floats or on numpy arrays (which
 broadcast), so whole-grid evaluation pays the call overhead once.  A float
-in gives a numpy float (a `float` subclass) out.
+in gives a numpy float (a `float` subclass) out.  `beta_tail`, the tail
+P(V > p) of a beta variable, routes the beta ratio at p = 1/2 for the
+exact dfs and the unit-exponential index kernel.
 
 Conventions owned here, so callers need no guards of their own, the same
 for a float and for every element of an array:
@@ -15,8 +17,12 @@ for a float and for every element of an array:
   (r <= 0 or x < 0 for the gamma ratios, a, b <= 0 or x outside [0, 1]
   for the beta ratio);
 * x = +inf is first-class: Gamma_r(+inf) = 1 and 1 - Gamma_r(+inf) = 0;
-* each ratio returns the scipy ufunc's value as it is, unclipped; the dfs
-  built from the ratios clip their sums through `clip_probability`.
+* each ratio returns the scipy ufunc's value as it is, unclipped, but for
+  the beta ratio at a huge second shape: where `betainc` returns NaN at
+  b >= 1e150 and a <= 1e-17 b, I_x(a, b) is its gamma limit Gamma_a(b x),
+  whose relative error O(a/b) is below an ulp.  Any other NaN stays NaN,
+  and the dfs built from the ratios clip their sums through
+  `clip_probability`, which reports it as a numerical failure.
 """
 
 from __future__ import annotations
@@ -64,7 +70,22 @@ def reg_inc_beta(x, a, b):
     ok = np.asarray((a > 0.0) & (b > 0.0) & (0.0 <= x) & (x <= 1.0))
     if not ok.all():
         raise domain_error("reg_inc_beta requires a, b > 0 and x in [0, 1]", ok, x=x, a=a, b=b)
-    return _sc.betainc(a, b, x)
+    value = _sc.betainc(a, b, x)
+    if np.isnan(value).any():
+        # scipy returns NaN from about b = 1e155; at a <= 1e-17 b the ratio
+        # is the gamma limit Gamma_a(b x), within O(a/b) relative, below an ulp
+        limit = np.isnan(value) & (b >= 1e150) & (a <= 1e-17 * b)
+        value = np.where(limit, _sc.gammainc(a, b * x), value)[()]
+    return value
+
+
+def beta_tail(a, b, p, pc):
+    """P(V > p) for V ~ Beta(a, b), with pc = 1 - p: 1 - I_p(a, b) below
+    p = 1/2 and I_pc(b, a) from there up, so that the ratio taken is the
+    one whose argument carries its digits.  Arrays broadcast."""
+    low = p < 0.5
+    ratio = reg_inc_beta(np.where(low, p, pc), np.where(low, a, b), np.where(low, b, a))
+    return np.where(low, 1.0 - ratio, ratio)
 
 
 def domain_error(requirement: str, ok, **args) -> ValueError:

@@ -771,13 +771,38 @@ class TestEdgeSweepReproducers:
         assert abs(value - 0.58975216288896600628) <= 1e-12
 
     def test_beta_ratio_that_scipy_cannot_take(self, capsys):
-        # the marginal branch's I_{1.6e-301}(5, 2e300) comes back NaN from scipy
+        # the marginal branch's I_{1.6e-301}(5, 2e300) comes back NaN from scipy;
+        # its gamma limit, against a 420-digit quadrature of the beta tail
         code, out, err = run_cli(
             capsys, "exact", "--regime", "uu", "--r", "2", "--s", "1", "--m", "-0.5",
             "--k", "1e300", "--x-grid=0:0:1", "--y-grid=-1e300:0:1", "--dist", "cauchy",
             "--n", "5")
-        assert (code, out) == (2, "")
-        assert err.startswith("numerical failure: ")
+        assert (code, err) == (0, "")
+        value = float(out.strip().splitlines()[-1].split(",")[-1])
+        assert abs(value / 2.0908050879568122653e-5 - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--regime", "ll", "--r", "1", "--s", "2", "--m", "0", "--k", "1",
+          "--x-grid=-1e30", "--y-grid=-1e29"], 1.9251024892044176574e-59),
+        (["--regime", "uu", "--r", "3", "--s", "1", "--m", "-0.5", "--k", "1e100",
+          "--x-grid=-3e100", "--y-grid=-2e100"], 5.9119872371093846546e-7),
+        (["--regime", "uu", "--r", "3", "--s", "1", "--m", "-0.5", "--k", "1e300",
+          "--x-grid=-3e300", "--y-grid=-2e300"], 5.9119872371093846546e-7),
+        (["--marginal", "upper", "--rank", "1", "--m", "-0.5", "--k", "1e300",
+          "--grid=-1e300"], 2.0908050879568122653e-5),
+    ], ids=["ll-lbar-both-one", "uu-lbar-both-one", "uu-lbar-both-one-huge-shape",
+            "marginal-huge-shape"])
+    def test_points_whose_lbar_rounds_to_one(self, capsys, argv, want):
+        # Lbar_m(x) and Lbar_m(y) round to the same float at x < y, so the
+        # order and the complements are read from L_m; the last two also take
+        # a beta ratio at a second shape past 1e150.  The values: a 120-digit
+        # binomial sum (ll), the gamma limit P(G_3 < 1/(3 pi), G_2 + G_3 <
+        # 1/(2 pi)) of gamma variates, whose relative error is O(1/ell) (uu),
+        # and the limit Gamma_5(ell L_m(y)) of the beta tail I_{L_m(y)}(5, ell)
+        code, out, err = run_cli(capsys, "exact", "--dist", "cauchy", "--n", "5", *argv)
+        assert (code, err) == (0, "")
+        value = float(out.strip().splitlines()[-1].split(",")[-1])
+        assert abs(value / want - 1.0) <= 1e-12
 
     def test_survival_that_rounds_to_one_at_a_huge_m(self, capsys):
         # S = 1 - F rounds to 1 at x = 1e-300 (F = 1e-150), yet Lbar_m = (1 - F)^(m+1)

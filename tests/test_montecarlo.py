@@ -412,6 +412,10 @@ _ORACLE_PAIRS = [
     ((_U, 2), (_U, 1)), ((_U, 3), (_U, 2)),
     ((_L, 1), (_L, 2)), ((_L, 1), (_L, 3)),
     ((_L, 1), (_U, 1)), ((_L, 3), (_U, 2)), ((_L, 2), (_U, 3)),
+    # Ranks far apart: under 7-position blocks the shallower position falls
+    # blocks before the deeper one, in a column fixed for every row (the
+    # first two) or one that differs by row under a random nu (the last).
+    ((_U, 12), (_U, 1)), ((_L, 1), (_L, 12)), ((_L, 12), (_U, 1)),
 ]
 _ORACLE_MODES = [
     "fixed", "geometric", "dependent:const:0.7", "dependent:uniform:0.5:1.5",
@@ -599,13 +603,21 @@ class TestForkedSlices:
         assert time.perf_counter() - t0 < 10
         _no_child_left()
 
-    def test_a_child_that_dies_is_an_error(self):
-        def run(lo, hi):
-            if lo:
-                os._exit(3)
+    def test_a_slice_whose_child_dies_is_summed_here(self):
+        """The child of slice [2, 4) ends before it sends its sums, so the
+        caller sums that slice itself, to the serial call's values."""
+        caller, summed_here = os.getpid(), []
 
-        with pytest.raises(ChildProcessError, match=r"replications 2\.\.3 ended without"):
-            montecarlo._run_slices(run, [(0, 2), (2, 4)], (np.zeros(4),))
+        def run(lo, hi):
+            if os.getpid() != caller:
+                os._exit(3)
+            summed_here.append((lo, hi))
+            first[lo:hi] = np.arange(lo, hi) ** 2
+
+        first = np.zeros(4)
+        montecarlo._run_slices(run, [(0, 2), (2, 4)], (first,))
+        assert summed_here == [(0, 2), (2, 4)]
+        assert np.array_equal(first, np.arange(4) ** 2)  # what run(0, 4) fills in
         _no_child_left()
 
     def test_values_come_back(self):

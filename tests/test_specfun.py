@@ -182,6 +182,23 @@ class TestExtremeParameters:
                 assert got == pytest.approx(want, abs=5e-7)  # O(1/b) model gap
             assert abs(got - float(sc.betainc(a, b, bx / b))) <= 1e-11
 
+    @pytest.mark.parametrize("x,a,b", [
+        (1.5915494309189534e-301, 5.0, 2e300),
+        (3.2e-155, 5.0, 1e155), (1.7e-200, 2.5, 1e200), (3.2e-300, 5.0, 1e300),
+    ])
+    def test_beta_at_a_second_shape_scipy_cannot_take(self, x, a, b):
+        # scipy's betainc is NaN here; I_x(a, b) is Gamma_a(b x) within O(a/b)
+        assert np.isnan(sc.betainc(a, b, x))
+        with mpmath.workdps(40):
+            want = mpmath.gammainc(a, 0, mpmath.mpf(b) * mpmath.mpf(x), regularized=True)
+        assert abs(reg_inc_beta(x, a, b) / float(want) - 1.0) <= 1e-14
+        assert np.array_equal(reg_inc_beta(np.array([x, 0.5]), a, b),
+                              [reg_inc_beta(x, a, b), 1.0])
+
+    def test_other_nan_stays_nan(self):
+        # a NaN of scipy's at a second shape below 1e150 is no gamma limit
+        assert np.isnan(reg_inc_beta(1e-84, 1e16, 1e100))
+
     def test_beta_large_symmetric(self):
         assert reg_inc_beta(0.5, 5000.0, 5000.0) == pytest.approx(0.5, abs=1e-12)
 
